@@ -233,7 +233,7 @@ def enumerate_transitive_orientations(G: Graph, cap: Optional[int] = None) -> li
 def maximal_cliques_chordal(G: Graph) -> list[int]:
     """Maximal cliques of a chordal graph as bitmasks (via an elimination
     order). Raises NotInterval if G is not chordal."""
-    elim = _mcs_peo(G)
+    elim = _mcs_peo(G.n, G.adj)
     if elim is None:
         raise NotInterval("graph is not triangulated")
     pos = {v: k for k, v in enumerate(elim)}

@@ -1,16 +1,21 @@
 """Undirected graphs over string ids with bitset adjacency.
 
 Vertex sets are represented as Python ints used as bitsets, indexed by the
-graph's vertex order; all certificates are reported with original ids.
+graph's vertex order. Every algorithm the search engine runs (clique
+search, elimination order, asteroidal triples, stable sets of chordal
+graphs, odd closed walks) has one core over `(n, adjacency bitsets[,
+weights, vertex mask])` with plain numeric weights, which the engine calls
+directly on its own bitsets. The `Graph` functions are thin wrappers over
+the same cores that take id-keyed weights as `Fraction`s and report
+results with original ids.
 """
 
 from __future__ import annotations
 
-import bisect
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import TooLarge, UnknownVertex
+from .errors import NotInterval, TooLarge, UnknownVertex
 
 CLIQUE_CAP = 64
 
@@ -303,14 +308,19 @@ def find_odd_2chordless_cycle(G: Graph) -> Optional[tuple[str, ...]]:
 def find_asteroidal_triple(G: Graph) -> Optional[tuple[str, str, str]]:
     """Three vertices pairwise joined by paths avoiding the closed
     neighborhood of the third, or None."""
-    n = G.n
+    triple = _asteroidal_triple(G.n, G.adj)
+    return None if triple is None else tuple(G.vertices[v] for v in triple)
+
+
+def _asteroidal_triple(n: int, adj: Sequence[int]) -> Optional[tuple[int, int, int]]:
+    """Bitset core of `find_asteroidal_triple`: an asteroidal triple of
+    vertex indices in ascending order, or None."""
     if n < 3:
         return None
-    full = (1 << n) - 1
     # comp_label[z][v] = component of v in G - N[z], or -1 inside N[z].
     comp_label = []
     for z in range(n):
-        banned = G.adj[z] | (1 << z)
+        banned = adj[z] | (1 << z)
         label = [-1] * n
         cur = 0
         for s in range(n):
@@ -323,7 +333,7 @@ def find_asteroidal_triple(G: Graph) -> Optional[tuple[str, str, str]]:
                     label[v] = cur
                 frontier = 0
                 for v in bits(seen):
-                    frontier |= G.adj[v] & ~banned & ~seen
+                    frontier |= adj[v] & ~banned & ~seen
                 seen |= frontier
             cur += 1
         comp_label.append(label)
@@ -338,13 +348,13 @@ def find_asteroidal_triple(G: Graph) -> Optional[tuple[str, str, str]]:
                     and comp_label[x][y] != -1
                     and comp_label[x][y] == comp_label[x][z]
                 ):
-                    return (G.vertices[x], G.vertices[y], G.vertices[z])
+                    return (x, y, z)
     return None
 
 
-def _mcs_peo(G: Graph) -> Optional[list[int]]:
-    """Maximum-cardinality-search elimination order if G is chordal, else None."""
-    n = G.n
+def _mcs_peo(n: int, adj: Sequence[int]) -> Optional[list[int]]:
+    """Maximum-cardinality-search elimination order if the graph is
+    chordal, else None."""
     if n == 0:
         return []
     weight = [0] * n
@@ -357,20 +367,20 @@ def _mcs_peo(G: Graph) -> Optional[list[int]]:
                 best, best_w = v, weight[v]
         visited |= 1 << best
         order_rev.append(best)
-        for u in bits(G.adj[best] & ~visited):
+        for u in bits(adj[best] & ~visited):
             weight[u] += 1
     elim = list(reversed(order_rev))
     pos = {v: k for k, v in enumerate(elim)}
     later = [0] * n
     mask_later = 0
     for v in reversed(elim):
-        later[v] = G.adj[v] & mask_later
+        later[v] = adj[v] & mask_later
         mask_later |= 1 << v
     for v in elim:
         lv = later[v]
         if lv:
             u = min(bits(lv), key=lambda w: pos[w])
-            if lv & ~(1 << u) & ~G.adj[u]:
+            if lv & ~(1 << u) & ~adj[u]:
                 return None
     return elim
 
@@ -412,7 +422,7 @@ def _find_hole(G: Graph) -> Optional[tuple[str, ...]]:
 
 def is_triangulated(G: Graph) -> tuple[bool, Optional[tuple[str, ...]]]:
     """True iff G has no chordless cycle of length >= 4; else a witness cycle."""
-    if _mcs_peo(G) is not None:
+    if _mcs_peo(G.n, G.adj) is not None:
         return True, None
     hole = _find_hole(G)
     assert hole is not None, "non-chordal graph must contain a hole"
@@ -438,31 +448,38 @@ def max_weight_clique(
     coloring bound. Raises TooLarge beyond `cap` vertices."""
     if G.n > cap:
         raise TooLarge(f"clique search capped at {cap} vertices, got {G.n}")
-    w = _as_weight_map(G, weight)
-    adj = G.adj
-    best_w = Fraction(0)
+    best_w, best_set = _max_clique(G.adj, _as_weight_map(G, weight), (1 << G.n) - 1)
+    return to_frac(best_w), G.names(best_set)
+
+
+def _max_clique(adj: Sequence[int], w: Sequence, P: int) -> tuple:
+    """Bitset core of `max_weight_clique` over the vertices in mask `P`:
+    (weight, clique mask). Weights are any exact numbers."""
+    best_w = 0
     best_set = 0
 
-    def color_order(P: int) -> list[tuple[int, Fraction]]:
+    def color_order(P: int) -> list:
         # Partition P into independent sets; bound at v = cumulative max
         # weight over its class and all earlier classes.
-        classes: list[tuple[int, Fraction]] = []  # (mask, max weight)
+        classes: list = []  # [mask, max weight]
         for v in bits(P):
-            for k, (mask, mw) in enumerate(classes):
-                if not adj[v] & mask:
-                    classes[k] = (mask | (1 << v), max(mw, w[v]))
+            for cls in classes:
+                if not adj[v] & cls[0]:
+                    cls[0] |= 1 << v
+                    if w[v] > cls[1]:
+                        cls[1] = w[v]
                     break
             else:
-                classes.append((1 << v, w[v]))
-        out: list[tuple[int, Fraction]] = []
-        acc = Fraction(0)
+                classes.append([1 << v, w[v]])
+        out: list = []
+        acc = 0
         for mask, mw in classes:
             acc += mw
             for v in bits(mask):
                 out.append((v, acc))
         return out
 
-    def expand(P: int, cur_mask: int, cur_w: Fraction) -> None:
+    def expand(P: int, cur_mask: int, cur_w) -> None:
         nonlocal best_w, best_set
         if cur_w > best_w:
             best_w, best_set = cur_w, cur_mask
@@ -475,57 +492,60 @@ def max_weight_clique(
             expand(P & adj[v], cur_mask | (1 << v), cur_w + w[v])
             P &= ~(1 << v)
 
-    expand((1 << G.n) - 1, 0, Fraction(0))
-    return best_w, G.names(best_set)
+    expand(P, 0, 0)
+    return best_w, best_set
 
 
 def greedy_weight_clique(G: Graph, weight) -> tuple[Fraction, tuple[str, ...]]:
     """Greedy heavy-first clique. Sound under-approximation used beyond
     the exact-search cap."""
-    w = _as_weight_map(G, weight)
-    order = sorted(range(G.n), key=lambda v: (-w[v], v))
+    total, mask = _greedy_clique(G.adj, _as_weight_map(G, weight), (1 << G.n) - 1)
+    return to_frac(total), G.names(mask)
+
+
+def _greedy_clique(adj: Sequence[int], w: Sequence, P: int) -> tuple:
+    """Bitset core of `greedy_weight_clique` over the vertices in mask `P`."""
     mask = 0
-    total = Fraction(0)
-    for v in order:
-        if (G.adj[v] & mask) == mask:
+    total = 0
+    for v in sorted(bits(P), key=lambda v: (-w[v], v)):
+        if (adj[v] & mask) == mask:
             mask |= 1 << v
             total += w[v]
-    return total, G.names(mask)
+    return total, mask
 
 
 def max_weight_stable_set_interval(G: Graph, weight) -> tuple[Fraction, tuple[str, ...]]:
-    """Exact maximum-weight stable set of an interval graph, via weighted
-    interval scheduling over a clique-path representation.
+    """Exact maximum-weight stable set of an interval graph, read off a
+    perfect elimination order, so exact on every chordal graph. Raises
+    NotInterval when G is not chordal."""
+    elim = _mcs_peo(G.n, G.adj)
+    if elim is None:
+        raise NotInterval("graph is not triangulated")
+    total, mask = _chordal_stable_set(G.adj, _as_weight_map(G, weight), elim)
+    return to_frac(total), G.names(mask)
 
-    Raises NotInterval when G is not an interval graph.
+
+def _chordal_stable_set(adj: Sequence[int], w: Sequence, elim: Sequence[int]) -> tuple:
+    """Maximum-weight stable set of a chordal graph from a perfect
+    elimination order (Frank 1975): (weight, mask).
+
+    Forward pass: a vertex whose reduced weight is still positive is
+    marked and its reduced weight is taken off every later neighbor (its
+    later neighbors and itself form a clique). Backward pass: marked
+    vertices, latest first, join the set when no neighbor is in it yet.
     """
-    from . import chargraph  # deferred: chargraph depends on this module
-
-    w = _as_weight_map(G, weight)
-    intervals = chargraph.interval_model(G)  # vertex index -> (lo, hi)
-    items = sorted(range(G.n), key=lambda v: (intervals[v][1], intervals[v][0], v))
-    rights = [intervals[v][1] for v in items]
-    k = len(items)
-    best: list[Fraction] = [Fraction(0)] * (k + 1)
-    take: list[bool] = [False] * (k + 1)
-    prev: list[int] = [0] * (k + 1)
-    for j in range(1, k + 1):
-        v = items[j - 1]
-        lo = intervals[v][0]
-        q = bisect.bisect_left(rights, lo)  # items with right < lo
-        prev[j] = q
-        with_v = best[q] + w[v]
-        if with_v > best[j - 1]:
-            best[j], take[j] = with_v, True
-        else:
-            best[j], take[j] = best[j - 1], False
-    chosen = []
-    j = k
-    while j > 0:
-        if take[j]:
-            chosen.append(items[j - 1])
-            j = prev[j]
-        else:
-            j -= 1
-    chosen.sort()
-    return best[k], tuple(G.vertices[v] for v in chosen)
+    rest = list(w)
+    marked = []
+    later = (1 << len(elim)) - 1
+    for v in elim:
+        later &= ~(1 << v)
+        r = rest[v]
+        if r > 0:
+            marked.append(v)
+            for u in bits(adj[v] & later):
+                rest[u] = rest[u] - r if rest[u] > r else 0
+    chosen = 0
+    for v in reversed(marked):
+        if not adj[v] & chosen:
+            chosen |= 1 << v
+    return sum((w[v] for v in bits(chosen)), 0), chosen

@@ -137,7 +137,9 @@ class Instance:
                 tuple(int(b.size[i] * scales[i]) for i in range(d)) for b in self.boxes
             ),
         )
-        object.__setattr__(self, "_index", {b.id: k for k, b in enumerate(self.boxes)})
+        ids = tuple(b.id for b in self.boxes)
+        object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "_index", {b: k for k, b in enumerate(ids)})
 
     @property
     def d(self) -> int:
@@ -149,7 +151,7 @@ class Instance:
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(b.id for b in self.boxes)
+        return self._ids  # type: ignore[attr-defined]
 
     def index(self, box_id: str) -> int:
         try:

@@ -18,6 +18,14 @@ state can destroy: a plus 4-cycle with both diagonals minus, an odd
 2-chordless cycle in the minus graph whose potential 2-chords are all
 plus, an overweight clique in the minus graph, and the width bound on
 fully decided vertex sets. Each is re-checkable against the state.
+
+Everything inside the search runs on integers: per-dimension adjacency
+bitsets (`EdgeState.plus_adj`/`minus_adj`), vertex indices and the
+instance's integer-scaled sizes, handed straight to the bitset cores in
+`graph`. Box ids appear only in decisions, conflicts and certificates.
+`Graph`s, `Fraction`s and the `PackingClass` are built only once the
+bitset check of P1/P2/P3 passes, to orient, extract and validate the
+returned packing.
 """
 
 from __future__ import annotations
@@ -25,14 +33,25 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations, product
 from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import NoUndecided
-from .graph import CLIQUE_CAP, Graph, _odd_closed_walk, bits, greedy_weight_clique, max_weight_clique
+from .graph import (
+    CLIQUE_CAP,
+    Graph,
+    _asteroidal_triple,
+    _chordal_stable_set,
+    _greedy_clique,
+    _max_clique,
+    _mcs_peo,
+    _odd_closed_walk,
+    bits,
+)
 from .model import Instance, Packing, project_to_class, validate_packing
-from .packing_class import PackingClass, extract_packing, orient_class, verify_packing_class
+from .packing_class import PackingClass, extract_packing, orient_class
 
 INCLUDE = 1
 EXCLUDE = -1
@@ -107,7 +126,8 @@ class EdgeState:
 
     Status per (dimension, pair) is +1 (in E+), -1 (in E-), or 0. The
     trail records assignments in order so the search can backtrack to any
-    mark. plus_adj/minus_adj mirror the status as per-vertex bitsets.
+    mark. plus_adj/minus_adj mirror the status as per-vertex bitsets;
+    sizes[i][v] is box v's integer-scaled size along axis i.
     """
 
     def __init__(self, inst: Instance):
@@ -120,6 +140,7 @@ class EdgeState:
         self.status = [[0] * self.m for _ in range(self.d)]
         self.plus_adj = [[0] * self.n for _ in range(self.d)]
         self.minus_adj = [[0] * self.n for _ in range(self.d)]
+        self.sizes = [[inst.int_size(v, i) for v in range(self.n)] for i in range(self.d)]
         self.trail: list[tuple[int, int]] = []
         self.undecided = self.d * self.m
         self.stats = SearchStats()
@@ -138,14 +159,6 @@ class EdgeState:
 
     def e_minus(self, i: int) -> list[tuple[str, str]]:
         return [self.pair_ids(p) for p in range(self.m) if self.status[i][p] == EXCLUDE]
-
-    def undecided_pairs(self) -> list[tuple[int, tuple[str, str]]]:
-        return [
-            (i, self.pair_ids(p))
-            for i in range(self.d)
-            for p in range(self.m)
-            if self.status[i][p] == 0
-        ]
 
     def mark(self) -> int:
         return len(self.trail)
@@ -296,14 +309,6 @@ def propagate(
     return _fixpoint(state, [(i, pid, sign)])
 
 
-def _plus_graph(state: EdgeState, i: int) -> Graph:
-    return Graph(state.inst.ids, state.e_plus(i))
-
-
-def _minus_graph(state: EdgeState, i: int) -> Graph:
-    return Graph(state.inst.ids, state.e_minus(i))
-
-
 def prune_check(state: EdgeState) -> Optional[Prune]:
     """Certificate-backed dead-end detection on the current state.
 
@@ -338,42 +343,34 @@ def prune_check(state: EdgeState) -> Optional[Prune]:
             )
         # (3) overweight clique in the minus graph (a stable set of the
         # final graph, so it must fit along the axis)
-        minus_graph = _minus_graph(state, i)
-        weights = {b.id: inst.int_size(k, i) for k, b in enumerate(inst.boxes)}
-        if n <= CLIQUE_CAP:
-            weight, clique = max_weight_clique(minus_graph, weights)
-        else:
-            weight, clique = greedy_weight_clique(minus_graph, weights)
-        if weight > inst.int_container(i):
-            return Prune(rule="infeasible_clique", dimension=i, certificate=(clique,))
+        sizes = state.sizes[i]
+        cap = inst.int_container(i)
+        full = (1 << n) - 1
+        clique_search = _max_clique if n <= CLIQUE_CAP else _greedy_clique
+        weight, clique = clique_search(minus, sizes, full)
+        if weight > cap:
+            ids = inst.ids
+            return Prune(
+                rule="infeasible_clique",
+                dimension=i,
+                certificate=(tuple(ids[v] for v in bits(clique)),),
+            )
         # (4) width bound on the fully decided vertex set (needs the exact
         # clique number, so it is skipped beyond the exact-search cap)
-        full = (1 << n) - 1
-        decided = [
-            v
-            for v in range(n)
-            if (plus[v] | minus[v]) == full & ~(1 << v)
-        ]
-        if 2 <= len(decided) <= CLIQUE_CAP:
-            total = sum(inst.int_size(v, i) for v in decided)
-            needed = -(-total // inst.int_container(i))
+        decided = 0
+        for v in range(n):
+            if (plus[v] | minus[v]) == full & ~(1 << v):
+                decided |= 1 << v
+        if 2 <= decided.bit_count() <= CLIQUE_CAP:
+            needed = -(-sum(sizes[v] for v in bits(decided)) // cap)
             if needed >= 2:
-                sub_ids = [inst.ids[v] for v in decided]
-                sub = Graph(
-                    sub_ids,
-                    [
-                        (inst.ids[u], inst.ids[v])
-                        for u in decided
-                        for v in decided
-                        if u < v and plus[u] >> v & 1
-                    ],
-                )
-                size, clique = max_weight_clique(sub, {v: 1 for v in sub_ids})
+                size, _ = _max_clique(plus, [1] * n, decided)
                 if size < needed:
+                    ids = inst.ids
                     return Prune(
                         rule="clique_bound",
                         dimension=i,
-                        certificate=(tuple(sub_ids), needed, int(size)),
+                        certificate=(tuple(ids[v] for v in bits(decided)), needed, size),
                     )
     return None
 
@@ -384,38 +381,49 @@ def branch_select(state: EdgeState) -> tuple[int, tuple[str, str], int]:
     smallest dimension then lexicographic pair; inclusion is tried first."""
     if state.undecided == 0:
         raise NoUndecided("no undecided pair to branch on")
+    d = state.d
+    degree = [0] * state.n
+    for plus, minus in zip(state.plus_adj, state.minus_adj):
+        for v in range(state.n):
+            degree[v] += (plus[v] | minus[v]).bit_count()
+    # A pair decided in some dimension is counted at both of its endpoints
+    # there, so it comes off its score once per such dimension.
+    score = [
+        degree[a] + degree[b] - d + column.count(0)
+        for (a, b), column in zip(state.pairs, zip(*state.status))
+    ]
     best = None
-    best_key = None
-    for i in range(state.d):
-        for pid in range(state.m):
-            if state.status[i][pid] != 0:
-                continue
-            a, b = state.pairs[pid]
-            score = 0
-            for j in range(state.d):
-                dec_a = state.plus_adj[j][a] | state.minus_adj[j][a]
-                dec_b = state.plus_adj[j][b] | state.minus_adj[j][b]
-                score += dec_a.bit_count() + dec_b.bit_count()
-                if state.status[j][pid] != 0:
-                    score -= 1  # the pair itself, counted at both endpoints
-            key = (-score, i, a, b)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (i, state.pair_ids(pid), INCLUDE)
+    for i, row in enumerate(state.status):
+        for pid, sign in enumerate(row):
+            if sign == 0 and (best is None or score[pid] > score[best[1]]):
+                best = (i, pid)
     assert best is not None
-    return best
+    return (best[0], state.pair_ids(best[1]), INCLUDE)
 
 
 def _try_accept(state: EdgeState) -> Optional[tuple[Packing, PackingClass]]:
-    """If the included edges already form a packing class, extract a packing."""
+    """If the included edges already form a packing class, extract a packing.
+
+    P1 (chordal and free of asteroidal triples), P2 (the heaviest stable
+    set, read off the elimination order, fits) and P3 are checked on the
+    state's bitsets; the packing class is built, oriented, extracted and
+    validated only when that check passes.
+    """
+    n = state.n
     inst = state.inst
-    edge_sets = tuple(_plus_graph(state, i) for i in range(state.d))
-    report = verify_packing_class(edge_sets, inst)
-    if not report.all_ok:
+    if any(reduce(int.__and__, column) for column in zip(*state.plus_adj)):
         return None
+    for i, plus in enumerate(state.plus_adj):
+        elim = _mcs_peo(n, plus)
+        if (
+            elim is None
+            or _chordal_stable_set(plus, state.sizes[i], elim)[0] > inst.int_container(i)
+            or _asteroidal_triple(n, plus) is not None
+        ):
+            return None
+    edge_sets = tuple(Graph(inst.ids, state.e_plus(i)) for i in range(state.d))
     pc = PackingClass(instance=inst, edge_sets=edge_sets)
-    orientation = orient_class(pc)
-    packing = extract_packing(orientation, inst)
+    packing = extract_packing(orient_class(pc), inst)
     assert validate_packing(packing, inst).valid, "solver produced an invalid packing"
     return packing, pc
 

@@ -261,78 +261,32 @@ def enumerate_packing_classes(
         ]
         options_per_pair.append(opts)
 
-    def naive_is_class(assignment: tuple[tuple[int, ...], ...]) -> bool:
+    def naive_class(assignment: tuple[tuple[int, ...], ...]) -> Optional[tuple[Graph, ...]]:
+        """The assignment's edge sets if they form a packing class, else None."""
+        edge_sets = []
         for i in range(d):
-            edges = {
-                (a, b) for (a, b), combo in zip(pairs, assignment) if combo[i]
-            }
-            nbrs = {v: set() for v in range(n)}
-            for a, b in edges:
-                nbrs[a].add(b)
-                nbrs[b].add(a)
-            # interval: simplicial elimination + asteroidal triples
-            remaining = {v: set(ws) for v, ws in nbrs.items()}
-            while remaining:
-                simp = None
-                for v in sorted(remaining):
-                    ns = remaining[v]
-                    if all(y in remaining[x] for x in ns for y in ns if x < y):
-                        simp = v
-                        break
-                if simp is None:
-                    return False
-                for w in remaining.pop(simp):
-                    remaining[w].discard(simp)
-            for x, y, z in combinations(range(n), 3):
-                ok = True
-                for s, t, m in ((x, y, z), (x, z, y), (y, z, x)):
-                    banned = nbrs[m] | {m}
-                    if s in banned or t in banned:
-                        ok = False
-                        break
-                    seen, stack = {s}, [s]
-                    found = False
-                    while stack:
-                        v = stack.pop()
-                        if v == t:
-                            found = True
-                            break
-                        for w in nbrs[v]:
-                            if w not in seen and w not in banned:
-                                seen.add(w)
-                                stack.append(w)
-                    if not found:
-                        ok = False
-                        break
-                if ok:
-                    return False  # asteroidal triple: not interval
+            G = Graph(
+                ids,
+                [(ids[a], ids[b]) for (a, b), combo in zip(pairs, assignment) if combo[i]],
+            )
+            if not oracle_is_interval(G, config):
+                return None
             # every stable subset must fit along the axis
             for mask in range(1 << n):
                 members = [v for v in range(n) if mask >> v & 1]
-                if any(
-                    b in nbrs[a] for a, b in combinations(members, 2)
-                ):
+                if any(G.has_edge(ids[a], ids[b]) for a, b in combinations(members, 2)):
                     continue
                 if sum(sizes[v][i] for v in members) > W[i]:
-                    return False
-        return True
+                    return None
+            edge_sets.append(G)
+        return tuple(edge_sets)
 
     found: list[PackingClass] = []
     total = 0
     for assignment in product(*options_per_pair):
-        if not naive_is_class(assignment):
+        edge_sets = naive_class(assignment)
+        if edge_sets is None:
             continue
-        edge_sets = tuple(
-            Graph(
-                ids,
-                [
-                    (ids[a], ids[b])
-                    for (a, b), combo in zip(pairs, assignment)
-                    if combo[i]
-                ],
-            )
-            for i in range(d)
-        )
         report = verify_packing_class(edge_sets, inst)
         assert report.all_ok, (
             "oracle and production verifier disagree on a packing class"

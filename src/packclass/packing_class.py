@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from . import chargraph
 from .chargraph import Dag, NotComparability
@@ -70,7 +70,10 @@ class ClassReport:
         )
 
 
-EdgeSetsLike = Union[PackingClass, Sequence]
+if TYPE_CHECKING:
+    # Kept out of runtime: typing caches the subscription, which would pin
+    # this module's classes past a re-import of the package.
+    EdgeSetsLike = Union[PackingClass, Sequence]
 
 
 def _as_graphs(E: EdgeSetsLike, inst: Instance) -> tuple[Graph, ...]:

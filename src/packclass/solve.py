@@ -39,10 +39,6 @@ class OkpSolution:
     stats: dict
     dismissed: tuple  # ((box ids), reason) pairs, capped
 
-    @property
-    def proof(self) -> tuple:
-        return self.dismissed
-
 
 @dataclass
 class SppSolution:
@@ -102,7 +98,6 @@ def solve_okp(
         "examined": 0,
         "dismissed_screen": 0,
         "dismissed_opp": 0,
-        "memo_hits": 0,
         "engine_nodes": 0,
     }
     dismissed: list[tuple[tuple[str, ...], str]] = []
@@ -114,19 +109,21 @@ def solve_okp(
     full = (1 << n) - 1
     heap: list[tuple[Fraction, int, int]] = [(-subset_value(full), full.bit_count(), full)]
     pushed = {full}
-    memo: dict[int, str] = {}
 
     while heap:
         neg_value, _, mask = heapq.heappop(heap)
         stats["examined"] += 1
+        if mask == 0:
+            stats["wall_time"] = budget.elapsed()
+            return OkpSolution(
+                chosen=(),
+                total_value=Fraction(0),
+                packing=Packing({}),
+                stats=stats,
+                dismissed=tuple(dismissed),
+            )
         ids = subset_ids(mask)
-        verdict = memo.get(mask)
-        if verdict is not None:
-            stats["memo_hits"] += 1
-        elif mask == 0:
-            verdict = "feasible"
-        elif quick_infeasible(inst, ids):
-            verdict = "screen"
+        if quick_infeasible(inst, ids):
             stats["dismissed_screen"] += 1
             record(mask, "volume-or-pair-screen")
         else:
@@ -138,29 +135,17 @@ def solve_okp(
             stats["engine_nodes"] += outcome.stats.nodes
             if outcome.verdict == "resource_limit":
                 return ResourceLimit("inner decision hit its limit", stats)
-            verdict = outcome.verdict
-            if verdict == "feasible":
-                memo[mask] = "feasible"
+            if outcome.verdict == "feasible":
                 stats["wall_time"] = budget.elapsed()
                 return OkpSolution(
                     chosen=ids,
                     total_value=subset_value(mask),
-                    packing=outcome.packing if mask else Packing({}),
+                    packing=outcome.packing,
                     stats=stats,
                     dismissed=tuple(dismissed),
                 )
             stats["dismissed_opp"] += 1
             record(mask, "opp-infeasible")
-        memo[mask] = verdict if verdict != "screen" else "infeasible"
-        if mask == 0:
-            stats["wall_time"] = budget.elapsed()
-            return OkpSolution(
-                chosen=(),
-                total_value=Fraction(0),
-                packing=Packing({}),
-                stats=stats,
-                dismissed=tuple(dismissed),
-            )
         for k in range(n):
             if mask >> k & 1:
                 child = mask & ~(1 << k)

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from packclass.errors import NotInterval, TooLarge, UnknownVertex
+from packclass.oracle import OracleConfig, oracle_is_interval
 from packclass.graph import (
     Graph,
+    _asteroidal_triple,
+    _chordal_stable_set,
+    _max_clique,
+    _mcs_peo,
+    bits,
     complement,
     find_asteroidal_triple,
     find_induced_c4,
@@ -237,3 +243,34 @@ def test_clique_stable_set_duality():
         clique_w, _ = max_weight_clique(complement(H), w)
         stable_w, _ = max_weight_stable_set_interval(H, w)
         assert clique_w == stable_w
+
+
+def test_bitset_cores_match_oracle_and_brute_force():
+    """The cores the search runs on raw bitsets: P1 (elimination order plus
+    asteroidal triples) against the definitional oracle, P2 (stable set
+    from the elimination order) and the clique search, with integer and
+    Fraction weights and a vertex mask, against brute force."""
+    rng = random.Random(15)
+    config = OracleConfig(max_vertices=8)
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        G = random_graph(rng, n) if rng.random() < 0.5 else random_interval_graph(rng, n)[0]
+        ints = [rng.randint(1, 9) for _ in range(n)]
+        fracs = [Fraction(x, rng.randint(1, 5)) for x in ints]
+        elim = _mcs_peo(n, G.adj)
+        is_interval = elim is not None and _asteroidal_triple(n, G.adj) is None
+        assert is_interval == oracle_is_interval(G, config)
+        for weights in (ints, fracs):
+            by_id = dict(zip(G.vertices, weights))
+            if elim is not None:
+                weight, mask = _chordal_stable_set(G.adj, weights, elim)
+                assert weight == brute_max_weight_stable(G, by_id)
+                assert all(not G.adj[v] & mask for v in bits(mask))
+                assert weight == sum(weights[v] for v in bits(mask))
+            weight, mask = _max_clique(G.adj, weights, (1 << n) - 1)
+            assert weight == brute_max_weight_clique(G, by_id)
+            assert all((G.adj[v] | 1 << v) & mask == mask for v in bits(mask))
+            keep = rng.getrandbits(n) if n else 0
+            sub = induced(G, G.names(keep))
+            weight, _ = _max_clique(G.adj, weights, keep)
+            assert weight == brute_max_weight_clique(sub, by_id)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -14,6 +15,7 @@ from packclass.opp import (
     ImmediateConflict,
     Prune,
     SearchLimits,
+    _try_accept,
     branch_select,
     heuristic_pack,
     initial_state,
@@ -23,6 +25,7 @@ from packclass.opp import (
     solve_opp,
 )
 from packclass.oracle import brute_force_opp
+from packclass.packing_class import verify_packing_class
 from packclass.sweep import exhaustive_grid
 
 from certcheck import check_induced_c4, check_odd_2chordless_cycle
@@ -204,6 +207,65 @@ def test_solver_deterministic(five_box_example):
     assert a.verdict == b.verdict
     assert a.packing == b.packing
     assert a.stats.deterministic_view() == b.stats.deterministic_view()
+
+
+def test_try_accept_rejects_asteroidal_triple():
+    # The long claw is chordal and every stable set fits along the axis,
+    # but its three leaves form an asteroidal triple: not an interval graph.
+    names = ["c", "a1", "a2", "b1", "b2", "d1", "d2"]
+    inst = Instance(boxes=[Box(v, (1, 1)) for v in names], container=(7, 7))
+    state = EdgeState(inst)
+    claw = [("c", "a1"), ("a1", "a2"), ("c", "b1"), ("b1", "b2"), ("c", "d1"), ("d1", "d2")]
+    for a, b in claw:
+        assert state._set(0, state.pair_of(a, b), INCLUDE) == "applied"
+    assert _try_accept(state) is None
+    assert not verify_packing_class([state.e_plus(0), state.e_plus(1)], inst).all_ok
+    state.undo_to(state.mark() - 1)  # drop d1-d2: a spider with short legs is interval
+    assert _try_accept(state) is not None
+
+
+def tight_instance(rng, n):
+    """Random boxes with sides 1-6 filling 80-100 % of a 10 x 10 square."""
+    while True:
+        sizes = [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(n)]
+        if 80 <= sum(w * h for w, h in sizes) <= 100:
+            return Instance(
+                boxes=[Box(f"b{k}", s) for k, s in enumerate(sizes)], container=(10, 10)
+            )
+
+
+# (instance index, verdict, stats.deterministic_view(), packing digest).
+# A mismatch means the search tree or the returned packing changed.
+# Instances whose search closes at the root are left out.
+PINNED_TREES = [
+    (1, "resource_limit", (81, 81, 116, 32, ()), None),
+    (2, "resource_limit", (82, 82, 141, 32, (("odd_cycle", 1),)), None),
+    (3, "resource_limit", (80, 80, 127, 34, ()), None),
+    (7, "resource_limit", (80, 80, 124, 28, (("odd_cycle", 1),)), None),
+    (8, "resource_limit", (82, 82, 114, 36, ()), None),
+    (9, "feasible", (79, 79, 136, 28, (("odd_cycle", 4),)), "ac548ce84c7e"),
+    (10, "resource_limit", (80, 80, 119, 32, ()), None),
+    (11, "resource_limit", (81, 81, 133, 32, ()), None),
+    (13, "resource_limit", (82, 82, 117, 37, ()), None),
+    (14, "resource_limit", (82, 82, 131, 35, ()), None),
+    (15, "resource_limit", (80, 80, 158, 35, ()), None),
+    (16, "feasible", (72, 72, 108, 30, ()), "1a5667e552e5"),
+]
+
+
+def test_search_tree_pinned_on_tight_instances():
+    rng = random.Random(2003)
+    instances = [tight_instance(rng, 6 + k % 4) for k in range(17)]
+    limits = SearchLimits(max_nodes=80, time_limit=None, use_heuristic=False)
+    for k, verdict, view, packing_digest in PINNED_TREES:
+        out = solve_opp(instances[k], limits)
+        assert (out.verdict, out.stats.deterministic_view()) == (verdict, view), k
+        if out.packing is None:
+            assert packing_digest is None
+        else:
+            canonical = repr(out.packing.canonical()).encode()
+            assert hashlib.sha256(canonical).hexdigest()[:12] == packing_digest
+            assert validate_packing(out.packing, instances[k]).valid
 
 
 def test_resource_limit_outcomes(five_box_example):

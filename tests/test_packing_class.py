@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
+import packclass
 from packclass.chargraph import Dag
 from packclass.errors import NotPackingClass
 from packclass.model import Box, Instance, is_gapless, project_to_class, validate_packing
@@ -148,3 +152,28 @@ def test_clique_bound_holds_on_projected_classes(five_box_example):
             S = [b for b in ids if rng.random() < 0.6]
             for i in range(2):
                 assert clique_bound_holds(pc, S, i, pc.instance)
+
+
+UNLOAD_SCRIPT = """
+import gc, sys, weakref
+from packclass.graph import Graph
+from packclass.packing_class import PackingClass
+refs = [weakref.ref(PackingClass), weakref.ref(Graph)]
+del Graph, PackingClass
+for name in [m for m in sys.modules if m.split(".")[0] == "packclass"]:
+    del sys.modules[name]
+gc.collect()
+print(sum(ref() is not None for ref in refs))
+"""
+
+
+def test_unloaded_package_frees_its_classes():
+    # A module-level typing subscription such as Union[PackingClass, ...]
+    # sits in typing's cache and would pin every class of each import.
+    src = os.path.dirname(os.path.dirname(packclass.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", UNLOAD_SCRIPT], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "0"
