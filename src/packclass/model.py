@@ -8,6 +8,9 @@ not overlap.
 Internally every instance is rescaled per dimension by the least common
 multiple of all denominators occurring in that dimension, so solver
 arithmetic runs on plain integers. Public coordinates stay `Fraction`.
+Validation and projection run on integers too: each axis goes on a grid
+whose scale also absorbs the denominators of the packing's coordinates
+on that axis, so coordinates off the instance's own grid stay exact.
 
 Dimension indices are 0-based throughout the package.
 """
@@ -257,7 +260,14 @@ class ValidationReport:
         return not self.violations
 
 
-def _positions_checked(p: Packing, inst: Instance) -> list[tuple[int, tuple[Fraction, ...]]]:
+def _on_grid(p: Packing, inst: Instance) -> tuple[list, list[int]]:
+    """The packed boxes as (index, per-axis integer [lo, hi) spans) in
+    position order, and the container, on one integer grid per axis.
+
+    Axis i uses lcm(inst.scale(i), every coordinate denominator on axis i),
+    so coordinates off the instance's own grid (1/3 on an integer
+    instance) stay exact.
+    """
     placed = []
     for box_id, pos in p.positions.items():
         idx = inst.index(box_id)
@@ -266,7 +276,16 @@ def _positions_checked(p: Packing, inst: Instance) -> list[tuple[int, tuple[Frac
                 f"position of box {box_id!r} has {len(pos)} components, expected {inst.d}"
             )
         placed.append((idx, pos))
-    return placed
+    spans: list[tuple[int, list[tuple[int, int]]]] = [(idx, []) for idx, _ in placed]
+    container = []
+    for i in range(inst.d):
+        grid = lcm(inst.scale(i), *(pos[i].denominator for _, pos in placed))
+        factor = grid // inst.scale(i)
+        container.append(inst.int_container(i) * factor)
+        for (idx, box), (_, pos) in zip(spans, placed):
+            lo = pos[i].numerator * (grid // pos[i].denominator)
+            box.append((lo, lo + inst.int_size(idx, i) * factor))
+    return spans, container
 
 
 def validate_packing(p: Packing, inst: Instance) -> ValidationReport:
@@ -275,23 +294,16 @@ def validate_packing(p: Packing, inst: Instance) -> ValidationReport:
     Closedness: p_i + w_i <= W_i in every dimension. Disjointness: for each
     pair of boxes some axis must separate their half-open projections.
     """
-    placed = _positions_checked(p, inst)
+    spans, container = _on_grid(p, inst)
     violations: list = []
-    for idx, pos in placed:
-        box = inst.boxes[idx]
-        for i in range(inst.d):
-            if pos[i] + box.size[i] > inst.container[i]:
-                violations.append(Closedness(box.id, i))
-    for k, (idx_a, pos_a) in enumerate(placed):
-        box_a = inst.boxes[idx_a]
-        for idx_b, pos_b in placed[k + 1 :]:
-            box_b = inst.boxes[idx_b]
-            if all(
-                max(pos_a[i], pos_b[i])
-                < min(pos_a[i] + box_a.size[i], pos_b[i] + box_b.size[i])
-                for i in range(inst.d)
-            ):
-                first, second = sorted((box_a.id, box_b.id))
+    for idx, box in spans:
+        for i, ((_, hi), cap) in enumerate(zip(box, container)):
+            if hi > cap:
+                violations.append(Closedness(inst.ids[idx], i))
+    for k, (idx_a, box_a) in enumerate(spans):
+        for idx_b, box_b in spans[k + 1 :]:
+            if all(la < hb and lb < ha for (la, ha), (lb, hb) in zip(box_a, box_b)):
+                first, second = sorted((inst.ids[idx_a], inst.ids[idx_b]))
                 violations.append(Overlap(first, second))
     return ValidationReport(tuple(violations))
 
@@ -316,20 +328,19 @@ def project_to_class(p: Packing, inst: Instance):
     report = validate_packing(p, inst)
     if not report.valid:
         raise InvalidPacking(f"packing is invalid: {report.violations[:3]!r}")
-    ids = [b for b in inst.ids if b in p.positions]
+    spans = sorted(_on_grid(p, inst)[0])  # instance order
+    ids = [inst.ids[idx] for idx, _ in spans]
     if len(ids) < inst.n:
         inst = inst.restrict(ids)  # partial packing: class lives on the subset
     edge_sets = []
     for i in range(inst.d):
         edges = []
-        for k, a in enumerate(ids):
-            pa = p.positions[a]
-            wa = inst.box(a).size
-            for b in ids[k + 1 :]:
-                pb = p.positions[b]
-                wb = inst.box(b).size
-                if max(pa[i], pb[i]) < min(pa[i] + wa[i], pb[i] + wb[i]):
-                    edges.append((a, b))
+        for k, (_, box_a) in enumerate(spans):
+            la, ha = box_a[i]
+            for m in range(k + 1, len(spans)):
+                lb, hb = spans[m][1][i]
+                if la < hb and lb < ha:
+                    edges.append((ids[k], ids[m]))
         edge_sets.append(Graph(ids, edges))
     return PackingClass(instance=inst, edge_sets=tuple(edge_sets))
 
@@ -339,10 +350,9 @@ def is_gapless(p: Packing, inst: Instance) -> bool:
     report = validate_packing(p, inst)
     if not report.valid:
         raise InvalidPacking(f"packing is invalid: {report.violations[:3]!r}")
-    items = [(inst.index(b), pos) for b, pos in p.positions.items()]
+    spans, _ = _on_grid(p, inst)
     for i in range(inst.d):
-        tops = {pos[i] + inst.boxes[idx].size[i] for idx, pos in items}
-        for _, pos in items:
-            if pos[i] != 0 and pos[i] not in tops:
-                return False
+        tops = {box[i][1] for _, box in spans}
+        if any(box[i][0] != 0 and box[i][0] not in tops for _, box in spans):
+            return False
     return True

@@ -31,6 +31,7 @@ returned packing.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
@@ -203,7 +204,6 @@ def _fixpoint(
     state: EdgeState, seeds: list[tuple[int, int, int]]
 ) -> Union[Consequences, Conflict]:
     """Apply the seed assignments and their forced consequences."""
-    inst = state.inst
     queue: deque[tuple[int, int, int, str]] = deque(
         (i, pid, sign, "seed") for i, pid, sign in seeds
     )
@@ -269,11 +269,9 @@ def _greedy_minus_clique_overweight(state: EdgeState, i: int, a: int, b: int) ->
     cap = inst.int_container(i)
     if total > cap:
         return True
-    members = (1 << a) | (1 << b)
     common = minus[a] & minus[b]
     while common:
         v = max(bits(common), key=lambda u: (inst.int_size(u, i), -u))
-        members |= 1 << v
         total += inst.int_size(v, i)
         if total > cap:
             return True
@@ -429,35 +427,40 @@ def _try_accept(state: EdgeState) -> Optional[tuple[Packing, PackingClass]]:
 
 
 def _bottom_left(inst: Instance, order: list[int]) -> Optional[list[tuple[int, tuple[int, ...]]]]:
-    """Place boxes in `order`, each at its first feasible corner candidate
-    (candidates sorted with the highest dimension varying slowest)."""
-    d = inst.d
+    """Place boxes in `order`, each at its first free corner candidate
+    (candidates sorted with the highest dimension varying slowest).
+
+    Per axis, every candidate coordinate carries the bitset of placed
+    boxes whose projection it overlaps there; a corner is free iff the AND
+    of its masks is 0.
+    """
     placed: list[tuple[int, tuple[int, ...]]] = []
+    spans: list[list[tuple[int, int]]] = [[] for _ in range(inst.d)]  # placed [lo, hi) per axis
     for b in order:
-        cands: list[list[int]] = []
-        for i in range(d):
-            vals = {0}
-            for c, pos in placed:
-                vals.add(pos[i] + inst.int_size(c, i))
-            limit = inst.int_container(i) - inst.int_size(b, i)
-            cands.append(sorted(v for v in vals if v <= limit))
-        spot = None
-        for pos in sorted(product(*cands), key=lambda t: tuple(reversed(t))):
-            ok = True
-            for c, q in placed:
-                if all(
-                    max(pos[i], q[i])
-                    < min(pos[i] + inst.int_size(b, i), q[i] + inst.int_size(c, i))
-                    for i in range(d)
-                ):
-                    ok = False
-                    break
-            if ok:
-                spot = pos
+        values, masks = [], []
+        for i, axis_spans in enumerate(spans):
+            w = inst.int_size(b, i)
+            limit = inst.int_container(i) - w
+            vals = sorted({0, *(hi for _, hi in axis_spans if hi <= limit)})
+            axis = [0] * len(vals)
+            for k, (lo, hi) in enumerate(axis_spans):
+                # [v, v + w) meets [lo, hi) iff lo - w < v < hi
+                for j in range(bisect_right(vals, lo - w), bisect_left(vals, hi)):
+                    axis[j] |= 1 << k
+            values.append(vals)
+            masks.append(axis)
+        for rank, corner in enumerate(product(*reversed(masks))):
+            if not reduce(int.__and__, corner):
+                spot = []
+                for vals in values:  # rank in mixed radix, axis 0 fastest
+                    rank, j = divmod(rank, len(vals))
+                    spot.append(vals[j])
+                placed.append((b, tuple(spot)))
+                for i, v in enumerate(spot):
+                    spans[i].append((v, v + inst.int_size(b, i)))
                 break
-        if spot is None:
+        else:
             return None
-        placed.append((b, spot))
     return placed
 
 

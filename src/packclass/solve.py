@@ -86,10 +86,10 @@ def solve_okp(
     limits = limits or SearchLimits()
     budget = _Budget(limits)
     n = inst.n
-    values = [b.value for b in inst.boxes]
-
-    def subset_value(mask: int) -> Fraction:
-        return sum((values[k] for k in range(n) if mask >> k & 1), Fraction(0))
+    # Values on one integer scale; a positive scale keeps the heap order
+    # and its ties.
+    scale = lcm(*(b.value.denominator for b in inst.boxes))
+    values = [b.value.numerator * (scale // b.value.denominator) for b in inst.boxes]
 
     def subset_ids(mask: int) -> tuple[str, ...]:
         return tuple(inst.ids[k] for k in range(n) if mask >> k & 1)
@@ -107,7 +107,7 @@ def solve_okp(
             dismissed.append((subset_ids(mask), reason))
 
     full = (1 << n) - 1
-    heap: list[tuple[Fraction, int, int]] = [(-subset_value(full), full.bit_count(), full)]
+    heap: list[tuple[int, int, int]] = [(-sum(values), full.bit_count(), full)]
     pushed = {full}
 
     while heap:
@@ -139,7 +139,7 @@ def solve_okp(
                 stats["wall_time"] = budget.elapsed()
                 return OkpSolution(
                     chosen=ids,
-                    total_value=subset_value(mask),
+                    total_value=Fraction(-neg_value, scale),
                     packing=outcome.packing,
                     stats=stats,
                     dismissed=tuple(dismissed),
@@ -151,9 +151,7 @@ def solve_okp(
                 child = mask & ~(1 << k)
                 if child not in pushed:
                     pushed.add(child)
-                    heapq.heappush(
-                        heap, (-subset_value(child), child.bit_count(), child)
-                    )
+                    heapq.heappush(heap, (neg_value + values[k], child.bit_count(), child))
     raise AssertionError("unreachable: the empty subset is always feasible")
 
 

@@ -11,6 +11,7 @@ from packclass.errors import (
     InvalidPacking,
     UnknownBox,
 )
+from packclass.graph import Graph
 from packclass.model import (
     Box,
     Closedness,
@@ -118,6 +119,88 @@ def test_is_gapless_cases():
     inst = make([("a", (1, 1))], (3, 3))
     assert is_gapless(Packing({"a": (0, 0)}), inst)
     assert not is_gapless(Packing({"a": (0, 1)}), inst)
+
+
+def test_off_grid_coordinates_are_exact():
+    # Coordinates finer than the instance's own (integer) grid.
+    line = make([("a", (1,)), ("b", (1,))], (3,))
+    half = Fraction(1, 2)
+    for pos_a, pos_b in [(0, half), (half, 1)]:
+        report = validate_packing(Packing({"a": (pos_a,), "b": (pos_b,)}), line)
+        assert report.violations == (Overlap("a", "b"),)
+    touching = Packing({"a": (Fraction(1, 3),), "b": (Fraction(4, 3),)})
+    assert validate_packing(touching, line).valid
+    assert project_to_class(touching, line).edge_sets[0].edges() == []
+    out_by_a_seventh = Packing({"a": (2 + Fraction(1, 7),)})
+    assert validate_packing(out_by_a_seventh, line).violations == (Closedness("a", 0),)
+    square = make([("a", (1, 1)), ("b", (1, 1))], (2, 2))
+    pc = project_to_class(Packing({"a": (half, 0), "b": (1, 1)}), square)
+    assert pc.edge_sets[0].edges() == [("a", "b")]
+    assert pc.edge_sets[1].edges() == []
+
+
+def _reference_overlap(pos_a, size_a, pos_b, size_b, i):
+    return max(pos_a[i], pos_b[i]) < min(pos_a[i] + size_a[i], pos_b[i] + size_b[i])
+
+
+def _reference_report(p, inst):
+    """validate_packing's violations, computed directly on Fractions."""
+    items = list(p.positions.items())
+    violations = []
+    for b, pos in items:
+        for i in range(inst.d):
+            if pos[i] + inst.box(b).size[i] > inst.container[i]:
+                violations.append(Closedness(b, i))
+    for k, (a, pos_a) in enumerate(items):
+        for b, pos_b in items[k + 1 :]:
+            size_a, size_b = inst.box(a).size, inst.box(b).size
+            if all(_reference_overlap(pos_a, size_a, pos_b, size_b, i) for i in range(inst.d)):
+                violations.append(Overlap(*sorted((a, b))))
+    return tuple(violations)
+
+
+def test_validation_and_projection_match_fraction_reference():
+    rng = random.Random(2025)
+    valid = 0
+    for _ in range(500):
+        d = rng.randint(1, 3)
+        den = rng.choice((1, 2, 3))
+        container = [Fraction(rng.randint(2 * den, 5 * den), den) for _ in range(d)]
+        inst = make(
+            [
+                (f"b{k}", [Fraction(rng.randint(1, int(w * den) // 2), den) for w in container])
+                for k in range(rng.randint(1, 5))
+            ],
+            container,
+        )
+        positions = {}
+        for b in inst.ids:
+            if rng.random() < 0.8:
+                pos = []
+                for w in container:
+                    step = rng.randint(1, 7)
+                    pos.append(Fraction(rng.randint(0, int(w * step)), step))
+                positions[b] = tuple(pos)
+        p = Packing(positions)
+        expected = _reference_report(p, inst)
+        assert validate_packing(p, inst).violations == expected
+        if expected:
+            with pytest.raises(InvalidPacking):
+                project_to_class(p, inst)
+            continue
+        valid += 1
+        ids = [b for b in inst.ids if b in positions]
+        pc = project_to_class(p, inst)
+        assert pc.instance.ids == tuple(ids)
+        for i, graph in enumerate(pc.edge_sets):
+            edges = [
+                (a, b)
+                for k, a in enumerate(ids)
+                for b in ids[k + 1 :]
+                if _reference_overlap(positions[a], inst.box(a).size, positions[b], inst.box(b).size, i)
+            ]
+            assert graph == Graph(ids, edges)
+    assert valid >= 100
 
 
 def test_projection_of_valid_packings_is_packing_class():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -284,6 +285,51 @@ def test_heuristic_pack_examples(five_box_example):
     example_packed = heuristic_pack(five_box_example)
     assert example_packed is not None
     assert validate_packing(example_packed, five_box_example).valid
+
+
+def heuristic_instance(rng, k):
+    """d 1-3, n 1-12, sizes on a 1, 1/2 or 1/3 grid, filled so that the
+    heuristic packs some instances and gives up on others."""
+    d = 1 + k % 3
+    n = 1 + rng.randrange(12)
+    den = (1, 1, 2, 3)[k % 4]
+    container = tuple(rng.randint(3, 8) for _ in range(d))
+    side = [min(den * w, max(1, 3 * den * w // (2 * round(n ** (1 / d))))) for w in container]
+    boxes = [
+        Box(f"b{j}", tuple(Fraction(rng.randint(1, s), den) for s in side))
+        for j in range(n)
+    ]
+    return Instance(boxes=boxes, container=container)
+
+
+# Packing digest of heuristic_pack per instance, None where it gives up.
+# A mismatch means the bottom-left candidate order or an ordering changed.
+PINNED_HEURISTIC = [
+    None, None, None, "e984811b7ffb", None,
+    "1a965d1618b3", "14f7c3fddcdc", "b38fb02cc6e4", None, "3319f64b0252",
+    "c49823fde805", None, None, None, None,
+    "d3c08dbbb7cf", "6c2db92581be", None, "c2e48bc7858c", None,
+    "7c7cc1282f80", None, "2f12b9d2ba0e", "d591bde92046", None,
+    "02d98d68dd2b", "f5a7a337711a", "7e6857c57603", "daf4c5546eba", "d3e2a7e1e686",
+    "4af7dd9e939a", "cc14b6ca36fa", None, "9be41108db4f", "daf4c5546eba",
+    "a2bfb4672a0c", None, "cdb9b9435915", None, "a472820bde45",
+    None, None, None, "979e46be99a2", "a2cb8e90fe00",
+    "f12b02003512", "f46b8907639b", None, "7e028f8a1d19", "1e43b844bb22",
+    "38f13afc4ebc", None, "ce19463efdee", "6265d0792160", "359a977784bf",
+    "2bb4eec18f54", "472b0875c342", None, "5f8f1591c188", "73500d1a879b",
+]
+
+
+def test_heuristic_placements_pinned():
+    rng = random.Random(2024)
+    for k, expected in enumerate(PINNED_HEURISTIC):
+        inst = heuristic_instance(rng, k)
+        packing = heuristic_pack(inst)
+        if packing is None:
+            assert expected is None, k
+        else:
+            canonical = repr(packing.canonical()).encode()
+            assert hashlib.sha256(canonical).hexdigest()[:12] == expected, k
 
 
 def test_quick_infeasible_rules(five_box_example):

@@ -54,8 +54,15 @@ def test_okp_five_box_example_packs_everything(five_box_example):
 
 def test_okp_matches_brute_force_on_random_instances():
     rng = random.Random(51)
-    for _ in range(40):
-        inst = random_instance(rng)
+    instances = [random_instance(rng) for _ in range(40)]
+    # Mixed-denominator values (1/2, 1/3, 1/6, ...) on the same box sets.
+    for inst in instances[:20]:
+        boxes = [
+            Box(b.id, b.size, value=Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 6))))
+            for b in inst.boxes
+        ]
+        instances.append(Instance(boxes=boxes, container=inst.container))
+    for inst in instances:
         sol = solve_okp(inst)
         assert isinstance(sol, OkpSolution)
         assert sol.total_value == brute_okp_optimum(inst)
