@@ -10,6 +10,7 @@ only for the sweep instance generator.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -39,11 +40,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _seconds(text: str) -> float:
+    """A time limit in seconds. NaN is refused: it would compare false
+    against every clock reading and so switch the deadline off."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"invalid time limit {text!r} (want seconds)")
+    return value
+
+
 def _limits(args) -> SearchLimits:
     time_limit = args.time_limit
     if time_limit is None:
         env = os.environ.get("PACKCLASS_TIME_LIMIT")
-        time_limit = float(env) if env else 60.0
+        try:
+            time_limit = _seconds(env) if env else 60.0
+        except argparse.ArgumentTypeError as exc:
+            raise ParseError(f"PACKCLASS_TIME_LIMIT: {exc}") from None
     return SearchLimits(
         max_nodes=args.node_limit,
         time_limit=time_limit,
@@ -56,7 +72,7 @@ def _solver_flags(sub) -> None:
     sub.add_argument("-o", "--out", help="write the result file here (default: stdout)")
     sub.add_argument("--drop-unfit", action="store_true",
                      help="drop boxes that do not fit the container (warn) instead of failing")
-    sub.add_argument("--time-limit", type=float, default=None,
+    sub.add_argument("--time-limit", type=_seconds, default=None,
                      help="seconds before giving up (default 60, or PACKCLASS_TIME_LIMIT)")
     sub.add_argument("--node-limit", type=int, default=10_000_000)
     sub.add_argument("--no-heuristic", action="store_true",

@@ -151,12 +151,16 @@ def _odd_closed_walk(
 ) -> Optional[tuple[int, ...]]:
     """Find an odd closed walk v_0..v_{k-1} (k odd) over `walk_adj` edges
     such that every cyclically-consecutive-but-one pair (v_j, v_{j+2}) is
-    either the same vertex (a backtrack) or lies in `safe_pair_adj`.
+    either the same vertex (a backtrack) or lies in `safe_pair_adj`. Both
+    relations must be symmetric.
 
     States are directed arcs (u, v); a step (u,v)->(v,w) is legal iff
-    {v,w} is a walk edge and (w == u or safe(u, w)). Works per strongly
-    connected component: an odd closed walk exists iff some SCC is not
-    2-colorable by path parity.
+    {v,w} is a walk edge and (w == u or safe(u, w)). Every step s -> t is
+    undone by t -> rev(t) -> rev(s) -> s: backtracks are always legal and
+    safe(u, w) is safe(w, u). So the states a root reaches are exactly its
+    strongly connected component, and an odd closed walk exists iff the
+    parity BFS from some root reaches a state at both parities. A root
+    that an earlier root's BFS reached lies in an SCC already searched.
     """
     states: list[tuple[int, int]] = []
     state_id: dict[tuple[int, int], int] = {}
@@ -164,8 +168,6 @@ def _odd_closed_walk(
         for v in bits(walk_adj[u]):
             state_id[(u, v)] = len(states)
             states.append((u, v))
-    if not states:
-        return None
 
     def successors(s: int):
         u, v = states[s]
@@ -173,59 +175,12 @@ def _odd_closed_walk(
         for w in bits(allowed):
             yield state_id[(v, w)]
 
-    # Tarjan SCC, iterative.
-    index_of = [-1] * len(states)
-    low = [0] * len(states)
-    comp = [-1] * len(states)
-    on_stack = [False] * len(states)
-    stack: list[int] = []
-    counter = 0
-    ncomp = 0
+    # Parity BFS from each root not yet reached; a state reachable at both
+    # parities certifies an odd closed walk through the root.
+    reached = [False] * len(states)
     for root in range(len(states)):
-        if index_of[root] != -1:
+        if reached[root]:
             continue
-        work = [(root, iter(successors(root)))]
-        index_of[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            s, it = work[-1]
-            advanced = False
-            for t in it:
-                if index_of[t] == -1:
-                    index_of[t] = low[t] = counter
-                    counter += 1
-                    stack.append(t)
-                    on_stack[t] = True
-                    work.append((t, iter(successors(t))))
-                    advanced = True
-                    break
-                if on_stack[t]:
-                    low[s] = min(low[s], index_of[t])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[s])
-            if low[s] == index_of[s]:
-                while True:
-                    t = stack.pop()
-                    on_stack[t] = False
-                    comp[t] = ncomp
-                    if t == s:
-                        break
-                ncomp += 1
-
-    # Parity BFS inside each SCC; a state reachable at both parities from
-    # the SCC root certifies an odd closed walk through the root.
-    seen_comp = [False] * ncomp
-    for root in range(len(states)):
-        c = comp[root]
-        if seen_comp[c]:
-            continue
-        seen_comp[c] = True
         parent: dict[tuple[int, int], tuple[int, int] | None] = {(root, 0): None}
         frontier = [(root, 0)]
         conflict: Optional[int] = None
@@ -233,8 +188,6 @@ def _odd_closed_walk(
             nxt = []
             for s, par in frontier:
                 for t in successors(s):
-                    if comp[t] != c:
-                        continue
                     key = (t, par ^ 1)
                     if key not in parent:
                         parent[key] = (s, par)
@@ -246,6 +199,8 @@ def _odd_closed_walk(
                     break
             frontier = nxt
         if conflict is None:
+            for s, _ in parent:
+                reached[s] = True
             continue
         # Paths root->conflict at both parities, plus any path conflict->root.
         def unwind(key: tuple[int, int]) -> list[int]:
@@ -265,7 +220,7 @@ def _odd_closed_walk(
             nq = []
             for s in queue:
                 for t in successors(s):
-                    if comp[t] == c and t not in back_parent:
+                    if t not in back_parent:
                         back_parent[t] = s
                         nq.append(t)
             queue = nq

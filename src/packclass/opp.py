@@ -14,10 +14,13 @@ propagation applies the forced consequences:
     never gain a chord, and chordless 4-cycles are not interval).
 
 Pruning certificates are structures that no completion of the current
-state can destroy: a plus 4-cycle with both diagonals minus, an odd
-2-chordless cycle in the minus graph whose potential 2-chords are all
-plus, an overweight clique in the minus graph, and the width bound on
-fully decided vertex sets. Each is re-checkable against the state.
+state can destroy: an odd 2-chordless cycle in the minus graph whose
+potential 2-chords are all plus, an overweight clique in the minus graph
+and, beyond CLIQUE_CAP boxes only, the width bound on fully decided
+vertex sets. Each is re-checkable against the state. Two structures need
+no check of their own: a plus 4-cycle with both diagonals minus never
+survives propagation (the third rule above), and up to CLIQUE_CAP boxes
+the odd-cycle and exact clique rules imply the width bound.
 
 Everything inside the search runs on integers: per-dimension adjacency
 bitsets (`EdgeState.plus_adj`/`minus_adj`), vertex indices and the
@@ -56,6 +59,7 @@ from .packing_class import PackingClass, extract_packing, orient_class
 
 INCLUDE = 1
 EXCLUDE = -1
+CHECK_INTERVAL = 8  # decisions between expensive prune/accept checks
 
 
 @dataclass
@@ -63,8 +67,6 @@ class SearchLimits:
     max_nodes: int = 10_000_000
     time_limit: Optional[float] = 60.0
     use_heuristic: bool = True
-    use_quick_check: bool = True
-    check_interval: int = 8  # decisions between expensive prune/accept checks
 
 
 @dataclass
@@ -311,26 +313,18 @@ def prune_check(state: EdgeState) -> Optional[Prune]:
     """Certificate-backed dead-end detection on the current state.
 
     Returns None when no rule fires. Every certificate survives every
-    completion of the state, so pruning never loses solutions.
+    completion of the state, so pruning never loses solutions. The state
+    must be a conflict-free `_fixpoint` result: rule (1), a plus 4-cycle
+    with both diagonals minus, is never checked here because `_fixpoint`
+    excludes the closing pair of every plus 3-path with minus diagonals
+    and conflicts if that pair is already plus.
     """
     inst = state.inst
     n = state.n
+    full = (1 << n) - 1
     for i in range(state.d):
         plus = state.plus_adj[i]
         minus = state.minus_adj[i]
-        # (1) plus 4-cycle whose both diagonals are excluded
-        for x in range(n):
-            for z in bits(minus[x] >> (x + 1) << (x + 1)):
-                common = plus[x] & plus[z]
-                for y in bits(common):
-                    for t in bits(common & minus[y]):
-                        if t > y:
-                            ids = inst.ids
-                            return Prune(
-                                rule="c4",
-                                dimension=i,
-                                certificate=(ids[x], ids[y], ids[z], ids[t]),
-                            )
         # (2) odd 2-chordless cycle in the minus graph (2-chords forced plus)
         walk = _odd_closed_walk(n, minus, plus)
         if walk is not None:
@@ -343,7 +337,6 @@ def prune_check(state: EdgeState) -> Optional[Prune]:
         # final graph, so it must fit along the axis)
         sizes = state.sizes[i]
         cap = inst.int_container(i)
-        full = (1 << n) - 1
         clique_search = _max_clique if n <= CLIQUE_CAP else _greedy_clique
         weight, clique = clique_search(minus, sizes, full)
         if weight > cap:
@@ -353,8 +346,16 @@ def prune_check(state: EdgeState) -> Optional[Prune]:
                 dimension=i,
                 certificate=(tuple(ids[v] for v in bits(clique)),),
             )
-        # (4) width bound on the fully decided vertex set (needs the exact
-        # clique number, so it is skipped beyond the exact-search cap)
+        # (4) width bound on the fully decided vertex set: the plus graph
+        # on it needs a clique of ceil(total size / cap). Up to CLIQUE_CAP,
+        # (2) and exact (3) imply it for every set S whose pairs are all
+        # decided: the non-minus pairs of S are plus, so (2) finds any odd
+        # 2-chordless closed walk of minus[S]; without one, minus[S] is a
+        # comparability graph (Gallai), hence perfect, and S splits into
+        # as many minus cliques as the largest plus clique on S, each of
+        # weight <= cap by (3).
+        if n <= CLIQUE_CAP:
+            continue
         decided = 0
         for v in range(n):
             if (plus[v] | minus[v]) == full & ~(1 << v):
@@ -530,7 +531,7 @@ def solve_opp(inst: Instance, limits: Optional[SearchLimits] = None) -> SearchOu
         stats.wall_time = time.perf_counter() - start
         return SearchOutcome(verdict=verdict, packing=packing, packing_class=pc, stats=stats)
 
-    if limits.use_quick_check and quick_infeasible(inst, inst.ids):
+    if quick_infeasible(inst, inst.ids):
         stats.bump("quick_infeasible")
         return outcome("infeasible")
     if limits.use_heuristic:
@@ -564,7 +565,7 @@ def solve_opp(inst: Instance, limits: Optional[SearchLimits] = None) -> SearchOu
             return "limit"
         if stats.nodes >= limits.max_nodes:
             return "limit"
-        if since_check >= limits.check_interval:
+        if since_check >= CHECK_INTERVAL:
             since_check = 0
             pr = prune_check(state)
             if pr is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence, Union
@@ -63,13 +63,7 @@ class _Budget:
             time_left = self.limits.time_limit - (time.perf_counter() - self.start)
             if time_left <= 0:
                 return None
-        return SearchLimits(
-            max_nodes=self.nodes_left,
-            time_limit=time_left,
-            use_heuristic=self.limits.use_heuristic,
-            use_quick_check=self.limits.use_quick_check,
-            check_interval=self.limits.check_interval,
-        )
+        return replace(self.limits, max_nodes=self.nodes_left, time_limit=time_left)
 
     def charge(self, outcome: SearchOutcome) -> None:
         self.nodes_left -= outcome.stats.nodes

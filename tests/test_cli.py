@@ -180,3 +180,19 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["nonsense"])
     assert err.value.code == 64
+
+
+@pytest.mark.parametrize("value", ["abc", "nan"])
+def test_bad_time_limit_is_a_usage_error(example_file, monkeypatch, capsys, value):
+    # a non-number used to raise ValueError (exit 1, the "infeasible" code)
+    # and NaN used to switch the deadline off
+    monkeypatch.setenv("PACKCLASS_TIME_LIMIT", value)
+    assert run(["opp", example_file]) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: PACKCLASS_TIME_LIMIT")
+    monkeypatch.delenv("PACKCLASS_TIME_LIMIT")
+    with pytest.raises(SystemExit) as exit_info:
+        run(["opp", example_file, "--time-limit", value])
+    assert exit_info.value.code == 64
+    err = capsys.readouterr().err
+    assert "error: argument --time-limit" in err and "Traceback" not in err

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -13,6 +14,7 @@ from packclass.graph import (
     _chordal_stable_set,
     _max_clique,
     _mcs_peo,
+    _odd_closed_walk,
     bits,
     complement,
     find_asteroidal_triple,
@@ -54,9 +56,9 @@ LONG_CLAW = Graph(
 )
 
 
-def random_graph(rng, n):
+def random_graph(rng, n, p=0.5):
     names = [f"v{i}" for i in range(n)]
-    edges = [e for e in combinations(names, 2) if rng.random() < 0.5]
+    edges = [e for e in combinations(names, 2) if rng.random() < p]
     return Graph(names, edges)
 
 
@@ -274,3 +276,41 @@ def test_bitset_cores_match_oracle_and_brute_force():
             sub = induced(G, G.names(keep))
             weight, _ = _max_clique(G.adj, weights, keep)
             assert weight == brute_max_weight_clique(sub, by_id)
+
+
+# sha256 of the repr of every `_odd_closed_walk` result below, in order,
+# taken before the search lost its strongly-connected-component pass. A
+# mismatch means the search returns different certificates.
+PINNED_WALKS = "d951158524a571fa106d0fcacfb0310b16f84ec5ef1175db9fa9b95b1c61d656"
+
+
+def test_odd_closed_walks_pinned():
+    """Random graphs (n <= 16) with two kinds of safe relation: all
+    non-edges, the form `find_odd_2chordless_cycle` uses, and a random
+    symmetric share of them, the form the search's odd-cycle rule uses
+    with the plus graph."""
+    rng = random.Random(2003)
+    digest = hashlib.sha256()
+    found = [0, 0]
+    for k in range(1000):
+        n = rng.randint(1, 16)
+        G = random_graph(rng, n, rng.random())
+        full = (1 << n) - 1
+        safe = [(full ^ G.adj[v]) & ~(1 << v) for v in range(n)]
+        if k % 2:
+            share = rng.random()
+            for a, b in combinations(range(n), 2):
+                if safe[a] >> b & 1 and rng.random() >= share:
+                    safe[a] &= ~(1 << b)
+                    safe[b] &= ~(1 << a)
+        walk = _odd_closed_walk(n, G.adj, safe)
+        digest.update(repr(walk).encode())
+        if walk is not None:
+            found[k % 2] += 1
+            length = len(walk)
+            assert length % 2 == 1
+            for j in range(length):
+                u, v, w = walk[j], walk[(j + 1) % length], walk[(j + 2) % length]
+                assert G.adj[u] >> v & 1 and (w == u or safe[u] >> w & 1)
+    assert min(found) > 50
+    assert digest.hexdigest() == PINNED_WALKS

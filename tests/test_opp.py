@@ -26,11 +26,11 @@ from packclass.opp import (
     solve_opp,
 )
 from packclass.oracle import brute_force_opp
-from packclass.packing_class import verify_packing_class
+from packclass.packing_class import clique_bound_holds, verify_packing_class
 from packclass.sweep import exhaustive_grid
 
 from certcheck import check_induced_c4, check_odd_2chordless_cycle
-from packclass.graph import Graph
+from packclass.graph import Graph, max_weight_clique
 
 
 def unit_boxes_instance(n, W=10):
@@ -121,20 +121,91 @@ def _set_raw(state, i, a, b, sign):
     assert state._set(i, state.pair_of(a, b), sign) == "applied"
 
 
-def test_prune_check_c4():
-    inst, state = _raw_state(4)
-    for a, b in [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v1")]:
-        _set_raw(state, 0, a, b, INCLUDE)
-    for a, b in [("v1", "v3"), ("v2", "v4")]:
-        _set_raw(state, 0, a, b, EXCLUDE)
-    prune = prune_check(state)
-    assert isinstance(prune, Prune) and prune.rule == "c4"
-    plus = Graph(inst.ids, state.e_plus(0))
-    assert check_induced_c4(plus, prune.certificate)
-    # the diagonals of the certificate are excluded, so no completion fixes it
-    x, y, z, t = prune.certificate
-    minus = set(map(frozenset, state.e_minus(0)))
-    assert frozenset((x, z)) in minus and frozenset((y, t)) in minus
+def test_propagation_leaves_no_plus_c4_with_minus_diagonals():
+    # prune_check has no rule for a plus 4-cycle whose diagonals are both
+    # minus: propagation must never leave one behind
+    rng = random.Random(4)
+    near_misses = 0  # plus 4-cycles with one diagonal minus
+    for _ in range(150):
+        n, d = rng.randint(4, 9), rng.randint(2, 3)
+        inst = Instance(
+            boxes=[Box(f"v{k}", tuple(rng.randint(1, 5) for _ in range(d))) for k in range(n)],
+            container=(6,) * d,
+        )
+        state = initial_state(inst)
+        if not isinstance(state, EdgeState):
+            continue
+        pairs = [state.pair_ids(p) for p in range(state.m)]
+        for _ in range(3 * state.m):
+            if state.undecided == 0:
+                break
+            sign = INCLUDE if rng.random() < 0.6 else EXCLUDE
+            decision = (rng.randrange(state.d), rng.choice(pairs), sign)
+            mark = state.mark()
+            if isinstance(propagate(state, decision), Conflict):
+                state.undo_to(mark)
+                continue
+            for i in range(state.d):
+                plus = Graph(inst.ids, state.e_plus(i))
+                minus = set(map(frozenset, state.e_minus(i)))
+                for a, c in state.e_minus(i):
+                    common = plus.names(plus.adj[plus.index(a)] & plus.adj[plus.index(c)])
+                    for b, e in combinations(common, 2):
+                        if check_induced_c4(plus, (a, b, c, e)):
+                            near_misses += 1
+                            assert frozenset((b, e)) not in minus
+    assert near_misses > 100
+
+
+def test_silent_prune_check_implies_clique_bound():
+    # Up to CLIQUE_CAP boxes prune_check has no width-bound rule: with the
+    # odd-cycle and exact clique rules silent, the bound holds on every
+    # vertex set whose pairs are all decided, even in states propagation
+    # never built. Each axis is as wide as the heaviest clique of a planned
+    # minus graph, half of which hold an odd hole, where the clique rule
+    # alone would let the bound fail.
+    rng = random.Random(5)
+    silent = checked = 0
+    for _ in range(300):
+        n, d = rng.randint(5, 8), rng.randint(1, 2)
+        ids = [f"v{k}" for k in range(n)]
+        sizes = [tuple(rng.randint(1, 3) for _ in range(d)) for _ in range(n)]
+        planned, caps = [], []
+        for i in range(d):
+            p = rng.random()
+            edges = {e for e in combinations(range(n), 2) if rng.random() < p}
+            if rng.random() < 0.5:
+                hole = rng.sample(range(n), rng.choice((5, 7) if n >= 7 else (5,)))
+                edges -= set(combinations(sorted(hole), 2))
+                edges |= {tuple(sorted(e)) for e in zip(hole, hole[1:] + hole[:1])}
+            planned.append(edges)
+            minus = Graph(ids, [(ids[a], ids[b]) for a, b in edges])
+            caps.append(max_weight_clique(minus, {ids[v]: sizes[v][i] for v in range(n)})[0])
+        inst = Instance(boxes=[Box(ids[v], sizes[v]) for v in range(n)], container=tuple(caps))
+        state = initial_state(inst)
+        if not isinstance(state, EdgeState):
+            continue
+        density = 1.0 if rng.random() < 0.5 else rng.random()
+        for i in range(d):
+            for pid, pair in enumerate(state.pairs):
+                if rng.random() < density:
+                    state._set(i, pid, EXCLUDE if pair in planned[i] else INCLUDE)
+        if prune_check(state) is not None:
+            continue
+        silent += 1
+        edge_sets = [state.e_plus(i) for i in range(d)]
+        for i in range(d):
+            decided = [0] * n
+            for pid, (a, b) in enumerate(state.pairs):
+                if state.status[i][pid] != 0:
+                    decided[a] |= 1 << b
+                    decided[b] |= 1 << a
+            for size in range(2, n + 1):
+                for S in combinations(range(n), size):
+                    if all(decided[a] >> b & 1 for a, b in combinations(S, 2)):
+                        assert clique_bound_holds(edge_sets, [ids[v] for v in S], i, inst)
+                        checked += sum(sizes[v][i] for v in S) > caps[i]
+    assert silent > 100 and checked > 1000
 
 
 def test_prune_check_odd_cycle():
