@@ -42,6 +42,8 @@ def to_fraction(x: Rational) -> Fraction:
     """
     if isinstance(x, bool):
         raise InvalidInstance(f"not a rational: {x!r}")
+    if type(x) is Fraction:
+        return x  # immutable, so no copy
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
@@ -128,17 +130,19 @@ class Instance:
             denoms += [b.size[i].denominator for b in self.boxes]
             scales.append(lcm(*denoms) if denoms else 1)
         object.__setattr__(self, "_scales", tuple(scales))
+
+        def rescale(x: Fraction, i: int) -> int:
+            return x.numerator * (scales[i] // x.denominator)
+
         object.__setattr__(
             self,
             "_int_container",
-            tuple(int(self.container[i] * scales[i]) for i in range(d)),
+            tuple(rescale(self.container[i], i) for i in range(d)),
         )
         object.__setattr__(
             self,
             "_int_sizes",
-            tuple(
-                tuple(int(b.size[i] * scales[i]) for i in range(d)) for b in self.boxes
-            ),
+            tuple(tuple(rescale(b.size[i], i) for i in range(d)) for b in self.boxes),
         )
         ids = tuple(b.id for b in self.boxes)
         object.__setattr__(self, "_ids", ids)
@@ -288,13 +292,8 @@ def _on_grid(p: Packing, inst: Instance) -> tuple[list, list[int]]:
     return spans, container
 
 
-def validate_packing(p: Packing, inst: Instance) -> ValidationReport:
-    """Check closedness and pairwise disjointness, reporting every violation.
-
-    Closedness: p_i + w_i <= W_i in every dimension. Disjointness: for each
-    pair of boxes some axis must separate their half-open projections.
-    """
-    spans, container = _on_grid(p, inst)
+def _violations(spans: list, container: list[int], inst: Instance) -> tuple:
+    """Closedness and overlap violations of `_on_grid` spans."""
     violations: list = []
     for idx, box in spans:
         for i, ((_, hi), cap) in enumerate(zip(box, container)):
@@ -305,7 +304,26 @@ def validate_packing(p: Packing, inst: Instance) -> ValidationReport:
             if all(la < hb and lb < ha for (la, ha), (lb, hb) in zip(box_a, box_b)):
                 first, second = sorted((inst.ids[idx_a], inst.ids[idx_b]))
                 violations.append(Overlap(first, second))
-    return ValidationReport(tuple(violations))
+    return tuple(violations)
+
+
+def _valid_spans(p: Packing, inst: Instance) -> list:
+    """`_on_grid` spans of a packing that must be valid; raises
+    InvalidPacking otherwise."""
+    spans, container = _on_grid(p, inst)
+    violations = _violations(spans, container, inst)
+    if violations:
+        raise InvalidPacking(f"packing is invalid: {violations[:3]!r}")
+    return spans
+
+
+def validate_packing(p: Packing, inst: Instance) -> ValidationReport:
+    """Check closedness and pairwise disjointness, reporting every violation.
+
+    Closedness: p_i + w_i <= W_i in every dimension. Disjointness: for each
+    pair of boxes some axis must separate their half-open projections.
+    """
+    return ValidationReport(_violations(*_on_grid(p, inst), inst))
 
 
 def xi_feasible(S: Iterable[str], i: int, inst: Instance) -> bool:
@@ -325,10 +343,7 @@ def project_to_class(p: Packing, inst: Instance):
     from .packing_class import PackingClass  # deferred: avoids import cycle
     from .graph import Graph
 
-    report = validate_packing(p, inst)
-    if not report.valid:
-        raise InvalidPacking(f"packing is invalid: {report.violations[:3]!r}")
-    spans = sorted(_on_grid(p, inst)[0])  # instance order
+    spans = sorted(_valid_spans(p, inst))  # instance order
     ids = [inst.ids[idx] for idx, _ in spans]
     if len(ids) < inst.n:
         inst = inst.restrict(ids)  # partial packing: class lives on the subset
@@ -347,10 +362,7 @@ def project_to_class(p: Packing, inst: Instance):
 
 def is_gapless(p: Packing, inst: Instance) -> bool:
     """True iff every coordinate is 0 or flush with another box's far side."""
-    report = validate_packing(p, inst)
-    if not report.valid:
-        raise InvalidPacking(f"packing is invalid: {report.violations[:3]!r}")
-    spans, _ = _on_grid(p, inst)
+    spans = _valid_spans(p, inst)
     for i in range(inst.d):
         tops = {box[i][1] for _, box in spans}
         if any(box[i][0] != 0 and box[i][0] not in tops for _, box in spans):

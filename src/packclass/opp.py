@@ -497,21 +497,40 @@ def heuristic_pack(inst: Instance) -> Optional[Packing]:
     return None
 
 
-def quick_infeasible(inst: Instance, S) -> bool:
-    """Cheap sound screen: True only when S provably cannot be packed
-    (total volume exceeds the container, or some pair is too wide to sit
-    side by side in every dimension)."""
-    ids = list(S)
-    idxs = [inst.index(b) for b in ids]
-    if sum(inst.int_volume(b) for b in idxs) > inst.int_container_volume():
-        return True
-    for a, b in combinations(idxs, 2):
-        if all(
-            inst.int_size(a, i) + inst.int_size(b, i) > inst.int_container(i)
-            for i in range(inst.d)
-        ):
+def _screen_tables(inst: Instance) -> tuple[list[int], list[int], int]:
+    """The integer data of the volume/pair screen: per-box volumes, per-box
+    bitsets of the boxes too wide to sit beside it on every axis, and the
+    container volume."""
+    n, d = inst.n, inst.d
+    sizes = [[inst.int_size(b, i) for i in range(d)] for b in range(n)]
+    caps = [inst.int_container(i) for i in range(d)]
+    too_wide = [0] * n
+    for a, b in combinations(range(n), 2):
+        if all(wa + wb > cap for wa, wb, cap in zip(sizes[a], sizes[b], caps)):
+            too_wide[a] |= 1 << b
+            too_wide[b] |= 1 << a
+    volumes = [inst.int_volume(b) for b in range(n)]
+    return volumes, too_wide, inst.int_container_volume()
+
+
+def _screen(mask: int, volumes: list[int], too_wide: list[int], capacity: int) -> bool:
+    """Core of `quick_infeasible` over the box bitset `mask`."""
+    total = 0
+    for k in bits(mask):
+        if too_wide[k] & mask:
             return True
-    return False
+        total += volumes[k]
+    return total > capacity
+
+
+def quick_infeasible(inst: Instance, S) -> bool:
+    """Cheap sound screen: True only when the box set S provably cannot be
+    packed (total volume exceeds the container, or some pair is too wide
+    to sit side by side in every dimension)."""
+    mask = 0
+    for b in S:
+        mask |= 1 << inst.index(b)
+    return _screen(mask, *_screen_tables(inst))
 
 
 def solve_opp(inst: Instance, limits: Optional[SearchLimits] = None) -> SearchOutcome:

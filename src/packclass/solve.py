@@ -2,25 +2,34 @@
 minimal strip height (SPP).
 
 OKP enumerates candidate subsets best-first by total value (children of a
-dismissed subset drop one box), screening with the cheap infeasibility
-check and deciding survivors with the exact engine; the first feasible
-subset popped is optimal. SPP probes candidate heights by binary search;
-since some optimal packing is gapless, every coordinate is a subset sum
-of box heights, so only those sums can be optimal heights.
+dismissed subset drop one box), screening each subset as a box bitset
+with the volume/pair screen's integer core and deciding survivors with
+the exact engine; the first feasible subset popped is optimal. Box ids
+are built only for subsets that are recorded or decided.
+
+SPP probes candidate heights by binary search; since some optimal packing
+is gapless, every coordinate is a subset sum of box heights, so only those
+sums (at least the tallest box and the volume bound) can be optimal
+heights. A feasible probe's packing fits every height from the one it
+actually uses, so the search is capped at the smallest candidate at or
+above that height, not just at the probed one, and the packing in hand is
+returned once the search closes on it.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 from typing import Optional, Sequence, Union
 
 from .errors import InfeasibleCrossSection, InvalidInstance
+from .graph import bits
 from .model import Box, Instance, Packing, to_fraction
-from .opp import SearchLimits, SearchOutcome, quick_infeasible, solve_opp
+from .opp import SearchLimits, SearchOutcome, _screen, _screen_tables, solve_opp
 
 DISMISSED_RECORD_CAP = 10_000
 
@@ -85,8 +94,10 @@ def solve_okp(
     scale = lcm(*(b.value.denominator for b in inst.boxes))
     values = [b.value.numerator * (scale // b.value.denominator) for b in inst.boxes]
 
+    screen = _screen_tables(inst)
+
     def subset_ids(mask: int) -> tuple[str, ...]:
-        return tuple(inst.ids[k] for k in range(n) if mask >> k & 1)
+        return tuple(inst.ids[k] for k in bits(mask))
 
     stats = {
         "examined": 0,
@@ -94,11 +105,21 @@ def solve_okp(
         "dismissed_opp": 0,
         "engine_nodes": 0,
     }
-    dismissed: list[tuple[tuple[str, ...], str]] = []
+    dismissed: list[tuple[int, str]] = []  # (mask, reason); ids only on return
 
     def record(mask: int, reason: str) -> None:
         if len(dismissed) < DISMISSED_RECORD_CAP:
-            dismissed.append((subset_ids(mask), reason))
+            dismissed.append((mask, reason))
+
+    def solution(chosen: int, value: int, packing: Packing) -> OkpSolution:
+        stats["wall_time"] = budget.elapsed()
+        return OkpSolution(
+            chosen=subset_ids(chosen),
+            total_value=Fraction(value, scale),
+            packing=packing,
+            stats=stats,
+            dismissed=tuple((subset_ids(m), reason) for m, reason in dismissed),
+        )
 
     full = (1 << n) - 1
     heap: list[tuple[int, int, int]] = [(-sum(values), full.bit_count(), full)]
@@ -108,44 +129,28 @@ def solve_okp(
         neg_value, _, mask = heapq.heappop(heap)
         stats["examined"] += 1
         if mask == 0:
-            stats["wall_time"] = budget.elapsed()
-            return OkpSolution(
-                chosen=(),
-                total_value=Fraction(0),
-                packing=Packing({}),
-                stats=stats,
-                dismissed=tuple(dismissed),
-            )
-        ids = subset_ids(mask)
-        if quick_infeasible(inst, ids):
+            return solution(0, 0, Packing({}))
+        if _screen(mask, *screen):
             stats["dismissed_screen"] += 1
             record(mask, "volume-or-pair-screen")
         else:
             sub_limits = budget.remaining_limits()
             if sub_limits is None:
                 return ResourceLimit("okp budget exhausted", stats)
-            outcome = solve_opp(inst.restrict(ids), sub_limits)
+            outcome = solve_opp(inst.restrict(subset_ids(mask)), sub_limits)
             budget.charge(outcome)
             stats["engine_nodes"] += outcome.stats.nodes
             if outcome.verdict == "resource_limit":
                 return ResourceLimit("inner decision hit its limit", stats)
             if outcome.verdict == "feasible":
-                stats["wall_time"] = budget.elapsed()
-                return OkpSolution(
-                    chosen=ids,
-                    total_value=Fraction(-neg_value, scale),
-                    packing=outcome.packing,
-                    stats=stats,
-                    dismissed=tuple(dismissed),
-                )
+                return solution(mask, -neg_value, outcome.packing)
             stats["dismissed_opp"] += 1
             record(mask, "opp-infeasible")
-        for k in range(n):
-            if mask >> k & 1:
-                child = mask & ~(1 << k)
-                if child not in pushed:
-                    pushed.add(child)
-                    heapq.heappush(heap, (neg_value + values[k], child.bit_count(), child))
+        for k in bits(mask):
+            child = mask & ~(1 << k)
+            if child not in pushed:
+                pushed.add(child)
+                heapq.heappush(heap, (neg_value + values[k], child.bit_count(), child))
     raise AssertionError("unreachable: the empty subset is always feasible")
 
 
@@ -158,7 +163,8 @@ def solve_spp(
 
     `cross_section` fixes dimensions 0..d-2; the optimized height is the
     last dimension. Candidate heights are the subset sums of the boxes'
-    last-dimension sizes, probed in binary-search order.
+    last-dimension sizes, probed in binary-search order; each feasible
+    probe caps the search at the height its packing uses.
     """
     limits = limits or SearchLimits()
     cross = tuple(to_fraction(x) for x in cross_section)
@@ -178,31 +184,23 @@ def solve_spp(
                 )
 
     scale = lcm(*(b.size[-1].denominator for b in boxes))
-    heights = sorted(b.size[-1] for b in boxes)
+    heights = [b.size[-1].numerator * (scale // b.size[-1].denominator) for b in boxes]
     sums = {0}
     for h in heights:
-        sums |= {s + int(h * scale) for s in sums}
-    max_single = max(int(h * scale) for h in heights)
-    total = sum(int(h * scale) for h in heights)
+        sums |= {s + h for s in sums}
     cross_area = Fraction(1)
     for c in cross:
         cross_area *= c
     volume = sum((b.volume for b in boxes), Fraction(0))
-    volume_bound = volume / cross_area  # any feasible height is >= this
-    candidates = sorted(
-        s
-        for s in sums
-        if max_single <= s <= total and Fraction(s, scale) >= volume_bound
-    )
+    # any feasible height is at least the tallest box and volume / cross_area
+    floor = max(max(heights), ceil(volume / cross_area * scale))
+    candidates = sorted(s for s in sums if s >= floor)
     assert candidates, "stacking all boxes is always a candidate"
 
     budget = _Budget(limits)
     stats = {"probes": 0, "engine_nodes": 0, "candidates": len(candidates)}
-    probe_memo: dict[int, SearchOutcome] = {}
 
     def probe(s: int) -> Union[SearchOutcome, ResourceLimit]:
-        if s in probe_memo:
-            return probe_memo[s]
         sub_limits = budget.remaining_limits()
         if sub_limits is None:
             return ResourceLimit("spp budget exhausted", stats)
@@ -213,24 +211,38 @@ def solve_spp(
         stats["engine_nodes"] += outcome.stats.nodes
         if outcome.verdict == "resource_limit":
             return ResourceLimit("inner decision hit its limit", stats)
-        probe_memo[s] = outcome
         return outcome
 
+    height_of = {b.id: h for b, h in zip(boxes, heights)}
+
+    def used_height(packing: Packing) -> int:
+        """Top of the highest box, rounded up to the scaled grid."""
+        return max(
+            -(-pos[-1].numerator * scale // pos[-1].denominator) + height_of[box_id]
+            for box_id, pos in packing.positions.items()
+        )
+
+    # Invariant: candidates below lo are infeasible and candidates[hi] is
+    # feasible; `packing`, once set, fits in height candidates[hi]. A probe's
+    # packing fits every height from the one it uses, so hi drops to the
+    # smallest candidate at or above that, not just to the probed one.
     lo, hi = 0, len(candidates) - 1
+    packing = None
     while lo < hi:
         mid = (lo + hi) // 2
         outcome = probe(candidates[mid])
         if isinstance(outcome, ResourceLimit):
             return outcome
         if outcome.verdict == "feasible":
-            hi = mid
+            packing = outcome.packing
+            hi = bisect_left(candidates, used_height(packing), lo, mid)
         else:
             lo = mid + 1
-    final = probe(candidates[lo])
-    if isinstance(final, ResourceLimit):
-        return final
-    assert final.verdict == "feasible", "the all-stacked height must be feasible"
+    if packing is None:  # no probe was feasible, so lo is the all-stacked height
+        final = probe(candidates[lo])
+        if isinstance(final, ResourceLimit):
+            return final
+        assert final.verdict == "feasible", "the all-stacked height must be feasible"
+        packing = final.packing
     stats["wall_time"] = budget.elapsed()
-    return SppSolution(
-        height=Fraction(candidates[lo], scale), packing=final.packing, stats=stats
-    )
+    return SppSolution(height=Fraction(candidates[lo], scale), packing=packing, stats=stats)

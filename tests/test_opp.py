@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -16,6 +17,8 @@ from packclass.opp import (
     ImmediateConflict,
     Prune,
     SearchLimits,
+    _screen,
+    _screen_tables,
     _try_accept,
     branch_select,
     heuristic_pack,
@@ -408,6 +411,37 @@ def test_quick_infeasible_rules(five_box_example):
     assert quick_infeasible(too_big, ("a", "b"))
     assert not quick_infeasible(five_box_example, five_box_example.ids)  # volume 18 <= 25
     assert not quick_infeasible(five_box_example, ("b1",))
+
+
+def test_screen_matches_definition_on_every_subset():
+    """The mask core, `quick_infeasible` and the definition in `Fraction`s
+    (volume over the container, or a pair too wide side by side on every
+    axis) agree on every subset."""
+    rng = random.Random(57)
+    by_pair_only = by_volume_only = 0
+    for k in range(27):
+        d = 1 + k % 3
+        den = (1, 2, 3)[k // 3 % 3]
+        container = tuple(Fraction(rng.randint(2, 6)) for _ in range(d))
+        boxes = [
+            Box(f"b{j}", tuple(Fraction(rng.randint(1, int(w * den)), den) for w in container))
+            for j in range(rng.randint(1, 10))
+        ]
+        inst = Instance(boxes=boxes, container=container)
+        tables = _screen_tables(inst)
+        capacity = prod(container)
+        for mask in range(1 << inst.n):
+            S = [b for j, b in enumerate(boxes) if mask >> j & 1]
+            over = sum((b.volume for b in S), Fraction(0)) > capacity
+            wide = any(
+                all(a.size[i] + b.size[i] > container[i] for i in range(d))
+                for a, b in combinations(S, 2)
+            )
+            ids = [b.id for b in S]
+            assert _screen(mask, *tables) == quick_infeasible(inst, ids) == (over or wide), (k, mask)
+            by_pair_only += wide and not over
+            by_volume_only += over and not wide
+    assert by_pair_only > 0 and by_volume_only > 0, (by_pair_only, by_volume_only)
 
 
 def test_verdicts_match_brute_force_small_grid():

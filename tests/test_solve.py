@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import lcm
@@ -6,7 +7,7 @@ import pytest
 
 from packclass.errors import InfeasibleCrossSection
 from packclass.model import Box, Instance, validate_packing
-from packclass.opp import SearchLimits, heuristic_pack
+from packclass.opp import SearchLimits, heuristic_pack, solve_opp
 from packclass.oracle import brute_force_opp
 from packclass.solve import OkpSolution, ResourceLimit, SppSolution, solve_okp, solve_spp
 from packclass.sweep import random_instance
@@ -168,3 +169,118 @@ def test_spp_cross_section_guard():
 def test_spp_empty_box_list():
     sol = solve_spp([], (4,))
     assert sol.height == 0 and sol.packing.positions == {}
+
+
+REFERENCE_PROBE_NODES = 2_000
+
+
+def plain_spp_search(boxes, cross):
+    """Binary search over every subset-sum height at or above the tallest
+    box and the volume bound, one `solve_opp` call per distinct candidate
+    probed; (height, probes), or None when a probe needs more than
+    REFERENCE_PROBE_NODES nodes."""
+    scale = lcm(*(b.size[-1].denominator for b in boxes))
+    sums = {0}
+    for b in boxes:
+        sums |= {s + int(b.size[-1] * scale) for s in sums}
+    area = Fraction(1)
+    for c in cross:
+        area *= c
+    volume_bound = sum((b.volume for b in boxes), Fraction(0)) / area
+    tallest = max(b.size[-1] for b in boxes)
+    candidates = sorted(
+        Fraction(s, scale) for s in sums
+        if Fraction(s, scale) >= tallest and Fraction(s, scale) >= volume_bound
+    )
+    limits = SearchLimits(max_nodes=REFERENCE_PROBE_NODES, time_limit=None)
+    verdicts = {}
+
+    def verdict(h):
+        if h not in verdicts:
+            verdicts[h] = solve_opp(Instance(boxes=boxes, container=(*cross, h)), limits).verdict
+        return verdicts[h]
+
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if verdict(candidates[mid]) == "resource_limit":
+            return None
+        if verdict(candidates[mid]) == "feasible":
+            hi = mid
+        else:
+            lo = mid + 1
+    assert verdict(candidates[lo]) == "feasible"
+    return candidates[lo], len(verdicts)
+
+
+def test_spp_matches_plain_binary_search():
+    rng = random.Random(54)
+    compared = fewer = 0
+    for k in range(60):
+        d = 2 + k % 2
+        grid = (1, 2, 3)[k // 2 % 3]
+        cross = tuple(Fraction(rng.randint(2, 4)) for _ in range(d - 1))
+        boxes = tuple(
+            Box(f"b{j}", (
+                *(rng.randint(1, int(c)) for c in cross),
+                Fraction(rng.randint(1, 3 * grid), grid),
+            ))
+            for j in range(rng.randint(1, 8))
+        )
+        reference = plain_spp_search(boxes, cross)
+        if reference is None:
+            continue
+        height, probes = reference
+        sol = solve_spp(boxes, cross, SearchLimits(max_nodes=10 * REFERENCE_PROBE_NODES))
+        assert isinstance(sol, SppSolution), k
+        assert sol.height == height, k
+        assert sol.stats["probes"] <= probes, k
+        compared += 1
+        fewer += sol.stats["probes"] < probes
+        solved = Instance(boxes=boxes, container=(*cross, sol.height))
+        assert set(sol.packing.positions) == {b.id for b in boxes}, k
+        assert validate_packing(sol.packing, solved).valid, k
+    assert compared >= 55 and fewer > 0, (compared, fewer)
+
+
+def okp_pinned_instance(rng, k):
+    """d 2-3, n 4-10 boxes that mostly do not all fit, so subsets get
+    screened and decided; every other instance has mixed-denominator
+    values."""
+    d = 2 + k % 2
+    container = (6, 6) if d == 2 else (4, 4, 4)
+    boxes = []
+    for j in range(rng.randint(4, 10)):
+        size = tuple(rng.randint(1, w - 2 + j % 3) for w in container)
+        value = Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 6))) if k % 2 else None
+        boxes.append(Box(f"b{j}", size, value=value))
+    return Instance(boxes=boxes, container=container)
+
+
+def okp_digest(out):
+    if isinstance(out, ResourceLimit):
+        view = (out.reason, sorted(out.stats.items()))
+    else:
+        stats = sorted((k, v) for k, v in out.stats.items() if k != "wall_time")
+        view = (out.chosen, out.total_value, stats, out.dismissed, out.packing.canonical())
+    return hashlib.sha256(repr(view).encode()).hexdigest()[:12]
+
+
+# Digest of solve_okp's chosen set, value, statistics (wall time dropped),
+# dismissed subsets and packing per instance; a mismatch means the subset
+# order, the screen or an inner decision changed.
+PINNED_OKP = [
+    "90fdf4685cfd", "ffad04da9d35", "35f3913bd9b6", "56ec561f99fc", "8643f51f9f4c",
+    "e0fc1b86b4ab", "d49516932ee0", "6cc028e19b56", "7f9ed501f11e", "c4e974935ab9",
+    "efbcc15e3b4a", "2183ae4e1504", "01c770ce11cd", "3aaddea42e95", "72604882d760",
+    "e8608a8caa83", "3ae28c332640", "49a22b7db48f", "eed9f3737e8c", "f64d7e881978",
+    "b259eb8694df", "257724a8bad7", "ea07de261632", "dad13571cb7c", "09924ced13f3",
+    "dd32e14ea952", "b6cdf29f39ae", "0702cf94615d", "67771b407c7c", "9791e5326cf3",
+]
+
+
+def test_okp_outputs_pinned():
+    rng = random.Random(56)
+    limits = SearchLimits(max_nodes=300, time_limit=None)
+    digests = [okp_digest(solve_okp(okp_pinned_instance(rng, k), limits)) for k in range(30)]
+    assert digests == PINNED_OKP
