@@ -154,17 +154,7 @@ def cmd_spp(args) -> int:
 
 def cmd_verify(args) -> int:
     inst, _ = fileio.load_instance(args.instance)
-    artifact = fileio._load_json(args.artifact)
-    if not isinstance(artifact, dict):
-        raise ParseError(f"{args.artifact}: top level must be an object")
-    if "chosen" in artifact:
-        inst = inst.restrict(artifact["chosen"])
-    if "container" in artifact:
-        W = tuple(
-            fileio.rational_from_json(v, f"{args.artifact}: container[{i}]")
-            for i, v in enumerate(artifact["container"])
-        )
-        inst = Instance(boxes=inst.boxes, container=W)
+    artifact, inst = fileio.load_result(args.artifact, inst)
     checked = False
     failures = []
     if "positions" in artifact:
@@ -206,21 +196,16 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     inst, _ = fileio.load_instance(args.instance)
-    result = fileio._load_json(args.result)
-    if not isinstance(result, dict) or "positions" not in result:
+    result, inst = fileio.load_result(args.result, inst)
+    if "positions" not in result:
         raise ParseError(f"{args.result}: no 'positions' to draw")
-    if "chosen" in result:
-        inst = inst.restrict(result["chosen"])
-    if "container" in result:
-        W = tuple(
-            fileio.rational_from_json(v, f"{args.result}: container[{i}]")
-            for i, v in enumerate(result["container"])
-        )
-        inst = Instance(boxes=inst.boxes, container=W)
     if inst.d != 2:
         print(f"error: rendering needs d=2, instance has d={inst.d}", file=sys.stderr)
         return EXIT_STRUCTURE
     packing = fileio.packing_from_json(result["positions"], args.result)
+    for box_id, pos in packing.positions.items():
+        if len(pos) != 2:
+            raise ParseError(f"{args.result}: position of {box_id!r} needs 2 entries")
     svg = fileio.render_svg(inst, packing)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)

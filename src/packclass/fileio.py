@@ -192,11 +192,33 @@ def class_from_json(data: Any, where: str) -> list[list[tuple[str, str]]]:
             raise ParseError(f"{where}: class[{i}] must be an array")
         pairs = []
         for e in edges:
-            if not (isinstance(e, list) and len(e) == 2):
+            if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)):
                 raise ParseError(f"{where}: class[{i}] entries must be [id, id] pairs")
             pairs.append((e[0], e[1]))
         sets.append(pairs)
     return sets
+
+
+def load_result(path: str, inst: Instance) -> tuple[dict, Instance]:
+    """A result file's object, and `inst` restricted to the file's 'chosen'
+    boxes and set in its 'container' where the file names them."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top level must be an object")
+    if "chosen" in doc:
+        chosen = doc["chosen"]
+        if not (isinstance(chosen, list) and all(isinstance(b, str) for b in chosen)):
+            raise ParseError(f"{path}: 'chosen' must be an array of box ids")
+        inst = inst.restrict(chosen)
+    if "container" in doc:
+        if not isinstance(doc["container"], list):
+            raise ParseError(f"{path}: 'container' must be an array")
+        W = tuple(
+            rational_from_json(v, f"{path}: container[{i}]")
+            for i, v in enumerate(doc["container"])
+        )
+        inst = Instance(boxes=inst.boxes, container=W)
+    return doc, inst
 
 
 def result_file(

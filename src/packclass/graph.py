@@ -109,43 +109,6 @@ def induced(G: Graph, S: Iterable[str]) -> Graph:
     return H
 
 
-def find_induced_c4(
-    G: Graph, touching: Optional[tuple[str, str]] = None
-) -> Optional[tuple[str, str, str, str]]:
-    """Find four vertices inducing a chordless 4-cycle, in cycle order.
-
-    With `touching` given, only 4-cycles through that edge are considered
-    (the incremental form used after adding a single edge).
-    """
-    adj = G.adj
-    if touching is not None:
-        x, y = G.index(touching[0]), G.index(touching[1])
-        if not adj[x] >> y & 1:
-            return None
-        # cycle x-y-c-d with non-edges {x,c}, {y,d}
-        for c in bits(adj[y] & ~adj[x] & ~(1 << x)):
-            for d in bits(adj[x] & adj[c] & ~adj[y] & ~(1 << y)):
-                return (G.vertices[x], G.vertices[y], G.vertices[c], G.vertices[d])
-        return None
-    for a in range(G.n):
-        non_nbrs = ~adj[a] & ~(1 << a) & ((1 << G.n) - 1)
-        for c in bits(non_nbrs):
-            if c <= a:
-                continue
-            common = adj[a] & adj[c]
-            for b in bits(common):
-                rest = common & ~adj[b] & ~(1 << b)
-                for d in bits(rest):
-                    if d > b:
-                        return (
-                            G.vertices[a],
-                            G.vertices[b],
-                            G.vertices[c],
-                            G.vertices[d],
-                        )
-    return None
-
-
 def _odd_closed_walk(
     n: int, walk_adj: Sequence[int], safe_pair_adj: Sequence[int]
 ) -> Optional[tuple[int, ...]]:
@@ -451,15 +414,9 @@ def _max_clique(adj: Sequence[int], w: Sequence, P: int) -> tuple:
     return best_w, best_set
 
 
-def greedy_weight_clique(G: Graph, weight) -> tuple[Fraction, tuple[str, ...]]:
-    """Greedy heavy-first clique. Sound under-approximation used beyond
-    the exact-search cap."""
-    total, mask = _greedy_clique(G.adj, _as_weight_map(G, weight), (1 << G.n) - 1)
-    return to_frac(total), G.names(mask)
-
-
 def _greedy_clique(adj: Sequence[int], w: Sequence, P: int) -> tuple:
-    """Bitset core of `greedy_weight_clique` over the vertices in mask `P`."""
+    """Greedy heavy-first clique over the vertices in mask `P`: (weight,
+    mask). A sound under-approximation, used beyond the exact-search cap."""
     mask = 0
     total = 0
     for v in sorted(bits(P), key=lambda v: (-w[v], v)):

@@ -537,9 +537,15 @@ def solve_opp(inst: Instance, limits: Optional[SearchLimits] = None) -> SearchOu
     """Decide packability of the full box set.
 
     Fast paths first: the volume/pair screen for a quick no, the
-    bottom-left heuristic for a quick yes. Otherwise branch and bound over
-    edge decisions; "feasible" always carries a packing that validates,
-    "infeasible" is only returned once the search space is exhausted.
+    bottom-left heuristic for a quick yes, then accept and prune checks on
+    the root state. Otherwise a depth-first branch and bound over edge
+    decisions, run as one loop on an explicit stack: its depth is bounded
+    by the number of (dimension, pair) variables, not by the call stack.
+    One check block runs at every node that is due a periodic check
+    (every CHECK_INTERVAL decisions) or fully decided. "feasible" always
+    carries a packing that validates, "infeasible" is only returned once
+    the search space is exhausted, and "resource_limit" once the node
+    budget or the deadline is spent.
     """
     limits = limits or SearchLimits()
     stats = SearchStats()
@@ -575,57 +581,47 @@ def solve_opp(inst: Instance, limits: Optional[SearchLimits] = None) -> SearchOu
         stats.bump("root_prune")
         return outcome("infeasible")
 
-    found: list[tuple[Packing, PackingClass]] = []
+    # Each open node is (trail mark, dimension, pair, signs still to try).
+    # A child is entered by propagating its decision and left by undoing
+    # the trail to its parent's mark.
+    stack: list[tuple[int, int, tuple[str, str], tuple[int, ...]]] = []
     since_check = 0
-
-    def search() -> str:  # "found" | "exhausted" | "limit"
-        nonlocal since_check
+    while True:
         if deadline is not None and time.perf_counter() > deadline:
-            return "limit"
+            return outcome("resource_limit")
         if stats.nodes >= limits.max_nodes:
-            return "limit"
-        if since_check >= CHECK_INTERVAL:
-            since_check = 0
-            pr = prune_check(state)
-            if pr is not None:
-                stats.bump(pr.rule)
-                return "exhausted"
-            accept = _try_accept(state)
-            if accept is not None:
-                found.append(accept)
-                return "found"
-        if state.undecided == 0:
+            return outcome("resource_limit")
+        periodic = since_check >= CHECK_INTERVAL
+        leaf = state.undecided == 0
+        pr = None
+        if periodic or leaf:
             # At a fully decided state the prune rules are a complete class
-            # test and far cheaper than building the verification artifacts.
+            # test and far cheaper than building the verification
+            # artifacts, so `_try_accept` runs only when they pass.
+            if periodic:
+                since_check = 0
             pr = prune_check(state)
-            if pr is not None:
-                stats.bump(f"leaf_{pr.rule}")
-                return "exhausted"
-            accept = _try_accept(state)
-            if accept is not None:
-                found.append(accept)
-                return "found"
-            stats.bump("leaf_reject")
-            return "exhausted"
-        i, pair, first = branch_select(state)
-        for sign in (first, -first):
-            stats.nodes += 1
-            stats.decisions += 1
-            since_check += 1
-            mark = state.mark()
-            result = propagate(state, (i, pair, sign))
-            if isinstance(result, Consequences):
-                verdict = search()
-                if verdict != "exhausted":
-                    state.undo_to(mark)
-                    return verdict
+            if pr is None:
+                accept = _try_accept(state)
+                if accept is not None:
+                    return outcome("feasible", *accept)
+                if leaf:
+                    stats.bump("leaf_reject")
+            else:
+                stats.bump(pr.rule if periodic else f"leaf_{pr.rule}")
+        if pr is None and not leaf:
+            i, pair, first = branch_select(state)
+            stack.append((state.mark(), i, pair, (first, -first)))
+        # Enter the next child that propagates without conflict.
+        while stack:
+            mark, i, pair, signs = stack.pop()
             state.undo_to(mark)
-        return "exhausted"
-
-    verdict = search()
-    if verdict == "found":
-        packing, pc = found[0]
-        return outcome("feasible", packing, pc)
-    if verdict == "limit":
-        return outcome("resource_limit")
-    return outcome("infeasible")
+            if signs:
+                stack.append((mark, i, pair, signs[1:]))
+                stats.nodes += 1
+                stats.decisions += 1
+                since_check += 1
+                if isinstance(propagate(state, (i, pair, signs[0])), Consequences):
+                    break
+        else:
+            return outcome("infeasible")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, product, repeat
 from typing import Iterable, Optional, Sequence
 
 from .model import Box, Instance
@@ -80,8 +80,8 @@ def compare_opp(
     )
 
 
-def _compare_worker(inst: Instance) -> tuple[str, bool, int]:
-    c = compare_opp(inst)
+def _compare_worker(inst: Instance, limits: Optional[SearchLimits]) -> tuple[str, bool, int]:
+    c = compare_opp(inst, limits)
     return c.solver_verdict, c.oracle_feasible, c.class_count
 
 
@@ -94,7 +94,7 @@ def run_opp_sweep(
     if jobs > 1:
         # Disjoint instances, one worker each; results keep input order.
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_compare_worker, instances, chunksize=8))
+            raw = list(pool.map(_compare_worker, instances, repeat(limits), chunksize=8))
         return [
             OppComparison(inst, verdict, feas, count)
             for inst, (verdict, feas, count) in zip(instances, raw)

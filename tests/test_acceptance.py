@@ -15,9 +15,7 @@ import pytest
 
 from packclass.chargraph import (
     Dag,
-    enumerate_transitive_orientations,
     is_interval_graph,
-    is_transitive_orientation_of,
     transitive_orientation,
 )
 from packclass.fileio import convert_ngcut, write_json, load_instance
@@ -35,6 +33,7 @@ from packclass.solve import OkpSolution, ResourceLimit, SppSolution, solve_okp, 
 from packclass.sweep import exhaustive_grid, random_instance
 
 from graphgen import mask_to_edges, nonisomorphic_graphs, vertex_names
+from graphtools import enumerate_transitive_orientations, is_transitive_orientation_of
 
 CLASS_CAP = 50
 ORIENTATION_CAP = 50

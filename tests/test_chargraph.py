@@ -6,10 +6,7 @@ import pytest
 from packclass.chargraph import (
     Dag,
     NotComparability,
-    enumerate_transitive_orientations,
-    interval_model,
     is_interval_graph,
-    is_transitive_orientation_of,
     transitive_orientation,
 )
 from packclass.errors import TooLarge
@@ -18,6 +15,11 @@ from packclass.oracle import oracle_is_comparability, oracle_is_interval
 
 from certcheck import check_chordless_cycle, check_odd_2chordless_cycle
 from graphgen import mask_to_edges, nonisomorphic_graphs, vertex_names
+from graphtools import (
+    enumerate_transitive_orientations,
+    interval_model,
+    is_transitive_orientation_of,
+)
 from test_graph import LONG_CLAW, complete_graph, cycle_graph, path_graph, random_interval_graph
 
 

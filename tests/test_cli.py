@@ -196,3 +196,27 @@ def test_bad_time_limit_is_a_usage_error(example_file, monkeypatch, capsys, valu
     assert exit_info.value.code == 64
     err = capsys.readouterr().err
     assert "error: argument --time-limit" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("verify", {"class": [[[["b1"], "b2"]], []]}),
+        ("verify", {"positions": {}, "chosen": [["a"]]}),
+        ("verify", {"positions": {}, "container": 5}),
+        ("render", {"positions": {}, "chosen": [["a"]]}),
+        ("render", {"positions": {}, "container": 5}),
+        ("render", {"positions": {"b1": [1]}}),
+    ],
+)
+def test_malformed_artifact_is_a_parse_error(tmp_path, example_file, capsys, command, doc):
+    # each of these used to end in a TypeError or IndexError traceback,
+    # which exits 1: the code that means "verification failed"
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(json.dumps(doc))
+    args = [command, example_file, str(artifact)]
+    if command == "render":
+        args.append(str(tmp_path / "out.svg"))
+    assert run(args) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")

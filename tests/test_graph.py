@@ -18,9 +18,7 @@ from packclass.graph import (
     bits,
     complement,
     find_asteroidal_triple,
-    find_induced_c4,
     find_odd_2chordless_cycle,
-    greedy_weight_clique,
     induced,
     is_triangulated,
     max_weight_clique,
@@ -33,6 +31,7 @@ from certcheck import (
     check_induced_c4,
     check_odd_2chordless_cycle,
 )
+from graphtools import find_induced_c4, greedy_weight_clique
 
 
 def cycle_graph(n):

@@ -350,6 +350,21 @@ def test_resource_limit_outcomes(five_box_example):
     assert out.verdict == "resource_limit"
 
 
+def test_deep_search_stays_off_the_call_stack():
+    # 60 small boxes leave all 3,540 (dimension, pair) variables undecided
+    # at the root, and within 1,200 nodes the search holds over 1,100 open
+    # decisions at once; a recursive search raised RecursionError here.
+    rng = random.Random(0)
+    inst = Instance(
+        boxes=[Box(f"b{k}", (rng.randint(1, 3), rng.randint(1, 3))) for k in range(60)],
+        container=(40, 40),
+    )
+    limits = SearchLimits(max_nodes=1200, time_limit=None, use_heuristic=False)
+    out = solve_opp(inst, limits)
+    assert out.verdict in ("feasible", "infeasible", "resource_limit")
+    assert out.stats.nodes <= 1200
+
+
 def test_heuristic_pack_examples(five_box_example):
     single = Instance(boxes=(Box("a", (1, 1)),), container=(1, 1))
     assert heuristic_pack(single).positions["a"] == (0, 0)
