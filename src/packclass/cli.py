@@ -19,7 +19,7 @@ from pathlib import Path
 from . import fileio
 from .errors import PackclassError
 from .fileio import ParseError
-from .model import Instance, to_fraction, validate_packing
+from .model import to_fraction, validate_packing
 from .opp import SearchLimits, solve_opp
 from .oracle import brute_force_opp, enumerate_packing_classes
 from .packing_class import verify_packing_class
@@ -92,7 +92,7 @@ def cmd_opp(args) -> int:
     outcome = solve_opp(inst, _limits(args))
     doc = fileio.result_file(
         verdict=outcome.verdict,
-        inst=inst,
+        container=inst.container,
         packing=outcome.packing,
         edge_sets=outcome.packing_class.edge_sets if outcome.packing_class else None,
         stats=fileio.stats_to_json(outcome.stats),
@@ -116,7 +116,7 @@ def cmd_okp(args) -> int:
     )
     doc = fileio.result_file(
         verdict="feasible",
-        inst=inst,
+        container=inst.container,
         packing=sol.packing,
         edge_sets=edge_sets,
         stats=sol.stats,
@@ -140,10 +140,9 @@ def cmd_spp(args) -> int:
         _emit({"format": fileio.RESULT_FORMAT, "verdict": "resource_limit",
                "reason": sol.reason}, args.out)
         return EXIT_LIMIT
-    solved = Instance(boxes=tuple(boxes), container=(*cross, sol.height))
     doc = fileio.result_file(
         verdict="feasible",
-        inst=solved,
+        container=(*cross, sol.height),
         packing=sol.packing,
         stats=sol.stats,
         extra={"height": fileio.rational_to_json(sol.height)},

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from .errors import PackclassError
 from .model import Box, Instance, Packing
@@ -223,7 +223,7 @@ def load_result(path: str, inst: Instance) -> tuple[dict, Instance]:
 
 def result_file(
     verdict: str,
-    inst: Instance,
+    container: Sequence[Fraction],
     packing: Optional[Packing] = None,
     edge_sets=None,
     stats: Optional[dict] = None,
@@ -232,7 +232,7 @@ def result_file(
     doc: dict = {
         "format": RESULT_FORMAT,
         "verdict": verdict,
-        "container": [rational_to_json(w) for w in inst.container],
+        "container": [rational_to_json(w) for w in container],
     }
     if packing is not None:
         doc["positions"] = packing_to_json(packing)

@@ -123,60 +123,73 @@ def _odd_closed_walk(
     safe(u, w) is safe(w, u). So the states a root reaches are exactly its
     strongly connected component, and an odd closed walk exists iff the
     parity BFS from some root reaches a state at both parities. A root
-    that an earlier root's BFS reached lies in an SCC already searched.
+    that an earlier root's BFS reached lies in an SCC already searched, and
+    a new root's BFS never meets an earlier one's states, so one parity
+    table serves every root.
     """
-    states: list[tuple[int, int]] = []
-    state_id: dict[tuple[int, int], int] = {}
+    # Arcs numbered by tail, then head; arc_at[u * n + v] is arc (u, v)'s.
+    tail: list[int] = []
+    head: list[int] = []
+    arc_at = [0] * (n * n)
     for u in range(n):
-        for v in bits(walk_adj[u]):
-            state_id[(u, v)] = len(states)
-            states.append((u, v))
+        heads = walk_adj[u]
+        while heads:
+            low = heads & -heads
+            heads ^= low
+            v = low.bit_length() - 1
+            arc_at[u * n + v] = len(head)
+            tail.append(u)
+            head.append(v)
 
-    def successors(s: int):
-        u, v = states[s]
+    def successors(s: int) -> list[int]:
+        u, v = tail[s], head[s]
         allowed = walk_adj[v] & (safe_pair_adj[u] | (1 << u))
-        for w in bits(allowed):
-            yield state_id[(v, w)]
+        return [arc_at[v * n + w] for w in bits(allowed)]
 
-    # Parity BFS from each root not yet reached; a state reachable at both
-    # parities certifies an odd closed walk through the root.
-    reached = [False] * len(states)
-    for root in range(len(states)):
-        if reached[root]:
+    # parent[2 * s + parity]: the key the parity BFS reached (arc s, parity)
+    # from, -1 at a root, None if unreached. A key at both parities
+    # certifies an odd closed walk through the root.
+    parent: list[Optional[int]] = [None] * (2 * len(head))
+    for root in range(len(head)):
+        if parent[2 * root] is not None or parent[2 * root + 1] is not None:
             continue
-        parent: dict[tuple[int, int], tuple[int, int] | None] = {(root, 0): None}
-        frontier = [(root, 0)]
+        parent[2 * root] = -1
+        frontier = [2 * root]
         conflict: Optional[int] = None
         while frontier and conflict is None:
             nxt = []
-            for s, par in frontier:
-                for t in successors(s):
-                    key = (t, par ^ 1)
-                    if key not in parent:
-                        parent[key] = (s, par)
-                        nxt.append(key)
-                        if (t, par) in parent:
-                            conflict = t
+            for key in frontier:
+                s = key >> 1
+                u, v = tail[s], head[s]
+                allowed = walk_adj[v] & (safe_pair_adj[u] | (1 << u))
+                flip = ~key & 1
+                row = v * n
+                while allowed:
+                    low = allowed & -allowed
+                    allowed ^= low
+                    t = 2 * arc_at[row + low.bit_length() - 1] + flip
+                    if parent[t] is None:
+                        parent[t] = key
+                        nxt.append(t)
+                        if parent[t ^ 1] is not None:
+                            conflict = t >> 1
                             break
                 if conflict is not None:
                     break
             frontier = nxt
         if conflict is None:
-            for s, _ in parent:
-                reached[s] = True
             continue
         # Paths root->conflict at both parities, plus any path conflict->root.
-        def unwind(key: tuple[int, int]) -> list[int]:
+        def unwind(key: int) -> list[int]:
             seq = []
-            cur: tuple[int, int] | None = key
-            while cur is not None:
-                seq.append(cur[0])
-                cur = parent[cur]
+            while key != -1:
+                seq.append(key >> 1)
+                key = parent[key]
             seq.reverse()
             return seq
 
-        path0 = unwind((conflict, 0))
-        path1 = unwind((conflict, 1))
+        path0 = unwind(2 * conflict)
+        path1 = unwind(2 * conflict + 1)
         back_parent: dict[int, int] = {conflict: -1}
         queue = [conflict]
         while queue and root not in back_parent:
@@ -197,9 +210,9 @@ def _odd_closed_walk(
             if (len(fwd) - 1 + len(back) - 1) % 2 == 1:
                 state_path = fwd + back[1:]
                 # State path s_0=root..s_L=root; appended vertices form the walk.
-                verts = [states[root][1]]
+                verts = [head[root]]
                 for s in state_path[1:]:
-                    verts.append(states[s][1])
+                    verts.append(head[s])
                 # verts has length L+1 and ends back at root's head; drop the
                 # final repeat to get the cyclic sequence of length L (odd).
                 return tuple(verts[:-1])
@@ -285,19 +298,31 @@ def _mcs_peo(n: int, adj: Sequence[int]) -> Optional[list[int]]:
                 best, best_w = v, weight[v]
         visited |= 1 << best
         order_rev.append(best)
-        for u in bits(adj[best] & ~visited):
-            weight[u] += 1
+        fresh = adj[best] & ~visited
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            weight[low.bit_length() - 1] += 1
     elim = list(reversed(order_rev))
-    pos = {v: k for k, v in enumerate(elim)}
+    pos = [0] * n
+    for k, v in enumerate(elim):
+        pos[v] = k
     later = [0] * n
     mask_later = 0
-    for v in reversed(elim):
+    for v in order_rev:
         later[v] = adj[v] & mask_later
         mask_later |= 1 << v
     for v in elim:
         lv = later[v]
         if lv:
-            u = min(bits(lv), key=lambda w: pos[w])
+            # u: the later neighbour eliminated first
+            u, rest = -1, lv
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                x = low.bit_length() - 1
+                if u < 0 or pos[x] < pos[u]:
+                    u = x
             if lv & ~(1 << u) & ~adj[u]:
                 return None
     return elim
@@ -380,21 +405,26 @@ def _max_clique(adj: Sequence[int], w: Sequence, P: int) -> tuple:
         # Partition P into independent sets; bound at v = cumulative max
         # weight over its class and all earlier classes.
         classes: list = []  # [mask, max weight]
-        for v in bits(P):
+        while P:
+            low = P & -P
+            P ^= low
+            v = low.bit_length() - 1
             for cls in classes:
                 if not adj[v] & cls[0]:
-                    cls[0] |= 1 << v
+                    cls[0] |= low
                     if w[v] > cls[1]:
                         cls[1] = w[v]
                     break
             else:
-                classes.append([1 << v, w[v]])
+                classes.append([low, w[v]])
         out: list = []
         acc = 0
         for mask, mw in classes:
             acc += mw
-            for v in bits(mask):
-                out.append((v, acc))
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                out.append((low.bit_length() - 1, acc))
         return out
 
     def expand(P: int, cur_mask: int, cur_w) -> None:
@@ -454,10 +484,16 @@ def _chordal_stable_set(adj: Sequence[int], w: Sequence, elim: Sequence[int]) ->
         r = rest[v]
         if r > 0:
             marked.append(v)
-            for u in bits(adj[v] & later):
+            nbrs = adj[v] & later
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                u = low.bit_length() - 1
                 rest[u] = rest[u] - r if rest[u] > r else 0
     chosen = 0
+    total = 0
     for v in reversed(marked):
         if not adj[v] & chosen:
             chosen |= 1 << v
-    return sum((w[v] for v in bits(chosen)), 0), chosen
+            total += w[v]
+    return total, chosen

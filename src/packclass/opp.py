@@ -25,10 +25,10 @@ the odd-cycle and exact clique rules imply the width bound.
 Everything inside the search runs on integers: per-dimension adjacency
 bitsets (`EdgeState.plus_adj`/`minus_adj`), vertex indices and the
 instance's integer-scaled sizes, handed straight to the bitset cores in
-`graph`. Box ids appear only in decisions, conflicts and certificates.
-`Graph`s, `Fraction`s and the `PackingClass` are built only once the
-bitset check of P1/P2/P3 passes, to orient, extract and validate the
-returned packing.
+`graph`. A decision is a (dimension, pair index, sign) triple; box ids
+appear only in conflicts and prune certificates. `Graph`s, `Fraction`s
+and the `PackingClass` are built only once the bitset check of P1/P2/P3
+passes, to orient, extract and validate the returned packing.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class Conflict:
 
 @dataclass(frozen=True)
 class Consequences:
-    applied: tuple  # (dimension, (id_a, id_b), sign) in application order
+    applied: tuple  # (dimension, pair index, sign) in application order
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,11 @@ class EdgeState:
     Status per (dimension, pair) is +1 (in E+), -1 (in E-), or 0. The
     trail records assignments in order so the search can backtrack to any
     mark. plus_adj/minus_adj mirror the status as per-vertex bitsets;
-    sizes[i][v] is box v's integer-scaled size along axis i.
+    sizes[i][v] is box v's integer-scaled size along axis i and caps[i]
+    the container's. pid_of[a][b] is the index of pair {a, b}. degree[v]
+    counts the decided (dimension, pair) relations at v and open[pid] the
+    dimensions in which pair pid is undecided; `branch_select` scores
+    pairs with both.
     """
 
     def __init__(self, inst: Instance):
@@ -138,20 +142,24 @@ class EdgeState:
         self.n = inst.n
         self.d = inst.d
         self.pairs: list[tuple[int, int]] = list(combinations(range(self.n), 2))
-        self.pair_id = {p: k for k, p in enumerate(self.pairs)}
+        self.pid_of = [[-1] * self.n for _ in range(self.n)]
+        for pid, (a, b) in enumerate(self.pairs):
+            self.pid_of[a][b] = self.pid_of[b][a] = pid
         self.m = len(self.pairs)
         self.status = [[0] * self.m for _ in range(self.d)]
         self.plus_adj = [[0] * self.n for _ in range(self.d)]
         self.minus_adj = [[0] * self.n for _ in range(self.d)]
         self.sizes = [[inst.int_size(v, i) for v in range(self.n)] for i in range(self.d)]
+        self.caps = [inst.int_container(i) for i in range(self.d)]
+        self.degree = [0] * self.n
+        self.open = [self.d] * self.m
         self.trail: list[tuple[int, int]] = []
         self.undecided = self.d * self.m
         self.stats = SearchStats()
 
     # -- bookkeeping ---------------------------------------------------
     def pair_of(self, a: str, b: str) -> int:
-        ia, ib = self.inst.index(a), self.inst.index(b)
-        return self.pair_id[(min(ia, ib), max(ia, ib))]
+        return self.pid_of[self.inst.index(a)][self.inst.index(b)]
 
     def pair_ids(self, pid: int) -> tuple[str, str]:
         a, b = self.pairs[pid]
@@ -167,39 +175,42 @@ class EdgeState:
         return len(self.trail)
 
     def undo_to(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            i, pid = self.trail.pop()
-            sign = self.status[i][pid]
-            a, b = self.pairs[pid]
-            adj = self.plus_adj[i] if sign == INCLUDE else self.minus_adj[i]
+        trail, status, pairs = self.trail, self.status, self.pairs
+        degree, open_ = self.degree, self.open
+        while len(trail) > mark:
+            i, pid = trail.pop()
+            row = status[i]
+            a, b = pairs[pid]
+            adj = self.plus_adj[i] if row[pid] == INCLUDE else self.minus_adj[i]
             adj[a] &= ~(1 << b)
             adj[b] &= ~(1 << a)
-            self.status[i][pid] = 0
+            row[pid] = 0
+            degree[a] -= 1
+            degree[b] -= 1
+            open_[pid] += 1
             self.undecided += 1
 
     def _set(self, i: int, pid: int, sign: int) -> str:
-        cur = self.status[i][pid]
+        row = self.status[i]
+        cur = row[pid]
         if cur == sign:
             return "noop"
         if cur != 0:
             return "conflict"
         a, b = self.pairs[pid]
-        if sign == EXCLUDE and (
-            self.inst.int_size(a, i) + self.inst.int_size(b, i)
-            > self.inst.int_container(i)
-        ):
+        if sign == EXCLUDE and self.sizes[i][a] + self.sizes[i][b] > self.caps[i]:
             # A pair too wide for the axis must overlap there.
             return "conflict"
-        self.status[i][pid] = sign
+        row[pid] = sign
         adj = self.plus_adj[i] if sign == INCLUDE else self.minus_adj[i]
         adj[a] |= 1 << b
         adj[b] |= 1 << a
+        self.degree[a] += 1
+        self.degree[b] += 1
+        self.open[pid] -= 1
         self.trail.append((i, pid))
         self.undecided -= 1
         return "applied"
-
-    def plus_dim_count(self, pid: int) -> int:
-        return sum(1 for i in range(self.d) if self.status[i][pid] == INCLUDE)
 
 
 def _fixpoint(
@@ -209,7 +220,9 @@ def _fixpoint(
     queue: deque[tuple[int, int, int, str]] = deque(
         (i, pid, sign, "seed") for i, pid, sign in seeds
     )
-    applied: list[tuple[int, tuple[str, str], int]] = []
+    applied: list[tuple[int, int, int]] = []
+    status = state.status
+    pid_of = state.pid_of
     while queue:
         i, pid, sign, rule = queue.popleft()
         result = state._set(i, pid, sign)
@@ -218,43 +231,59 @@ def _fixpoint(
         if result == "conflict":
             state.stats.conflicts += 1
             return Conflict(rule=rule, dimension=i, pair=state.pair_ids(pid))
-        applied.append((i, state.pair_ids(pid), sign))
+        applied.append((i, pid, sign))
         state.stats.propagations += 1
         a, b = state.pairs[pid]
+        plus = state.plus_adj[i]
+        minus = state.minus_adj[i]
         if sign == INCLUDE:
-            count = state.plus_dim_count(pid)
+            count = 0
+            for row in status:
+                if row[pid] == INCLUDE:
+                    count += 1
             if count == state.d:
                 state.stats.conflicts += 1
                 return Conflict(rule="p3", dimension=i, pair=state.pair_ids(pid))
             if count == state.d - 1:
-                for j in range(state.d):
-                    if state.status[j][pid] == 0:
+                for j, row in enumerate(status):
+                    if row[pid] == 0:
                         queue.append((j, pid, EXCLUDE, "p3"))
-            plus = state.plus_adj[i]
-            minus = state.minus_adj[i]
             for u, v in ((a, b), (b, a)):
                 # new edge ends a 3-edge path x-y-u-v whose diagonals are minus
-                for y in bits(plus[u] & minus[v]):
-                    for x in bits(plus[y] & minus[u]):
-                        queue.append(
-                            (i, state.pair_id[(min(x, v), max(x, v))], EXCLUDE, "c4")
-                        )
+                ys = plus[u] & minus[v]
+                while ys:
+                    low = ys & -ys
+                    ys ^= low
+                    y = low.bit_length() - 1
+                    xs = plus[y] & minus[u]
+                    while xs:
+                        low = xs & -xs
+                        xs ^= low
+                        queue.append((i, pid_of[low.bit_length() - 1][v], EXCLUDE, "c4"))
             # new edge in the middle of a path x-a-b-t with minus diagonals
-            for x in bits(state.plus_adj[i][a] & state.minus_adj[i][b]):
-                for t in bits(state.plus_adj[i][b] & state.minus_adj[i][a]):
-                    queue.append(
-                        (i, state.pair_id[(min(x, t), max(x, t))], EXCLUDE, "c4")
-                    )
+            xs = plus[a] & minus[b]
+            while xs:
+                low = xs & -xs
+                xs ^= low
+                row = pid_of[low.bit_length() - 1]
+                ts = plus[b] & minus[a]
+                while ts:
+                    low = ts & -ts
+                    ts ^= low
+                    queue.append((i, row[low.bit_length() - 1], EXCLUDE, "c4"))
         else:
-            plus = state.plus_adj[i]
-            minus = state.minus_adj[i]
             # new minus edge as a diagonal {p,r} of a plus path p-q-r-s
             for p, r in ((a, b), (b, a)):
-                for q in bits(plus[p] & plus[r]):
-                    for s in bits(plus[r] & minus[q]):
-                        queue.append(
-                            (i, state.pair_id[(min(s, p), max(s, p))], EXCLUDE, "c4")
-                        )
+                row = pid_of[p]
+                qs = plus[p] & plus[r]
+                while qs:
+                    low = qs & -qs
+                    qs ^= low
+                    ss = plus[r] & minus[low.bit_length() - 1]
+                    while ss:
+                        low = ss & -ss
+                        ss ^= low
+                        queue.append((i, row[low.bit_length() - 1], EXCLUDE, "c4"))
             # greedy overweight-clique probe around the new exclusion: any
             # clique in the minus graph is a stable set of the final graph,
             # so its width is capped by the axis
@@ -265,19 +294,27 @@ def _fixpoint(
 
 
 def _greedy_minus_clique_overweight(state: EdgeState, i: int, a: int, b: int) -> bool:
-    inst = state.inst
+    """Grow the minus clique {a, b} by the widest common minus neighbour
+    (lowest index on ties) until its width passes the axis or it is
+    maximal. {a, b} alone fits: `_set` refuses a minus pair too wide."""
     minus = state.minus_adj[i]
-    total = inst.int_size(a, i) + inst.int_size(b, i)
-    cap = inst.int_container(i)
-    if total > cap:
-        return True
+    sizes = state.sizes[i]
+    cap = state.caps[i]
+    total = sizes[a] + sizes[b]
     common = minus[a] & minus[b]
     while common:
-        v = max(bits(common), key=lambda u: (inst.int_size(u, i), -u))
-        total += inst.int_size(v, i)
+        best_v, best_w = -1, -1
+        rest = common
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if sizes[v] > best_w:
+                best_v, best_w = v, sizes[v]
+        total += best_w
         if total > cap:
             return True
-        common &= minus[v]
+        common &= minus[best_v]
     return False
 
 
@@ -288,7 +325,7 @@ def initial_state(inst: Instance) -> Union[EdgeState, ImmediateConflict]:
     seeds = []
     for pid, (a, b) in enumerate(state.pairs):
         for i in range(inst.d):
-            if inst.int_size(a, i) + inst.int_size(b, i) > inst.int_container(i):
+            if state.sizes[i][a] + state.sizes[i][b] > state.caps[i]:
                 seeds.append((i, pid, INCLUDE))
     result = _fixpoint(state, seeds)
     if isinstance(result, Conflict):
@@ -296,17 +333,14 @@ def initial_state(inst: Instance) -> Union[EdgeState, ImmediateConflict]:
     return state
 
 
-def propagate(
-    state: EdgeState, decision: tuple[int, tuple[str, str], int]
-) -> Union[Consequences, Conflict]:
-    """Apply one decision plus its forced consequences, to a fixed point.
+def propagate(state: EdgeState, decision: tuple[int, int, int]) -> Union[Consequences, Conflict]:
+    """Apply one (dimension, pair index, sign) decision plus its forced
+    consequences, to a fixed point.
 
     On Conflict the partial assignments stay on the trail; use
     state.mark()/state.undo_to() around the call to retract them.
     """
-    i, (a, b), sign = decision
-    pid = state.pair_of(a, b)
-    return _fixpoint(state, [(i, pid, sign)])
+    return _fixpoint(state, [decision])
 
 
 def prune_check(state: EdgeState) -> Optional[Prune]:
@@ -336,7 +370,7 @@ def prune_check(state: EdgeState) -> Optional[Prune]:
         # (3) overweight clique in the minus graph (a stable set of the
         # final graph, so it must fit along the axis)
         sizes = state.sizes[i]
-        cap = inst.int_container(i)
+        cap = state.caps[i]
         clique_search = _max_clique if n <= CLIQUE_CAP else _greedy_clique
         weight, clique = clique_search(minus, sizes, full)
         if weight > cap:
@@ -374,30 +408,26 @@ def prune_check(state: EdgeState) -> Optional[Prune]:
     return None
 
 
-def branch_select(state: EdgeState) -> tuple[int, tuple[str, str], int]:
-    """Deterministic branching choice: the undecided (dimension, pair) whose
-    endpoints touch the most already-decided relations, ties broken by
-    smallest dimension then lexicographic pair; inclusion is tried first."""
+def branch_select(state: EdgeState) -> tuple[int, int, int]:
+    """Deterministic branching choice as (dimension, pair index, sign): the
+    undecided (dimension, pair) whose endpoints touch the most
+    already-decided relations, ties broken by smallest dimension then
+    smallest pair index; inclusion is tried first."""
     if state.undecided == 0:
         raise NoUndecided("no undecided pair to branch on")
-    d = state.d
-    degree = [0] * state.n
-    for plus, minus in zip(state.plus_adj, state.minus_adj):
-        for v in range(state.n):
-            degree[v] += (plus[v] | minus[v]).bit_count()
+    degree = state.degree
     # A pair decided in some dimension is counted at both of its endpoints
-    # there, so it comes off its score once per such dimension.
-    score = [
-        degree[a] + degree[b] - d + column.count(0)
-        for (a, b), column in zip(state.pairs, zip(*state.status))
+    # there, so it comes off its score once per such dimension: the score
+    # degree[a] + degree[b] - (d - open) ranks as degree[a] + degree[b] + open.
+    scores = [
+        degree[a] + degree[b] + left if left else -1
+        for (a, b), left in zip(state.pairs, state.open)
     ]
-    best = None
-    for i, row in enumerate(state.status):
-        for pid, sign in enumerate(row):
-            if sign == 0 and (best is None or score[pid] > score[best[1]]):
-                best = (i, pid)
-    assert best is not None
-    return (best[0], state.pair_ids(best[1]), INCLUDE)
+    best = max(scores)
+    tied = [pid for pid, score in enumerate(scores) if score == best]
+    return next(
+        (i, pid, INCLUDE) for i, row in enumerate(state.status) for pid in tied if row[pid] == 0
+    )
 
 
 def _try_accept(state: EdgeState) -> Optional[tuple[Packing, PackingClass]]:
@@ -416,7 +446,7 @@ def _try_accept(state: EdgeState) -> Optional[tuple[Packing, PackingClass]]:
         elim = _mcs_peo(n, plus)
         if (
             elim is None
-            or _chordal_stable_set(plus, state.sizes[i], elim)[0] > inst.int_container(i)
+            or _chordal_stable_set(plus, state.sizes[i], elim)[0] > state.caps[i]
             or _asteroidal_triple(n, plus) is not None
         ):
             return None
@@ -516,7 +546,11 @@ def _screen_tables(inst: Instance) -> tuple[list[int], list[int], int]:
 def _screen(mask: int, volumes: list[int], too_wide: list[int], capacity: int) -> bool:
     """Core of `quick_infeasible` over the box bitset `mask`."""
     total = 0
-    for k in bits(mask):
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        k = low.bit_length() - 1
         if too_wide[k] & mask:
             return True
         total += volumes[k]
@@ -581,10 +615,10 @@ def solve_opp(inst: Instance, limits: Optional[SearchLimits] = None) -> SearchOu
         stats.bump("root_prune")
         return outcome("infeasible")
 
-    # Each open node is (trail mark, dimension, pair, signs still to try).
-    # A child is entered by propagating its decision and left by undoing
-    # the trail to its parent's mark.
-    stack: list[tuple[int, int, tuple[str, str], tuple[int, ...]]] = []
+    # Each open node is (trail mark, dimension, pair index, signs still to
+    # try). A child is entered by propagating its decision and left by
+    # undoing the trail to its parent's mark.
+    stack: list[tuple[int, int, int, tuple[int, ...]]] = []
     since_check = 0
     while True:
         if deadline is not None and time.perf_counter() > deadline:
@@ -610,18 +644,18 @@ def solve_opp(inst: Instance, limits: Optional[SearchLimits] = None) -> SearchOu
             else:
                 stats.bump(pr.rule if periodic else f"leaf_{pr.rule}")
         if pr is None and not leaf:
-            i, pair, first = branch_select(state)
-            stack.append((state.mark(), i, pair, (first, -first)))
+            i, pid, first = branch_select(state)
+            stack.append((state.mark(), i, pid, (first, -first)))
         # Enter the next child that propagates without conflict.
         while stack:
-            mark, i, pair, signs = stack.pop()
+            mark, i, pid, signs = stack.pop()
             state.undo_to(mark)
             if signs:
-                stack.append((mark, i, pair, signs[1:]))
+                stack.append((mark, i, pid, signs[1:]))
                 stats.nodes += 1
                 stats.decisions += 1
                 since_check += 1
-                if isinstance(propagate(state, (i, pair, signs[0])), Consequences):
+                if isinstance(propagate(state, (i, pid, signs[0])), Consequences):
                     break
         else:
             return outcome("infeasible")

@@ -146,11 +146,15 @@ def solve_okp(
                 return solution(mask, -neg_value, outcome.packing)
             stats["dismissed_opp"] += 1
             record(mask, "opp-infeasible")
-        for k in bits(mask):
-            child = mask & ~(1 << k)
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            child = mask ^ low
             if child not in pushed:
                 pushed.add(child)
-                heapq.heappush(heap, (neg_value + values[k], child.bit_count(), child))
+                key = neg_value + values[low.bit_length() - 1]
+                heapq.heappush(heap, (key, child.bit_count(), child))
     raise AssertionError("unreachable: the empty subset is always feasible")
 
 

@@ -121,6 +121,18 @@ def test_okp_and_spp_results(tmp_path, example_file, capsys):
     capsys.readouterr()
 
 
+def test_no_boxes_is_solved_by_every_command(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"d": 2, "container": [5, 5], "boxes": []}))
+    for command in ("opp", "okp", "spp"):
+        out = tmp_path / f"{command}.json"
+        assert run([command, str(empty), "-o", str(out)]) == 0, command
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == "feasible" and doc["positions"] == {}, command
+    assert doc["height"] == 0 and doc["container"] == [5, 0]
+    capsys.readouterr()
+
+
 def test_okp_drop_unfit(tmp_path, capsys):
     inst = tmp_path / "unfit.json"
     inst.write_text(

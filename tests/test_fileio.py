@@ -116,7 +116,7 @@ def test_packing_and_class_json_roundtrip():
 def test_result_file_shape():
     inst = Instance(boxes=(Box("a", (1, 1)),), container=(2, 2))
     doc = result_file(
-        "feasible", inst, packing=Packing({"a": (0, 0)}), stats={"nodes": 0}
+        "feasible", inst.container, packing=Packing({"a": (0, 0)}), stats={"nodes": 0}
     )
     assert doc["format"] == 1
     assert doc["verdict"] == "feasible"

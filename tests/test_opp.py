@@ -75,6 +75,7 @@ def test_propagate_forces_c4_completion_edge():
         (0, ("v2", "v4"), EXCLUDE),
         (0, ("v1", "v3"), EXCLUDE),
     ]
+    decisions = [(i, state.pair_of(a, b), sign) for i, (a, b), sign in decisions]
     for decision in decisions:
         result = propagate(state, decision)
         assert isinstance(result, Consequences)
@@ -84,7 +85,7 @@ def test_propagate_forces_c4_completion_edge():
     again = propagate(state, decisions[-1])
     assert isinstance(again, Consequences) and again.applied == ()
     # trying to include the forced-out edge is a contradiction
-    conflict = propagate(state, (0, ("v2", "v3"), INCLUDE))
+    conflict = propagate(state, (0, pid, INCLUDE))
     assert isinstance(conflict, Conflict)
 
 
@@ -93,7 +94,7 @@ def test_propagate_idempotent_on_random_states():
     for _ in range(30):
         inst = unit_boxes_instance(rng.randint(2, 5))
         state = initial_state(inst)
-        pairs = [state.pair_ids(p) for p in range(state.m)]
+        pairs = list(range(state.m))
         for _ in range(8):
             i = rng.randrange(state.d)
             pair = rng.choice(pairs)
@@ -138,7 +139,7 @@ def test_propagation_leaves_no_plus_c4_with_minus_diagonals():
         state = initial_state(inst)
         if not isinstance(state, EdgeState):
             continue
-        pairs = [state.pair_ids(p) for p in range(state.m)]
+        pairs = list(range(state.m))
         for _ in range(3 * state.m):
             if state.undecided == 0:
                 break
@@ -243,11 +244,12 @@ def test_prune_check_infeasible_clique():
 def test_branch_select_single_pair_and_determinism():
     inst = unit_boxes_instance(2)
     state = initial_state(inst)
+    pid = state.pair_of("v1", "v2")
     choice = branch_select(state)
-    assert choice == (0, ("v1", "v2"), INCLUDE)
+    assert choice == (0, pid, INCLUDE)
     # deciding everything leaves nothing to branch on
-    propagate(state, (0, ("v1", "v2"), EXCLUDE))
-    propagate(state, (1, ("v1", "v2"), EXCLUDE))
+    propagate(state, (0, pid, EXCLUDE))
+    propagate(state, (1, pid, EXCLUDE))
     with pytest.raises(NoUndecided):
         branch_select(state)
 
@@ -255,11 +257,83 @@ def test_branch_select_single_pair_and_determinism():
 def test_branch_select_prefers_decided_neighborhoods():
     inst = unit_boxes_instance(4)
     state = initial_state(inst)
-    propagate(state, (0, ("v1", "v2"), INCLUDE))
-    i, pair, sign = branch_select(state)
+    propagate(state, (0, state.pair_of("v1", "v2"), INCLUDE))
+    i, pid, sign = branch_select(state)
     assert sign == INCLUDE
-    assert set(pair) & {"v1", "v2"}  # touches the decided relation
-    assert branch_select(state) == (i, pair, sign)
+    assert set(state.pair_ids(pid)) & {"v1", "v2"}  # touches the decided relation
+    assert branch_select(state) == (i, pid, sign)
+
+
+def _branch_by_definition(state):
+    """The branching rule recomputed directly from the state: the undecided
+    (dimension, pair) with the highest score degree[a] + degree[b] - d +
+    (undecided dimensions of the pair), where degree[v] counts the decided
+    relations at v; first in dimension-major order on ties."""
+    degree = [0] * state.n
+    for plus, minus in zip(state.plus_adj, state.minus_adj):
+        for v in range(state.n):
+            degree[v] += (plus[v] | minus[v]).bit_count()
+    score = [
+        degree[a] + degree[b] - state.d + column.count(0)
+        for (a, b), column in zip(state.pairs, zip(*state.status))
+    ]
+    best = None
+    for i, row in enumerate(state.status):
+        for pid, sign in enumerate(row):
+            if sign == 0 and (best is None or score[pid] > score[best[1]]):
+                best = (i, pid)
+    return (best[0], best[1], INCLUDE)
+
+
+def test_branch_select_matches_definition():
+    """Along random propagate/undo_to walks, the incremental counters match
+    the status table and `branch_select` matches the rule's definition."""
+    rng = random.Random(77)
+    checked = undone = 0
+    for _ in range(120):
+        n, d = rng.randint(2, 9), rng.randint(1, 3)
+        inst = Instance(
+            boxes=[Box(f"v{k}", tuple(rng.randint(1, 4) for _ in range(d))) for k in range(n)],
+            container=(6,) * d,
+        )
+        state = initial_state(inst)
+        if not isinstance(state, EdgeState):
+            continue
+        marks = []  # trail marks before each decision still applied
+        for _ in range(4 * state.m):
+            if marks and (state.undecided == 0 or rng.random() < 0.25):
+                k = rng.randrange(len(marks))
+                state.undo_to(marks[k])
+                del marks[k:]
+                undone += 1
+            elif state.undecided == 0:
+                break
+            else:
+                open_slots = [
+                    (i, pid) for i in range(d) for pid in range(state.m) if state.status[i][pid] == 0
+                ]
+                i, pid = rng.choice(open_slots)
+                mark = state.mark()
+                sign = INCLUDE if rng.random() < 0.5 else EXCLUDE
+                if isinstance(propagate(state, (i, pid, sign)), Conflict):
+                    state.undo_to(mark)
+                else:
+                    marks.append(mark)
+            degree = [0] * n
+            for row in state.status:
+                for (a, b), sign in zip(state.pairs, row):
+                    if sign:
+                        degree[a] += 1
+                        degree[b] += 1
+            assert state.degree == degree
+            assert state.open == [column.count(0) for column in zip(*state.status)]
+            if state.undecided == 0:
+                with pytest.raises(NoUndecided):
+                    branch_select(state)
+            else:
+                assert branch_select(state) == _branch_by_definition(state)
+                checked += 1
+    assert checked > 1000 and undone > 200, (checked, undone)
 
 
 def test_solve_five_box_example_by_search(five_box_example):
