@@ -67,11 +67,12 @@ def _limits(args) -> SearchLimits:
     )
 
 
-def _solver_flags(sub) -> None:
+def _solver_flags(sub, drop_unfit: bool = True) -> None:
     sub.add_argument("instance", help="instance JSON file")
     sub.add_argument("-o", "--out", help="write the result file here (default: stdout)")
-    sub.add_argument("--drop-unfit", action="store_true",
-                     help="drop boxes that do not fit the container (warn) instead of failing")
+    if drop_unfit:  # spp refuses a box wider than its cross-section
+        sub.add_argument("--drop-unfit", action="store_true",
+                         help="drop boxes that do not fit the container (warn) instead of failing")
     sub.add_argument("--time-limit", type=_seconds, default=None,
                      help="seconds before giving up (default 60, or PACKCLASS_TIME_LIMIT)")
     sub.add_argument("--node-limit", type=int, default=10_000_000)
@@ -304,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_okp)
 
     p = sub.add_parser("spp", help="minimize container height")
-    _solver_flags(p)
+    _solver_flags(p, drop_unfit=False)
     p.add_argument("--fixed-dims", default=None,
                    help="comma-separated W_1..W_{d-1} (default: container entries from the file)")
     p.set_defaults(func=cmd_spp)

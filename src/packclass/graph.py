@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotInterval, TooLarge, UnknownVertex
+from .model import to_fraction
 
 CLIQUE_CAP = 64
 
@@ -374,14 +375,8 @@ def is_triangulated(G: Graph) -> tuple[bool, Optional[tuple[str, ...]]]:
 
 def _as_weight_map(G: Graph, weight) -> list[Fraction]:
     if callable(weight):
-        return [to_frac(weight(v)) for v in G.vertices]
-    return [to_frac(weight[v]) for v in G.vertices]
-
-
-def to_frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+        return [to_fraction(weight(v)) for v in G.vertices]
+    return [to_fraction(weight[v]) for v in G.vertices]
 
 
 def max_weight_clique(
@@ -392,7 +387,7 @@ def max_weight_clique(
     if G.n > cap:
         raise TooLarge(f"clique search capped at {cap} vertices, got {G.n}")
     best_w, best_set = _max_clique(G.adj, _as_weight_map(G, weight), (1 << G.n) - 1)
-    return to_frac(best_w), G.names(best_set)
+    return to_fraction(best_w), G.names(best_set)
 
 
 def _max_clique(adj: Sequence[int], w: Sequence, P: int) -> tuple:
@@ -464,7 +459,7 @@ def max_weight_stable_set_interval(G: Graph, weight) -> tuple[Fraction, tuple[st
     if elim is None:
         raise NotInterval("graph is not triangulated")
     total, mask = _chordal_stable_set(G.adj, _as_weight_map(G, weight), elim)
-    return to_frac(total), G.names(mask)
+    return to_fraction(total), G.names(mask)
 
 
 def _chordal_stable_set(adj: Sequence[int], w: Sequence, elim: Sequence[int]) -> tuple:

@@ -94,7 +94,8 @@ class Instance:
 
     Invariants enforced at construction: d >= 1, every size vector has d
     positive components, ids are unique and non-empty, and every box fits
-    the container on its own (per-dimension w_i <= W_i).
+    the container on its own (per-dimension w_i <= W_i). Container sides
+    are positive, or 0 when there are no boxes (an empty strip has height 0).
     """
 
     boxes: tuple[Box, ...]
@@ -106,7 +107,7 @@ class Instance:
         d = len(self.container)
         if d < 1:
             raise InvalidInstance("container must have at least one dimension")
-        if any(w <= 0 for w in self.container):
+        if any(w < 0 or (w == 0 and self.boxes) for w in self.container):
             raise InvalidInstance("container dimensions must be positive")
         seen: set[str] = set()
         for box in self.boxes:

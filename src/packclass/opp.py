@@ -567,33 +567,59 @@ def quick_infeasible(inst: Instance, S) -> bool:
     return _screen(mask, *_screen_tables(inst))
 
 
-def solve_opp(inst: Instance, limits: Optional[SearchLimits] = None) -> SearchOutcome:
-    """Decide packability of the full box set.
+class _Budget:
+    """The node and time budget of one solve, shared by all its decisions:
+    nodes left and an absolute deadline (None for no time limit)."""
 
-    Fast paths first: the volume/pair screen for a quick no, the
-    bottom-left heuristic for a quick yes, then accept and prune checks on
-    the root state. Otherwise a depth-first branch and bound over edge
-    decisions, run as one loop on an explicit stack: its depth is bounded
-    by the number of (dimension, pair) variables, not by the call stack.
-    One check block runs at every node that is due a periodic check
-    (every CHECK_INTERVAL decisions) or fully decided. "feasible" always
+    def __init__(self, limits: SearchLimits):
+        self.start = time.perf_counter()
+        self.nodes_left = limits.max_nodes
+        self.deadline = None if limits.time_limit is None else self.start + limits.time_limit
+
+    def spent(self) -> bool:
+        return self.nodes_left <= 0 or (
+            self.deadline is not None and time.perf_counter() >= self.deadline
+        )
+
+
+def solve_opp(inst: Instance, limits: Optional[SearchLimits] = None) -> SearchOutcome:
+    """Decide packability of the full box set: the volume/pair screen for
+    a quick no, then `_decide` under one `_Budget` built from `limits`
+    (`solve_okp` and `solve_spp` call `_decide` under the one budget of
+    their solve, and screen no sub-problem twice). "feasible" always
     carries a packing that validates, "infeasible" is only returned once
     the search space is exhausted, and "resource_limit" once the node
-    budget or the deadline is spent.
-    """
+    budget or the deadline is spent."""
     limits = limits or SearchLimits()
+    budget = _Budget(limits)
+    if quick_infeasible(inst, inst.ids):
+        stats = SearchStats(prunes={"quick_infeasible": 1})
+        stats.wall_time = time.perf_counter() - budget.start
+        return SearchOutcome("infeasible", None, None, stats)
+    return _decide(inst, limits.use_heuristic, budget)
+
+
+def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutcome:
+    """`solve_opp` after the screen; its nodes are charged to `budget`.
+
+    The bottom-left heuristic for a quick yes, then accept and prune
+    checks on the root state. Otherwise a depth-first branch and bound over
+    edge decisions, run as one loop on an explicit stack: its depth is
+    bounded by the number of (dimension, pair) variables, not by the call
+    stack. One check block runs at every node that is due a periodic check
+    (every CHECK_INTERVAL decisions) or fully decided.
+    """
     stats = SearchStats()
     start = time.perf_counter()
-    deadline = None if limits.time_limit is None else start + limits.time_limit
+    # Read once, and charged once on return: the per-node check compares locals.
+    max_nodes, deadline = budget.nodes_left, budget.deadline
 
     def outcome(verdict: str, packing=None, pc=None) -> SearchOutcome:
         stats.wall_time = time.perf_counter() - start
+        budget.nodes_left -= stats.nodes
         return SearchOutcome(verdict=verdict, packing=packing, packing_class=pc, stats=stats)
 
-    if quick_infeasible(inst, inst.ids):
-        stats.bump("quick_infeasible")
-        return outcome("infeasible")
-    if limits.use_heuristic:
+    if use_heuristic:
         packing = heuristic_pack(inst)
         if packing is not None:
             stats.bump("heuristic")
@@ -623,7 +649,7 @@ def solve_opp(inst: Instance, limits: Optional[SearchLimits] = None) -> SearchOu
     while True:
         if deadline is not None and time.perf_counter() > deadline:
             return outcome("resource_limit")
-        if stats.nodes >= limits.max_nodes:
+        if stats.nodes >= max_nodes:
             return outcome("resource_limit")
         periodic = since_check >= CHECK_INTERVAL
         leaf = state.undecided == 0

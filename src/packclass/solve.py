@@ -1,11 +1,15 @@
 """Optimization on top of the decision engine: knapsack value (OKP) and
 minimal strip height (SPP).
 
+Each solve has one node/time budget (`opp._Budget`), and every
+sub-problem it decides is charged to it through `opp._decide`, the engine
+after its volume/pair screen: no sub-problem is screened twice.
+
 OKP enumerates candidate subsets best-first by total value (children of a
 dismissed subset drop one box), screening each subset as a box bitset
-with the volume/pair screen's integer core and deciding survivors with
-the exact engine; the first feasible subset popped is optimal. Box ids
-are built only for subsets that are recorded or decided.
+with the screen's integer core and deciding survivors with the exact
+engine; the first feasible subset popped is optimal. Box ids are built
+only for subsets that are recorded or decided.
 
 SPP probes candidate heights by binary search; since some optimal packing
 is gapless, every coordinate is a subset sum of box heights, so only those
@@ -21,7 +25,7 @@ from __future__ import annotations
 import heapq
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
 from typing import Optional, Sequence, Union
@@ -29,7 +33,7 @@ from typing import Optional, Sequence, Union
 from .errors import InfeasibleCrossSection, InvalidInstance
 from .graph import bits
 from .model import Box, Instance, Packing, to_fraction
-from .opp import SearchLimits, SearchOutcome, _screen, _screen_tables, solve_opp
+from .opp import SearchLimits, SearchOutcome, _Budget, _decide, _screen, _screen_tables
 
 DISMISSED_RECORD_CAP = 10_000
 
@@ -54,31 +58,6 @@ class SppSolution:
     height: Fraction
     packing: Packing
     stats: dict
-
-
-class _Budget:
-    """Shared node/time budget across the inner engine calls."""
-
-    def __init__(self, limits: SearchLimits):
-        self.limits = limits
-        self.start = time.perf_counter()
-        self.nodes_left = limits.max_nodes
-
-    def remaining_limits(self) -> Optional[SearchLimits]:
-        if self.nodes_left <= 0:
-            return None
-        time_left = None
-        if self.limits.time_limit is not None:
-            time_left = self.limits.time_limit - (time.perf_counter() - self.start)
-            if time_left <= 0:
-                return None
-        return replace(self.limits, max_nodes=self.nodes_left, time_limit=time_left)
-
-    def charge(self, outcome: SearchOutcome) -> None:
-        self.nodes_left -= outcome.stats.nodes
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.start
 
 
 def solve_okp(
@@ -112,7 +91,7 @@ def solve_okp(
             dismissed.append((mask, reason))
 
     def solution(chosen: int, value: int, packing: Packing) -> OkpSolution:
-        stats["wall_time"] = budget.elapsed()
+        stats["wall_time"] = time.perf_counter() - budget.start
         return OkpSolution(
             chosen=subset_ids(chosen),
             total_value=Fraction(value, scale),
@@ -134,11 +113,10 @@ def solve_okp(
             stats["dismissed_screen"] += 1
             record(mask, "volume-or-pair-screen")
         else:
-            sub_limits = budget.remaining_limits()
-            if sub_limits is None:
+            if budget.spent():
                 return ResourceLimit("okp budget exhausted", stats)
-            outcome = solve_opp(inst.restrict(subset_ids(mask)), sub_limits)
-            budget.charge(outcome)
+            # The subset passed the screen above: no second screen.
+            outcome = _decide(inst.restrict(subset_ids(mask)), limits.use_heuristic, budget)
             stats["engine_nodes"] += outcome.stats.nodes
             if outcome.verdict == "resource_limit":
                 return ResourceLimit("inner decision hit its limit", stats)
@@ -205,12 +183,12 @@ def solve_spp(
     stats = {"probes": 0, "engine_nodes": 0, "candidates": len(candidates)}
 
     def probe(s: int) -> Union[SearchOutcome, ResourceLimit]:
-        sub_limits = budget.remaining_limits()
-        if sub_limits is None:
+        if budget.spent():
             return ResourceLimit("spp budget exhausted", stats)
-        height = Fraction(s, scale)
-        outcome = solve_opp(Instance(boxes=boxes, container=(*cross, height)), sub_limits)
-        budget.charge(outcome)
+        # No screen: a candidate height holds the volume by construction,
+        # and a pair too wide on every axis is an initial conflict at 0 nodes.
+        container = (*cross, Fraction(s, scale))
+        outcome = _decide(Instance(boxes=boxes, container=container), limits.use_heuristic, budget)
         stats["probes"] += 1
         stats["engine_nodes"] += outcome.stats.nodes
         if outcome.verdict == "resource_limit":
@@ -248,5 +226,5 @@ def solve_spp(
             return final
         assert final.verdict == "feasible", "the all-stacked height must be feasible"
         packing = final.packing
-    stats["wall_time"] = budget.elapsed()
+    stats["wall_time"] = time.perf_counter() - budget.start
     return SppSolution(height=Fraction(candidates[lo], scale), packing=packing, stats=stats)

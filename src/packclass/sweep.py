@@ -17,6 +17,8 @@ from .model import Box, Instance
 from .opp import SearchLimits, solve_opp
 from .oracle import brute_force_opp, enumerate_packing_classes
 
+CLASS_CAP = 0  # the sweep compares class counts and keeps no class
+
 
 def exhaustive_grid(
     max_boxes: int = 4,
@@ -63,15 +65,11 @@ class OppComparison:
         return solver == self.oracle_feasible == (self.class_count > 0)
 
 
-def compare_opp(
-    inst: Instance,
-    limits: Optional[SearchLimits] = None,
-    class_cap: Optional[int] = 0,
-) -> OppComparison:
+def compare_opp(inst: Instance, limits: Optional[SearchLimits] = None) -> OppComparison:
     """Run solver, brute force, and class enumeration on one instance."""
     outcome = solve_opp(inst, limits or SearchLimits())
     brute = brute_force_opp(inst)
-    enum = enumerate_packing_classes(inst, cap=class_cap)
+    enum = enumerate_packing_classes(inst, cap=CLASS_CAP)
     return OppComparison(
         instance=inst,
         solver_verdict=outcome.verdict,

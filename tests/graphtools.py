@@ -17,8 +17,8 @@ from packclass.graph import (
     _mcs_peo,
     bits,
     complement,
-    to_frac,
 )
+from packclass.model import to_fraction
 
 ENUM_EDGE_CAP = 30
 
@@ -229,4 +229,4 @@ def find_induced_c4(
 def greedy_weight_clique(G: Graph, weight):
     """Greedy heavy-first clique over `Graph` ids, via the engine's core."""
     total, mask = _greedy_clique(G.adj, _as_weight_map(G, weight), (1 << G.n) - 1)
-    return to_frac(total), G.names(mask)
+    return to_fraction(total), G.names(mask)

@@ -133,6 +133,29 @@ def test_no_boxes_is_solved_by_every_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_spp_of_no_boxes_verifies(tmp_path, capsys):
+    # spp writes a strip of height 0, and verify must accept it
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"d": 2, "container": [5, 5], "boxes": []}))
+    out = tmp_path / "spp.json"
+    assert run(["spp", str(empty), "-o", str(out)]) == 0
+    assert run(["verify", str(empty), str(out)]) == 0
+    assert "packing: ok (0 boxes)" in capsys.readouterr().out
+    # a zero side is still refused once there is a box
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({"container": [5, 0], "boxes": [{"id": "a", "size": [1, 1]}]}))
+    assert run(["opp", str(flat)]) == 64
+    assert "container dimensions must be positive" in capsys.readouterr().err
+
+
+def test_spp_has_no_drop_unfit(example_file, capsys):
+    # spp never read the flag; it is now a usage error rather than a no-op
+    with pytest.raises(SystemExit) as exit_info:
+        run(["spp", example_file, "--drop-unfit"])
+    assert exit_info.value.code == 64
+    assert "unrecognized arguments: --drop-unfit" in capsys.readouterr().err
+
+
 def test_okp_drop_unfit(tmp_path, capsys):
     inst = tmp_path / "unfit.json"
     inst.write_text(

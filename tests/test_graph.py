@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from packclass.errors import NotInterval, TooLarge, UnknownVertex
+from packclass.errors import NotInterval, PackclassError, TooLarge, UnknownVertex
 from packclass.oracle import OracleConfig, oracle_is_interval
 from packclass.graph import (
     Graph,
@@ -190,6 +190,16 @@ def test_max_weight_clique_examples():
     assert w == 7 and members == ("b",)
     with pytest.raises(TooLarge):
         max_weight_clique(complete_graph(5), {f"v{i}": 1 for i in range(5)}, cap=4)
+
+
+def test_float_weights_are_refused():
+    # a float is not an exact rational: 0.1 would become 3602879701896397/2**55
+    G = Graph("ab", [("a", "b")])
+    with pytest.raises(PackclassError):
+        max_weight_clique(G, {"a": 0.1, "b": 0.2})
+    with pytest.raises(PackclassError):
+        max_weight_stable_set_interval(G, lambda v: 0.5)
+    assert max_weight_clique(G, {"a": Fraction(1, 10), "b": "1/5"})[0] == Fraction(3, 10)
 
 
 def test_max_weight_clique_matches_brute_force():

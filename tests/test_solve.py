@@ -5,6 +5,7 @@ from math import lcm
 
 import pytest
 
+from packclass import opp, solve
 from packclass.errors import InfeasibleCrossSection
 from packclass.model import Box, Instance, validate_packing
 from packclass.opp import SearchLimits, heuristic_pack, solve_opp
@@ -284,3 +285,53 @@ def test_okp_outputs_pinned():
     limits = SearchLimits(max_nodes=300, time_limit=None)
     digests = [okp_digest(solve_okp(okp_pinned_instance(rng, k), limits)) for k in range(30)]
     assert digests == PINNED_OKP
+
+
+def test_okp_and_spp_screen_once(monkeypatch):
+    # The engine's volume/pair screen runs in solve_okp's own pass over the
+    # subsets and nowhere else; solve_spp's probes never need it.
+    calls = []
+    screen_tables = opp._screen_tables
+
+    def counted(inst):
+        calls.append(inst.n)
+        return screen_tables(inst)
+
+    monkeypatch.setattr(opp, "_screen_tables", counted)
+    monkeypatch.setattr(solve, "_screen_tables", counted)
+    rng = random.Random(56)
+    for k in range(6):
+        inst = okp_pinned_instance(rng, k)
+        calls.clear()
+        sol = solve_okp(inst, SearchLimits(max_nodes=300, time_limit=None))
+        assert isinstance(sol, OkpSolution) and calls == [inst.n]
+        calls.clear()
+        out = solve_spp(inst.boxes, inst.container[:-1], SearchLimits(max_nodes=300))
+        assert out.stats["probes"] > 0 and calls == []
+
+
+# (limits, OKP reason and stats, SPP reason and stats) on okp_pinned_instance
+# 0 and 1 of Random(56). Stats are (examined, dismissed_screen, dismissed_opp,
+# engine_nodes) for OKP and (candidates, probes, engine_nodes) for SPP.
+SPENT_BUDGETS = [
+    (SearchLimits(max_nodes=0), "okp budget exhausted", [(600, 599, 0, 0), (15, 14, 0, 0)],
+     "spp budget exhausted", [(19, 0, 0), (15, 0, 0)]),
+    (SearchLimits(time_limit=0), "okp budget exhausted", [(600, 599, 0, 0), (15, 14, 0, 0)],
+     "spp budget exhausted", [(19, 0, 0), (15, 0, 0)]),
+    (SearchLimits(max_nodes=3, use_heuristic=False), "inner decision hit its limit",
+     [(611, 604, 6, 3), (15, 14, 0, 3)], "inner decision hit its limit", [(19, 1, 3), (15, 1, 3)]),
+]
+
+
+@pytest.mark.parametrize("limits, okp_reason, okp_stats, spp_reason, spp_stats", SPENT_BUDGETS)
+def test_spent_budget_reasons_and_stats(limits, okp_reason, okp_stats, spp_reason, spp_stats):
+    rng = random.Random(56)
+    for k in range(2):
+        inst = okp_pinned_instance(rng, k)
+        out = solve_okp(inst, limits)
+        assert isinstance(out, ResourceLimit) and out.reason == okp_reason
+        keys = ("examined", "dismissed_screen", "dismissed_opp", "engine_nodes")
+        assert out.stats == dict(zip(keys, okp_stats[k]))
+        out = solve_spp(inst.boxes, inst.container[:-1], limits)
+        assert isinstance(out, ResourceLimit) and out.reason == spp_reason
+        assert out.stats == dict(zip(("candidates", "probes", "engine_nodes"), spp_stats[k]))
