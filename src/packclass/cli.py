@@ -10,6 +10,7 @@ only for the sweep instance generator.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import random
@@ -292,6 +293,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if not disagreements else EXIT_FAIL
 
 
+@functools.cache  # parsing leaves the parser as it was; each call gets a new namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="packclass", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -17,9 +17,11 @@ Dimension indices are 0-based throughout the package.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import accumulate
 from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -187,6 +189,22 @@ class Instance:
 
     def int_container_volume(self) -> int:
         return reduce(lambda a, b: a * b, self._int_container, 1)  # type: ignore[attr-defined]
+
+    @cached_property
+    def int_too_wide(self) -> tuple[tuple[int, ...], ...]:
+        """[i][a]: bitset of the boxes b != a with s_a + s_b > container on
+        axis i (scaled), built once: a suffix of the boxes sorted by s_i."""
+        table = []
+        for i, cap in enumerate(self._int_container):  # type: ignore[attr-defined]
+            sizes = [size[i] for size in self._int_sizes]  # type: ignore[attr-defined]
+            order = sorted(range(self.n), key=sizes.__getitem__)
+            # suffix[k]: the boxes from position k of `order` on
+            suffix = [*accumulate((1 << b for b in reversed(order)), int.__or__, initial=0)][::-1]
+            ordered = sorted(sizes)
+            table.append(tuple(
+                suffix[bisect_right(ordered, cap - s)] & ~(1 << a) for a, s in enumerate(sizes)
+            ))
+        return tuple(table)
 
     def restrict(self, ids: Iterable[str]) -> "Instance":
         """Sub-instance with the given boxes (instance order preserved)."""

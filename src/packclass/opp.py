@@ -34,11 +34,11 @@ passes, to orient, extract and validate the returned packing.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -322,11 +322,14 @@ def initial_state(inst: Instance) -> Union[EdgeState, ImmediateConflict]:
     """Fresh state with all forced inclusions (pairs too wide to sit side
     by side) and the exclusions those force in turn."""
     state = EdgeState(inst)
-    seeds = []
-    for pid, (a, b) in enumerate(state.pairs):
-        for i in range(inst.d):
-            if state.sizes[i][a] + state.sizes[i][b] > state.caps[i]:
-                seeds.append((i, pid, INCLUDE))
+    seeds = []  # in (pair, axis) order
+    for a, row in enumerate(zip(*inst.int_too_wide)):
+        rest = reduce(int.__or__, row) & -(2 << a)  # partners b > a
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            pid = state.pid_of[a][low.bit_length() - 1]
+            seeds += [(i, pid, INCLUDE) for i, wide in enumerate(row) if wide & low]
     result = _fixpoint(state, seeds)
     if isinstance(result, Conflict):
         return ImmediateConflict(result)
@@ -453,50 +456,59 @@ def _try_accept(state: EdgeState) -> Optional[tuple[Packing, PackingClass]]:
     edge_sets = tuple(Graph(inst.ids, state.e_plus(i)) for i in range(state.d))
     pc = PackingClass(instance=inst, edge_sets=edge_sets)
     packing = extract_packing(orient_class(pc), inst)
-    assert validate_packing(packing, inst).valid, "solver produced an invalid packing"
+    if not validate_packing(packing, inst).valid:
+        raise AssertionError("solver produced an invalid packing")
     return packing, pc
 
 
 def _bottom_left(inst: Instance, order: list[int]) -> Optional[list[tuple[int, tuple[int, ...]]]]:
     """Place boxes in `order`, each at its first free corner candidate
-    (candidates sorted with the highest dimension varying slowest).
-
-    Per axis, every candidate coordinate carries the bitset of placed
-    boxes whose projection it overlaps there; a corner is free iff the AND
-    of its masks is 0.
+    (candidates sorted with the highest dimension varying slowest): 0 or a
+    placed box's far side that leaves room. Axes d-1..1 loop over their
+    candidates, keeping the placed boxes that overlap the new box there;
+    on axis 0 the position starts at 0 and jumps to the far side of a kept
+    box that blocks it until none does. No value inside a blocking span
+    is free, and the span's far side is itself a candidate.
     """
+    far: list[list[int]] = [[] for _ in range(inst.d)]  # distinct far sides per axis, sorted
+    boxes: list[tuple[tuple[int, int], ...]] = []  # placed [lo, hi) per axis, by axis-0 lo
     placed: list[tuple[int, tuple[int, ...]]] = []
-    spans: list[list[tuple[int, int]]] = [[] for _ in range(inst.d)]  # placed [lo, hi) per axis
+
+    def first_free(i: int, kept: list, w: list[int]) -> Optional[list[int]]:
+        """Coordinates on axes 0..i of the first corner free of `kept`."""
+        if i == 0:
+            x = 0
+            for spans in kept:
+                lo, hi = spans[0]
+                if lo >= x + w[0]:  # so does every later box's lo
+                    break
+                if hi > x:
+                    x = hi
+            return [x] if x + w[0] <= inst.int_container(0) else None
+        axis = far[i]
+        for v in (0, *axis[:bisect_right(axis, inst.int_container(i) - w[i])]):
+            spot = first_free(i - 1, [s for s in kept if s[i][0] < v + w[i] and v < s[i][1]], w)
+            if spot is not None:
+                spot.append(v)
+                return spot
+        return None
+
     for b in order:
-        values, masks = [], []
-        for i, axis_spans in enumerate(spans):
-            w = inst.int_size(b, i)
-            limit = inst.int_container(i) - w
-            vals = sorted({0, *(hi for _, hi in axis_spans if hi <= limit)})
-            axis = [0] * len(vals)
-            for k, (lo, hi) in enumerate(axis_spans):
-                # [v, v + w) meets [lo, hi) iff lo - w < v < hi
-                for j in range(bisect_right(vals, lo - w), bisect_left(vals, hi)):
-                    axis[j] |= 1 << k
-            values.append(vals)
-            masks.append(axis)
-        for rank, corner in enumerate(product(*reversed(masks))):
-            if not reduce(int.__and__, corner):
-                spot = []
-                for vals in values:  # rank in mixed radix, axis 0 fastest
-                    rank, j = divmod(rank, len(vals))
-                    spot.append(vals[j])
-                placed.append((b, tuple(spot)))
-                for i, v in enumerate(spot):
-                    spans[i].append((v, v + inst.int_size(b, i)))
-                break
-        else:
+        w = [inst.int_size(b, i) for i in range(inst.d)]
+        spot = first_free(inst.d - 1, boxes, w)
+        if spot is None:
             return None
+        placed.append((b, tuple(spot)))
+        insort(boxes, tuple((v, v + wi) for v, wi in zip(spot, w)))
+        for axis, v, wi in zip(far, spot, w):
+            if v + wi not in axis:
+                insort(axis, v + wi)
     return placed
 
 
 def heuristic_pack(inst: Instance) -> Optional[Packing]:
-    """Deterministic bottom-left packing attempt over corner candidates.
+    """Deterministic bottom-left packing attempt: `_bottom_left` puts each
+    box at its first free corner, jumping along axis 0 past blocking boxes.
 
     Several box orderings are tried in a fixed sequence (volume, longest
     side, per-axis size, perimeter, each descending); the first complete
@@ -522,7 +534,8 @@ def heuristic_pack(inst: Instance) -> Optional[Packing]:
                 for b, pos in placed
             }
             packing = Packing(positions)
-            assert validate_packing(packing, inst).valid
+            if not validate_packing(packing, inst).valid:
+                raise AssertionError("heuristic produced an invalid packing")
             return packing
     return None
 
@@ -531,15 +544,8 @@ def _screen_tables(inst: Instance) -> tuple[list[int], list[int], int]:
     """The integer data of the volume/pair screen: per-box volumes, per-box
     bitsets of the boxes too wide to sit beside it on every axis, and the
     container volume."""
-    n, d = inst.n, inst.d
-    sizes = [[inst.int_size(b, i) for i in range(d)] for b in range(n)]
-    caps = [inst.int_container(i) for i in range(d)]
-    too_wide = [0] * n
-    for a, b in combinations(range(n), 2):
-        if all(wa + wb > cap for wa, wb, cap in zip(sizes[a], sizes[b], caps)):
-            too_wide[a] |= 1 << b
-            too_wide[b] |= 1 << a
-    volumes = [inst.int_volume(b) for b in range(n)]
+    too_wide = [reduce(int.__and__, column) for column in zip(*inst.int_too_wide)]
+    volumes = [inst.int_volume(b) for b in range(inst.n)]
     return volumes, too_wide, inst.int_container_volume()
 
 
@@ -576,10 +582,11 @@ class _Budget:
         self.nodes_left = limits.max_nodes
         self.deadline = None if limits.time_limit is None else self.start + limits.time_limit
 
+    def expired(self) -> bool:
+        return self.deadline is not None and time.perf_counter() >= self.deadline
+
     def spent(self) -> bool:
-        return self.nodes_left <= 0 or (
-            self.deadline is not None and time.perf_counter() >= self.deadline
-        )
+        return self.nodes_left <= 0 or self.expired()
 
 
 def solve_opp(inst: Instance, limits: Optional[SearchLimits] = None) -> SearchOutcome:

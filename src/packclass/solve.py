@@ -109,11 +109,13 @@ def solve_okp(
         stats["examined"] += 1
         if mask == 0:
             return solution(0, 0, Packing({}))
+        if budget.expired():  # before the screen, which charges no nodes
+            return ResourceLimit("okp budget exhausted", stats)
         if _screen(mask, *screen):
             stats["dismissed_screen"] += 1
             record(mask, "volume-or-pair-screen")
         else:
-            if budget.spent():
+            if budget.nodes_left <= 0:
                 return ResourceLimit("okp budget exhausted", stats)
             # The subset passed the screen above: no second screen.
             outcome = _decide(inst.restrict(subset_ids(mask)), limits.use_heuristic, budget)
@@ -224,7 +226,8 @@ def solve_spp(
         final = probe(candidates[lo])
         if isinstance(final, ResourceLimit):
             return final
-        assert final.verdict == "feasible", "the all-stacked height must be feasible"
+        if final.verdict != "feasible":
+            raise AssertionError("the all-stacked height must be feasible")
         packing = final.packing
     stats["wall_time"] = time.perf_counter() - budget.start
     return SppSolution(height=Fraction(candidates[lo], scale), packing=packing, stats=stats)

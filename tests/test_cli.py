@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from packclass import cli
 from packclass.cli import main
 
 FIVE_BOX = {
@@ -209,6 +210,39 @@ def test_sweep_random_seeded(capsys):
     first = capsys.readouterr().out
     assert run(["sweep", "--mode", "random", "--count", "8", "--seed", "3"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_cached_parser_carries_no_flag_over(tmp_path, example_file, monkeypatch, capsys):
+    # `main` reuses one parser per process: each run must give the exit code
+    # and result file that a freshly built parser gives, whatever ran before.
+    assert cli.build_parser() is cli.build_parser()
+    runs = [
+        ["opp", example_file, "--no-heuristic"],
+        ["opp", example_file, "--time-limit", "nan"],  # usage error
+        ["opp", example_file],
+    ]
+
+    def outcomes(tag):
+        got = []
+        for k, argv in enumerate(runs):
+            path = tmp_path / f"{tag}-{k}.json"
+            try:
+                code = main([*argv, "-o", str(path)])
+            except SystemExit as exc:
+                code = exc.code
+            doc = json.loads(path.read_text()) if path.exists() else None
+            if doc is not None:
+                del doc["stats"]["wall_time_s"]
+            got.append((code, doc))
+        return got
+
+    cached = outcomes("cached")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cached == outcomes("fresh")
+    assert [code for code, _ in cached] == [0, 64, 0]
+    # the heuristic is back on in the third run
+    assert cached[0][1]["stats"] != cached[2][1]["stats"]
+    capsys.readouterr()
 
 
 def test_usage_error_exit_code():

@@ -1,8 +1,12 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from packclass.opp import (
     ImmediateConflict,
     Prune,
     SearchLimits,
+    _bottom_left,
     _screen,
     _screen_tables,
     _try_accept,
@@ -32,6 +37,7 @@ from packclass.oracle import brute_force_opp
 from packclass.packing_class import clique_bound_holds, verify_packing_class
 from packclass.sweep import exhaustive_grid
 
+from bottomleft import bottom_left_by_masks
 from certcheck import check_induced_c4, check_odd_2chordless_cycle
 from packclass.graph import Graph, max_weight_clique
 
@@ -493,6 +499,111 @@ def test_heuristic_placements_pinned():
         else:
             canonical = repr(packing.canonical()).encode()
             assert hashlib.sha256(canonical).hexdigest()[:12] == expected, k
+
+
+def test_bottom_left_matches_mask_reference():
+    """The jump search places every box where the corner walk over per-axis
+    masks does: d 1-3, sizes on a 1, 1/2 or 1/3 grid, every fourth
+    container four times as tall, several box orders per instance."""
+    rng = random.Random(91)
+    complete = given_up = 0
+    for k in range(540):
+        d = 1 + k % 3
+        den = 1 + k // 3 % 3
+        container = [rng.randint(3, 8) for _ in range(d)]
+        if k % 4 == 0:
+            container[-1] *= 4
+        boxes = [
+            Box(f"b{j}", tuple(
+                Fraction(rng.randint(1, max(1, den * w * rng.randint(1, 3) // 4)), den)
+                for w in container
+            ))
+            for j in range(1 + rng.randrange(14))
+        ]
+        inst = Instance(boxes=boxes, container=container)
+        for _ in range(3):
+            order = rng.sample(range(inst.n), inst.n)
+            placed = _bottom_left(inst, order)
+            assert placed == bottom_left_by_masks(inst, order), (k, order)
+            complete += placed is not None
+            given_up += placed is None
+    assert complete > 500 and given_up > 100, (complete, given_up)
+
+
+def test_too_wide_table_matches_definition():
+    """`Instance.int_too_wide` holds exactly the pairs too wide to sit side
+    by side per axis, and `initial_state` applies them first, in (pair,
+    axis) order."""
+    rng = random.Random(92)
+    ordered = 0
+    for k in range(60):
+        d = 1 + k % 3
+        den = 1 + k // 3 % 3
+        container = tuple(Fraction(rng.randint(2, 8)) for _ in range(d))
+        boxes = []
+        for j in range(rng.randint(1, 12)):
+            # odd k: each box is short on all axes but one, so that many
+            # pairs are too wide on one axis only and the search can start
+            long = rng.randrange(d) if k % 2 else None
+            boxes.append(Box(f"b{j}", tuple(
+                Fraction(rng.randint(1, max(1, int(w * den) // (1 if long in (None, i) else 3))), den)
+                for i, w in enumerate(container)
+            )))
+        inst = Instance(boxes=boxes, container=container)
+        wide = [
+            (i, a, b)
+            for a, b in combinations(range(inst.n), 2)
+            for i in range(d)
+            if boxes[a].size[i] + boxes[b].size[i] > container[i]
+        ]
+        expected = [[0] * inst.n for _ in range(d)]
+        for i, a, b in wide:
+            expected[i][a] |= 1 << b
+            expected[i][b] |= 1 << a
+        assert [list(row) for row in inst.int_too_wide] == expected, k
+        state = initial_state(inst)
+        if not isinstance(state, ImmediateConflict):
+            seeds = [(i, state.pid_of[a][b]) for i, a, b in wide]
+            assert state.trail[:len(seeds)] == seeds, k
+            ordered += len(seeds) >= 2
+    assert ordered >= 10, ordered
+
+
+def test_validation_survives_python_O():
+    """With asserts stripped, an invalid packing from the search, from the
+    heuristic, or an infeasible all-stacked SPP height still raises."""
+    script = """
+from packclass import opp, solve
+from packclass.model import Box, Instance
+assert False, "asserts are on"
+class Invalid:
+    valid = False
+    violations = ("injected",)
+opp.validate_packing = lambda packing, inst: Invalid()
+inst = Instance(boxes=(Box("a", (1, 1)), Box("b", (1, 1))), container=(2, 2))
+for heuristic in (False, True):
+    try:
+        out = opp.solve_opp(inst, opp.SearchLimits(use_heuristic=heuristic))
+        print("returned", out.verdict)
+    except AssertionError as exc:
+        print("raised:", exc)
+solve._decide = lambda *args: opp.SearchOutcome("infeasible", None, None, opp.SearchStats())
+try:
+    print("returned", solve.solve_spp(inst.boxes, (2,)))
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "raised: solver produced an invalid packing",
+        "raised: heuristic produced an invalid packing",
+        "raised: the all-stacked height must be feasible",
+    ]
 
 
 def test_quick_infeasible_rules(five_box_example):

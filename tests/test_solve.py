@@ -316,7 +316,9 @@ def test_okp_and_spp_screen_once(monkeypatch):
 SPENT_BUDGETS = [
     (SearchLimits(max_nodes=0), "okp budget exhausted", [(600, 599, 0, 0), (15, 14, 0, 0)],
      "spp budget exhausted", [(19, 0, 0), (15, 0, 0)]),
-    (SearchLimits(time_limit=0), "okp budget exhausted", [(600, 599, 0, 0), (15, 14, 0, 0)],
+    # The deadline is checked at every heap pop, before the subset is
+    # screened: the first non-empty pop ends the solve.
+    (SearchLimits(time_limit=0), "okp budget exhausted", [(1, 0, 0, 0), (1, 0, 0, 0)],
      "spp budget exhausted", [(19, 0, 0), (15, 0, 0)]),
     (SearchLimits(max_nodes=3, use_heuristic=False), "inner decision hit its limit",
      [(611, 604, 6, 3), (15, 14, 0, 3)], "inner decision hit its limit", [(19, 1, 3), (15, 1, 3)]),
