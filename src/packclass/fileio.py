@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .errors import PackclassError
 from .model import Box, Instance, Packing
@@ -36,21 +36,36 @@ class ParseError(PackclassError):
     """Malformed input file; message carries the location when known."""
 
 
-def rational_from_json(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ParseError(f"{where}: expected integer or 'num/den' string, got {value!r}")
-    if isinstance(value, int):
+def _rational(value: Any) -> Fraction:
+    """The exact rational a JSON value stands for; ValueError says why not."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):
-        raise ParseError(
-            f"{where}: floats are rejected, use an integer or a 'num/den' string"
-        )
+        raise ValueError("floats are rejected, use an integer or a 'num/den' string")
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"{where}: cannot parse rational {value!r}") from None
-    raise ParseError(f"{where}: expected integer or 'num/den' string, got {value!r}")
+            raise ValueError(f"cannot parse rational {value!r}") from None
+    raise ValueError(f"expected integer or 'num/den' string, got {value!r}")
+
+
+def rational_from_json(value: Any, where: str) -> Fraction:
+    try:
+        return _rational(value)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
+def _rationals(values: list, where: Callable[[int], str]) -> tuple[Fraction, ...]:
+    """The entries of a JSON array as rationals. `where(i)` names entry i
+    in the error message, so a location is formatted only on error."""
+    try:
+        return tuple(map(_rational, values))
+    except ValueError:
+        for i, v in enumerate(values):  # raises at the first bad entry
+            rational_from_json(v, where(i))
+        raise
 
 
 def rational_to_json(x: Fraction) -> Any:
@@ -79,9 +94,7 @@ def parse_boxes(data: Any, path: str) -> tuple[list[Box], int, tuple[Fraction, .
     container = data["container"]
     if not isinstance(container, list) or not container:
         raise ParseError(f"{path}: 'container' must be a non-empty array")
-    W = tuple(
-        rational_from_json(v, f"{path}: container[{i}]") for i, v in enumerate(container)
-    )
+    W = _rationals(container, lambda i: f"{path}: container[{i}]")
     d = data.get("d", len(W))
     if d != len(W):
         raise ParseError(f"{path}: d={d} but container has {len(W)} entries")
@@ -90,24 +103,21 @@ def parse_boxes(data: Any, path: str) -> tuple[list[Box], int, tuple[Fraction, .
         raise ParseError(f"{path}: 'boxes' must be an array")
     boxes = []
     for k, rb in enumerate(raw_boxes):
-        where = f"{path}: boxes[{k}]"
         if not isinstance(rb, dict) or "id" not in rb or "size" not in rb:
-            raise ParseError(f"{where}: each box needs 'id' and 'size'")
+            raise ParseError(f"{path}: boxes[{k}]: each box needs 'id' and 'size'")
         if not isinstance(rb["id"], str) or not rb["id"]:
-            raise ParseError(f"{where}: 'id' must be a non-empty string")
+            raise ParseError(f"{path}: boxes[{k}]: 'id' must be a non-empty string")
         size = rb["size"]
         if not isinstance(size, list) or len(size) != d:
-            raise ParseError(f"{where}: 'size' must be an array of {d} entries")
-        sizes = tuple(
-            rational_from_json(v, f"{where}.size[{i}]") for i, v in enumerate(size)
-        )
+            raise ParseError(f"{path}: boxes[{k}]: 'size' must be an array of {d} entries")
+        sizes = _rationals(size, lambda i: f"{path}: boxes[{k}].size[{i}]")
         value = None
         if "value" in rb:
-            value = rational_from_json(rb["value"], f"{where}.value")
+            value = rational_from_json(rb["value"], f"{path}: boxes[{k}].value")
         try:
             boxes.append(Box(id=rb["id"], size=sizes, value=value))
         except PackclassError as exc:
-            raise ParseError(f"{where}: {exc}") from None
+            raise ParseError(f"{path}: boxes[{k}]: {exc}") from None
     return boxes, d, W
 
 
@@ -170,9 +180,7 @@ def packing_from_json(data: Any, where: str) -> Packing:
     for box_id, pos in data.items():
         if not isinstance(pos, list):
             raise ParseError(f"{where}: position of {box_id!r} must be an array")
-        positions[box_id] = tuple(
-            rational_from_json(v, f"{where}.{box_id}[{i}]") for i, v in enumerate(pos)
-        )
+        positions[box_id] = _rationals(pos, lambda i: f"{where}.{box_id}[{i}]")
     return Packing(positions)
 
 
@@ -213,10 +221,7 @@ def load_result(path: str, inst: Instance) -> tuple[dict, Instance]:
     if "container" in doc:
         if not isinstance(doc["container"], list):
             raise ParseError(f"{path}: 'container' must be an array")
-        W = tuple(
-            rational_from_json(v, f"{path}: container[{i}]")
-            for i, v in enumerate(doc["container"])
-        )
+        W = _rationals(doc["container"], lambda i: f"{path}: container[{i}]")
         inst = Instance(boxes=inst.boxes, container=W)
     return doc, inst
 

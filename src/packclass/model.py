@@ -20,9 +20,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -78,16 +78,17 @@ class Box:
         object.__setattr__(self, "size", _fraction_vector(self.size))
         if not self.size:
             raise InvalidInstance(f"box {self.id!r} has an empty size vector")
-        if any(s <= 0 for s in self.size):
+        # A Fraction's denominator is positive: its sign is its numerator's.
+        if any(s.numerator <= 0 for s in self.size):
             raise InvalidInstance(f"box {self.id!r} has a non-positive size component")
         value = self.volume if self.value is None else to_fraction(self.value)
-        if value < 0:
+        if value.numerator < 0:
             raise InvalidInstance(f"box {self.id!r} has negative value {value}")
         object.__setattr__(self, "value", value)
 
     @property
     def volume(self) -> Fraction:
-        return reduce(lambda a, b: a * b, self.size, Fraction(1))
+        return Fraction(prod(s.numerator for s in self.size), prod(s.denominator for s in self.size))
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,17 @@ class Instance:
         d = len(self.container)
         if d < 1:
             raise InvalidInstance("container must have at least one dimension")
-        if any(w < 0 or (w == 0 and self.boxes) for w in self.container):
+        if any(w.numerator < 0 or (w.numerator == 0 and self.boxes) for w in self.container):
             raise InvalidInstance("container dimensions must be positive")
+        # Per-dimension integer rescaling (lcm of all denominators); a box
+        # with too few components is refused below, before its row is used.
+        denoms = [[w.denominator] for w in self.container]
+        for box in self.boxes:
+            for column, w in zip(denoms, box.size):
+                column.append(w.denominator)
+        scales = tuple(lcm(*column) for column in denoms)
+        int_container = tuple(w.numerator * (k // w.denominator) for w, k in zip(self.container, scales))
+        int_sizes = []
         seen: set[str] = set()
         for box in self.boxes:
             if box.id in seen:
@@ -120,33 +130,17 @@ class Instance:
                 raise DimensionMismatch(
                     f"box {box.id!r} has {len(box.size)} size components, expected {d}"
                 )
-            for i, (w, cap) in enumerate(zip(box.size, self.container)):
-                if w > cap:
-                    raise InvalidInstance(
-                        f"box {box.id!r} does not fit the container in dimension {i}"
-                        f" ({w} > {cap})"
-                    )
-        # Per-dimension integer rescaling (lcm of all denominators).
-        scales = []
-        for i in range(d):
-            denoms = [self.container[i].denominator]
-            denoms += [b.size[i].denominator for b in self.boxes]
-            scales.append(lcm(*denoms) if denoms else 1)
-        object.__setattr__(self, "_scales", tuple(scales))
-
-        def rescale(x: Fraction, i: int) -> int:
-            return x.numerator * (scales[i] // x.denominator)
-
-        object.__setattr__(
-            self,
-            "_int_container",
-            tuple(rescale(self.container[i], i) for i in range(d)),
-        )
-        object.__setattr__(
-            self,
-            "_int_sizes",
-            tuple(tuple(rescale(b.size[i], i) for i in range(d)) for b in self.boxes),
-        )
+            row = tuple([w.numerator * (k // w.denominator) for w, k in zip(box.size, scales)])
+            if any(map(int.__gt__, row, int_container)):
+                i = next(i for i in range(d) if row[i] > int_container[i])
+                raise InvalidInstance(
+                    f"box {box.id!r} does not fit the container in dimension {i}"
+                    f" ({box.size[i]} > {self.container[i]})"
+                )
+            int_sizes.append(row)
+        object.__setattr__(self, "_scales", scales)
+        object.__setattr__(self, "_int_container", int_container)
+        object.__setattr__(self, "_int_sizes", tuple(int_sizes))
         ids = tuple(b.id for b in self.boxes)
         object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_index", {b: k for k, b in enumerate(ids)})
@@ -183,12 +177,15 @@ class Instance:
     def int_size(self, box_idx: int, i: int) -> int:
         return self._int_sizes[box_idx][i]  # type: ignore[attr-defined]
 
+    @property
+    def int_sizes(self) -> tuple[tuple[int, ...], ...]:
+        return self._int_sizes  # type: ignore[attr-defined]
+
     def int_volume(self, box_idx: int) -> int:
-        sizes = self._int_sizes[box_idx]  # type: ignore[attr-defined]
-        return reduce(lambda a, b: a * b, sizes, 1)
+        return prod(self._int_sizes[box_idx])  # type: ignore[attr-defined]
 
     def int_container_volume(self) -> int:
-        return reduce(lambda a, b: a * b, self._int_container, 1)  # type: ignore[attr-defined]
+        return prod(self._int_container)  # type: ignore[attr-defined]
 
     @cached_property
     def int_too_wide(self) -> tuple[tuple[int, ...], ...]:
@@ -236,7 +233,7 @@ class Packing:
         normalized = {}
         for box_id, pos in self.positions.items():
             vec = _fraction_vector(pos)
-            if any(c < 0 for c in vec):
+            if any(c.numerator < 0 for c in vec):
                 raise InvalidPacking(f"negative coordinate for box {box_id!r}")
             normalized[box_id] = vec
         object.__setattr__(self, "positions", normalized)

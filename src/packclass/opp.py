@@ -39,8 +39,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
+from math import prod
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import NoUndecided
 from .graph import (
@@ -461,20 +462,24 @@ def _try_accept(state: EdgeState) -> Optional[tuple[Packing, PackingClass]]:
     return packing, pc
 
 
-def _bottom_left(inst: Instance, order: list[int]) -> Optional[list[tuple[int, tuple[int, ...]]]]:
+def _bottom_left(inst: Instance, order: Sequence[int]) -> Optional[list[tuple[int, tuple[int, ...]]]]:
     """Place boxes in `order`, each at its first free corner candidate
     (candidates sorted with the highest dimension varying slowest): 0 or a
     placed box's far side that leaves room. Axes d-1..1 loop over their
     candidates, keeping the placed boxes that overlap the new box there;
     on axis 0 the position starts at 0 and jumps to the far side of a kept
     box that blocks it until none does. No value inside a blocking span
-    is free, and the span's far side is itself a candidate.
+    is free, and the span's far side is itself a candidate. Axis 1 keeps
+    its boxes lazily: axis 0 scans the placed boxes once, in axis-0 order,
+    skipping those that miss the axis-1 span, and stops at its spot.
     """
-    far: list[list[int]] = [[] for _ in range(inst.d)]  # distinct far sides per axis, sorted
+    d = inst.d
+    caps = [inst.int_container(i) for i in range(d)]
+    far: list[list[int]] = [[] for _ in range(d)]  # distinct far sides per axis, sorted
     boxes: list[tuple[tuple[int, int], ...]] = []  # placed [lo, hi) per axis, by axis-0 lo
     placed: list[tuple[int, tuple[int, ...]]] = []
 
-    def first_free(i: int, kept: list, w: list[int]) -> Optional[list[int]]:
+    def first_free(i: int, kept: Iterable, w: tuple[int, ...]) -> Optional[list[int]]:
         """Coordinates on axes 0..i of the first corner free of `kept`."""
         if i == 0:
             x = 0
@@ -484,18 +489,22 @@ def _bottom_left(inst: Instance, order: list[int]) -> Optional[list[tuple[int, t
                     break
                 if hi > x:
                     x = hi
-            return [x] if x + w[0] <= inst.int_container(0) else None
+            return [x] if x + w[0] <= caps[0] else None
         axis = far[i]
-        for v in (0, *axis[:bisect_right(axis, inst.int_container(i) - w[i])]):
-            spot = first_free(i - 1, [s for s in kept if s[i][0] < v + w[i] and v < s[i][1]], w)
+        for v in (0, *axis[:bisect_right(axis, caps[i] - w[i])]):
+            top = v + w[i]
+            meets = (s for s in kept if s[i][0] < top and v < s[i][1])
+            # axis 0 reads its boxes once; a higher axis once per candidate
+            spot = first_free(i - 1, meets if i == 1 else list(meets), w)
             if spot is not None:
                 spot.append(v)
                 return spot
         return None
 
+    sizes = inst.int_sizes
     for b in order:
-        w = [inst.int_size(b, i) for i in range(inst.d)]
-        spot = first_free(inst.d - 1, boxes, w)
+        w = sizes[b]
+        spot = first_free(d - 1, boxes, w)
         if spot is None:
             return None
         placed.append((b, tuple(spot)))
@@ -511,29 +520,30 @@ def heuristic_pack(inst: Instance) -> Optional[Packing]:
     box at its first free corner, jumping along axis 0 past blocking boxes.
 
     Several box orderings are tried in a fixed sequence (volume, longest
-    side, per-axis size, perimeter, each descending); the first complete
-    placement wins. Incomplete: may return None for feasible instances.
+    side, per-axis size, perimeter, each descending, ties by id); their
+    keys are read off the instance's integer sizes once per call. The
+    first complete placement wins, and only its positions become
+    `Fraction`s. Incomplete: may return None for feasible instances.
     """
-    n, d = inst.n, inst.d
-    keyed = [
-        lambda b: -inst.int_volume(b),
-        lambda b: -max(inst.int_size(b, i) for i in range(d)),
-        *[lambda b, i=i: -inst.int_size(b, i) for i in range(d)],
-        lambda b: -sum(inst.int_size(b, i) for i in range(d)),
+    sizes = inst.int_sizes
+    keys = [
+        [-prod(s) for s in sizes],
+        [-max(s) for s in sizes],
+        *([-s[i] for s in sizes] for i in range(inst.d)),
+        [-sum(s) for s in sizes],
     ]
     seen: set[tuple[int, ...]] = set()
-    for key in keyed:
-        order = sorted(range(n), key=lambda b: (key(b), inst.ids[b]))
-        if tuple(order) in seen:
+    for key in keys:
+        order = tuple(b for _, _, b in sorted(zip(key, inst.ids, range(inst.n))))
+        if order in seen:
             continue
-        seen.add(tuple(order))
+        seen.add(order)
         placed = _bottom_left(inst, order)
         if placed is not None:
-            positions = {
-                inst.ids[b]: tuple(Fraction(pos[i], inst.scale(i)) for i in range(d))
-                for b, pos in placed
-            }
-            packing = Packing(positions)
+            scales = [inst.scale(i) for i in range(inst.d)]
+            packing = Packing({
+                inst.ids[b]: tuple(map(Fraction, pos, scales)) for b, pos in placed
+            })
             if not validate_packing(packing, inst).valid:
                 raise AssertionError("heuristic produced an invalid packing")
             return packing
@@ -596,25 +606,32 @@ def solve_opp(inst: Instance, limits: Optional[SearchLimits] = None) -> SearchOu
     their solve, and screen no sub-problem twice). "feasible" always
     carries a packing that validates, "infeasible" is only returned once
     the search space is exhausted, and "resource_limit" once the node
-    budget or the deadline is spent."""
+    budget or the deadline is spent. A heuristic hit is projected to its
+    packing class here; the reported wall time covers the whole call."""
     limits = limits or SearchLimits()
     budget = _Budget(limits)
     if quick_infeasible(inst, inst.ids):
         stats = SearchStats(prunes={"quick_infeasible": 1})
         stats.wall_time = time.perf_counter() - budget.start
         return SearchOutcome("infeasible", None, None, stats)
-    return _decide(inst, limits.use_heuristic, budget)
+    outcome = _decide(inst, limits.use_heuristic, budget)
+    if outcome.packing is not None and outcome.packing_class is None:  # a heuristic hit
+        outcome.packing_class = project_to_class(outcome.packing, inst)
+    outcome.stats.wall_time = time.perf_counter() - budget.start
+    return outcome
 
 
 def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutcome:
     """`solve_opp` after the screen; its nodes are charged to `budget`.
 
-    The bottom-left heuristic for a quick yes, then accept and prune
-    checks on the root state. Otherwise a depth-first branch and bound over
-    edge decisions, run as one loop on an explicit stack: its depth is
-    bounded by the number of (dimension, pair) variables, not by the call
-    stack. One check block runs at every node that is due a periodic check
-    (every CHECK_INTERVAL decisions) or fully decided.
+    The bottom-left heuristic for a quick yes, returned without a packing
+    class: `solve_okp`/`solve_spp` read only the packing, and `solve_opp`
+    projects it itself. Then accept and prune checks on the root state.
+    Otherwise a depth-first branch and bound over edge decisions, run as
+    one loop on an explicit stack: its depth is bounded by the number of
+    (dimension, pair) variables, not by the call stack. One check block
+    runs at every node that is due a periodic check (every CHECK_INTERVAL
+    decisions) or fully decided.
     """
     stats = SearchStats()
     start = time.perf_counter()
@@ -630,7 +647,7 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
         packing = heuristic_pack(inst)
         if packing is not None:
             stats.bump("heuristic")
-            return outcome("feasible", packing, project_to_class(packing, inst))
+            return outcome("feasible", packing)
 
     init = initial_state(inst)
     if isinstance(init, ImmediateConflict):

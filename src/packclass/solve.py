@@ -3,7 +3,9 @@ minimal strip height (SPP).
 
 Each solve has one node/time budget (`opp._Budget`), and every
 sub-problem it decides is charged to it through `opp._decide`, the engine
-after its volume/pair screen: no sub-problem is screened twice.
+after its volume/pair screen: no sub-problem is screened twice. Only the
+decision's packing is read, so a bottom-left heuristic hit is never
+projected to a packing class; its packing is still validated.
 
 OKP enumerates candidate subsets best-first by total value (children of a
 dismissed subset drop one box), screening each subset as a box bitset

@@ -75,6 +75,72 @@ def test_instance_invariants():
         make([("a", (1, 1, 1))], (3, 3))
 
 
+F = Fraction
+# Inputs with several faults at once, and the one error each must raise
+# first: the checks run in a fixed order (per box: id, duplicate, size
+# count, fit), whatever arithmetic they use.
+FIRST_ERROR = [
+    (lambda: make([("a", (1, 1)), ("a", (5, 1))], (2, 2)),
+     InvalidInstance, "duplicate box id 'a'"),
+    (lambda: make([("a", (5, 1)), ("a", (1, 1))], (2, 2)),
+     InvalidInstance, "box 'a' does not fit the container in dimension 0 (5 > 2)"),
+    (lambda: make([("a", (1, 1)), ("b", (1, 1)), ("a", (1, 1, 1))], (2, 2)),
+     InvalidInstance, "duplicate box id 'a'"),
+    (lambda: make([("a", (5, 1)), ("b", (1, 1, 1))], (2, 2)),
+     InvalidInstance, "box 'a' does not fit the container in dimension 0 (5 > 2)"),
+    (lambda: make([("b", (1,)), ("a", (5, 1))], (2, 2)),
+     DimensionMismatch, "box 'b' has 1 size components, expected 2"),
+    (lambda: make([("b", (1, 1, 1)), ("a", (5, 1))], (2, 2)),
+     DimensionMismatch, "box 'b' has 3 size components, expected 2"),
+    (lambda: make([("a", (1, 5)), ("b", (1,))], (2, 2)),
+     InvalidInstance, "box 'a' does not fit the container in dimension 1 (5 > 2)"),
+    (lambda: make([("a", (1, 1)), ("b", (3,))], (2, 2)),
+     DimensionMismatch, "box 'b' has 1 size components, expected 2"),
+    (lambda: make([("a", (5, 1))], (0, 2)),
+     InvalidInstance, "container dimensions must be positive"),
+    (lambda: make([("a", (1, 1)), ("a", (1, 1))], (2, 0)),
+     InvalidInstance, "container dimensions must be positive"),
+    (lambda: make([], (F(-1, 2), 3)),
+     InvalidInstance, "container dimensions must be positive"),
+    (lambda: make([("a", (1, 1))], ()),
+     InvalidInstance, "container must have at least one dimension"),
+    (lambda: make([("a", (5, 1))], (2, 1.5)),
+     InvalidInstance, "not an exact rational: 1.5 (floats are rejected)"),
+    (lambda: make([("a", (F(7, 3), 1))], (2, 2)),
+     InvalidInstance, "box 'a' does not fit the container in dimension 0 (7/3 > 2)"),
+    (lambda: make([("a", (1, 3))], (2, F(5, 2))),
+     InvalidInstance, "box 'a' does not fit the container in dimension 1 (3 > 5/2)"),
+    (lambda: make([("a", ("1/3", 2)), ("b", (F(2, 3), 3))], (1, 2)),
+     InvalidInstance, "box 'b' does not fit the container in dimension 1 (3 > 2)"),
+    (lambda: Box("a", (0, 1)), InvalidInstance, "box 'a' has a non-positive size component"),
+    (lambda: Box("a", (1, F(-1, 2))), InvalidInstance, "box 'a' has a non-positive size component"),
+    (lambda: Box("a", (0, 1), value=-1), InvalidInstance, "box 'a' has a non-positive size component"),
+    (lambda: Box("", (0, 1)), InvalidInstance, "box id must be a non-empty string, got ''"),
+    (lambda: Box("a", ()), InvalidInstance, "box 'a' has an empty size vector"),
+    (lambda: Box("a", (1, True)), InvalidInstance, "not a rational: True"),
+    (lambda: Box("a", (1, 1), value=-1), InvalidInstance, "box 'a' has negative value -1"),
+    (lambda: Box("a", (1, 1), value="-1/2"), InvalidInstance, "box 'a' has negative value -1/2"),
+    (lambda: Box("a", (1, "2/0")), InvalidInstance, "cannot parse rational '2/0'"),
+    (lambda: Packing({"a": (0, F(-1, 2))}), InvalidPacking, "negative coordinate for box 'a'"),
+    (lambda: Packing({"a": (0, 1), "b": (-1, 0.5)}),
+     InvalidInstance, "not an exact rational: 0.5 (floats are rejected)"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", FIRST_ERROR)
+def test_first_error_of_many(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_fractional_sizes_fit_and_volume():
+    inst = make([("a", (1, F(5, 2))), ("b", (2, 2))], (2, F(5, 2)))
+    assert inst.int_sizes == ((1, 5), (2, 4)) and inst.int_container(1) == 5
+    assert Box("v", (F(2, 3), F(3, 4), 5)).value == F(5, 2)
+    assert Box("w", ("1/2", 2)).volume == 1
+
+
 def test_exact_rationals_in_sizes():
     inst = Instance(
         boxes=[Box("a", (Fraction(1, 3), 1)), Box("b", (Fraction(2, 3), 1))],

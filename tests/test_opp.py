@@ -571,7 +571,9 @@ def test_too_wide_table_matches_definition():
 
 def test_validation_survives_python_O():
     """With asserts stripped, an invalid packing from the search, from the
-    heuristic, or an infeasible all-stacked SPP height still raises."""
+    heuristic (in solve_opp, and in the inner decisions of solve_okp and
+    solve_spp, where its own check is the only one), or an infeasible
+    all-stacked SPP height still raises."""
     script = """
 from packclass import opp, solve
 from packclass.model import Box, Instance
@@ -585,6 +587,11 @@ for heuristic in (False, True):
     try:
         out = opp.solve_opp(inst, opp.SearchLimits(use_heuristic=heuristic))
         print("returned", out.verdict)
+    except AssertionError as exc:
+        print("raised:", exc)
+for run in (lambda: solve.solve_okp(inst), lambda: solve.solve_spp(inst.boxes, (2,))):
+    try:
+        print("returned", run())
     except AssertionError as exc:
         print("raised:", exc)
 solve._decide = lambda *args: opp.SearchOutcome("infeasible", None, None, opp.SearchStats())
@@ -601,6 +608,8 @@ except AssertionError as exc:
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == [
         "raised: solver produced an invalid packing",
+        "raised: heuristic produced an invalid packing",
+        "raised: heuristic produced an invalid packing",
         "raised: heuristic produced an invalid packing",
         "raised: the all-stacked height must be feasible",
     ]

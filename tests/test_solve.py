@@ -5,9 +5,9 @@ from math import lcm
 
 import pytest
 
-from packclass import opp, solve
+from packclass import graph, opp, solve
 from packclass.errors import InfeasibleCrossSection
-from packclass.model import Box, Instance, validate_packing
+from packclass.model import Box, Instance, project_to_class, validate_packing
 from packclass.opp import SearchLimits, heuristic_pack, solve_opp
 from packclass.oracle import brute_force_opp
 from packclass.solve import OkpSolution, ResourceLimit, SppSolution, solve_okp, solve_spp
@@ -308,6 +308,56 @@ def test_okp_and_spp_screen_once(monkeypatch):
         calls.clear()
         out = solve_spp(inst.boxes, inst.container[:-1], SearchLimits(max_nodes=300))
         assert out.stats["probes"] > 0 and calls == []
+
+
+def test_inner_decisions_build_no_class(monkeypatch):
+    """solve_okp and solve_spp read only a decision's packing: no inner
+    decision projects a packing class or builds a Graph, except a search
+    accept, which extracts its packing from the class it found. A
+    solve_opp heuristic hit still returns the projection of its packing."""
+    counts = {"project": 0, "graph": 0}
+    decisions = []  # (verdict, heuristic hit, Graphs built)
+    project, graph_init, decide = opp.project_to_class, graph.Graph.__init__, solve._decide
+
+    def counted_project(*args):
+        counts["project"] += 1
+        return project(*args)
+
+    def counted_graph_init(self, *args, **kwargs):
+        counts["graph"] += 1
+        graph_init(self, *args, **kwargs)
+
+    def logged_decide(*args):
+        before = counts["graph"]
+        out = decide(*args)
+        decisions.append((out.verdict, "heuristic" in out.stats.prunes, counts["graph"] - before))
+        return out
+
+    monkeypatch.setattr(opp, "project_to_class", counted_project)
+    monkeypatch.setattr(graph.Graph, "__init__", counted_graph_init)
+    monkeypatch.setattr(solve, "_decide", logged_decide)
+    rng = random.Random(56)
+    limits = SearchLimits(max_nodes=300, time_limit=None)
+    for k in range(30):
+        inst = okp_pinned_instance(rng, k)
+        solve_okp(inst, limits)
+        solve_spp(inst.boxes, inst.container[:-1], limits)
+    assert counts["project"] == 0
+    assert all(verdict == "feasible" and not hit for verdict, hit, graphs in decisions if graphs)
+    hits = sum(hit for _, hit, _ in decisions)
+    refuted = sum(verdict == "infeasible" for verdict, _, _ in decisions)
+    assert hits >= 50 and refuted >= 25, (hits, refuted)
+
+    monkeypatch.undo()
+    rng = random.Random(56)
+    opp_hits = 0
+    for k in range(30):
+        inst = okp_pinned_instance(rng, k)
+        out = solve_opp(inst)
+        if "heuristic" in out.stats.prunes:
+            opp_hits += 1
+            assert out.packing_class == project_to_class(out.packing, inst), k
+    assert opp_hits >= 5, opp_hits
 
 
 # (limits, OKP reason and stats, SPP reason and stats) on okp_pinned_instance
