@@ -110,6 +110,28 @@ def induced(G: Graph, S: Iterable[str]) -> Graph:
     return H
 
 
+def _bipartite(n: int, adj: Sequence[int]) -> bool:
+    """True iff a BFS 2-colouring, layer by layer, finds no odd cycle."""
+    side = [0, 0]
+    unseen = (1 << n) - 1
+    while unseen:
+        frontier = unseen & -unseen
+        colour = 0
+        while frontier:
+            side[colour] |= frontier
+            unseen &= ~frontier
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reached |= adj[low.bit_length() - 1]
+            if reached & side[colour]:
+                return False
+            colour ^= 1
+            frontier = reached & unseen
+    return True
+
+
 def _odd_closed_walk(
     n: int, walk_adj: Sequence[int], safe_pair_adj: Sequence[int]
 ) -> Optional[tuple[int, ...]]:
@@ -127,7 +149,24 @@ def _odd_closed_walk(
     that an earlier root's BFS reached lies in an SCC already searched, and
     a new root's BFS never meets an earlier one's states, so one parity
     table serves every root.
+
+    Early exit: a walk edge is linked if one of its arcs has a step other
+    than its backtrack. An unlinked edge's two arcs are an SCC of their
+    own, a 2-cycle, so odd closed walks use linked edges only, and when
+    those form a bipartite graph None is returned before any arc is built.
     """
+    linked = [0] * n
+    for u in range(n):
+        heads = walk_adj[u]
+        while heads:
+            low = heads & -heads
+            heads ^= low
+            v = low.bit_length() - 1
+            if walk_adj[v] & safe_pair_adj[u]:  # arc (u, v) steps on to w != u
+                linked[u] |= low
+                linked[v] |= 1 << u
+    if _bipartite(n, linked):
+        return None
     # Arcs numbered by tail, then head; arc_at[u * n + v] is arc (u, v)'s.
     tail: list[int] = []
     head: list[int] = []
@@ -390,10 +429,16 @@ def max_weight_clique(
     return to_fraction(best_w), G.names(best_set)
 
 
-def _max_clique(adj: Sequence[int], w: Sequence, P: int) -> tuple:
+def _max_clique(adj: Sequence[int], w: Sequence, P: int, floor=0) -> tuple:
     """Bitset core of `max_weight_clique` over the vertices in mask `P`:
-    (weight, clique mask). Weights are any exact numbers."""
-    best_w = 0
+    (weight, clique mask). Weights are any exact numbers.
+
+    A `floor` also prunes branches whose bound is at most the floor. Every
+    branch holding the first heaviest clique is bounded at or above its
+    weight, so a maximum above the floor comes back as the same (weight,
+    mask); otherwise (floor, 0) does.
+    """
+    best_w = floor
     best_set = 0
 
     def color_order(P: int) -> list:

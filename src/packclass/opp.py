@@ -132,10 +132,11 @@ class EdgeState:
     trail records assignments in order so the search can backtrack to any
     mark. plus_adj/minus_adj mirror the status as per-vertex bitsets;
     sizes[i][v] is box v's integer-scaled size along axis i and caps[i]
-    the container's. pid_of[a][b] is the index of pair {a, b}. degree[v]
-    counts the decided (dimension, pair) relations at v and open[pid] the
-    dimensions in which pair pid is undecided; `branch_select` scores
-    pairs with both.
+    the container's, and widest[i] lists the boxes widest first along it.
+    pid_of[a][b] is the index of pair {a, b}. degree[v] counts the decided
+    (dimension, pair) relations at v and open[pid] the dimensions in which
+    pair pid is undecided; `branch_select` scores pairs with both. `_set`
+    tests no widths: `initial_state` includes every too-wide pair first.
     """
 
     def __init__(self, inst: Instance):
@@ -152,6 +153,7 @@ class EdgeState:
         self.minus_adj = [[0] * self.n for _ in range(self.d)]
         self.sizes = [[inst.int_size(v, i) for v in range(self.n)] for i in range(self.d)]
         self.caps = [inst.int_container(i) for i in range(self.d)]
+        self.widest = [sorted(range(self.n), key=lambda v: -s[v]) for s in self.sizes]
         self.degree = [0] * self.n
         self.open = [self.d] * self.m
         self.trail: list[tuple[int, int]] = []
@@ -199,9 +201,6 @@ class EdgeState:
         if cur != 0:
             return "conflict"
         a, b = self.pairs[pid]
-        if sign == EXCLUDE and self.sizes[i][a] + self.sizes[i][b] > self.caps[i]:
-            # A pair too wide for the axis must overlap there.
-            return "conflict"
         row[pid] = sign
         adj = self.plus_adj[i] if sign == INCLUDE else self.minus_adj[i]
         adj[a] |= 1 << b
@@ -297,7 +296,7 @@ def _fixpoint(
 def _greedy_minus_clique_overweight(state: EdgeState, i: int, a: int, b: int) -> bool:
     """Grow the minus clique {a, b} by the widest common minus neighbour
     (lowest index on ties) until its width passes the axis or it is
-    maximal. {a, b} alone fits: `_set` refuses a minus pair too wide."""
+    maximal. {a, b} alone fits: `initial_state` includes too-wide pairs."""
     minus = state.minus_adj[i]
     sizes = state.sizes[i]
     cap = state.caps[i]
@@ -355,7 +354,9 @@ def prune_check(state: EdgeState) -> Optional[Prune]:
     must be a conflict-free `_fixpoint` result: rule (1), a plus 4-cycle
     with both diagonals minus, is never checked here because `_fixpoint`
     excludes the closing pair of every plus 3-path with minus diagonals
-    and conflicts if that pair is already plus.
+    and conflicts if that pair is already plus. Rule (2) returns at once
+    when the minus edges an odd walk could use form a bipartite graph, and
+    rule (3)'s search prunes every branch that cannot outweigh the axis.
     """
     inst = state.inst
     n = state.n
@@ -375,8 +376,10 @@ def prune_check(state: EdgeState) -> Optional[Prune]:
         # final graph, so it must fit along the axis)
         sizes = state.sizes[i]
         cap = state.caps[i]
-        clique_search = _max_clique if n <= CLIQUE_CAP else _greedy_clique
-        weight, clique = clique_search(minus, sizes, full)
+        if n <= CLIQUE_CAP:
+            weight, clique = _max_clique(minus, sizes, full, cap)
+        else:
+            weight, clique = _greedy_clique(minus, sizes, full)
         if weight > cap:
             ids = inst.ids
             return Prune(
@@ -440,12 +443,22 @@ def _try_accept(state: EdgeState) -> Optional[tuple[Packing, PackingClass]]:
     P1 (chordal and free of asteroidal triples), P2 (the heaviest stable
     set, read off the elimination order, fits) and P3 are checked on the
     state's bitsets; the packing class is built, oriented, extracted and
-    validated only when that check passes.
+    validated only when that check passes. A greedy stable set of a plus
+    graph, widest box first, that overflows its axis breaks P2 on its own;
+    trying it first rejects most states before any elimination order.
     """
     n = state.n
     inst = state.inst
     if any(reduce(int.__and__, column) for column in zip(*state.plus_adj)):
         return None
+    for plus, sizes, cap, widest in zip(state.plus_adj, state.sizes, state.caps, state.widest):
+        chosen = total = 0
+        for v in widest:
+            if not plus[v] & chosen:
+                chosen |= 1 << v
+                total += sizes[v]
+                if total > cap:
+                    return None
     for i, plus in enumerate(state.plus_adj):
         elim = _mcs_peo(n, plus)
         if (

@@ -28,6 +28,7 @@ import heapq
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import ceil, lcm
 from typing import Optional, Sequence, Union
@@ -52,7 +53,13 @@ class OkpSolution:
     total_value: Fraction
     packing: Packing
     stats: dict
-    dismissed: tuple  # ((box ids), reason) pairs, capped
+    _dismissed: list  # (box bitset over `_ids`, reason) pairs, capped
+    _ids: tuple[str, ...]
+
+    @cached_property
+    def dismissed(self) -> tuple:
+        """((box ids), reason) pairs, capped; built on first read."""
+        return tuple((tuple(self._ids[k] for k in bits(m)), reason) for m, reason in self._dismissed)
 
 
 @dataclass
@@ -86,7 +93,7 @@ def solve_okp(
         "dismissed_opp": 0,
         "engine_nodes": 0,
     }
-    dismissed: list[tuple[int, str]] = []  # (mask, reason); ids only on return
+    dismissed: list[tuple[int, str]] = []  # (mask, reason); ids only when read
 
     def record(mask: int, reason: str) -> None:
         if len(dismissed) < DISMISSED_RECORD_CAP:
@@ -99,7 +106,8 @@ def solve_okp(
             total_value=Fraction(value, scale),
             packing=packing,
             stats=stats,
-            dismissed=tuple((subset_ids(m), reason) for m, reason in dismissed),
+            _dismissed=dismissed,
+            _ids=inst.ids,
         )
 
     full = (1 << n) - 1

@@ -3,10 +3,11 @@
 Orientation enumeration and its definitional check back the acceptance
 criteria on transitive orientations; the interval model, the induced
 4-cycle search and the greedy clique are exercised against the library's
-own recognizers and clique search.
+own recognizers and clique search; the arc-state parity search is the
+odd-closed-walk search as it was before its early exit.
 """
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from packclass.chargraph import Dag, NotComparability, transitive_orientation
 from packclass.errors import NotInterval, TooLarge
@@ -230,3 +231,101 @@ def greedy_weight_clique(G: Graph, weight):
     """Greedy heavy-first clique over `Graph` ids, via the engine's core."""
     total, mask = _greedy_clique(G.adj, _as_weight_map(G, weight), (1 << G.n) - 1)
     return to_fraction(total), G.names(mask)
+
+
+def odd_closed_walk_by_arcs(
+    n: int, walk_adj: Sequence[int], safe_pair_adj: Sequence[int]
+) -> Optional[tuple[int, ...]]:
+    """`graph._odd_closed_walk` without its early exit, the reference its
+    results must equal: the same parity BFS over arc states, run whether
+    or not the linked edges form a bipartite graph."""
+    # Arcs numbered by tail, then head; arc_at[u * n + v] is arc (u, v)'s.
+    tail: list[int] = []
+    head: list[int] = []
+    arc_at = [0] * (n * n)
+    for u in range(n):
+        heads = walk_adj[u]
+        while heads:
+            low = heads & -heads
+            heads ^= low
+            v = low.bit_length() - 1
+            arc_at[u * n + v] = len(head)
+            tail.append(u)
+            head.append(v)
+
+    def successors(s: int) -> list[int]:
+        u, v = tail[s], head[s]
+        allowed = walk_adj[v] & (safe_pair_adj[u] | (1 << u))
+        return [arc_at[v * n + w] for w in bits(allowed)]
+
+    # parent[2 * s + parity]: the key the parity BFS reached (arc s, parity)
+    # from, -1 at a root, None if unreached. A key at both parities
+    # certifies an odd closed walk through the root.
+    parent: list[Optional[int]] = [None] * (2 * len(head))
+    for root in range(len(head)):
+        if parent[2 * root] is not None or parent[2 * root + 1] is not None:
+            continue
+        parent[2 * root] = -1
+        frontier = [2 * root]
+        conflict: Optional[int] = None
+        while frontier and conflict is None:
+            nxt = []
+            for key in frontier:
+                s = key >> 1
+                u, v = tail[s], head[s]
+                allowed = walk_adj[v] & (safe_pair_adj[u] | (1 << u))
+                flip = ~key & 1
+                row = v * n
+                while allowed:
+                    low = allowed & -allowed
+                    allowed ^= low
+                    t = 2 * arc_at[row + low.bit_length() - 1] + flip
+                    if parent[t] is None:
+                        parent[t] = key
+                        nxt.append(t)
+                        if parent[t ^ 1] is not None:
+                            conflict = t >> 1
+                            break
+                if conflict is not None:
+                    break
+            frontier = nxt
+        if conflict is None:
+            continue
+        # Paths root->conflict at both parities, plus any path conflict->root.
+        def unwind(key: int) -> list[int]:
+            seq = []
+            while key != -1:
+                seq.append(key >> 1)
+                key = parent[key]
+            seq.reverse()
+            return seq
+
+        path0 = unwind(2 * conflict)
+        path1 = unwind(2 * conflict + 1)
+        back_parent: dict[int, int] = {conflict: -1}
+        queue = [conflict]
+        while queue and root not in back_parent:
+            nq = []
+            for s in queue:
+                for t in successors(s):
+                    if t not in back_parent:
+                        back_parent[t] = s
+                        nq.append(t)
+            queue = nq
+        back = []
+        cur = root
+        while cur != -1:
+            back.append(cur)
+            cur = back_parent[cur]
+        back.reverse()  # conflict .. root as a state path
+        for fwd in (path0, path1):
+            if (len(fwd) - 1 + len(back) - 1) % 2 == 1:
+                state_path = fwd + back[1:]
+                # State path s_0=root..s_L=root; appended vertices form the walk.
+                verts = [head[root]]
+                for s in state_path[1:]:
+                    verts.append(head[s])
+                # verts has length L+1 and ends back at root's head; drop the
+                # final repeat to get the cyclic sequence of length L (odd).
+                return tuple(verts[:-1])
+    return None

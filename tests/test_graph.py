@@ -31,7 +31,7 @@ from certcheck import (
     check_induced_c4,
     check_odd_2chordless_cycle,
 )
-from graphtools import find_induced_c4, greedy_weight_clique
+from graphtools import find_induced_c4, greedy_weight_clique, odd_closed_walk_by_arcs
 
 
 def cycle_graph(n):
@@ -323,3 +323,87 @@ def test_odd_closed_walks_pinned():
                 assert G.adj[u] >> v & 1 and (w == u or safe[u] >> w & 1)
     assert min(found) > 50
     assert digest.hexdigest() == PINNED_WALKS
+
+
+def linked_edges_bipartite(n, walk_adj, safe):
+    """By definition: do the walk edges {u, v} with a step (u, v) -> (v, w),
+    w != u, or (v, u) -> (u, w), w != v, form a bipartite graph?"""
+    linked = {v: set() for v in range(n)}
+    for u in range(n):
+        for v in bits(walk_adj[u]):
+            if any(safe[u] >> w & 1 for w in bits(walk_adj[v]) if w != u):
+                linked[u].add(v)
+                linked[v].add(u)
+    colour = {}
+    for root in range(n):
+        if root in colour:
+            continue
+        colour[root] = 0
+        queue = [root]
+        for u in queue:
+            for v in linked[u]:
+                if v not in colour:
+                    colour[v] = 1 - colour[u]
+                    queue.append(v)
+                elif colour[v] == colour[u]:
+                    return False
+    return True
+
+
+def test_odd_closed_walk_early_exit_matches_full_search():
+    """`_odd_closed_walk` equals the search without its early exit on
+    random graphs (n 0-12) in both input forms: complement safe sets, as
+    `find_odd_2chordless_cycle` passes them, and disjoint minus (walk) and
+    plus (safe) sets, as `prune_check` passes them. In each form each
+    outcome occurs: the early exit, the full search finding nothing, and
+    a walk."""
+    rng = random.Random(2027)
+    outcomes = {}
+    for k in range(3000):
+        n = rng.randint(0, 12)
+        full = (1 << n) - 1
+        if k % 2:
+            G = random_graph(rng, n, rng.random())
+            walk_adj = list(G.adj)
+            safe = [(full ^ walk_adj[v]) & ~(1 << v) for v in range(n)]
+        else:
+            p_minus, p_plus = rng.random() * 0.6, rng.random() * 0.6
+            walk_adj, safe = [0] * n, [0] * n
+            for a, b in combinations(range(n), 2):
+                r = rng.random()
+                rel = walk_adj if r < p_minus else safe if r < p_minus + p_plus else None
+                if rel is not None:
+                    rel[a] |= 1 << b
+                    rel[b] |= 1 << a
+        walk = _odd_closed_walk(n, walk_adj, safe)
+        assert walk == odd_closed_walk_by_arcs(n, walk_adj, safe), k
+        bipartite = linked_edges_bipartite(n, walk_adj, safe)
+        assert walk is None or not bipartite, k
+        outcome = "walk" if walk is not None else "early exit" if bipartite else "searched, none"
+        key = ("complement" if k % 2 else "disjoint", outcome)
+        outcomes[key] = outcomes.get(key, 0) + 1
+    assert len(outcomes) == 6 and min(outcomes.values()) >= 50, outcomes
+
+
+def test_max_clique_with_a_floor():
+    """Above the floor, `_max_clique` returns the same (weight, mask) as
+    without one; at or below it, a weight no larger than the floor."""
+    rng = random.Random(2028)
+    above = below = 0
+    for _ in range(600):
+        n = rng.randint(0, 10)
+        G = random_graph(rng, n, rng.random())
+        weights = [rng.randint(1, 9) for _ in range(n)]
+        if rng.random() < 0.5:
+            weights = [Fraction(x, rng.randint(1, 4)) for x in weights]
+        P = rng.getrandbits(n) if n and rng.random() < 0.3 else (1 << n) - 1
+        exact = _max_clique(G.adj, weights, P)
+        floor = rng.choice((0, exact[0] - 1, exact[0], exact[0] + Fraction(1, 2), rng.randint(0, 20)))
+        weight, mask = _max_clique(G.adj, weights, P, floor)
+        if exact[0] > floor:
+            above += 1
+            assert (weight, mask) == exact
+        else:
+            below += 1
+            assert weight <= floor
+    assert above > 150 and below > 150, (above, below)

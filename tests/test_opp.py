@@ -39,7 +39,15 @@ from packclass.sweep import exhaustive_grid
 
 from bottomleft import bottom_left_by_masks
 from certcheck import check_induced_c4, check_odd_2chordless_cycle
-from packclass.graph import Graph, max_weight_clique
+from graphtools import greedy_weight_clique
+from packclass.graph import (
+    Graph,
+    _asteroidal_triple,
+    _chordal_stable_set,
+    _mcs_peo,
+    complement,
+    max_weight_clique,
+)
 
 
 def unit_boxes_instance(n, W=10):
@@ -127,8 +135,17 @@ def _raw_state(n, W=10):
     return inst, state
 
 
+def _fits_beside(state, i, pid):
+    a, b = state.pairs[pid]
+    return state.sizes[i][a] + state.sizes[i][b] <= state.caps[i]
+
+
 def _set_raw(state, i, a, b, sign):
-    assert state._set(i, state.pair_of(a, b), sign) == "applied"
+    # `_set` tests no widths: a state built by hand never excludes a pair
+    # too wide for the axis
+    pid = state.pair_of(a, b)
+    assert sign == INCLUDE or _fits_beside(state, i, pid)
+    assert state._set(i, pid, sign) == "applied"
 
 
 def test_propagation_leaves_no_plus_c4_with_minus_diagonals():
@@ -199,7 +216,9 @@ def test_silent_prune_check_implies_clique_bound():
         for i in range(d):
             for pid, pair in enumerate(state.pairs):
                 if rng.random() < density:
-                    state._set(i, pid, EXCLUDE if pair in planned[i] else INCLUDE)
+                    sign = EXCLUDE if pair in planned[i] else INCLUDE
+                    assert sign == INCLUDE or _fits_beside(state, i, pid)
+                    state._set(i, pid, sign)
         if prune_check(state) is not None:
             continue
         silent += 1
@@ -291,12 +310,11 @@ def _branch_by_definition(state):
     return (best[0], best[1], INCLUDE)
 
 
-def test_branch_select_matches_definition():
-    """Along random propagate/undo_to walks, the incremental counters match
-    the status table and `branch_select` matches the rule's definition."""
-    rng = random.Random(77)
-    checked = undone = 0
-    for _ in range(120):
+def random_walk_states(rng, instances):
+    """Random propagate/undo_to walks from `initial_state` of seeded
+    instances (n 2-9, d 1-3, sizes 1-4 in a cube of side 6); yields
+    (state, undone) after each step, `undone` telling an undo step."""
+    for _ in range(instances):
         n, d = rng.randint(2, 9), rng.randint(1, 3)
         inst = Instance(
             boxes=[Box(f"v{k}", tuple(rng.randint(1, 4) for _ in range(d))) for k in range(n)],
@@ -307,11 +325,11 @@ def test_branch_select_matches_definition():
             continue
         marks = []  # trail marks before each decision still applied
         for _ in range(4 * state.m):
-            if marks and (state.undecided == 0 or rng.random() < 0.25):
+            undone = bool(marks) and (state.undecided == 0 or rng.random() < 0.25)
+            if undone:
                 k = rng.randrange(len(marks))
                 state.undo_to(marks[k])
                 del marks[k:]
-                undone += 1
             elif state.undecided == 0:
                 break
             else:
@@ -325,21 +343,66 @@ def test_branch_select_matches_definition():
                     state.undo_to(mark)
                 else:
                     marks.append(mark)
-            degree = [0] * n
-            for row in state.status:
-                for (a, b), sign in zip(state.pairs, row):
-                    if sign:
-                        degree[a] += 1
-                        degree[b] += 1
-            assert state.degree == degree
-            assert state.open == [column.count(0) for column in zip(*state.status)]
-            if state.undecided == 0:
-                with pytest.raises(NoUndecided):
-                    branch_select(state)
-            else:
-                assert branch_select(state) == _branch_by_definition(state)
-                checked += 1
+            yield state, undone
+
+
+def test_branch_select_matches_definition():
+    """Along random propagate/undo_to walks, the incremental counters match
+    the status table and `branch_select` matches the rule's definition."""
+    checked = undone = 0
+    for state, step_undone in random_walk_states(random.Random(77), 120):
+        undone += step_undone
+        degree = [0] * state.n
+        for row in state.status:
+            for (a, b), sign in zip(state.pairs, row):
+                if sign:
+                    degree[a] += 1
+                    degree[b] += 1
+        assert state.degree == degree
+        assert state.open == [column.count(0) for column in zip(*state.status)]
+        if state.undecided == 0:
+            with pytest.raises(NoUndecided):
+                branch_select(state)
+        else:
+            assert branch_select(state) == _branch_by_definition(state)
+            checked += 1
     assert checked > 1000 and undone > 200, (checked, undone)
+
+
+def _accept_by_definition(state):
+    """P3, then per axis P1 (an elimination order and no asteroidal
+    triple) and P2 (the heaviest stable set fits), with no filter first."""
+    if any(all(row[pid] == INCLUDE for row in state.status) for pid in range(state.m)):
+        return False
+    for plus, sizes, cap in zip(state.plus_adj, state.sizes, state.caps):
+        elim = _mcs_peo(state.n, plus)
+        if elim is None or _asteroidal_triple(state.n, plus) is not None:
+            return False
+        if _chordal_stable_set(plus, sizes, elim)[0] > cap:
+            return False
+    return True
+
+
+def test_try_accept_matches_filter_free_check():
+    """Along random propagate/undo_to walks, `_try_accept` accepts exactly
+    the states that pass the P1/P2/P3 check without its greedy stable-set
+    rejection, and every packing it returns validates."""
+    outcomes = {"accepted": 0, "rejected by a greedy stable set": 0, "rejected later": 0}
+    for state, _ in random_walk_states(random.Random(78), 120):
+        accept = _try_accept(state)
+        assert (accept is not None) == _accept_by_definition(state)
+        if accept is not None:
+            outcomes["accepted"] += 1
+            assert validate_packing(accept[0], state.inst).valid
+        elif any(
+            greedy_weight_clique(complement(Graph(state.inst.ids, state.e_plus(i))),
+                                 dict(zip(state.inst.ids, state.sizes[i])))[0] > state.caps[i]
+            for i in range(state.d)
+        ):
+            outcomes["rejected by a greedy stable set"] += 1
+        else:
+            outcomes["rejected later"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_solve_five_box_example_by_search(five_box_example):
@@ -389,6 +452,18 @@ def tight_instance(rng, n):
             )
 
 
+def check_pinned_trees(instances, pins, limits):
+    for k, verdict, view, packing_digest in pins:
+        out = solve_opp(instances[k], limits)
+        assert (out.verdict, out.stats.deterministic_view()) == (verdict, view), k
+        if out.packing is None:
+            assert packing_digest is None
+        else:
+            canonical = repr(out.packing.canonical()).encode()
+            assert hashlib.sha256(canonical).hexdigest()[:12] == packing_digest
+            assert validate_packing(out.packing, instances[k]).valid
+
+
 # (instance index, verdict, stats.deterministic_view(), packing digest).
 # A mismatch means the search tree or the returned packing changed.
 # Instances whose search closes at the root are left out.
@@ -412,15 +487,46 @@ def test_search_tree_pinned_on_tight_instances():
     rng = random.Random(2003)
     instances = [tight_instance(rng, 6 + k % 4) for k in range(17)]
     limits = SearchLimits(max_nodes=80, time_limit=None, use_heuristic=False)
-    for k, verdict, view, packing_digest in PINNED_TREES:
-        out = solve_opp(instances[k], limits)
-        assert (out.verdict, out.stats.deterministic_view()) == (verdict, view), k
-        if out.packing is None:
-            assert packing_digest is None
-        else:
-            canonical = repr(out.packing.canonical()).encode()
-            assert hashlib.sha256(canonical).hexdigest()[:12] == packing_digest
-            assert validate_packing(out.packing, instances[k]).valid
+    check_pinned_trees(instances, PINNED_TREES, limits)
+
+
+def guillotine_instance(rng, container, n):
+    """Cut `container` into n boxes: each cut splits a piece chosen in
+    proportion to its volume across an axis chosen in proportion to its
+    length, at a uniform integer position. The boxes tile the container."""
+    pieces = [tuple(container)]
+    while len(pieces) < n:
+        (k,) = rng.choices(range(len(pieces)), weights=[prod(p) if max(p) > 1 else 0 for p in pieces])
+        piece = pieces.pop(k)
+        (axis,) = rng.choices(range(len(piece)), weights=[s if s > 1 else 0 for s in piece])
+        cut = rng.randint(1, piece[axis] - 1)
+        pieces += [piece[:axis] + (part,) + piece[axis + 1:] for part in (cut, piece[axis] - cut)]
+    return Instance(boxes=[Box(f"b{k}", s) for k, s in enumerate(pieces)], container=container)
+
+
+# As PINNED_TREES, on guillotine cuts: 3-D with n 5-9, 2-D with n 20-22.
+PINNED_GUILLOTINE_TREES = [
+    (1, "feasible", (24, 24, 96, 6, ()), "346b315ecf3d"),
+    (2, "feasible", (39, 39, 81, 9, ()), "b8690aed9f5d"),
+    (3, "resource_limit", (40, 40, 77, 2, ()), None),
+    (4, "resource_limit", (40, 40, 122, 0, ()), None),
+    (27, "feasible", (33, 33, 65, 11, (("leaf_odd_cycle", 2),)), "74f470e819c5"),
+    (35, "resource_limit", (43, 43, 106, 13, (("infeasible_clique", 4),)), None),
+    (41, "feasible", (35, 35, 82, 9, ()), "633221458bb1"),
+    (46, "resource_limit", (40, 40, 113, 12, (("infeasible_clique", 1),)), None),
+    (58, "resource_limit", (40, 40, 93, 7, (("odd_cycle", 1),)), None),
+]
+
+
+def test_search_tree_pinned_on_guillotine_cuts():
+    rng = random.Random(2026)
+    instances = []
+    for k in range(59):
+        container = [(4, 4, 4), (6, 6, 6), (5, 6, 7), (12, 12), (10, 16)][k % 5]
+        n = rng.randint(5, 9) if len(container) == 3 else rng.randint(12, 24)
+        instances.append(guillotine_instance(rng, container, n))
+    limits = SearchLimits(max_nodes=40, time_limit=None, use_heuristic=False)
+    check_pinned_trees(instances, PINNED_GUILLOTINE_TREES, limits)
 
 
 def test_resource_limit_outcomes(five_box_example):
@@ -533,7 +639,8 @@ def test_bottom_left_matches_mask_reference():
 def test_too_wide_table_matches_definition():
     """`Instance.int_too_wide` holds exactly the pairs too wide to sit side
     by side per axis, and `initial_state` applies them first, in (pair,
-    axis) order."""
+    axis) order; `_set`, which tests no widths, then refuses to exclude
+    any of them."""
     rng = random.Random(92)
     ordered = 0
     for k in range(60):
@@ -566,6 +673,9 @@ def test_too_wide_table_matches_definition():
             seeds = [(i, state.pid_of[a][b]) for i, a, b in wide]
             assert state.trail[:len(seeds)] == seeds, k
             ordered += len(seeds) >= 2
+            for i, pid in seeds:
+                assert state.status[i][pid] == INCLUDE
+                assert state._set(i, pid, EXCLUDE) == "conflict"
     assert ordered >= 10, ordered
 
 
