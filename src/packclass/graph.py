@@ -154,6 +154,9 @@ def _odd_closed_walk(
     than its backtrack. An unlinked edge's two arcs are an SCC of their
     own, a 2-cycle, so odd closed walks use linked edges only, and when
     those form a bipartite graph None is returned before any arc is built.
+    Otherwise only linked arcs are numbered, rooted and stepped over: a
+    step from an arc of a linked edge always lands on a linked edge, and
+    roots on unlinked edges reach only their own 2-cycle.
     """
     linked = [0] * n
     for u in range(n):
@@ -167,12 +170,12 @@ def _odd_closed_walk(
                 linked[v] |= 1 << u
     if _bipartite(n, linked):
         return None
-    # Arcs numbered by tail, then head; arc_at[u * n + v] is arc (u, v)'s.
+    # Linked arcs numbered by tail, then head; arc_at[u * n + v] is arc (u, v)'s.
     tail: list[int] = []
     head: list[int] = []
     arc_at = [0] * (n * n)
     for u in range(n):
-        heads = walk_adj[u]
+        heads = linked[u]
         while heads:
             low = heads & -heads
             heads ^= low
@@ -183,7 +186,7 @@ def _odd_closed_walk(
 
     def successors(s: int) -> list[int]:
         u, v = tail[s], head[s]
-        allowed = walk_adj[v] & (safe_pair_adj[u] | (1 << u))
+        allowed = linked[v] & (safe_pair_adj[u] | (1 << u))
         return [arc_at[v * n + w] for w in bits(allowed)]
 
     # parent[2 * s + parity]: the key the parity BFS reached (arc s, parity)
@@ -201,7 +204,7 @@ def _odd_closed_walk(
             for key in frontier:
                 s = key >> 1
                 u, v = tail[s], head[s]
-                allowed = walk_adj[v] & (safe_pair_adj[u] | (1 << u))
+                allowed = linked[v] & (safe_pair_adj[u] | (1 << u))
                 flip = ~key & 1
                 row = v * n
                 while allowed:

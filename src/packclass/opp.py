@@ -22,6 +22,18 @@ no check of their own: a plus 4-cycle with both diagonals minus never
 survives propagation (the third rule above), and up to CLIQUE_CAP boxes
 the odd-cycle and exact clique rules imply the width bound.
 
+Those two rules are monotone: adding assignments never destroys an odd
+cycle or an overweight clique. So once a check on the search path comes
+back silent, a later check can fire only through an assignment made
+since. The search keeps the trail marks of its silent checks, and up to
+CLIQUE_CAP boxes a periodic check runs a rule on an axis only when a new
+assignment can fire it there. The odd-cycle rule runs when a new minus
+edge is linked (it has a step other than its backtrack) or a new plus
+pair has a common minus neighbour. The clique rule runs when the common
+minus neighbours of a new minus edge {a, b} hold a clique heavier than
+cap - s_a - s_b. An open gate runs the full rule, so trees and
+certificates are those of full checks.
+
 Everything inside the search runs on integers: per-dimension adjacency
 bitsets (`EdgeState.plus_adj`/`minus_adj`), vertex indices and the
 instance's integer-scaled sizes, handed straight to the bitset cores in
@@ -346,7 +358,7 @@ def propagate(state: EdgeState, decision: tuple[int, int, int]) -> Union[Consequ
     return _fixpoint(state, [decision])
 
 
-def prune_check(state: EdgeState) -> Optional[Prune]:
+def prune_check(state: EdgeState, since: Optional[int] = None) -> Optional[Prune]:
     """Certificate-backed dead-end detection on the current state.
 
     Returns None when no rule fires. Every certificate survives every
@@ -357,29 +369,65 @@ def prune_check(state: EdgeState) -> Optional[Prune]:
     and conflicts if that pair is already plus. Rule (2) returns at once
     when the minus edges an odd walk could use form a bipartite graph, and
     rule (3)'s search prunes every branch that cannot outweigh the axis.
+
+    `since` is the trail mark of a check that came back None on a state
+    this one extends. Up to CLIQUE_CAP boxes a rule can then fire only
+    through the assignments `state.trail[since:]`, because rules (2) and
+    (3) are monotone, and an axis's rule runs only when those can fire it:
+    (2) when a new minus edge {a, b} is linked (minus[a] & plus[b] or
+    minus[b] & plus[a]; an unlinked edge adds only a 2-cycle) or a new plus
+    pair {x, y} has a common minus neighbour (a new step x-v-y), since a
+    new odd closed walk needs a new arc or a new step; (3) when, for some
+    new minus edge {a, b}, the common minus neighbours of a and b hold a
+    clique heavier than cap - s_a - s_b, since a new overweight clique
+    contains a new edge (the clique search is skipped when even all those
+    neighbours together are not that heavy). An open gate runs the full
+    rule, so the result is always `prune_check(state)`'s. Beyond
+    CLIQUE_CAP the greedy rule (3) and rule (4) are not monotone, and
+    `since` is ignored.
     """
     inst = state.inst
     n = state.n
     full = (1 << n) - 1
+    gated = since is not None and n <= CLIQUE_CAP
+    if gated:
+        odd = [False] * state.d  # per axis: can a new assignment close an odd walk?
+        anchors = [[] for _ in range(state.d)]  # (a, b, common) per new minus edge
+        for i, pid in state.trail[since:]:
+            a, b = state.pairs[pid]
+            plus, minus, w = state.plus_adj[i], state.minus_adj[i], state.sizes[i]
+            common = minus[a] & minus[b]
+            if state.status[i][pid] == INCLUDE:
+                odd[i] |= common != 0
+            else:
+                odd[i] |= (minus[a] & plus[b] | minus[b] & plus[a]) != 0
+                if common and w[a] + w[b] + sum(w[v] for v in bits(common)) > state.caps[i]:
+                    anchors[i].append((a, b, common))
     for i in range(state.d):
         plus = state.plus_adj[i]
         minus = state.minus_adj[i]
-        # (2) odd 2-chordless cycle in the minus graph (2-chords forced plus)
-        walk = _odd_closed_walk(n, minus, plus)
-        if walk is not None:
-            return Prune(
-                rule="odd_cycle",
-                dimension=i,
-                certificate=tuple(inst.ids[v] for v in walk),
-            )
-        # (3) overweight clique in the minus graph (a stable set of the
-        # final graph, so it must fit along the axis)
         sizes = state.sizes[i]
         cap = state.caps[i]
-        if n <= CLIQUE_CAP:
+        # (2) odd 2-chordless cycle in the minus graph (2-chords forced plus)
+        if not gated or odd[i]:
+            walk = _odd_closed_walk(n, minus, plus)
+            if walk is not None:
+                return Prune(
+                    rule="odd_cycle",
+                    dimension=i,
+                    certificate=tuple(inst.ids[v] for v in walk),
+                )
+        # (3) overweight clique in the minus graph (a stable set of the
+        # final graph, so it must fit along the axis)
+        if n > CLIQUE_CAP:
+            weight, clique = _greedy_clique(minus, sizes, full)
+        elif not gated or any(
+            _max_clique(minus, sizes, common, cap - sizes[a] - sizes[b])[1]
+            for a, b, common in anchors[i]
+        ):
             weight, clique = _max_clique(minus, sizes, full, cap)
         else:
-            weight, clique = _greedy_clique(minus, sizes, full)
+            continue
         if weight > cap:
             ids = inst.ids
             return Prune(
@@ -644,7 +692,9 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
     one loop on an explicit stack: its depth is bounded by the number of
     (dimension, pair) variables, not by the call stack. One check block
     runs at every node that is due a periodic check (every CHECK_INTERVAL
-    decisions) or fully decided.
+    decisions) or fully decided. It passes `prune_check` the trail mark
+    of the last silent check on the current path; a mark is dropped when
+    backtracking undoes the trail below it.
     """
     stats = SearchStats()
     start = time.perf_counter()
@@ -677,6 +727,9 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
     if prune_check(state) is not None:
         stats.bump("root_prune")
         return outcome("infeasible")
+    # Trail marks of the checks on the current path that came back None,
+    # the root's first: `prune_check` looks only at what came after the top.
+    silent = [state.mark()]
 
     # Each open node is (trail mark, dimension, pair index, signs still to
     # try). A child is entered by propagating its decision and left by
@@ -697,8 +750,9 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
             # artifacts, so `_try_accept` runs only when they pass.
             if periodic:
                 since_check = 0
-            pr = prune_check(state)
+            pr = prune_check(state, silent[-1])
             if pr is None:
+                silent.append(state.mark())
                 accept = _try_accept(state)
                 if accept is not None:
                     return outcome("feasible", *accept)
@@ -713,6 +767,8 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
         while stack:
             mark, i, pid, signs = stack.pop()
             state.undo_to(mark)
+            while silent[-1] > mark:
+                silent.pop()
             if signs:
                 stack.append((mark, i, pid, signs[1:]))
                 stats.nodes += 1

@@ -158,9 +158,12 @@ def solve_spp(
     `cross_section` fixes dimensions 0..d-2; the optimized height is the
     last dimension. Candidate heights are the subset sums of the boxes'
     last-dimension sizes, probed in binary-search order; each feasible
-    probe caps the search at the height its packing uses.
+    probe caps the search at the height its packing uses. The one budget
+    is built first, so the deadline also bounds building the sums.
     """
     limits = limits or SearchLimits()
+    budget = _Budget(limits)
+    stats = {"probes": 0, "engine_nodes": 0, "candidates": 0}
     cross = tuple(to_fraction(x) for x in cross_section)
     d = len(cross) + 1
     boxes = tuple(boxes)
@@ -180,7 +183,9 @@ def solve_spp(
     scale = lcm(*(b.size[-1].denominator for b in boxes))
     heights = [b.size[-1].numerator * (scale // b.size[-1].denominator) for b in boxes]
     sums = {0}
-    for h in heights:
+    for h in heights:  # up to 2^n sums: the deadline holds here too
+        if budget.expired():
+            return ResourceLimit("spp budget exhausted", stats)
         sums |= {s + h for s in sums}
     cross_area = Fraction(1)
     for c in cross:
@@ -191,8 +196,7 @@ def solve_spp(
     candidates = sorted(s for s in sums if s >= floor)
     assert candidates, "stacking all boxes is always a candidate"
 
-    budget = _Budget(limits)
-    stats = {"probes": 0, "engine_nodes": 0, "candidates": len(candidates)}
+    stats["candidates"] = len(candidates)
 
     def probe(s: int) -> Union[SearchOutcome, ResourceLimit]:
         if budget.spent():

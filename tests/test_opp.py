@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from packclass import opp
 from packclass.errors import NoUndecided
 from packclass.model import Box, Instance, validate_packing
 from packclass.opp import (
@@ -259,11 +261,14 @@ def test_prune_check_infeasible_clique():
     )
     state = initial_state(inst)
     for x, y in combinations(("a", "b", "c"), 2):
+        since = state.mark()
         _set_raw(state, 0, x, y, EXCLUDE)
     prune = prune_check(state)
     assert isinstance(prune, Prune) and prune.rule == "infeasible_clique"
     (clique,) = prune.certificate
     assert set(clique) == {"a", "b", "c"}  # widths 2+2+2 > 5
+    # one over the axis, and closed by the last edge alone
+    assert prune_check(state, since) == prune
 
 
 def test_branch_select_single_pair_and_determinism():
@@ -310,10 +315,11 @@ def _branch_by_definition(state):
     return (best[0], best[1], INCLUDE)
 
 
-def random_walk_states(rng, instances):
+def random_walk_states(rng, instances, undo=0.25):
     """Random propagate/undo_to walks from `initial_state` of seeded
     instances (n 2-9, d 1-3, sizes 1-4 in a cube of side 6); yields
-    (state, undone) after each step, `undone` telling an undo step."""
+    (state, undone) after each step, `undone` telling an undo step. A
+    step undoes with probability `undo`, and always on a decided state."""
     for _ in range(instances):
         n, d = rng.randint(2, 9), rng.randint(1, 3)
         inst = Instance(
@@ -325,7 +331,7 @@ def random_walk_states(rng, instances):
             continue
         marks = []  # trail marks before each decision still applied
         for _ in range(4 * state.m):
-            undone = bool(marks) and (state.undecided == 0 or rng.random() < 0.25)
+            undone = bool(marks) and (state.undecided == 0 or rng.random() < undo)
             if undone:
                 k = rng.randrange(len(marks))
                 state.undo_to(marks[k])
@@ -403,6 +409,74 @@ def test_try_accept_matches_filter_free_check():
         else:
             outcomes["rejected later"] += 1
     assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_prune_check_since_a_silent_check_matches_full_check(monkeypatch):
+    """Along random propagate/undo_to walks, checked every few steps with a
+    stack of the trail marks of silent checks kept as `_decide` keeps it
+    (a mark above the trail is dropped on undo), `prune_check(state,
+    since)` equals the full check. Counts show each gate skipping its rule
+    and each rule still firing."""
+    calls = {"walk": 0, "clique": 0}
+    walk, max_clique = opp._odd_closed_walk, opp._max_clique
+
+    def counted_walk(*args):
+        calls["walk"] += 1
+        return walk(*args)
+
+    def counted_clique(adj, w, P, floor=0):
+        calls["clique"] += P == (1 << len(adj)) - 1  # not the gate's own searches
+        return max_clique(adj, w, P, floor)
+
+    monkeypatch.setattr(opp, "_odd_closed_walk", counted_walk)
+    monkeypatch.setattr(opp, "_max_clique", counted_clique)
+    seen = dict.fromkeys(("odd_cycle", "infeasible_clique", "walk skipped", "clique skipped"), 0)
+    silent, last = [], None
+    # Rare undos let walks run deep, where the rules fire.
+    for step, (state, _) in enumerate(random_walk_states(random.Random(79), 300, undo=0.02)):
+        if state is not last:  # a new instance
+            silent, last = [], state
+        while silent and silent[-1] > state.mark():
+            silent.pop()
+        if step % 3:
+            continue
+        if not silent:  # the first check is a full one, as at the root
+            if prune_check(state) is None:
+                silent.append(state.mark())
+            continue
+        calls.update(walk=0, clique=0)
+        got = prune_check(state, silent[-1])
+        reached = state.d if got is None else got.dimension + 1
+        seen["walk skipped"] += reached - calls["walk"]
+        seen["clique skipped"] += reached - (got is not None and got.rule == "odd_cycle") - calls["clique"]
+        assert got == prune_check(state)
+        if got is None:
+            silent.append(state.mark())
+        else:
+            seen[got.rule] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_search_checks_since_silent_marks_match_full_checks(monkeypatch):
+    """In the search itself, every check since the top of `_decide`'s stack
+    of silent marks returns what the full check returns: a mark dropped
+    too late on backtracking would hide assignments from the gates."""
+    full = opp.prune_check
+    fired = Counter()
+
+    def checked(state, since=None):
+        got = full(state, since)
+        if since is not None:
+            assert got == full(state)
+            fired[got is not None] += 1
+        return got
+
+    monkeypatch.setattr(opp, "prune_check", checked)
+    rng = random.Random(2003)
+    limits = SearchLimits(max_nodes=600, time_limit=None, use_heuristic=False)
+    for k in range(24):
+        solve_opp(tight_instance(rng, 6 + k % 4), limits)
+    assert fired[True] >= 50 and fired[False] >= 500, fired
 
 
 def test_solve_five_box_example_by_search(five_box_example):
@@ -527,6 +601,16 @@ def test_search_tree_pinned_on_guillotine_cuts():
         instances.append(guillotine_instance(rng, container, n))
     limits = SearchLimits(max_nodes=40, time_limit=None, use_heuristic=False)
     check_pinned_trees(instances, PINNED_GUILLOTINE_TREES, limits)
+
+
+def test_search_tree_pinned_above_clique_cap():
+    # Beyond CLIQUE_CAP boxes rule (3) is greedy and rule (4) runs; neither
+    # is monotone, so prune_check ignores the search's silent marks there.
+    # On this 66-box cut the first prune fires at node 108.
+    instances = [guillotine_instance(random.Random(42), (16, 14), 66)]
+    pins = [(0, "resource_limit", (120, 120, 359, 9, (("odd_cycle", 2),)), None)]
+    limits = SearchLimits(max_nodes=120, time_limit=None, use_heuristic=False)
+    check_pinned_trees(instances, pins, limits)
 
 
 def test_resource_limit_outcomes(five_box_example):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -165,6 +166,20 @@ def test_spp_answer_is_subset_sum_and_previous_candidate_fails():
 def test_spp_cross_section_guard():
     with pytest.raises(InfeasibleCrossSection):
         solve_spp([Box("a", (3, 1))], (2,))
+
+
+def test_spp_deadline_bounds_building_candidate_heights():
+    # Heights 1, 2, 4, ... have 2^20 distinct subset sums. Each box's step
+    # at most doubles the set, so a step begun before the deadline ends
+    # within about the limit again; 0.2 s more is slack for a slow host.
+    boxes = [Box(f"b{k}", (1, 2**k)) for k in range(20)]
+    limit = 0.05
+    start = time.perf_counter()
+    out = solve_spp(boxes, (1,), SearchLimits(time_limit=limit))
+    elapsed = time.perf_counter() - start
+    assert isinstance(out, ResourceLimit) and out.reason == "spp budget exhausted"
+    assert out.stats == {"probes": 0, "engine_nodes": 0, "candidates": 0}
+    assert elapsed < 2 * limit + 0.2, elapsed
 
 
 def test_spp_empty_box_list():
@@ -367,9 +382,10 @@ SPENT_BUDGETS = [
     (SearchLimits(max_nodes=0), "okp budget exhausted", [(600, 599, 0, 0), (15, 14, 0, 0)],
      "spp budget exhausted", [(19, 0, 0), (15, 0, 0)]),
     # The deadline is checked at every heap pop, before the subset is
-    # screened: the first non-empty pop ends the solve.
+    # screened: the first non-empty pop ends the solve. SPP checks it
+    # before each box's subset sums, so no candidate height is built.
     (SearchLimits(time_limit=0), "okp budget exhausted", [(1, 0, 0, 0), (1, 0, 0, 0)],
-     "spp budget exhausted", [(19, 0, 0), (15, 0, 0)]),
+     "spp budget exhausted", [(0, 0, 0), (0, 0, 0)]),
     (SearchLimits(max_nodes=3, use_heuristic=False), "inner decision hit its limit",
      [(611, 604, 6, 3), (15, 14, 0, 3)], "inner decision hit its limit", [(19, 1, 3), (15, 1, 3)]),
 ]
