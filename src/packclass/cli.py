@@ -68,12 +68,16 @@ def _limits(args) -> SearchLimits:
     )
 
 
+def _drop_unfit_flag(sub) -> None:
+    sub.add_argument("--drop-unfit", action="store_true",
+                     help="drop boxes that do not fit the container (warn) instead of failing")
+
+
 def _solver_flags(sub, drop_unfit: bool = True) -> None:
     sub.add_argument("instance", help="instance JSON file")
     sub.add_argument("-o", "--out", help="write the result file here (default: stdout)")
     if drop_unfit:  # spp refuses a box wider than its cross-section
-        sub.add_argument("--drop-unfit", action="store_true",
-                         help="drop boxes that do not fit the container (warn) instead of failing")
+        _drop_unfit_flag(sub)
     sub.add_argument("--time-limit", type=_seconds, default=None,
                      help="seconds before giving up (default 60, or PACKCLASS_TIME_LIMIT)")
     sub.add_argument("--node-limit", type=int, default=10_000_000)
@@ -154,7 +158,7 @@ def cmd_spp(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst, _ = fileio.load_instance(args.instance)
+    inst, _ = fileio.load_instance(args.instance, drop_unfit=args.drop_unfit)
     artifact, inst = fileio.load_result(args.artifact, inst)
     checked = False
     failures = []
@@ -315,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a packing or class file against an instance")
     p.add_argument("instance")
     p.add_argument("artifact", help="result file, or JSON with 'positions' or 'class'")
+    _drop_unfit_flag(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="draw a 2-D result as SVG")

@@ -7,11 +7,24 @@ after its volume/pair screen: no sub-problem is screened twice. Only the
 decision's packing is read, so a bottom-left heuristic hit is never
 projected to a packing class; its packing is still validated.
 
-OKP enumerates candidate subsets best-first by total value (children of a
-dismissed subset drop one box), screening each subset as a box bitset
-with the screen's integer core and deciding survivors with the exact
-engine; the first feasible subset popped is optimal. Box ids are built
-only for subsets that are recorded or decided.
+OKP enumerates candidate subsets best-first by total value (then fewer
+boxes, then bitset), screening each and deciding survivors with the exact
+engine; the first feasible subset popped is optimal. Children of a
+dismissed subset drop one box, and each is pushed by one parent: a subset
+C that misses a positive-valued box only by C plus the highest
+positive-valued box it misses. That parent is worth strictly more, so it
+has popped, and pushed C, before any subset of C's value pops, just as
+some parent had when every popped subset pushed all its unseen children:
+the pop order is the same, only the pushes are fewer. The exception is
+the top value level, the subsets holding every positive-valued box. Their
+parents differ only in zero-valued boxes and all have the same value, so
+a zero-valued box is dropped only there, and each child is pushed by
+whichever parent pops first, through a set of pushed subsets. A heap
+entry carries its subset's volume and whether it is known to hold no
+too-wide pair (then neither does any subset of it), so a popped subset
+is screened by one comparison, plus a pass over its pairs only while not
+known clean. Box ids are built only for subsets that are recorded or
+decided.
 
 SPP probes candidate heights by binary search; since some optimal packing
 is gapless, every coordinate is a subset sum of box heights, so only those
@@ -24,19 +37,19 @@ returned once the search closes on it.
 
 from __future__ import annotations
 
-import heapq
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import ceil, lcm
 from typing import Optional, Sequence, Union
 
 from .errors import InfeasibleCrossSection, InvalidInstance
 from .graph import bits
 from .model import Box, Instance, Packing, to_fraction
-from .opp import SearchLimits, SearchOutcome, _Budget, _decide, _screen, _screen_tables
+from .opp import SearchLimits, SearchOutcome, _Budget, _decide, _screen_tables
 
 DISMISSED_RECORD_CAP = 10_000
 
@@ -82,7 +95,7 @@ def solve_okp(
     scale = lcm(*(b.value.denominator for b in inst.boxes))
     values = [b.value.numerator * (scale // b.value.denominator) for b in inst.boxes]
 
-    screen = _screen_tables(inst)
+    volumes, too_wide, capacity = _screen_tables(inst)
 
     def subset_ids(mask: int) -> tuple[str, ...]:
         return tuple(inst.ids[k] for k in bits(mask))
@@ -111,17 +124,30 @@ def solve_okp(
         )
 
     full = (1 << n) - 1
-    heap: list[tuple[int, int, int]] = [(-sum(values), full.bit_count(), full)]
-    pushed = {full}
+    positive = sum(1 << k for k in range(n) if values[k])
+    # (-value, size, mask, volume, clean): masks are unique on the heap, so
+    # the carried volume and "no too-wide pair inside" flag never decide
+    # the order.
+    heap = [(-sum(values), n, full, sum(volumes), False)]
+    pushed: set[int] = set()  # the top value level only
 
     while heap:
-        neg_value, _, mask = heapq.heappop(heap)
+        neg_value, size, mask, volume, clean = heappop(heap)
         stats["examined"] += 1
         if mask == 0:
             return solution(0, 0, Packing({}))
         if budget.expired():  # before the screen, which charges no nodes
             return ResourceLimit("okp budget exhausted", stats)
-        if _screen(mask, *screen):
+        if volume <= capacity and not clean:
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if too_wide[low.bit_length() - 1] & mask:
+                    break
+            else:
+                clean = True
+        if volume > capacity or not clean:
             stats["dismissed_screen"] += 1
             record(mask, "volume-or-pair-screen")
         else:
@@ -136,15 +162,25 @@ def solve_okp(
                 return solution(mask, -neg_value, outcome.packing)
             stats["dismissed_opp"] += 1
             record(mask, "opp-infeasible")
-        rest = mask
+        # Children drop one box: a positive-valued box above every positive
+        # box the subset already misses, so each child has one parent.
+        size -= 1
+        missing = positive & ~mask
+        rest = mask & positive & ~((1 << missing.bit_length()) - 1)
         while rest:
             low = rest & -rest
             rest ^= low
-            child = mask ^ low
-            if child not in pushed:
-                pushed.add(child)
-                key = neg_value + values[low.bit_length() - 1]
-                heapq.heappush(heap, (key, child.bit_count(), child))
+            k = low.bit_length() - 1
+            heappush(heap, (neg_value + values[k], size, mask ^ low, volume - volumes[k], clean))
+        if not missing:  # the top value level: zero-valued drops, each child once
+            rest = mask & ~positive
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                child = mask ^ low
+                if child not in pushed:
+                    pushed.add(child)
+                    heappush(heap, (neg_value, size, child, volume - volumes[low.bit_length() - 1], clean))
     raise AssertionError("unreachable: the empty subset is always feasible")
 
 
@@ -168,7 +204,8 @@ def solve_spp(
     d = len(cross) + 1
     boxes = tuple(boxes)
     if not boxes:
-        return SppSolution(height=Fraction(0), packing=Packing({}), stats={"probes": 0})
+        stats["wall_time"] = time.perf_counter() - budget.start
+        return SppSolution(height=Fraction(0), packing=Packing({}), stats=stats)
     for box in boxes:
         if len(box.size) != d:
             raise InvalidInstance(

@@ -289,3 +289,21 @@ def test_malformed_artifact_is_a_parse_error(tmp_path, example_file, capsys, com
     assert run(args) == 64
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_verify_drop_unfit(tmp_path, capsys):
+    # an okp result written with --drop-unfit checks only under the same flag
+    inst = tmp_path / "unfit.json"
+    inst.write_text(
+        json.dumps(
+            {"container": [4, 4],
+             "boxes": [{"id": "a", "size": [2, 2]}, {"id": "d", "size": [5, 1]}]}
+        )
+    )
+    result = tmp_path / "okp.json"
+    assert run(["okp", str(inst), "--drop-unfit", "-o", str(result)]) == 0
+    capsys.readouterr()
+    assert run(["verify", str(inst), str(result), "--drop-unfit"]) == 0
+    assert "packing: ok" in capsys.readouterr().out
+    assert run(["verify", str(inst), str(result)]) == 64
+    assert "box 'd' does not fit the container" in capsys.readouterr().err

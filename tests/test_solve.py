@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import random
 import time
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 
 from packclass import graph, opp, solve
 from packclass.errors import InfeasibleCrossSection
-from packclass.model import Box, Instance, project_to_class, validate_packing
+from packclass.model import Box, Instance, Packing, project_to_class, validate_packing
 from packclass.opp import SearchLimits, heuristic_pack, solve_opp
 from packclass.oracle import brute_force_opp
 from packclass.solve import OkpSolution, ResourceLimit, SppSolution, solve_okp, solve_spp
@@ -185,6 +186,12 @@ def test_spp_deadline_bounds_building_candidate_heights():
 def test_spp_empty_box_list():
     sol = solve_spp([], (4,))
     assert sol.height == 0 and sol.packing.positions == {}
+    # the same statistics as any other solve, all zero
+    one = solve_spp([Box("a", (2, 3))], (4,))
+    assert isinstance(sol, SppSolution) and isinstance(one, SppSolution)
+    assert sol.stats.keys() == one.stats.keys()
+    assert {k: v for k, v in sol.stats.items() if k != "wall_time"} == {
+        "probes": 0, "engine_nodes": 0, "candidates": 0}
 
 
 REFERENCE_PROBE_NODES = 2_000
@@ -403,3 +410,157 @@ def test_spent_budget_reasons_and_stats(limits, okp_reason, okp_stats, spp_reaso
         out = solve_spp(inst.boxes, inst.container[:-1], limits)
         assert isinstance(out, ResourceLimit) and out.reason == spp_reason
         assert out.stats == dict(zip(("candidates", "probes", "engine_nodes"), spp_stats[k]))
+
+
+def reference_okp(inst, limits, pushes):
+    """solve_okp with the all-children enumeration, as a reference: every
+    popped subset pushes each child not pushed yet and is screened afresh
+    over its bits by `opp._screen`. Appends each pushed mask to
+    `pushes`."""
+    budget = opp._Budget(limits)
+    n = inst.n
+    scale = lcm(*(b.value.denominator for b in inst.boxes))
+    values = [b.value.numerator * (scale // b.value.denominator) for b in inst.boxes]
+    screen = opp._screen_tables(inst)
+
+    def subset_ids(mask):
+        return tuple(inst.ids[k] for k in graph.bits(mask))
+
+    stats = {"examined": 0, "dismissed_screen": 0, "dismissed_opp": 0, "engine_nodes": 0}
+    dismissed = []
+
+    def record(mask, reason):
+        if len(dismissed) < solve.DISMISSED_RECORD_CAP:
+            dismissed.append((mask, reason))
+
+    full = (1 << n) - 1
+    heap = [(-sum(values), full.bit_count(), full)]
+    pushed = {full}
+    while heap:
+        neg_value, _, mask = heapq.heappop(heap)
+        stats["examined"] += 1
+        if mask == 0:
+            return OkpSolution((), Fraction(0), Packing({}), stats, dismissed, inst.ids)
+        if budget.expired():
+            return ResourceLimit("okp budget exhausted", stats)
+        if opp._screen(mask, *screen):
+            stats["dismissed_screen"] += 1
+            record(mask, "volume-or-pair-screen")
+        else:
+            if budget.nodes_left <= 0:
+                return ResourceLimit("okp budget exhausted", stats)
+            outcome = solve._decide(inst.restrict(subset_ids(mask)), limits.use_heuristic, budget)
+            stats["engine_nodes"] += outcome.stats.nodes
+            if outcome.verdict == "resource_limit":
+                return ResourceLimit("inner decision hit its limit", stats)
+            if outcome.verdict == "feasible":
+                value = Fraction(-neg_value, scale)
+                return OkpSolution(subset_ids(mask), value, outcome.packing, stats, dismissed, inst.ids)
+            stats["dismissed_opp"] += 1
+            record(mask, "opp-infeasible")
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            child = mask ^ low
+            if child not in pushed:
+                pushed.add(child)
+                pushes.append(child)
+                key = neg_value + values[low.bit_length() - 1]
+                heapq.heappush(heap, (key, child.bit_count(), child))
+    raise AssertionError("unreachable")
+
+
+def okp_sweep_instance(rng, k):
+    """d 1-3, n 1-10 boxes on a small container, sizes mostly integers;
+    values by volume, mixed-denominator, often zero, or all zero."""
+    d = 1 + k % 3
+    container = tuple(rng.randint(3, 6) for _ in range(d))
+    kind = k // 3 % 4
+    boxes = []
+    for j in range(rng.randint(1, 10)):
+        size = tuple(Fraction(rng.randint(1, 2 * w), rng.choice((1, 1, 1, 2))) for w in container)
+        size = tuple(min(s, w) for s, w in zip(size, container))
+        if kind == 0:
+            value = None
+        elif kind == 1:
+            value = Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 6)))
+        elif kind == 2:
+            value = rng.choice((0, 0, 1, 2, 5))
+        else:
+            value = 0
+        boxes.append(Box(f"b{j}", size, value=value))
+    return Instance(boxes=boxes, container=container)
+
+
+def counted_pushes(monkeypatch):
+    """Masks solve_okp pushes, in order, through a counting heappush."""
+    masks = []
+
+    def counting(heap, item):
+        masks.append(item[2])
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(solve, "heappush", counting)
+    return masks
+
+
+def test_okp_enumeration_matches_reference(monkeypatch):
+    # Each subset now has one parent and carries its screen: the same pops,
+    # so the same outputs, with every mask pushed once.
+    masks = counted_pushes(monkeypatch)
+    rng = random.Random(57)
+    zero_level = 0
+    for k in range(420):
+        inst = okp_sweep_instance(rng, k)
+        limits = SearchLimits(
+            max_nodes=rng.choice((0, 1, 5, 20, 60, 300)),
+            time_limit=None,
+            use_heuristic=k % 5 != 0,
+        )
+        masks.clear()
+        expected = okp_digest(reference_okp(inst, limits, []))
+        assert okp_digest(solve_okp(inst, limits)) == expected, k
+        assert len(masks) == len(set(masks)), k
+        zero_level += any(b.value == 0 for b in inst.boxes)
+    assert zero_level >= 150, zero_level
+
+
+def okp_cut_square(rng):
+    """A 10 x 10 square cut guillotine-style into 5-11 boxes, plus three
+    extra boxes of side at most 3: the full set overfills the square, and
+    the best subset fills it."""
+    pieces = [(10, 10)]
+    for _ in range(rng.randint(4, 10)):
+        size = pieces.pop(rng.choice([j for j, p in enumerate(pieces) if max(p) > 1]))
+        axis = rng.choice([i for i in (0, 1) if size[i] > 1])
+        cut = rng.randint(1, size[axis] - 1)
+        pieces += [tuple(cut if i == axis else s for i, s in enumerate(size)),
+                   tuple(s - cut if i == axis else s for i, s in enumerate(size))]
+    pieces += [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(3)]
+    return Instance(boxes=[Box(f"b{j}", p) for j, p in enumerate(pieces)], container=(10, 10))
+
+
+def test_okp_pushes_each_subset_once(monkeypatch):
+    # The parent loop also pushed each mask once, but every popped subset
+    # pushed all children not yet seen. With one parent per subset the
+    # pushes fall most where few of the 2^n subsets are popped, as on cut
+    # squares under a small budget; solves that pop most subsets (the
+    # pinned set) push little less.
+    masks = counted_pushes(monkeypatch)
+    for make, seed, limits, share in (
+        (okp_pinned_instance, 56, SearchLimits(max_nodes=300, time_limit=None), 1),
+        (lambda rng, k: okp_cut_square(rng), 58, SearchLimits(max_nodes=10, time_limit=None), 0.5),
+    ):
+        rng = random.Random(seed)
+        pushes = reference_pushes = 0
+        for k in range(20):
+            inst = make(rng, k)
+            masks.clear()
+            reference = []
+            expected = okp_digest(reference_okp(inst, limits, reference))
+            assert okp_digest(solve_okp(inst, limits)) == expected, k
+            assert len(masks) == len(set(masks)) and set(masks) <= set(reference), k
+            pushes += len(masks)
+            reference_pushes += len(reference)
+        assert pushes < share * reference_pushes, (pushes, reference_pushes)
