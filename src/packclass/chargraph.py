@@ -2,15 +2,15 @@
 
 Recognition goes through forbidden structures (triangulated + free of
 asteroidal triples) so that every negative answer carries a checkable
-witness, which the search engine consumes for pruning. Orientation uses
-edge forcing with implication classes on the shrinking edge set; free
-choices are broken by lowest vertex index, so output is deterministic.
+witness. Orientation uses edge forcing with implication classes on the
+shrinking edge set; free choices are broken by lowest vertex index, so
+output is deterministic. Its bitset core also serves the engine's accept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .graph import (
     Graph,
@@ -59,7 +59,20 @@ def is_interval_graph(G: Graph) -> IntervalCheck:
 
 
 def transitive_orientation(G: Graph):
-    """Orient all edges transitively, or report NotComparability.
+    """Orient all edges transitively, or report NotComparability with an
+    odd 2-chordless cycle: a thin wrapper over `_transitive_orientation`."""
+    out = _transitive_orientation(G.n, G.adj)
+    if out is None:
+        return NotComparability(find_odd_2chordless_cycle(G))
+    arcs = frozenset(
+        (G.vertices[u], G.vertices[v]) for u in range(G.n) for v in bits(out[u])
+    )
+    return Dag(vertices=G.vertices, arcs=arcs)
+
+
+def _transitive_orientation(n: int, adj: Sequence[int]) -> Optional[list[int]]:
+    """Bitset core of `transitive_orientation`: per-vertex successor
+    bitsets of a transitive orientation, or None if there is none.
 
     Edge forcing: an oriented edge forces every edge sharing an endpoint
     whose far ends are non-adjacent. Implication classes are oriented one
@@ -68,29 +81,20 @@ def transitive_orientation(G: Graph):
     directions, or a final orientation that is not transitive, certifies
     non-comparability.
     """
-    n = G.n
-    adj_rem = list(G.adj)
+    adj_rem = list(adj)
     out = [0] * n
-
-    def fail() -> NotComparability:
-        return NotComparability(find_odd_2chordless_cycle(G))
-
     while True:
-        seed = None
-        for u in range(n):
-            if adj_rem[u]:
-                seed = (u, next(bits(adj_rem[u])))
-                break
-        if seed is None:
+        u = next((u for u in range(n) if adj_rem[u]), None)
+        if u is None:
             break
         visited: set[tuple[int, int]] = set()
-        queue = [seed]
+        queue = [(u, next(bits(adj_rem[u])))]
         while queue:
             a, b = queue.pop()
             if (a, b) in visited:
                 continue
             if (b, a) in visited:
-                return fail()
+                return None
             visited.add((a, b))
             for c in bits(adj_rem[a] & ~adj_rem[b] & ~(1 << b)):
                 queue.append((a, c))
@@ -105,8 +109,5 @@ def transitive_orientation(G: Graph):
     for u in range(n):
         for v in bits(out[u]):
             if out[v] & ~out[u]:
-                return fail()
-    arcs = frozenset(
-        (G.vertices[u], G.vertices[v]) for u in range(n) for v in bits(out[u])
-    )
-    return Dag(vertices=G.vertices, arcs=arcs)
+                return None
+    return out

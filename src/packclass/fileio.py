@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import PackclassError
+from .errors import DimensionMismatch, PackclassError
 from .model import Box, Instance, Packing
 
 RESULT_FORMAT = 1
@@ -284,7 +284,8 @@ def render_svg(inst: Instance, packing: Packing) -> str:
     """Draw a 2-D packing: viewBox (0,0,W1,W2) at 1000 user units per
     instance unit, y flipped so the origin sits bottom-left, one labeled
     rectangle per box. Identical inputs give identical bytes."""
-    assert inst.d == 2, "SVG rendering is 2-D only"
+    if inst.d != 2:
+        raise DimensionMismatch(f"SVG rendering is 2-D only, got d = {inst.d}")
     W1, W2 = inst.container
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -238,13 +238,6 @@ class Packing:
             normalized[box_id] = vec
         object.__setattr__(self, "positions", normalized)
 
-    @property
-    def box_ids(self) -> tuple[str, ...]:
-        return tuple(self.positions)
-
-    def position(self, box_id: str) -> tuple[Fraction, ...]:
-        return self.positions[box_id]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Packing):
             return NotImplemented

@@ -37,10 +37,12 @@ certificates are those of full checks.
 Everything inside the search runs on integers: per-dimension adjacency
 bitsets (`EdgeState.plus_adj`/`minus_adj`), vertex indices and the
 instance's integer-scaled sizes, handed straight to the bitset cores in
-`graph`. A decision is a (dimension, pair index, sign) triple; box ids
-appear only in conflicts and prune certificates. `Graph`s, `Fraction`s
-and the `PackingClass` are built only once the bitset check of P1/P2/P3
-passes, to orient, extract and validate the returned packing.
+`graph`, `chargraph` and `packing_class`. A decision is a (dimension, pair
+index, sign) triple; box ids appear only in conflicts and prune
+certificates. The accept shows P1 by chordality plus a transitive
+orientation of the complement (Gilmore-Hoffman), and that orientation
+places the boxes; `Fraction`s, `Graph`s and the `PackingClass` are built
+only for a packing it returns.
 """
 
 from __future__ import annotations
@@ -55,11 +57,11 @@ from math import prod
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
+from .chargraph import _transitive_orientation
 from .errors import NoUndecided
 from .graph import (
     CLIQUE_CAP,
     Graph,
-    _asteroidal_triple,
     _chordal_stable_set,
     _greedy_clique,
     _max_clique,
@@ -68,7 +70,7 @@ from .graph import (
     bits,
 )
 from .model import Instance, Packing, project_to_class, validate_packing
-from .packing_class import PackingClass, extract_packing, orient_class
+from .packing_class import PackingClass, _longest_paths
 
 INCLUDE = 1
 EXCLUDE = -1
@@ -488,17 +490,17 @@ def branch_select(state: EdgeState) -> tuple[int, int, int]:
 def _try_accept(state: EdgeState) -> Optional[tuple[Packing, PackingClass]]:
     """If the included edges already form a packing class, extract a packing.
 
-    P1 (chordal and free of asteroidal triples), P2 (the heaviest stable
-    set, read off the elimination order, fits) and P3 are checked on the
-    state's bitsets; the packing class is built, oriented, extracted and
-    validated only when that check passes. A greedy stable set of a plus
-    graph, widest box first, that overflows its axis breaks P2 on its own;
-    trying it first rejects most states before any elimination order.
+    All on the state's bitsets: a greedy stable set of a plus graph, widest
+    box first, that overflows its axis breaks P2 and rejects most states
+    first. Then per axis an elimination order (chordal), the heaviest
+    stable set read off it (P2) and a transitive orientation of the
+    complement: chordal with a comparability complement is interval
+    (Gilmore-Hoffman), so that is P1, and the orientation's longest paths
+    place the boxes. No pair is plus on every axis (P3): `_fixpoint`
+    reports that as a conflict. The returned packing is validated.
     """
     n = state.n
     inst = state.inst
-    if any(reduce(int.__and__, column) for column in zip(*state.plus_adj)):
-        return None
     for plus, sizes, cap, widest in zip(state.plus_adj, state.sizes, state.caps, state.widest):
         chosen = total = 0
         for v in widest:
@@ -507,20 +509,22 @@ def _try_accept(state: EdgeState) -> Optional[tuple[Packing, PackingClass]]:
                 total += sizes[v]
                 if total > cap:
                     return None
-    for i, plus in enumerate(state.plus_adj):
+    full = (1 << n) - 1
+    coords = []
+    for plus, sizes, cap in zip(state.plus_adj, state.sizes, state.caps):
         elim = _mcs_peo(n, plus)
-        if (
-            elim is None
-            or _chordal_stable_set(plus, state.sizes[i], elim)[0] > state.caps[i]
-            or _asteroidal_triple(n, plus) is not None
-        ):
+        if elim is None or _chordal_stable_set(plus, sizes, elim)[0] > cap:
             return None
-    edge_sets = tuple(Graph(inst.ids, state.e_plus(i)) for i in range(state.d))
-    pc = PackingClass(instance=inst, edge_sets=edge_sets)
-    packing = extract_packing(orient_class(pc), inst)
+        succ = _transitive_orientation(n, [full ^ plus[v] ^ (1 << v) for v in range(n)])
+        if succ is None:
+            return None
+        coords.append(_longest_paths(succ, sizes))  # transitive, so acyclic
+    scales = [inst.scale(i) for i in range(state.d)]
+    packing = Packing({b: tuple(map(Fraction, pos, scales)) for b, *pos in zip(inst.ids, *coords)})
     if not validate_packing(packing, inst).valid:
         raise AssertionError("solver produced an invalid packing")
-    return packing, pc
+    edge_sets = tuple(Graph(inst.ids, state.e_plus(i)) for i in range(state.d))
+    return packing, PackingClass(instance=inst, edge_sets=edge_sets)
 
 
 def _bottom_left(inst: Instance, order: Sequence[int]) -> Optional[list[tuple[int, tuple[int, ...]]]]:

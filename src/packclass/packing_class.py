@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from . import chargraph
 from .chargraph import Dag, NotComparability
-from .errors import CyclicOrientation, NotPackingClass, UnknownVertex
+from .errors import CyclicOrientation, InvalidInstance, NotPackingClass, UnknownVertex
 from .graph import (
     Graph,
     bits,
@@ -160,18 +160,15 @@ def orient_class(E: EdgeSetsLike, inst: Optional[Instance] = None) -> Orientatio
     """
     if isinstance(E, PackingClass) and inst is None:
         inst = E.instance
-    assert inst is not None, "instance required when passing raw edge sets"
+    if inst is None:
+        raise InvalidInstance("instance required when passing raw edge sets")
     report = verify_packing_class(E, inst)
     if not report.all_ok:
         raise NotPackingClass(f"edge sets are not a packing class: {report}")
-    graphs = _as_graphs(E, inst)
-    dags = []
-    for g in graphs:
-        oriented = chargraph.transitive_orientation(complement(g))
-        # P1 guarantees the complement is a comparability graph.
-        assert not isinstance(oriented, NotComparability)
-        dags.append(oriented)
-    return Orientation(dags=tuple(dags))
+    dags = tuple(chargraph.transitive_orientation(complement(g)) for g in _as_graphs(E, inst))
+    # P1 guarantees each complement is a comparability graph.
+    assert not any(isinstance(dag, NotComparability) for dag in dags)
+    return Orientation(dags=dags)
 
 
 def extract_packing(F: Orientation, inst: Instance) -> Packing:
@@ -179,40 +176,41 @@ def extract_packing(F: Orientation, inst: Instance) -> Packing:
 
     In dimension i a box goes at the maximum, over incoming arcs (u, v) of
     the i-th orientation, of position(u) + size_i(u); boxes with no
-    incoming arc sit at 0. The result is a valid, gapless packing.
+    incoming arc sit at 0. The result is a valid, gapless packing. A thin
+    wrapper over `_longest_paths` on the instance's integer sizes.
     """
-    d = inst.d
-    n = inst.n
-    coords: list[list[Fraction]] = [[Fraction(0)] * d for _ in range(n)]
-    for i in range(d):
-        dag = F.dags[i]
-        order = {v: k for k, v in enumerate(inst.ids)}
-        preds: list[list[int]] = [[] for _ in range(n)]
-        indeg = [0] * n
-        succs: list[list[int]] = [[] for _ in range(n)]
-        for a, b in dag.arcs:
-            ia, ib = order[a], order[b]
-            preds[ib].append(ia)
-            succs[ia].append(ib)
-            indeg[ib] += 1
-        ready = sorted(v for v in range(n) if indeg[v] == 0)
-        out: list[int] = []
-        while ready:
-            v = ready.pop(0)
-            out.append(v)
-            for w in succs[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-        if len(out) != n:
+    coords = []
+    for i in range(inst.d):
+        succ = [0] * inst.n
+        for a, b in F.dags[i].arcs:
+            succ[inst.index(a)] |= 1 << inst.index(b)
+        pos = _longest_paths(succ, [inst.int_size(v, i) for v in range(inst.n)])
+        if pos is None:
             raise CyclicOrientation(f"orientation of dimension {i} has a cycle")
-        pos = [Fraction(0)] * n
-        for v in out:
-            if preds[v]:
-                pos[v] = max(pos[u] + inst.boxes[u].size[i] for u in preds[v])
-        for v in range(n):
-            coords[v][i] = pos[v]
-    return Packing({inst.ids[v]: tuple(coords[v]) for v in range(n)})
+        coords.append([Fraction(p, inst.scale(i)) for p in pos])
+    return Packing({box_id: pos for box_id, *pos in zip(inst.ids, *coords)})
+
+
+def _longest_paths(succ: Sequence[int], sizes: Sequence[int]) -> Optional[list[int]]:
+    """Bitset core of `extract_packing`, also called by the search engine's
+    accept: each vertex's longest-path offset over the successor bitsets
+    `succ` (0 with no predecessor, else the largest predecessor's offset
+    plus size), or None if the arcs hold a cycle."""
+    n = len(succ)
+    indeg = [sum(row >> w & 1 for row in succ) for w in range(n)]
+    pos = [0] * n
+    ready = [v for v in range(n) if not indeg[v]]
+    placed = 0
+    while ready:
+        v = ready.pop()
+        placed += 1
+        top = pos[v] + sizes[v]
+        for w in bits(succ[v]):
+            pos[w] = max(pos[w], top)
+            indeg[w] -= 1
+            if not indeg[w]:
+                ready.append(w)
+    return pos if placed == n else None
 
 
 def clique_bound_holds(E: EdgeSetsLike, S: Iterable[str], i: int, inst: Optional[Instance] = None) -> bool:
@@ -221,7 +219,8 @@ def clique_bound_holds(E: EdgeSetsLike, S: Iterable[str], i: int, inst: Optional
     packing classes always satisfy it; its contrapositive prunes search."""
     if isinstance(E, PackingClass) and inst is None:
         inst = E.instance
-    assert inst is not None
+    if inst is None:
+        raise InvalidInstance("instance required when passing raw edge sets")
     inst.check_dimension(i)
     graphs = _as_graphs(E, inst)
     members = sorted(set(S), key=inst.index)

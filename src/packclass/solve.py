@@ -221,9 +221,9 @@ def solve_spp(
     heights = [b.size[-1].numerator * (scale // b.size[-1].denominator) for b in boxes]
     sums = {0}
     for h in heights:  # up to 2^n sums: the deadline holds here too
+        sums |= {s + h for s in sums}
         if budget.expired():
             return ResourceLimit("spp budget exhausted", stats)
-        sums |= {s + h for s in sums}
     cross_area = Fraction(1)
     for c in cross:
         cross_area *= c

@@ -19,7 +19,7 @@ from packclass.chargraph import (
     transitive_orientation,
 )
 from packclass.fileio import convert_ngcut, write_json, load_instance
-from packclass.graph import Graph, complement, find_odd_2chordless_cycle
+from packclass.graph import Graph, complement, find_odd_2chordless_cycle, is_triangulated
 from packclass.model import Instance, is_gapless, project_to_class, validate_packing
 from packclass.opp import SearchLimits, solve_opp
 from packclass.oracle import (
@@ -177,7 +177,13 @@ def test_criterion_5_recognition_equivalences():
         names = vertex_names(n)
         for mask in nonisomorphic_graphs(n):
             G = Graph(names, mask_to_edges(mask, n))
-            assert is_interval_graph(G).is_interval == oracle_is_interval(G)
+            interval = is_interval_graph(G).is_interval
+            assert interval == oracle_is_interval(G)
+            # Gilmore-Hoffman, which the search engine's accept relies on:
+            # interval iff chordal with a comparability complement.
+            assert interval == (
+                is_triangulated(G)[0] and isinstance(transitive_orientation(complement(G)), Dag)
+            )
             oriented = transitive_orientation(G)
             success = isinstance(oriented, Dag)
             if success:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import prod
 from pathlib import Path
@@ -395,6 +396,8 @@ def test_try_accept_matches_filter_free_check():
     rejection, and every packing it returns validates."""
     outcomes = {"accepted": 0, "rejected by a greedy stable set": 0, "rejected later": 0}
     for state, _ in random_walk_states(random.Random(78), 120):
+        # `_try_accept` tests no P3: propagation leaves no pair plus on every axis.
+        assert not any(reduce(int.__and__, column) for column in zip(*state.plus_adj))
         accept = _try_accept(state)
         assert (accept is not None) == _accept_by_definition(state)
         if accept is not None:

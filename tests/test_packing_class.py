@@ -154,6 +154,40 @@ def test_clique_bound_holds_on_projected_classes(five_box_example):
                 assert clique_bound_holds(pc, S, i, pc.instance)
 
 
+GUARD_SCRIPT = """
+from packclass.fileio import render_svg
+from packclass.model import Box, Instance, Packing
+from packclass.packing_class import clique_bound_holds, orient_class
+cube = Instance(boxes=(Box("a", (1, 1, 1)),), container=(1, 1, 1))
+print(__debug__)
+for call in (
+    lambda: orient_class([[], []]),
+    lambda: clique_bound_holds([[], []], ["a"], 0),
+    lambda: render_svg(cube, Packing({"a": (0, 0, 0)})),
+):
+    try:
+        print("returned", call())
+    except Exception as exc:
+        print(type(exc).__name__)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "python-O"])
+def test_caller_input_guards_raise_package_errors(flags):
+    """Edge sets with no instance, and an SVG of a 3-D packing, raise the
+    package's own errors, with asserts on and stripped alike."""
+    src = os.path.dirname(os.path.dirname(packclass.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, *flags, "-c", GUARD_SCRIPT], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [
+        str(not flags), "InvalidInstance", "InvalidInstance", "DimensionMismatch"
+    ]
+
+
 UNLOAD_SCRIPT = """
 import gc, sys, weakref
 from packclass.graph import Graph

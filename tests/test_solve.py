@@ -1,6 +1,7 @@
 import hashlib
 import heapq
 import random
+import sys
 import time
 from fractions import Fraction
 from math import lcm
@@ -181,6 +182,21 @@ def test_spp_deadline_bounds_building_candidate_heights():
     assert isinstance(out, ResourceLimit) and out.reason == "spp budget exhausted"
     assert out.stats == {"probes": 0, "engine_nodes": 0, "candidates": 0}
     assert elapsed < 2 * limit + 0.2, elapsed
+
+
+def test_spp_deadline_passing_during_the_last_subset_sum_step(monkeypatch):
+    # The deadline passes while the last box's sums are added: the budget
+    # reads "expired" only once its caller holds all 2^n subset sums.
+    boxes = [Box(f"b{k}", (1, 2**k)) for k in range(6)]
+
+    class LastStepBudget(opp._Budget):
+        def expired(self):
+            return len(sys._getframe(1).f_locals.get("sums", ())) == 2 ** len(boxes)
+
+    monkeypatch.setattr(solve, "_Budget", LastStepBudget)
+    out = solve_spp(boxes, (1,))
+    assert isinstance(out, ResourceLimit) and out.reason == "spp budget exhausted"
+    assert out.stats == {"probes": 0, "engine_nodes": 0, "candidates": 0}
 
 
 def test_spp_empty_box_list():
