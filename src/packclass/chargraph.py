@@ -1,10 +1,11 @@
 """Interval-graph recognition and transitive orientation.
 
-Recognition goes through forbidden structures (triangulated + free of
-asteroidal triples) so that every negative answer carries a checkable
-witness. Orientation uses edge forcing with implication classes on the
-shrinking edge set; free choices are broken by lowest vertex index, so
-output is deterministic. Its bitset core also serves the engine's accept.
+Recognition is Gilmore-Hoffman (chordal, with a transitively orientable
+complement); a forbidden structure (a chordless cycle, else an asteroidal
+triple) is searched only once that test fails, as a checkable witness.
+Orientation uses edge forcing with implication classes on the shrinking
+edge set; free choices are broken by lowest vertex index, so output is
+deterministic. Its bitset core also serves the engine's accept.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from typing import Optional, Sequence
 
 from .graph import (
     Graph,
+    _find_hole,
+    _mcs_peo,
     bits,
     find_asteroidal_triple,
     find_odd_2chordless_cycle,
-    is_triangulated,
 )
 
 
@@ -47,14 +49,19 @@ class IntervalCheck:
 
 
 def is_interval_graph(G: Graph) -> IntervalCheck:
-    """Decide intervality; on failure return a chordless cycle (length >= 4)
-    or an asteroidal triple as witness."""
-    triangulated, hole = is_triangulated(G)
-    if not triangulated:
-        return IntervalCheck(False, hole=hole)
-    at = find_asteroidal_triple(G)
-    if at is not None:
-        return IntervalCheck(False, asteroidal_triple=at)
+    """Decide intervality (chordal, with a transitively orientable
+    complement); on failure return a chordless cycle (length >= 4) or an
+    asteroidal triple as witness."""
+    return _interval_check(G, _mcs_peo(G.n, G.adj))
+
+
+def _interval_check(G: Graph, elim: Optional[list[int]]) -> IntervalCheck:
+    """`is_interval_graph` given G's elimination order `elim`, None when G
+    is not chordal; `verify_packing_class` reuses the order for P2."""
+    if elim is None:
+        return IntervalCheck(False, hole=_find_hole(G))
+    if _co_orientation(G.n, G.adj) is None:
+        return IntervalCheck(False, asteroidal_triple=find_asteroidal_triple(G))
     return IntervalCheck(True)
 
 
@@ -111,3 +118,9 @@ def _transitive_orientation(n: int, adj: Sequence[int]) -> Optional[list[int]]:
             if out[v] & ~out[u]:
                 return None
     return out
+
+
+def _co_orientation(n: int, adj: Sequence[int]) -> Optional[list[int]]:
+    """`_transitive_orientation` of the complement of the graph `adj`."""
+    full = (1 << n) - 1
+    return _transitive_orientation(n, [full ^ adj[v] ^ (1 << v) for v in range(n)])

@@ -29,6 +29,10 @@ class UnknownVertex(PackclassError):
     """A vertex id does not exist in the graph."""
 
 
+class InvalidLimits(PackclassError, ValueError):
+    """A search limit or size cap is NaN or not positive."""
+
+
 class TooLarge(PackclassError):
     """Input exceeds the configured size cap of an exact procedure."""
 

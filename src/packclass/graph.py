@@ -2,12 +2,12 @@
 
 Vertex sets are represented as Python ints used as bitsets, indexed by the
 graph's vertex order. Every algorithm the search engine runs (clique
-search, elimination order, asteroidal triples, stable sets of chordal
-graphs, odd closed walks) has one core over `(n, adjacency bitsets[,
-weights, vertex mask])` with plain numeric weights, which the engine calls
-directly on its own bitsets. The `Graph` functions are thin wrappers over
-the same cores that take id-keyed weights as `Fraction`s and report
-results with original ids.
+search, elimination order, stable sets of chordal graphs, odd closed
+walks) has one core over `(n, adjacency bitsets[, weights, vertex mask])`
+with plain numeric weights, which the engine calls directly on its own
+bitsets. The `Graph` functions are thin wrappers over the same cores that
+take id-keyed weights as `Fraction`s and report results with original
+ids; holes and asteroidal triples are searched only as witnesses.
 """
 
 from __future__ import annotations
@@ -289,8 +289,6 @@ def find_asteroidal_triple(G: Graph) -> Optional[tuple[str, str, str]]:
 def _asteroidal_triple(n: int, adj: Sequence[int]) -> Optional[tuple[int, int, int]]:
     """Bitset core of `find_asteroidal_triple`: an asteroidal triple of
     vertex indices in ascending order, or None."""
-    if n < 3:
-        return None
     # comp_label[z][v] = component of v in G - N[z], or -1 inside N[z].
     comp_label = []
     for z in range(n):
@@ -329,8 +327,6 @@ def _asteroidal_triple(n: int, adj: Sequence[int]) -> Optional[tuple[int, int, i
 def _mcs_peo(n: int, adj: Sequence[int]) -> Optional[list[int]]:
     """Maximum-cardinality-search elimination order if the graph is
     chordal, else None."""
-    if n == 0:
-        return []
     weight = [0] * n
     visited = 0
     order_rev = []  # visit order; reversed it is the elimination order
@@ -489,13 +485,21 @@ def _max_clique(adj: Sequence[int], w: Sequence, P: int, floor=0) -> tuple:
 
 def _greedy_clique(adj: Sequence[int], w: Sequence, P: int) -> tuple:
     """Greedy heavy-first clique over the vertices in mask `P`: (weight,
-    mask). A sound under-approximation, used beyond the exact-search cap."""
-    mask = 0
-    total = 0
-    for v in sorted(bits(P), key=lambda v: (-w[v], v)):
-        if (adj[v] & mask) == mask:
-            mask |= 1 << v
-            total += w[v]
+    mask). Each step adds the heaviest vertex adjacent to every vertex
+    added so far, lowest index on ties. A sound under-approximation, used
+    beyond the exact-search cap and as propagation's overweight probe."""
+    mask = total = 0
+    while P:
+        best, rest = -1, P
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if best < 0 or w[v] > w[best]:
+                best = v
+        mask |= 1 << best
+        total += w[best]
+        P &= adj[best]
     return total, mask
 
 

@@ -57,8 +57,8 @@ from math import prod
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .chargraph import _transitive_orientation
-from .errors import NoUndecided
+from .chargraph import _co_orientation
+from .errors import InvalidLimits, NoUndecided
 from .graph import (
     CLIQUE_CAP,
     Graph,
@@ -300,36 +300,14 @@ def _fixpoint(
                         queue.append((i, row[low.bit_length() - 1], EXCLUDE, "c4"))
             # greedy overweight-clique probe around the new exclusion: any
             # clique in the minus graph is a stable set of the final graph,
-            # so its width is capped by the axis
-            if _greedy_minus_clique_overweight(state, i, a, b):
+            # so its width is capped by the axis. {a, b} alone fits:
+            # `initial_state` includes too-wide pairs.
+            common = minus[a] & minus[b]
+            w = state.sizes[i]
+            if common and w[a] + w[b] + _greedy_clique(minus, w, common)[0] > state.caps[i]:
                 state.stats.conflicts += 1
                 return Conflict(rule="minus_clique", dimension=i, pair=state.pair_ids(pid))
     return Consequences(tuple(applied))
-
-
-def _greedy_minus_clique_overweight(state: EdgeState, i: int, a: int, b: int) -> bool:
-    """Grow the minus clique {a, b} by the widest common minus neighbour
-    (lowest index on ties) until its width passes the axis or it is
-    maximal. {a, b} alone fits: `initial_state` includes too-wide pairs."""
-    minus = state.minus_adj[i]
-    sizes = state.sizes[i]
-    cap = state.caps[i]
-    total = sizes[a] + sizes[b]
-    common = minus[a] & minus[b]
-    while common:
-        best_v, best_w = -1, -1
-        rest = common
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            if sizes[v] > best_w:
-                best_v, best_w = v, sizes[v]
-        total += best_w
-        if total > cap:
-            return True
-        common &= minus[best_v]
-    return False
 
 
 def initial_state(inst: Instance) -> Union[EdgeState, ImmediateConflict]:
@@ -509,13 +487,12 @@ def _try_accept(state: EdgeState) -> Optional[tuple[Packing, PackingClass]]:
                 total += sizes[v]
                 if total > cap:
                     return None
-    full = (1 << n) - 1
     coords = []
     for plus, sizes, cap in zip(state.plus_adj, state.sizes, state.caps):
         elim = _mcs_peo(n, plus)
         if elim is None or _chordal_stable_set(plus, sizes, elim)[0] > cap:
             return None
-        succ = _transitive_orientation(n, [full ^ plus[v] ^ (1 << v) for v in range(n)])
+        succ = _co_orientation(n, plus)
         if succ is None:
             return None
         coords.append(_longest_paths(succ, sizes))  # transitive, so acyclic
@@ -653,6 +630,9 @@ class _Budget:
     nodes left and an absolute deadline (None for no time limit)."""
 
     def __init__(self, limits: SearchLimits):
+        # NaN, the one value unequal to itself, would switch a limit off
+        if limits.max_nodes != limits.max_nodes or limits.time_limit != limits.time_limit:
+            raise InvalidLimits("search limits must not be NaN")
         self.start = time.perf_counter()
         self.nodes_left = limits.max_nodes
         self.deadline = None if limits.time_limit is None else self.start + limits.time_limit

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
 
-from .errors import TooLarge
+from .errors import InvalidLimits, TooLarge
 from .graph import Graph
 from .model import Instance, Packing
 
@@ -38,7 +38,7 @@ class OracleConfig:
 
     def __post_init__(self) -> None:
         if min(self.max_boxes, self.max_vertices, self.max_orientation_edges) <= 0:
-            raise ValueError("oracle caps must be positive")
+            raise InvalidLimits("oracle caps must be positive")
 
 
 @dataclass(frozen=True)
@@ -287,10 +287,8 @@ def enumerate_packing_classes(
         edge_sets = naive_class(assignment)
         if edge_sets is None:
             continue
-        report = verify_packing_class(edge_sets, inst)
-        assert report.all_ok, (
-            "oracle and production verifier disagree on a packing class"
-        )
+        if not verify_packing_class(edge_sets, inst).all_ok:
+            raise AssertionError("oracle and production verifier disagree on a packing class")
         total += 1
         if cap is None or len(found) < cap:
             found.append(PackingClass(instance=inst, edge_sets=edge_sets))

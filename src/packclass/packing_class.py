@@ -17,14 +17,21 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from . import chargraph
 from .chargraph import Dag, NotComparability
-from .errors import CyclicOrientation, InvalidInstance, NotPackingClass, UnknownVertex
+from .errors import (
+    CyclicOrientation,
+    DimensionMismatch,
+    InvalidInstance,
+    NotPackingClass,
+    UnknownVertex,
+)
 from .graph import (
     Graph,
+    _chordal_stable_set,
+    _mcs_peo,
     bits,
     complement,
     induced,
     max_weight_clique,
-    max_weight_stable_set_interval,
 )
 from .model import Instance, Packing
 
@@ -105,43 +112,36 @@ def _as_graphs(E: EdgeSetsLike, inst: Instance) -> tuple[Graph, ...]:
 def verify_packing_class(E: EdgeSetsLike, inst: Instance) -> ClassReport:
     """Check P1/P2/P3 and report per-condition verdicts with witnesses.
 
-    Witnesses: a chordless cycle or asteroidal triple for P1, an overweight
-    stable set (with its weight) for P2, a shared edge for P3.
+    P1 is the accept's test (`chargraph._interval_check`), and P2 reads
+    the heaviest stable set off the same elimination order. Witnesses: a
+    chordless cycle or asteroidal triple for P1, an overweight stable set
+    (with its weight) for P2, a shared edge for P3.
     """
     graphs = _as_graphs(E, inst)
-    d = inst.d
     p1_ok, p1_wit, p2_ok, p2_wit = [], [], [], []
-    for i in range(d):
-        check = chargraph.is_interval_graph(graphs[i])
+    for i, G in enumerate(graphs):
+        elim = _mcs_peo(inst.n, G.adj)
+        check = chargraph._interval_check(G, elim)
         p1_ok.append(check.is_interval)
-        p1_wit.append(
-            None
-            if check.is_interval
-            else (("hole", check.hole) if check.hole else ("asteroidal_triple", check.asteroidal_triple))
-        )
         if not check.is_interval:
+            p1_wit.append(("hole", check.hole) if check.hole else ("asteroidal_triple", check.asteroidal_triple))
             p2_ok.append(None)
             p2_wit.append(None)
             continue
-        weights = {b.id: b.size[i] for b in inst.boxes}
-        weight, stable = max_weight_stable_set_interval(graphs[i], weights)
-        if weight <= inst.container[i]:
-            p2_ok.append(True)
-            p2_wit.append(None)
-        else:
-            p2_ok.append(False)
-            p2_wit.append((stable, weight))
+        p1_wit.append(None)
+        weight, stable = _chordal_stable_set(G.adj, [size[i] for size in inst.int_sizes], elim)
+        fits = weight <= inst.int_container(i)
+        p2_ok.append(fits)
+        p2_wit.append(None if fits else (G.names(stable), Fraction(weight, inst.scale(i))))
     shared: Optional[tuple[str, str]] = None
-    if d > 0 and inst.n > 1:
-        common = graphs[0].adj
-        for g in graphs[1:]:
-            common = tuple(a & b for a, b in zip(common, g.adj))
-        for u in range(inst.n):
-            rest = common[u] >> (u + 1) << (u + 1)
-            if rest:
-                v = next(bits(rest))
-                shared = (inst.ids[u], inst.ids[v])
-                break
+    common = graphs[0].adj
+    for g in graphs[1:]:
+        common = tuple(a & b for a, b in zip(common, g.adj))
+    for u in range(inst.n):
+        rest = common[u] >> (u + 1) << (u + 1)
+        if rest:
+            shared = (inst.ids[u], inst.ids[next(bits(rest))])
+            break
     return ClassReport(
         p1_ok=tuple(p1_ok),
         p1_witnesses=tuple(p1_wit),
@@ -179,6 +179,8 @@ def extract_packing(F: Orientation, inst: Instance) -> Packing:
     incoming arc sit at 0. The result is a valid, gapless packing. A thin
     wrapper over `_longest_paths` on the instance's integer sizes.
     """
+    if len(F.dags) != inst.d:
+        raise DimensionMismatch(f"expected {inst.d} orientations, got {len(F.dags)}")
     coords = []
     for i in range(inst.d):
         succ = [0] * inst.n
@@ -224,8 +226,6 @@ def clique_bound_holds(E: EdgeSetsLike, S: Iterable[str], i: int, inst: Optional
     inst.check_dimension(i)
     graphs = _as_graphs(E, inst)
     members = sorted(set(S), key=inst.index)
-    if not members:
-        return True
     total = sum(inst.int_size(inst.index(b), i) for b in members)
     needed = -(-total // inst.int_container(i))
     if needed <= 1:

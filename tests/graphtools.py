@@ -4,7 +4,9 @@ Orientation enumeration and its definitional check back the acceptance
 criteria on transitive orientations; the interval model, the induced
 4-cycle search and the greedy clique are exercised against the library's
 own recognizers and clique search; the arc-state parity search is the
-odd-closed-walk search as it was before its early exit.
+odd-closed-walk search as it was before its early exit, and the sorted
+greedy clique and the overweight probe are the greedy clique and
+propagation's probe as they were before the probe became a greedy clique.
 """
 
 from typing import Optional, Sequence
@@ -231,6 +233,37 @@ def greedy_weight_clique(G: Graph, weight):
     """Greedy heavy-first clique over `Graph` ids, via the engine's core."""
     total, mask = _greedy_clique(G.adj, _as_weight_map(G, weight), (1 << G.n) - 1)
     return to_fraction(total), G.names(mask)
+
+
+def greedy_clique_by_sorting(adj: Sequence[int], w: Sequence, P: int) -> tuple:
+    """`graph._greedy_clique` as a scan of the vertices in mask `P`,
+    heaviest first and lowest index on ties, adding each vertex adjacent to
+    all added before it: (weight, mask)."""
+    mask = 0
+    total = 0
+    for v in sorted(bits(P), key=lambda v: (-w[v], v)):
+        if (adj[v] & mask) == mask:
+            mask |= 1 << v
+            total += w[v]
+    return total, mask
+
+
+def greedy_clique_overweight(adj: Sequence[int], w: Sequence, cap, a: int, b: int) -> bool:
+    """Propagation's overweight probe as a loop of its own: grow the clique
+    {a, b} by the heaviest common neighbour (lowest index on ties) and stop
+    as soon as its weight passes `cap`, or when it is maximal."""
+    total = w[a] + w[b]
+    common = adj[a] & adj[b]
+    while common:
+        best_v, best_w = -1, -1
+        for v in bits(common):
+            if w[v] > best_w:
+                best_v, best_w = v, w[v]
+        total += best_w
+        if total > cap:
+            return True
+        common &= adj[best_v]
+    return False
 
 
 def odd_closed_walk_by_arcs(

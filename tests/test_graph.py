@@ -6,12 +6,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from packclass.chargraph import _co_orientation
 from packclass.errors import NotInterval, PackclassError, TooLarge, UnknownVertex
 from packclass.oracle import OracleConfig, oracle_is_interval
 from packclass.graph import (
     Graph,
     _asteroidal_triple,
     _chordal_stable_set,
+    _greedy_clique,
     _max_clique,
     _mcs_peo,
     _odd_closed_walk,
@@ -31,7 +33,13 @@ from certcheck import (
     check_induced_c4,
     check_odd_2chordless_cycle,
 )
-from graphtools import find_induced_c4, greedy_weight_clique, odd_closed_walk_by_arcs
+from graphtools import (
+    find_induced_c4,
+    greedy_clique_by_sorting,
+    greedy_clique_overweight,
+    greedy_weight_clique,
+    odd_closed_walk_by_arcs,
+)
 
 
 def cycle_graph(n):
@@ -215,13 +223,34 @@ def test_max_weight_clique_matches_brute_force():
 
 
 def test_greedy_clique_is_sound():
+    """The greedy clique is a clique no heavier than the maximum and
+    equals the sorted scan on weight and mask, on all vertices and on a
+    vertex mask. Propagation's probe built on it (`common and s_a + s_b +
+    greedy(common) > cap`) answers as the probe loop with an early exit,
+    for every anchor pair."""
     rng = random.Random(12)
-    for _ in range(40):
-        G = random_graph(rng, rng.randint(1, 8))
-        w = {v: rng.randint(1, 9) for v in G.vertices}
+    fired = quiet = 0
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        G = random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
+        w = {v: rng.randint(1, 4) for v in G.vertices}  # many ties
         weight, members = greedy_weight_clique(G, w)
         assert all(G.has_edge(a, b) for a, b in combinations(members, 2))
-        assert weight <= brute_max_weight_clique(G, w)
+        if n <= 8:
+            assert weight <= brute_max_weight_clique(G, w)
+        sizes = [w[v] for v in G.vertices]
+        for P in ((1 << n) - 1, rng.getrandbits(n) if n else 0):
+            assert _greedy_clique(G.adj, sizes, P) == greedy_clique_by_sorting(G.adj, sizes, P)
+        cap = rng.randint(1, sum(sizes) + 1)
+        for a, b in combinations(range(n), 2):
+            common = G.adj[a] & G.adj[b]
+            probe = bool(common) and (
+                sizes[a] + sizes[b] + _greedy_clique(G.adj, sizes, common)[0] > cap
+            )
+            assert probe == greedy_clique_overweight(G.adj, sizes, cap, a, b)
+            fired += probe
+            quiet += bool(common) and not probe
+    assert min(fired, quiet) >= 500, (fired, quiet)
 
 
 def test_mwss_interval_examples():
@@ -258,7 +287,8 @@ def test_clique_stable_set_duality():
 
 def test_bitset_cores_match_oracle_and_brute_force():
     """The cores the search runs on raw bitsets: P1 (elimination order plus
-    asteroidal triples) against the definitional oracle, P2 (stable set
+    asteroidal triples, and elimination order plus an orientation of the
+    complement) against the definitional oracle, P2 (stable set
     from the elimination order) and the clique search, with integer and
     Fraction weights and a vertex mask, against brute force."""
     rng = random.Random(15)
@@ -271,6 +301,8 @@ def test_bitset_cores_match_oracle_and_brute_force():
         elim = _mcs_peo(n, G.adj)
         is_interval = elim is not None and _asteroidal_triple(n, G.adj) is None
         assert is_interval == oracle_is_interval(G, config)
+        # Gilmore-Hoffman: chordal with a transitively orientable complement
+        assert is_interval == (elim is not None and _co_orientation(n, G.adj) is not None)
         for weights in (ints, fracs):
             by_id = dict(zip(G.vertices, weights))
             if elim is not None:

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
-from packclass.errors import TooLarge
+import packclass
+from packclass.errors import InvalidLimits, PackclassError, TooLarge
 from packclass.graph import Graph
 from packclass.model import Box, Instance, validate_packing
 from packclass.oracle import (
@@ -29,6 +34,10 @@ def test_brute_force_cap():
     with pytest.raises(TooLarge):
         brute_force_opp(inst)
     assert brute_force_opp(inst, OracleConfig(max_boxes=6)).feasible
+    for caps in ({"max_boxes": 0}, {"max_vertices": -1}, {"max_orientation_edges": 0}):
+        with pytest.raises(InvalidLimits) as raised:
+            OracleConfig(**caps)
+        assert isinstance(raised.value, PackclassError) and isinstance(raised.value, ValueError)
 
 
 def test_oracle_interval_examples():
@@ -86,3 +95,33 @@ def test_theorem_equivalence_on_tiny_grid():
         assert brute_force_opp(inst).feasible == (
             enumerate_packing_classes(inst).total > 0
         )
+
+
+CROSS_CHECK_SCRIPT = """
+from packclass import packing_class
+from packclass.model import Box, Instance
+from packclass.oracle import enumerate_packing_classes
+assert False, "asserts are on"
+class Rejected:
+    all_ok = False
+packing_class.verify_packing_class = lambda E, inst: Rejected()
+inst = Instance(boxes=(Box("a", (1, 1)), Box("b", (1, 1))), container=(2, 2))
+try:
+    print("returned", enumerate_packing_classes(inst).total)
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_verifier_cross_check_survives_python_O():
+    """With asserts stripped, a production verifier that rejects a class
+    the oracle found still stops the enumeration."""
+    src = os.path.dirname(os.path.dirname(packclass.__file__))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", CROSS_CHECK_SCRIPT], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "raised: oracle and production verifier disagree on a packing class"
+    ]

@@ -2,16 +2,25 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 import packclass
-from packclass.chargraph import Dag
+from packclass.chargraph import Dag, IntervalCheck, is_interval_graph, transitive_orientation
 from packclass.errors import NotPackingClass
+from packclass.graph import (
+    Graph,
+    complement,
+    find_asteroidal_triple,
+    is_triangulated,
+    max_weight_stable_set_interval,
+)
 from packclass.model import Box, Instance, is_gapless, project_to_class, validate_packing
 from packclass.oracle import enumerate_packing_classes
 from packclass.packing_class import (
+    ClassReport,
     Orientation,
     clique_bound_holds,
     extract_packing,
@@ -57,6 +66,87 @@ def test_verify_flags_non_interval_graph():
     report = verify_packing_class([c4, []], inst)
     assert report.p1_ok[0] is False and report.p1_witnesses[0][0] == "hole"
     assert report.p2_ok[0] is None  # stable-set bound not evaluated without P1
+
+
+def verify_by_forbidden_structures(E, inst):
+    """`verify_packing_class` by forbidden structures, as a reference: P1
+    by a hole search and then an asteroidal-triple search, P2 by the
+    stable-set routine on `Fraction` sizes, P3 by the first pair (in id
+    order) adjacent on every axis."""
+    graphs = [Graph(inst.ids, edges) for edges in E]
+    p1_ok, p1_wit, p2_ok, p2_wit = [], [], [], []
+    for i, G in enumerate(graphs):
+        chordal, hole = is_triangulated(G)
+        triple = find_asteroidal_triple(G) if chordal else None
+        p1_ok.append(chordal and triple is None)
+        p1_wit.append(("hole", hole) if hole else ("asteroidal_triple", triple) if triple else None)
+        if not p1_ok[-1]:
+            p2_ok.append(None)
+            p2_wit.append(None)
+            continue
+        weight, stable = max_weight_stable_set_interval(G, {b.id: b.size[i] for b in inst.boxes})
+        p2_ok.append(weight <= inst.container[i])
+        p2_wit.append(None if p2_ok[-1] else (stable, weight))
+    shared = next(
+        (pair for pair in combinations(inst.ids, 2) if all(G.has_edge(*pair) for G in graphs)), None
+    )
+    return ClassReport(tuple(p1_ok), tuple(p1_wit), tuple(p2_ok), tuple(p2_wit), shared is None, shared)
+
+
+def random_edge_sets(rng, inst):
+    """Per-axis edge lists of one of four kinds: the class of a random
+    valid packing, intersection graphs of random intervals, random trees
+    (chordal, often with an asteroidal triple) or random graphs."""
+    ids, n = inst.ids, inst.n
+    kind = rng.randrange(4)
+    if kind == 0:
+        packing = random_valid_packing(rng, inst, tries=50)
+        if packing is not None:
+            return [G.edges() for G in project_to_class(packing, inst).edge_sets]
+    if kind <= 1:
+        out = []
+        for _ in range(inst.d):
+            spans = [(lo, lo + rng.randint(0, 4)) for lo in (rng.randint(0, 6) for _ in ids)]
+            out.append([(ids[a], ids[b]) for a, b in combinations(range(n), 2)
+                        if max(spans[a][0], spans[b][0]) <= min(spans[a][1], spans[b][1])])
+        return out
+    if kind == 2:
+        return [[(ids[rng.randrange(b)], ids[b]) for b in range(1, n)] for _ in range(inst.d)]
+    p = rng.choice([0.2, 0.4, 0.6, 0.8])
+    return [[pair for pair in combinations(ids, 2) if rng.random() < p] for _ in range(inst.d)]
+
+
+def test_class_check_matches_forbidden_structure_reference():
+    """On random edge sets (d 1-3, fractional sizes) `verify_packing_class`
+    reports what the forbidden-structure reference reports, witnesses
+    included; `orient_class` orients exactly the all-ok tuples, and
+    `is_interval_graph` gives each graph the reference's P1 verdict and
+    witness."""
+    rng = random.Random(23)
+    seen = {"hole": 0, "asteroidal_triple": 0, "overweight": 0, "all_ok": 0}
+    for _ in range(500):
+        d = rng.randint(1, 3)
+        dens = [rng.randint(1, 3) for _ in range(d)]
+        sizes = [[Fraction(rng.randint(1, 3 * den), den) for den in dens] for _ in range(rng.randint(1, 10))]
+        container = [max(max(s[i] for s in sizes), rng.randint(2, 8)) for i in range(d)]
+        inst = Instance(boxes=[Box(f"b{k}", s) for k, s in enumerate(sizes)], container=container)
+        E = random_edge_sets(rng, inst)
+        expected = verify_by_forbidden_structures(E, inst)
+        assert verify_packing_class(E, inst) == expected
+        for edges, ok, witness in zip(E, expected.p1_ok, expected.p1_witnesses):
+            check = is_interval_graph(Graph(inst.ids, edges))
+            assert check == (IntervalCheck(True) if ok else IntervalCheck(False, **dict([witness])))
+            if witness:
+                seen[witness[0]] += 1
+        seen["overweight"] += expected.p2_ok.count(False)
+        if expected.all_ok:
+            seen["all_ok"] += 1
+            dags = orient_class(E, inst).dags
+            assert dags == tuple(transitive_orientation(complement(Graph(inst.ids, e))) for e in E)
+        else:
+            with pytest.raises(NotPackingClass):
+                orient_class(E, inst)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_orient_class_deterministic_and_complete_graph_case():
@@ -155,15 +245,18 @@ def test_clique_bound_holds_on_projected_classes(five_box_example):
 
 
 GUARD_SCRIPT = """
+from packclass.chargraph import Dag
 from packclass.fileio import render_svg
 from packclass.model import Box, Instance, Packing
-from packclass.packing_class import clique_bound_holds, orient_class
+from packclass.packing_class import Orientation, clique_bound_holds, extract_packing, orient_class
 cube = Instance(boxes=(Box("a", (1, 1, 1)),), container=(1, 1, 1))
 print(__debug__)
 for call in (
     lambda: orient_class([[], []]),
     lambda: clique_bound_holds([[], []], ["a"], 0),
     lambda: render_svg(cube, Packing({"a": (0, 0, 0)})),
+    lambda: extract_packing(Orientation(dags=(Dag(("a",), frozenset()),) * 2), cube),
+    lambda: extract_packing(Orientation(dags=(Dag(("a",), frozenset()),) * 4), cube),
 ):
     try:
         print("returned", call())
@@ -174,8 +267,9 @@ for call in (
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "python-O"])
 def test_caller_input_guards_raise_package_errors(flags):
-    """Edge sets with no instance, and an SVG of a 3-D packing, raise the
-    package's own errors, with asserts on and stripped alike."""
+    """Edge sets with no instance, an SVG of a 3-D packing, and too few or
+    too many orientations for the instance raise the package's own errors,
+    with asserts on and stripped alike."""
     src = os.path.dirname(os.path.dirname(packclass.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run(
@@ -184,7 +278,8 @@ def test_caller_input_guards_raise_package_errors(flags):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == [
-        str(not flags), "InvalidInstance", "InvalidInstance", "DimensionMismatch"
+        str(not flags), "InvalidInstance", "InvalidInstance", "DimensionMismatch",
+        "DimensionMismatch", "DimensionMismatch",
     ]
 
 

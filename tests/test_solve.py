@@ -9,7 +9,7 @@ from math import lcm
 import pytest
 
 from packclass import graph, opp, solve
-from packclass.errors import InfeasibleCrossSection
+from packclass.errors import InfeasibleCrossSection, InvalidLimits
 from packclass.model import Box, Instance, Packing, project_to_class, validate_packing
 from packclass.opp import SearchLimits, heuristic_pack, solve_opp
 from packclass.oracle import brute_force_opp
@@ -426,6 +426,22 @@ def test_spent_budget_reasons_and_stats(limits, okp_reason, okp_stats, spp_reaso
         out = solve_spp(inst.boxes, inst.container[:-1], limits)
         assert isinstance(out, ResourceLimit) and out.reason == spp_reason
         assert out.stats == dict(zip(("candidates", "probes", "engine_nodes"), spp_stats[k]))
+
+
+@pytest.mark.parametrize(
+    "limits", [SearchLimits(time_limit=float("nan")), SearchLimits(max_nodes=float("nan"))],
+    ids=["time_limit", "max_nodes"],
+)
+def test_nan_limits_raise(limits):
+    """A NaN limit would never run out, so each solve refuses it."""
+    inst = Instance(boxes=(Box("a", (1, 1)), Box("b", (1, 1))), container=(2, 2))
+    for run in (
+        lambda: solve_opp(inst, limits),
+        lambda: solve_okp(inst, limits),
+        lambda: solve_spp(inst.boxes, (2,), limits),
+    ):
+        with pytest.raises(InvalidLimits):
+            run()
 
 
 def reference_okp(inst, limits, pushes):
