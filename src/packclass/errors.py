@@ -14,7 +14,8 @@ class UnknownBox(PackclassError):
 
 
 class DimensionMismatch(PackclassError):
-    """A coordinate or size vector has the wrong number of components."""
+    """A coordinate or size vector, or a per-axis list of edge sets or
+    orientations, has the wrong number of components."""
 
 
 class DimensionOutOfRange(PackclassError):
@@ -30,7 +31,8 @@ class UnknownVertex(PackclassError):
 
 
 class InvalidLimits(PackclassError, ValueError):
-    """A search limit or size cap is NaN or not positive."""
+    """A search limit is not a real number or is NaN, or a size cap is not
+    positive."""
 
 
 class TooLarge(PackclassError):

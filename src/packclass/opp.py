@@ -54,8 +54,9 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
 from math import prod
+from numbers import Real
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .chargraph import _co_orientation
 from .errors import InvalidLimits, NoUndecided
@@ -507,66 +508,78 @@ def _try_accept(state: EdgeState) -> Optional[tuple[Packing, PackingClass]]:
 def _bottom_left(inst: Instance, order: Sequence[int]) -> Optional[list[tuple[int, tuple[int, ...]]]]:
     """Place boxes in `order`, each at its first free corner candidate
     (candidates sorted with the highest dimension varying slowest): 0 or a
-    placed box's far side that leaves room. Axes d-1..1 loop over their
-    candidates, keeping the placed boxes that overlap the new box there;
-    on axis 0 the position starts at 0 and jumps to the far side of a kept
-    box that blocks it until none does. No value inside a blocking span
-    is free, and the span's far side is itself a candidate. Axis 1 keeps
-    its boxes lazily: axis 0 scans the placed boxes once, in axis-0 order,
-    skipping those that miss the axis-1 span, and stops at its spot.
+    placed box's far side that leaves room. Placed boxes are flat tuples
+    (lo0, hi0, lo1, hi1, ...) kept sorted, so in axis-0 order. Axes d-1..2
+    loop over their candidates, keeping the placed boxes that overlap the
+    new box there. Axis 1 hands each candidate span to the one axis-0 jump
+    loop, which scans the kept boxes once, skips those that miss that
+    span, starts at 0, jumps to the far side of each box that blocks it
+    and stops at the first box that starts beyond its spot. No value
+    inside a blocking span is free, and the span's far side is itself a
+    candidate. A 1-D instance runs as a 2-D one of unit depth.
+
+    A lower cap on the last axis only cuts that axis's candidate list, so
+    a capped run places each box where the uncapped run does, until the
+    first box whose uncapped spot crosses the cap: there it returns None.
     """
     d = inst.d
+    sizes = inst.int_sizes
     caps = [inst.int_container(i) for i in range(d)]
-    far: list[list[int]] = [[] for _ in range(d)]  # distinct far sides per axis, sorted
-    boxes: list[tuple[tuple[int, int], ...]] = []  # placed [lo, hi) per axis, by axis-0 lo
+    if d == 1:
+        sizes = [(*w, 1) for w in sizes]
+        caps.append(1)
+    cap0 = caps[0]
+    far: list[list[int]] = [[] for _ in caps]  # distinct far sides per axis, sorted
+    boxes: list[tuple[int, ...]] = []  # placed (lo0, hi0, lo1, hi1, ...), sorted
     placed: list[tuple[int, tuple[int, ...]]] = []
 
-    def first_free(i: int, kept: Iterable, w: tuple[int, ...]) -> Optional[list[int]]:
-        """Coordinates on axes 0..i of the first corner free of `kept`."""
-        if i == 0:
-            x = 0
-            for spans in kept:
-                lo, hi = spans[0]
-                if lo >= x + w[0]:  # so does every later box's lo
-                    break
-                if hi > x:
-                    x = hi
-            return [x] if x + w[0] <= caps[0] else None
+    def jump(kept: list, w0: int, v: int, top: int) -> Optional[list[int]]:
+        """Axis-0 spot free of the kept boxes that meet [v, top) on axis 1."""
+        x = 0
+        for s in kept:
+            if s[0] >= x + w0:  # so does every later box's lo
+                break
+            if x < s[1] and s[2] < top and v < s[3]:
+                x = s[1]
+        return [x] if x + w0 <= cap0 else None
+
+    def first_free(i: int, kept: list, w: tuple[int, ...]) -> Optional[list[int]]:
+        """Coordinates on axes 0..i (i >= 1) of the first corner free of `kept`."""
         axis = far[i]
+        lo = 2 * i
         for v in (0, *axis[:bisect_right(axis, caps[i] - w[i])]):
             top = v + w[i]
-            meets = (s for s in kept if s[i][0] < top and v < s[i][1])
-            # axis 0 reads its boxes once; a higher axis once per candidate
-            spot = first_free(i - 1, meets if i == 1 else list(meets), w)
+            if i == 1:
+                spot = jump(kept, w[0], v, top)
+            else:
+                spot = first_free(i - 1, [s for s in kept if s[lo] < top and v < s[lo + 1]], w)
             if spot is not None:
                 spot.append(v)
                 return spot
         return None
 
-    sizes = inst.int_sizes
+    last = max(d - 1, 1)
     for b in order:
         w = sizes[b]
-        spot = first_free(d - 1, boxes, w)
+        spot = first_free(last, boxes, w)
         if spot is None:
             return None
-        placed.append((b, tuple(spot)))
-        insort(boxes, tuple((v, v + wi) for v, wi in zip(spot, w)))
+        placed.append((b, tuple(spot[:d])))
+        flat = []
         for axis, v, wi in zip(far, spot, w):
-            if v + wi not in axis:
-                insort(axis, v + wi)
+            hi = v + wi
+            flat += (v, hi)
+            if hi not in axis:
+                insort(axis, hi)
+        insort(boxes, tuple(flat))
     return placed
 
 
-def heuristic_pack(inst: Instance) -> Optional[Packing]:
-    """Deterministic bottom-left packing attempt: `_bottom_left` puts each
-    box at its first free corner, jumping along axis 0 past blocking boxes.
-
-    Several box orderings are tried in a fixed sequence (volume, longest
-    side, per-axis size, perimeter, each descending, ties by id); their
-    keys are read off the instance's integer sizes once per call. The
-    first complete placement wins, and only its positions become
-    `Fraction`s. Incomplete: may return None for feasible instances.
-    """
+def _heuristic_orders(inst: Instance) -> Iterator[tuple[int, ...]]:
+    """The distinct box orders `heuristic_pack` tries, in its sequence:
+    volume, longest side, per-axis size, perimeter, each descending, ties
+    by id; keys read off the instance's integer sizes, each order sorted
+    only when asked for."""
     sizes = inst.int_sizes
     keys = [
         [-prod(s) for s in sizes],
@@ -577,18 +590,35 @@ def heuristic_pack(inst: Instance) -> Optional[Packing]:
     seen: set[tuple[int, ...]] = set()
     for key in keys:
         order = tuple(b for _, _, b in sorted(zip(key, inst.ids, range(inst.n))))
-        if order in seen:
-            continue
-        seen.add(order)
+        if order not in seen:
+            seen.add(order)
+            yield order
+
+
+def _heuristic_packing(inst: Instance, placed: list[tuple[int, tuple[int, ...]]]) -> Packing:
+    """The `Packing` of a `_bottom_left` placement, validated against
+    `inst` by an explicit raise, so the check holds under `python -O`."""
+    scales = [inst.scale(i) for i in range(inst.d)]
+    packing = Packing({inst.ids[b]: tuple(map(Fraction, pos, scales)) for b, pos in placed})
+    if not validate_packing(packing, inst).valid:
+        raise AssertionError("heuristic produced an invalid packing")
+    return packing
+
+
+def heuristic_pack(inst: Instance) -> Optional[Packing]:
+    """Deterministic bottom-left packing attempt: `_bottom_left` puts each
+    box at its first free corner, jumping along axis 0 past blocking boxes.
+
+    The orders of `_heuristic_orders` are tried in turn; the first
+    complete placement wins, and only its positions become `Fraction`s
+    (`_heuristic_packing`). Incomplete: may return None for feasible
+    instances. `solve_spp` runs the same orders once per solve, at its
+    all-stacked height, as its upper bound.
+    """
+    for order in _heuristic_orders(inst):
         placed = _bottom_left(inst, order)
         if placed is not None:
-            scales = [inst.scale(i) for i in range(inst.d)]
-            packing = Packing({
-                inst.ids[b]: tuple(map(Fraction, pos, scales)) for b, pos in placed
-            })
-            if not validate_packing(packing, inst).valid:
-                raise AssertionError("heuristic produced an invalid packing")
-            return packing
+            return _heuristic_packing(inst, placed)
     return None
 
 
@@ -630,6 +660,10 @@ class _Budget:
     nodes left and an absolute deadline (None for no time limit)."""
 
     def __init__(self, limits: SearchLimits):
+        if not isinstance(limits.max_nodes, Real) or not (
+            limits.time_limit is None or isinstance(limits.time_limit, Real)
+        ):
+            raise InvalidLimits("search limits must be real numbers; only time_limit may be None")
         # NaN, the one value unequal to itself, would switch a limit off
         if limits.max_nodes != limits.max_nodes or limits.time_limit != limits.time_limit:
             raise InvalidLimits("search limits must not be NaN")
@@ -670,8 +704,10 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
     """`solve_opp` after the screen; its nodes are charged to `budget`.
 
     The bottom-left heuristic for a quick yes, returned without a packing
-    class: `solve_okp`/`solve_spp` read only the packing, and `solve_opp`
-    projects it itself. Then accept and prune checks on the root state.
+    class: `solve_okp` reads only the packing, and `solve_opp` projects it
+    itself (`solve_spp` runs the heuristic once as its bound, and its
+    probes pass `use_heuristic=False`). Then accept and prune checks on
+    the root state.
     Otherwise a depth-first branch and bound over edge decisions, run as
     one loop on an explicit stack: its depth is bounded by the number of
     (dimension, pair) variables, not by the call stack. One check block

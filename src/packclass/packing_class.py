@@ -89,9 +89,7 @@ def _as_graphs(E: EdgeSetsLike, inst: Instance) -> tuple[Graph, ...]:
     else:
         sets = E
     if len(sets) != inst.d:
-        raise UnknownVertex(
-            f"expected {inst.d} edge sets, got {len(sets)}"
-        )
+        raise DimensionMismatch(f"expected {inst.d} edge sets, got {len(sets)}")
     ids = inst.ids
     known = set(ids)
     graphs = []

@@ -29,10 +29,20 @@ decided.
 SPP probes candidate heights by binary search; since some optimal packing
 is gapless, every coordinate is a subset sum of box heights, so only those
 sums (at least the tallest box and the volume bound) can be optimal
-heights. A feasible probe's packing fits every height from the one it
-actually uses, so the search is capped at the smallest candidate at or
-above that height, not just at the probed one, and the packing in hand is
-returned once the search closes on it.
+heights. With the heuristic on, the bottom-left heuristic runs once per
+solve, as the upper bound (Martello, Monaci and Vigo, "An exact approach
+to the strip-packing problem", INFORMS J. Computing 15(3), 2003): every
+order of `heuristic_pack` at the all-stacked height, where each run places
+every box, keeping the lowest top. Every candidate height has the same
+integer scale, and a lower cap on the last axis only cuts that axis's list
+of corner candidates, so under a cap H a run places its boxes exactly as
+at the all-stacked height if its top is at most H and fails otherwise.
+The heuristic therefore fails at every height below the bound, and the
+probes there run the exact engine alone. A feasible probe's packing fits
+every height from the one it actually uses, so the search is capped at
+the smallest candidate at or above that height, not just at the probed
+one, and the packing in hand (a probe's, or the bound's, validated at the
+all-stacked height) is returned once the search closes on it.
 """
 
 from __future__ import annotations
@@ -49,7 +59,16 @@ from typing import Optional, Sequence, Union
 from .errors import InfeasibleCrossSection, InvalidInstance
 from .graph import bits
 from .model import Box, Instance, Packing, to_fraction
-from .opp import SearchLimits, SearchOutcome, _Budget, _decide, _screen_tables
+from .opp import (
+    SearchLimits,
+    SearchOutcome,
+    _Budget,
+    _bottom_left,
+    _decide,
+    _heuristic_orders,
+    _heuristic_packing,
+    _screen_tables,
+)
 
 DISMISSED_RECORD_CAP = 10_000
 
@@ -194,8 +213,12 @@ def solve_spp(
     `cross_section` fixes dimensions 0..d-2; the optimized height is the
     last dimension. Candidate heights are the subset sums of the boxes'
     last-dimension sizes, probed in binary-search order; each feasible
-    probe caps the search at the height its packing uses. The one budget
-    is built first, so the deadline also bounds building the sums.
+    probe caps the search at the height its packing uses. With
+    `limits.use_heuristic`, the lowest top of the bottom-left orders at
+    the all-stacked height caps it first, and no probe runs the heuristic
+    (see the module docstring). The one budget is built first, so the
+    deadline also bounds building the sums; a budget spent by then ends
+    the solve before the bound.
     """
     limits = limits or SearchLimits()
     budget = _Budget(limits)
@@ -234,14 +257,17 @@ def solve_spp(
     assert candidates, "stacking all boxes is always a candidate"
 
     stats["candidates"] = len(candidates)
+    if budget.spent():
+        return ResourceLimit("spp budget exhausted", stats)
 
     def probe(s: int) -> Union[SearchOutcome, ResourceLimit]:
         if budget.spent():
             return ResourceLimit("spp budget exhausted", stats)
         # No screen: a candidate height holds the volume by construction,
         # and a pair too wide on every axis is an initial conflict at 0 nodes.
+        # No heuristic: it fails below the bound, and is off without one.
         container = (*cross, Fraction(s, scale))
-        outcome = _decide(Instance(boxes=boxes, container=container), limits.use_heuristic, budget)
+        outcome = _decide(Instance(boxes=boxes, container=container), False, budget)
         stats["probes"] += 1
         stats["engine_nodes"] += outcome.stats.nodes
         if outcome.verdict == "resource_limit":
@@ -257,12 +283,27 @@ def solve_spp(
             for box_id, pos in packing.positions.items()
         )
 
+    lo, hi = 0, len(candidates) - 1
+    packing = None
+    if limits.use_heuristic:
+        # The bound: at the all-stacked height the top of the stack is
+        # always free, so each run places every box. One instance serves,
+        # as every candidate has the same integer scale.
+        stacked = Instance(boxes=boxes, container=(*cross, Fraction(candidates[-1], scale)))
+        best = None
+        for order in _heuristic_orders(stacked):
+            placed = _bottom_left(stacked, order)
+            top = max(pos[-1] + heights[b] for b, pos in placed)
+            if best is None or top < best[0]:
+                best = top, placed
+                if top <= candidates[0]:
+                    break
+        packing = _heuristic_packing(stacked, best[1])
+        hi = bisect_left(candidates, best[0])
     # Invariant: candidates below lo are infeasible and candidates[hi] is
     # feasible; `packing`, once set, fits in height candidates[hi]. A probe's
     # packing fits every height from the one it uses, so hi drops to the
     # smallest candidate at or above that, not just to the probed one.
-    lo, hi = 0, len(candidates) - 1
-    packing = None
     while lo < hi:
         mid = (lo + hi) // 2
         outcome = probe(candidates[mid])

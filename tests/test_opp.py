@@ -723,6 +723,44 @@ def test_bottom_left_matches_mask_reference():
     assert complete > 500 and given_up > 100, (complete, given_up)
 
 
+def test_bottom_left_under_a_lower_cap_keeps_its_placement_or_fails():
+    """The lemma behind the SPP bound: with the last axis capped at H, a
+    bottom-left run places every box as it does in the all-stacked strip
+    when that run's top is at most H, and returns None otherwise. So
+    `heuristic_pack` fails exactly below the lowest top of its orders at
+    the all-stacked height. d 1-3, heights on a 1, 1/2 or 1/3 grid, every
+    grid height from the tallest box to the stack."""
+    rng = random.Random(93)
+    kept = failed = refused = 0
+    for k in range(360):
+        d = 1 + k % 3
+        den = 1 + k // 3 % 3
+        cross = [rng.randint(2, 5) for _ in range(d - 1)]
+        boxes = [
+            Box(f"b{j}", (*(rng.randint(1, c) for c in cross), Fraction(rng.randint(1, 2 * den), den)))
+            for j in range(1 + rng.randrange(9))
+        ]
+        stacked = Instance(boxes=boxes, container=(*cross, sum(b.size[-1] for b in boxes)))
+        scale = stacked.scale(d - 1)
+        orders = [*opp._heuristic_orders(stacked), rng.sample(range(stacked.n), stacked.n)]
+        runs = []
+        for order in orders:
+            placed = _bottom_left(stacked, order)
+            runs.append((max(pos[-1] + stacked.int_size(b, d - 1) for b, pos in placed), placed))
+        lowest = min(top for top, _ in runs[:-1])
+        tallest = max(size[-1] for size in stacked.int_sizes)
+        for h in range(tallest, stacked.int_container(d - 1) + 1):
+            capped = Instance(boxes=boxes, container=(*cross, Fraction(h, scale)))
+            for order, (top, placed) in zip(orders, runs):
+                assert _bottom_left(capped, order) == (placed if top <= h else None), (k, h, order)
+                kept += top <= h
+                failed += top > h
+            if h in (lowest - 1, lowest):
+                assert (heuristic_pack(capped) is None) == (h < lowest), (k, h)
+                refused += h < lowest
+    assert kept > 4000 and failed > 5000 and refused > 200, (kept, failed, refused)
+
+
 def test_too_wide_table_matches_definition():
     """`Instance.int_too_wide` holds exactly the pairs too wide to sit side
     by side per axis, and `initial_state` applies them first, in (pair,
@@ -768,9 +806,10 @@ def test_too_wide_table_matches_definition():
 
 def test_validation_survives_python_O():
     """With asserts stripped, an invalid packing from the search, from the
-    heuristic (in solve_opp, and in the inner decisions of solve_okp and
-    solve_spp, where its own check is the only one), or an infeasible
-    all-stacked SPP height still raises."""
+    heuristic (in solve_opp, in the inner decisions of solve_okp and in
+    solve_spp's bound, where its own check is the only one), or an
+    infeasible all-stacked SPP height with the heuristic off (with it on,
+    the bound supplies that height's packing) still raises."""
     script = """
 from packclass import opp, solve
 from packclass.model import Box, Instance
@@ -793,7 +832,7 @@ for run in (lambda: solve.solve_okp(inst), lambda: solve.solve_spp(inst.boxes, (
         print("raised:", exc)
 solve._decide = lambda *args: opp.SearchOutcome("infeasible", None, None, opp.SearchStats())
 try:
-    print("returned", solve.solve_spp(inst.boxes, (2,)))
+    print("returned", solve.solve_spp(inst.boxes, (2,), opp.SearchLimits(use_heuristic=False)))
 except AssertionError as exc:
     print("raised:", exc)
 """

@@ -248,11 +248,15 @@ GUARD_SCRIPT = """
 from packclass.chargraph import Dag
 from packclass.fileio import render_svg
 from packclass.model import Box, Instance, Packing
-from packclass.packing_class import Orientation, clique_bound_holds, extract_packing, orient_class
+from packclass.packing_class import (
+    Orientation, clique_bound_holds, extract_packing, orient_class, verify_packing_class,
+)
 cube = Instance(boxes=(Box("a", (1, 1, 1)),), container=(1, 1, 1))
+square = Instance(boxes=(Box("a", (1, 1)),), container=(1, 1))
 print(__debug__)
 for call in (
     lambda: orient_class([[], []]),
+    lambda: verify_packing_class([[]], square),
     lambda: clique_bound_holds([[], []], ["a"], 0),
     lambda: render_svg(cube, Packing({"a": (0, 0, 0)})),
     lambda: extract_packing(Orientation(dags=(Dag(("a",), frozenset()),) * 2), cube),
@@ -267,9 +271,10 @@ for call in (
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "python-O"])
 def test_caller_input_guards_raise_package_errors(flags):
-    """Edge sets with no instance, an SVG of a 3-D packing, and too few or
-    too many orientations for the instance raise the package's own errors,
-    with asserts on and stripped alike."""
+    """Edge sets with no instance, too few edge sets for the instance, an
+    SVG of a 3-D packing, and too few or too many orientations for the
+    instance raise the package's own errors, with asserts on and stripped
+    alike."""
     src = os.path.dirname(os.path.dirname(packclass.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run(
@@ -278,8 +283,8 @@ def test_caller_input_guards_raise_package_errors(flags):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == [
-        str(not flags), "InvalidInstance", "InvalidInstance", "DimensionMismatch",
-        "DimensionMismatch", "DimensionMismatch",
+        str(not flags), "InvalidInstance", "DimensionMismatch", "InvalidInstance",
+        "DimensionMismatch", "DimensionMismatch", "DimensionMismatch",
     ]
 
 

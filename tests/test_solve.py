@@ -213,7 +213,7 @@ def test_spp_empty_box_list():
 REFERENCE_PROBE_NODES = 2_000
 
 
-def plain_spp_search(boxes, cross):
+def plain_spp_search(boxes, cross, use_heuristic=True):
     """Binary search over every subset-sum height at or above the tallest
     box and the volume bound, one `solve_opp` call per distinct candidate
     probed; (height, probes), or None when a probe needs more than
@@ -231,7 +231,7 @@ def plain_spp_search(boxes, cross):
         Fraction(s, scale) for s in sums
         if Fraction(s, scale) >= tallest and Fraction(s, scale) >= volume_bound
     )
-    limits = SearchLimits(max_nodes=REFERENCE_PROBE_NODES, time_limit=None)
+    limits = SearchLimits(max_nodes=REFERENCE_PROBE_NODES, time_limit=None, use_heuristic=use_heuristic)
     verdicts = {}
 
     def verdict(h):
@@ -253,6 +253,9 @@ def plain_spp_search(boxes, cross):
 
 
 def test_spp_matches_plain_binary_search():
+    """With the heuristic on and off, solve_spp finds the height of the
+    plain search run the same way in no more probes, with a packing that
+    validates there."""
     rng = random.Random(54)
     compared = fewer = 0
     for k in range(60):
@@ -266,20 +269,68 @@ def test_spp_matches_plain_binary_search():
             ))
             for j in range(rng.randint(1, 8))
         )
-        reference = plain_spp_search(boxes, cross)
-        if reference is None:
-            continue
-        height, probes = reference
-        sol = solve_spp(boxes, cross, SearchLimits(max_nodes=10 * REFERENCE_PROBE_NODES))
-        assert isinstance(sol, SppSolution), k
-        assert sol.height == height, k
-        assert sol.stats["probes"] <= probes, k
-        compared += 1
-        fewer += sol.stats["probes"] < probes
-        solved = Instance(boxes=boxes, container=(*cross, sol.height))
-        assert set(sol.packing.positions) == {b.id for b in boxes}, k
-        assert validate_packing(sol.packing, solved).valid, k
-    assert compared >= 55 and fewer > 0, (compared, fewer)
+        for heuristic in (True, False):
+            reference = plain_spp_search(boxes, cross, heuristic)
+            if reference is None:
+                continue
+            height, probes = reference
+            limits = SearchLimits(max_nodes=10 * REFERENCE_PROBE_NODES, use_heuristic=heuristic)
+            sol = solve_spp(boxes, cross, limits)
+            assert isinstance(sol, SppSolution), (k, heuristic)
+            assert sol.height == height, (k, heuristic)
+            assert sol.stats["probes"] <= probes, (k, heuristic)
+            compared += 1
+            fewer += sol.stats["probes"] < probes
+            solved = Instance(boxes=boxes, container=(*cross, sol.height))
+            assert set(sol.packing.positions) == {b.id for b in boxes}, (k, heuristic)
+            assert validate_packing(sol.packing, solved).valid, (k, heuristic)
+    assert compared >= 110 and fewer > 0, (compared, fewer)
+
+
+def spp_pinned_instance(rng, k):
+    """d 2-3, 3-10 boxes narrower than the cross section, heights on a 1,
+    1/2 or 1/3 grid."""
+    d = 2 + k % 2
+    den = (1, 2, 3)[k // 2 % 3]
+    cross = tuple(rng.randint(3, 6) for _ in range(d - 1))
+    boxes = tuple(
+        Box(f"b{j}", (*(rng.randint(1, c - 1) for c in cross), Fraction(rng.randint(1, 3 * den), den)))
+        for j in range(rng.randint(3, 10))
+    )
+    return boxes, cross
+
+
+def spp_digest(out):
+    if isinstance(out, ResourceLimit):
+        view = (out.reason, sorted(out.stats.items()))
+    else:
+        stats = sorted((k, v) for k, v in out.stats.items() if k != "wall_time")
+        view = (out.height, stats, out.packing.canonical())
+    return hashlib.sha256(repr(view).encode()).hexdigest()[:12]
+
+
+# Digest of solve_spp's height, statistics (wall time dropped) and packing,
+# or its limit reason and statistics, per instance with the heuristic off;
+# 40- and 400-node budgets alternate, and 13 of the 30 solves hit them. A
+# mismatch means the probe order or a probe's search changed.
+PINNED_SPP_NO_HEURISTIC = [
+    "8b59adfae827", "34b9c4e3ef2f", "b64916b7c681", "5852dae93850", "e688df75736d",
+    "3e86a36cc360", "d2416513541f", "38882fe64474", "175b60b8ebbb", "a985942616cb",
+    "8821e5d230c0", "d6318cf22fb0", "9e9865406d7f", "c5548ad3c2be", "172cfee3c4fd",
+    "f00812ea1ba7", "f8299ca925f3", "2af7911d3758", "7aad70d0129c", "9df4fac00a81",
+    "860735991af9", "f7ca881a7e29", "24c4d79005fd", "b23d0782f669", "ae40f10e97fe",
+    "9318610c5e18", "80ec262f7bc9", "2694a13a5954", "5e91888e0c5b", "4fdd1ebe373f",
+]
+
+
+def test_spp_without_heuristic_pinned():
+    rng = random.Random(58)
+    digests = []
+    for k in range(30):
+        boxes, cross = spp_pinned_instance(rng, k)
+        limits = SearchLimits(max_nodes=(40, 400)[k % 2], time_limit=None, use_heuristic=False)
+        digests.append(spp_digest(solve_spp(boxes, cross, limits)))
+    assert digests == PINNED_SPP_NO_HEURISTIC
 
 
 def okp_pinned_instance(rng, k):
@@ -327,7 +378,7 @@ def test_okp_outputs_pinned():
 
 def test_okp_and_spp_screen_once(monkeypatch):
     # The engine's volume/pair screen runs in solve_okp's own pass over the
-    # subsets and nowhere else; solve_spp's probes never need it.
+    # subsets and nowhere else; solve_spp's bound and probes never need it.
     calls = []
     screen_tables = opp._screen_tables
 
@@ -344,18 +395,23 @@ def test_okp_and_spp_screen_once(monkeypatch):
         sol = solve_okp(inst, SearchLimits(max_nodes=300, time_limit=None))
         assert isinstance(sol, OkpSolution) and calls == [inst.n]
         calls.clear()
-        out = solve_spp(inst.boxes, inst.container[:-1], SearchLimits(max_nodes=300))
+        solve_spp(inst.boxes, inst.container[:-1], SearchLimits(max_nodes=300))
+        assert calls == []
+        out = solve_spp(inst.boxes, inst.container[:-1], SearchLimits(max_nodes=300, use_heuristic=False))
         assert out.stats["probes"] > 0 and calls == []
 
 
 def test_inner_decisions_build_no_class(monkeypatch):
     """solve_okp and solve_spp read only a decision's packing: no inner
-    decision projects a packing class or builds a Graph, except a search
-    accept, which extracts its packing from the class it found. A
-    solve_opp heuristic hit still returns the projection of its packing."""
+    decision or SPP bound projects a packing class or builds a Graph,
+    except a search accept, which extracts its packing from the class it
+    found. A solve_opp heuristic hit still returns the projection of its
+    packing."""
     counts = {"project": 0, "graph": 0}
     decisions = []  # (verdict, heuristic hit, Graphs built)
+    bounds = []  # Graphs built by each SPP bound's packing step
     project, graph_init, decide = opp.project_to_class, graph.Graph.__init__, solve._decide
+    bound_packing = solve._heuristic_packing
 
     def counted_project(*args):
         counts["project"] += 1
@@ -371,18 +427,27 @@ def test_inner_decisions_build_no_class(monkeypatch):
         decisions.append((out.verdict, "heuristic" in out.stats.prunes, counts["graph"] - before))
         return out
 
+    def logged_bound(*args):
+        before = counts["graph"]
+        out = bound_packing(*args)
+        bounds.append(counts["graph"] - before)
+        return out
+
     monkeypatch.setattr(opp, "project_to_class", counted_project)
     monkeypatch.setattr(graph.Graph, "__init__", counted_graph_init)
     monkeypatch.setattr(solve, "_decide", logged_decide)
+    monkeypatch.setattr(solve, "_heuristic_packing", logged_bound)
     rng = random.Random(56)
     limits = SearchLimits(max_nodes=300, time_limit=None)
     for k in range(30):
         inst = okp_pinned_instance(rng, k)
         solve_okp(inst, limits)
         solve_spp(inst.boxes, inst.container[:-1], limits)
-    assert counts["project"] == 0
+    assert counts["project"] == 0 and len(bounds) == 30 and not any(bounds)
+    assert counts["graph"] == sum(graphs for _, _, graphs in decisions)
     assert all(verdict == "feasible" and not hit for verdict, hit, graphs in decisions if graphs)
-    hits = sum(hit for _, hit, _ in decisions)
+    # each SPP bound is a heuristic packing
+    hits = sum(hit for _, hit, _ in decisions) + len(bounds)
     refuted = sum(verdict == "infeasible" for verdict, _, _ in decisions)
     assert hits >= 50 and refuted >= 25, (hits, refuted)
 
@@ -429,11 +494,20 @@ def test_spent_budget_reasons_and_stats(limits, okp_reason, okp_stats, spp_reaso
 
 
 @pytest.mark.parametrize(
-    "limits", [SearchLimits(time_limit=float("nan")), SearchLimits(max_nodes=float("nan"))],
-    ids=["time_limit", "max_nodes"],
+    "limits",
+    [
+        SearchLimits(time_limit=float("nan")),
+        SearchLimits(max_nodes=float("nan")),
+        SearchLimits(max_nodes=None),
+        SearchLimits(max_nodes="5"),
+        SearchLimits(time_limit="1"),
+    ],
+    ids=["time_limit", "max_nodes", "max_nodes_none", "max_nodes_str", "time_limit_str"],
 )
 def test_nan_limits_raise(limits):
-    """A NaN limit would never run out, so each solve refuses it."""
+    """A NaN limit would never run out, and a node limit that is not a
+    real number, or a time limit that is neither None nor one, cannot be
+    counted down or added to the clock, so each solve refuses them."""
     inst = Instance(boxes=(Box("a", (1, 1)), Box("b", (1, 1))), container=(2, 2))
     for run in (
         lambda: solve_opp(inst, limits),
