@@ -114,7 +114,7 @@ def cmd_okp(args) -> int:
     sol = solve_okp(inst, _limits(args))
     if isinstance(sol, ResourceLimit):
         _emit({"format": fileio.RESULT_FORMAT, "verdict": "resource_limit",
-               "reason": sol.reason}, args.out)
+               "reason": sol.reason, "stats": sol.stats}, args.out)
         return EXIT_LIMIT
     sub = inst.restrict(sol.chosen)
     edge_sets = (
@@ -144,7 +144,7 @@ def cmd_spp(args) -> int:
     sol = solve_spp(boxes, cross, _limits(args))
     if isinstance(sol, ResourceLimit):
         _emit({"format": fileio.RESULT_FORMAT, "verdict": "resource_limit",
-               "reason": sol.reason}, args.out)
+               "reason": sol.reason, "stats": sol.stats}, args.out)
         return EXIT_LIMIT
     doc = fileio.result_file(
         verdict="feasible",

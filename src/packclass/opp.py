@@ -13,6 +13,11 @@ propagation applies the forced consequences:
     diagonals are already excluded is itself excluded (such a cycle could
     never gain a chord, and chordless 4-cycles are not interval).
 
+All assignments go through one loop, `propagate`, called once per search
+node and once by `initial_state`: it applies a queue of assignments first
+in first out, writing straight to the state's tables and trail, and builds
+an object only for a conflict.
+
 Pruning certificates are structures that no completion of the current
 state can destroy: an odd 2-chordless cycle in the minus graph whose
 potential 2-chords are all plus, an overweight clique in the minus graph
@@ -49,7 +54,6 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right, insort
-from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
@@ -116,11 +120,6 @@ class Conflict:
 
 
 @dataclass(frozen=True)
-class Consequences:
-    applied: tuple  # (dimension, pair index, sign) in application order
-
-
-@dataclass(frozen=True)
 class ImmediateConflict:
     conflict: Conflict
 
@@ -150,8 +149,9 @@ class EdgeState:
     the container's, and widest[i] lists the boxes widest first along it.
     pid_of[a][b] is the index of pair {a, b}. degree[v] counts the decided
     (dimension, pair) relations at v and open[pid] the dimensions in which
-    pair pid is undecided; `branch_select` scores pairs with both. `_set`
-    tests no widths: `initial_state` includes every too-wide pair first.
+    pair pid is undecided; `branch_select` scores pairs with both. Only
+    `propagate` assigns, in one loop that updates all of these in place,
+    and `undo_to` retracts.
     """
 
     def __init__(self, inst: Instance):
@@ -208,58 +208,68 @@ class EdgeState:
             open_[pid] += 1
             self.undecided += 1
 
-    def _set(self, i: int, pid: int, sign: int) -> str:
-        row = self.status[i]
+
+def initial_state(inst: Instance) -> Union[EdgeState, ImmediateConflict]:
+    """Fresh state with all forced inclusions (pairs too wide to sit side
+    by side) and the exclusions those force in turn."""
+    state = EdgeState(inst)
+    seeds = []  # in (pair, axis) order
+    for a, row in enumerate(zip(*inst.int_too_wide)):
+        rest = reduce(int.__or__, row) & -(2 << a)  # partners b > a
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            pid = state.pid_of[a][low.bit_length() - 1]
+            seeds += [(i, pid, INCLUDE) for i, wide in enumerate(row) if wide & low]
+    conflict = propagate(state, *seeds)
+    return state if conflict is None else ImmediateConflict(conflict)
+
+
+def propagate(state: EdgeState, *decisions: tuple[int, int, int]) -> Optional[Conflict]:
+    """Apply (dimension, pair index, sign) decisions and their forced
+    consequences to a fixed point, first in first out. Returns None on
+    success, the assignments made being `state.trail[mark:]` for the mark
+    taken before the call; on Conflict the partial assignments stay on the
+    trail too (`state.undo_to(mark)` retracts them). No width is tested:
+    `initial_state` includes every too-wide pair first, so excluding one
+    conflicts.
+    """
+    # A `for` over a list also visits what is appended during the loop:
+    # the queue is first in, first out without a deque's pops.
+    queue = [(i, pid, sign, "seed") for i, pid, sign in decisions]
+    status, pairs, pid_of, trail = state.status, state.pairs, state.pid_of, state.trail
+    plus_adj, minus_adj, degree, open_ = state.plus_adj, state.minus_adj, state.degree, state.open
+    d = state.d
+    mark = len(trail)
+    conflict = None
+    for i, pid, sign, rule in queue:
+        row = status[i]
         cur = row[pid]
         if cur == sign:
-            return "noop"
-        if cur != 0:
-            return "conflict"
-        a, b = self.pairs[pid]
+            continue
+        if cur:
+            conflict = Conflict(rule=rule, dimension=i, pair=state.pair_ids(pid))
+            break
         row[pid] = sign
-        adj = self.plus_adj[i] if sign == INCLUDE else self.minus_adj[i]
+        a, b = pairs[pid]
+        plus = plus_adj[i]
+        minus = minus_adj[i]
+        adj = plus if sign == INCLUDE else minus
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-        self.degree[a] += 1
-        self.degree[b] += 1
-        self.open[pid] -= 1
-        self.trail.append((i, pid))
-        self.undecided -= 1
-        return "applied"
-
-
-def _fixpoint(
-    state: EdgeState, seeds: list[tuple[int, int, int]]
-) -> Union[Consequences, Conflict]:
-    """Apply the seed assignments and their forced consequences."""
-    queue: deque[tuple[int, int, int, str]] = deque(
-        (i, pid, sign, "seed") for i, pid, sign in seeds
-    )
-    applied: list[tuple[int, int, int]] = []
-    status = state.status
-    pid_of = state.pid_of
-    while queue:
-        i, pid, sign, rule = queue.popleft()
-        result = state._set(i, pid, sign)
-        if result == "noop":
-            continue
-        if result == "conflict":
-            state.stats.conflicts += 1
-            return Conflict(rule=rule, dimension=i, pair=state.pair_ids(pid))
-        applied.append((i, pid, sign))
-        state.stats.propagations += 1
-        a, b = state.pairs[pid]
-        plus = state.plus_adj[i]
-        minus = state.minus_adj[i]
+        degree[a] += 1
+        degree[b] += 1
+        open_[pid] -= 1
+        trail.append((i, pid))
         if sign == INCLUDE:
             count = 0
             for row in status:
                 if row[pid] == INCLUDE:
                     count += 1
-            if count == state.d:
-                state.stats.conflicts += 1
-                return Conflict(rule="p3", dimension=i, pair=state.pair_ids(pid))
-            if count == state.d - 1:
+            if count == d:
+                conflict = Conflict(rule="p3", dimension=i, pair=state.pair_ids(pid))
+                break
+            if count == d - 1:
                 for j, row in enumerate(status):
                     if row[pid] == 0:
                         queue.append((j, pid, EXCLUDE, "p3"))
@@ -306,37 +316,14 @@ def _fixpoint(
             common = minus[a] & minus[b]
             w = state.sizes[i]
             if common and w[a] + w[b] + _greedy_clique(minus, w, common)[0] > state.caps[i]:
-                state.stats.conflicts += 1
-                return Conflict(rule="minus_clique", dimension=i, pair=state.pair_ids(pid))
-    return Consequences(tuple(applied))
-
-
-def initial_state(inst: Instance) -> Union[EdgeState, ImmediateConflict]:
-    """Fresh state with all forced inclusions (pairs too wide to sit side
-    by side) and the exclusions those force in turn."""
-    state = EdgeState(inst)
-    seeds = []  # in (pair, axis) order
-    for a, row in enumerate(zip(*inst.int_too_wide)):
-        rest = reduce(int.__or__, row) & -(2 << a)  # partners b > a
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            pid = state.pid_of[a][low.bit_length() - 1]
-            seeds += [(i, pid, INCLUDE) for i, wide in enumerate(row) if wide & low]
-    result = _fixpoint(state, seeds)
-    if isinstance(result, Conflict):
-        return ImmediateConflict(result)
-    return state
-
-
-def propagate(state: EdgeState, decision: tuple[int, int, int]) -> Union[Consequences, Conflict]:
-    """Apply one (dimension, pair index, sign) decision plus its forced
-    consequences, to a fixed point.
-
-    On Conflict the partial assignments stay on the trail; use
-    state.mark()/state.undo_to() around the call to retract them.
-    """
-    return _fixpoint(state, [decision])
+                conflict = Conflict(rule="minus_clique", dimension=i, pair=state.pair_ids(pid))
+                break
+    applied = len(trail) - mark
+    state.undecided -= applied
+    state.stats.propagations += applied
+    if conflict is not None:
+        state.stats.conflicts += 1
+    return conflict
 
 
 def prune_check(state: EdgeState, since: Optional[int] = None) -> Optional[Prune]:
@@ -344,8 +331,8 @@ def prune_check(state: EdgeState, since: Optional[int] = None) -> Optional[Prune
 
     Returns None when no rule fires. Every certificate survives every
     completion of the state, so pruning never loses solutions. The state
-    must be a conflict-free `_fixpoint` result: rule (1), a plus 4-cycle
-    with both diagonals minus, is never checked here because `_fixpoint`
+    must be a conflict-free `propagate` result: rule (1), a plus 4-cycle
+    with both diagonals minus, is never checked here because `propagate`
     excludes the closing pair of every plus 3-path with minus diagonals
     and conflicts if that pair is already plus. Rule (2) returns at once
     when the minus edges an odd walk could use form a bipartite graph, and
@@ -374,7 +361,9 @@ def prune_check(state: EdgeState, since: Optional[int] = None) -> Optional[Prune
     if gated:
         odd = [False] * state.d  # per axis: can a new assignment close an odd walk?
         anchors = [[] for _ in range(state.d)]  # (a, b, common) per new minus edge
-        for i, pid in state.trail[since:]:
+        trail = state.trail
+        for k in range(since, len(trail)):
+            i, pid = trail[k]
             a, b = state.pairs[pid]
             plus, minus, w = state.plus_adj[i], state.minus_adj[i], state.sizes[i]
             common = minus[a] & minus[b]
@@ -382,7 +371,13 @@ def prune_check(state: EdgeState, since: Optional[int] = None) -> Optional[Prune
                 odd[i] |= common != 0
             else:
                 odd[i] |= (minus[a] & plus[b] | minus[b] & plus[a]) != 0
-                if common and w[a] + w[b] + sum(w[v] for v in bits(common)) > state.caps[i]:
+                total = w[a] + w[b]
+                rest = common
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    total += w[low.bit_length() - 1]
+                if common and total > state.caps[i]:
                     anchors[i].append((a, b, common))
     for i in range(state.d):
         plus = state.plus_adj[i]
@@ -460,10 +455,14 @@ def branch_select(state: EdgeState) -> tuple[int, int, int]:
         for (a, b), left in zip(state.pairs, state.open)
     ]
     best = max(scores)
-    tied = [pid for pid, score in enumerate(scores) if score == best]
-    return next(
-        (i, pid, INCLUDE) for i, row in enumerate(state.status) for pid in tied if row[pid] == 0
-    )
+    scores.append(best)  # a sentinel, so `index` finds m past the last tie
+    for i, row in enumerate(state.status):
+        pid = scores.index(best)
+        while pid < state.m and row[pid]:
+            pid = scores.index(best, pid + 1)
+        if pid < state.m:
+            return i, pid, INCLUDE
+    raise AssertionError("unreachable: a pair with the best score is undecided somewhere")
 
 
 def _try_accept(state: EdgeState) -> Optional[tuple[Packing, PackingClass]]:
@@ -475,7 +474,7 @@ def _try_accept(state: EdgeState) -> Optional[tuple[Packing, PackingClass]]:
     stable set read off it (P2) and a transitive orientation of the
     complement: chordal with a comparability complement is interval
     (Gilmore-Hoffman), so that is P1, and the orientation's longest paths
-    place the boxes. No pair is plus on every axis (P3): `_fixpoint`
+    place the boxes. No pair is plus on every axis (P3): `propagate`
     reports that as a conflict. The returned packing is validated.
     """
     n = state.n
@@ -605,7 +604,7 @@ def _heuristic_packing(inst: Instance, placed: list[tuple[int, tuple[int, ...]]]
     return packing
 
 
-def heuristic_pack(inst: Instance) -> Optional[Packing]:
+def heuristic_pack(inst: Instance, *, budget: Optional[_Budget] = None) -> Optional[Packing]:
     """Deterministic bottom-left packing attempt: `_bottom_left` puts each
     box at its first free corner, jumping along axis 0 past blocking boxes.
 
@@ -613,9 +612,13 @@ def heuristic_pack(inst: Instance) -> Optional[Packing]:
     complete placement wins, and only its positions become `Fraction`s
     (`_heuristic_packing`). Incomplete: may return None for feasible
     instances. `solve_spp` runs the same orders once per solve, at its
-    all-stacked height, as its upper bound.
+    all-stacked height, as its upper bound. With a `budget`, the deadline
+    is checked before every order after the first: once it has passed the
+    heuristic gives up.
     """
-    for order in _heuristic_orders(inst):
+    for k, order in enumerate(_heuristic_orders(inst)):
+        if k and budget is not None and budget.expired():
+            return None
         placed = _bottom_left(inst, order)
         if placed is not None:
             return _heuristic_packing(inst, placed)
@@ -727,10 +730,12 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
         return SearchOutcome(verdict=verdict, packing=packing, packing_class=pc, stats=stats)
 
     if use_heuristic:
-        packing = heuristic_pack(inst)
+        packing = heuristic_pack(inst, budget=budget)
         if packing is not None:
             stats.bump("heuristic")
             return outcome("feasible", packing)
+        if budget.expired():
+            return outcome("resource_limit")
 
     init = initial_state(inst)
     if isinstance(init, ImmediateConflict):
@@ -786,15 +791,16 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
         # Enter the next child that propagates without conflict.
         while stack:
             mark, i, pid, signs = stack.pop()
-            state.undo_to(mark)
-            while silent[-1] > mark:
-                silent.pop()
+            if len(state.trail) > mark:  # else the undo is a no-op
+                state.undo_to(mark)
+                while silent[-1] > mark:
+                    silent.pop()
             if signs:
                 stack.append((mark, i, pid, signs[1:]))
                 stats.nodes += 1
                 stats.decisions += 1
                 since_check += 1
-                if isinstance(propagate(state, (i, pid, signs[0])), Consequences):
+                if propagate(state, (i, pid, signs[0])) is None:
                     break
         else:
             return outcome("infeasible")

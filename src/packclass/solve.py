@@ -131,6 +131,10 @@ def solve_okp(
         if len(dismissed) < DISMISSED_RECORD_CAP:
             dismissed.append((mask, reason))
 
+    def limit(reason: str) -> ResourceLimit:
+        stats["wall_time"] = time.perf_counter() - budget.start
+        return ResourceLimit(reason, stats)
+
     def solution(chosen: int, value: int, packing: Packing) -> OkpSolution:
         stats["wall_time"] = time.perf_counter() - budget.start
         return OkpSolution(
@@ -156,7 +160,7 @@ def solve_okp(
         if mask == 0:
             return solution(0, 0, Packing({}))
         if budget.expired():  # before the screen, which charges no nodes
-            return ResourceLimit("okp budget exhausted", stats)
+            return limit("okp budget exhausted")
         if volume <= capacity and not clean:
             rest = mask
             while rest:
@@ -171,12 +175,12 @@ def solve_okp(
             record(mask, "volume-or-pair-screen")
         else:
             if budget.nodes_left <= 0:
-                return ResourceLimit("okp budget exhausted", stats)
+                return limit("okp budget exhausted")
             # The subset passed the screen above: no second screen.
             outcome = _decide(inst.restrict(subset_ids(mask)), limits.use_heuristic, budget)
             stats["engine_nodes"] += outcome.stats.nodes
             if outcome.verdict == "resource_limit":
-                return ResourceLimit("inner decision hit its limit", stats)
+                return limit("inner decision hit its limit")
             if outcome.verdict == "feasible":
                 return solution(mask, -neg_value, outcome.packing)
             stats["dismissed_opp"] += 1
@@ -218,11 +222,17 @@ def solve_spp(
     the all-stacked height caps it first, and no probe runs the heuristic
     (see the module docstring). The one budget is built first, so the
     deadline also bounds building the sums; a budget spent by then ends
-    the solve before the bound.
+    the solve before the bound, and the bound checks the deadline before
+    every order after the first.
     """
     limits = limits or SearchLimits()
     budget = _Budget(limits)
     stats = {"probes": 0, "engine_nodes": 0, "candidates": 0}
+
+    def limit(reason: str = "spp budget exhausted") -> ResourceLimit:
+        stats["wall_time"] = time.perf_counter() - budget.start
+        return ResourceLimit(reason, stats)
+
     cross = tuple(to_fraction(x) for x in cross_section)
     d = len(cross) + 1
     boxes = tuple(boxes)
@@ -246,7 +256,7 @@ def solve_spp(
     for h in heights:  # up to 2^n sums: the deadline holds here too
         sums |= {s + h for s in sums}
         if budget.expired():
-            return ResourceLimit("spp budget exhausted", stats)
+            return limit()
     cross_area = Fraction(1)
     for c in cross:
         cross_area *= c
@@ -258,11 +268,11 @@ def solve_spp(
 
     stats["candidates"] = len(candidates)
     if budget.spent():
-        return ResourceLimit("spp budget exhausted", stats)
+        return limit()
 
     def probe(s: int) -> Union[SearchOutcome, ResourceLimit]:
         if budget.spent():
-            return ResourceLimit("spp budget exhausted", stats)
+            return limit()
         # No screen: a candidate height holds the volume by construction,
         # and a pair too wide on every axis is an initial conflict at 0 nodes.
         # No heuristic: it fails below the bound, and is off without one.
@@ -271,7 +281,7 @@ def solve_spp(
         stats["probes"] += 1
         stats["engine_nodes"] += outcome.stats.nodes
         if outcome.verdict == "resource_limit":
-            return ResourceLimit("inner decision hit its limit", stats)
+            return limit("inner decision hit its limit")
         return outcome
 
     height_of = {b.id: h for b, h in zip(boxes, heights)}
@@ -292,6 +302,8 @@ def solve_spp(
         stacked = Instance(boxes=boxes, container=(*cross, Fraction(candidates[-1], scale)))
         best = None
         for order in _heuristic_orders(stacked):
+            if best is not None and budget.expired():
+                return limit()
             placed = _bottom_left(stacked, order)
             top = max(pos[-1] + heights[b] for b, pos in placed)
             if best is None or top < best[0]:

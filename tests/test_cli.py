@@ -122,6 +122,33 @@ def test_okp_and_spp_results(tmp_path, example_file, capsys):
     capsys.readouterr()
 
 
+SEVEN_BOXES = {
+    "d": 2,
+    "container": [5, 5],
+    "boxes": [{"id": f"b{k}", "size": size} for k, size in enumerate(
+        [[3, 2], [2, 3], [3, 2], [2, 3], [1, 1], [2, 2], [2, 1]], start=1)],
+}
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("okp", {"examined", "dismissed_screen", "dismissed_opp", "engine_nodes", "wall_time"}),
+    ("spp", {"candidates", "probes", "engine_nodes", "wall_time"}),
+])
+def test_resource_limit_file_carries_stats(tmp_path, capsys, command, keys):
+    # The full box set overfills the square, so OKP decides a subset, and
+    # SPP probes a height: one node each, then the limit.
+    inst = tmp_path / "seven.json"
+    inst.write_text(json.dumps(SEVEN_BOXES))
+    out = tmp_path / "res.json"
+    assert run([command, str(inst), "--node-limit", "1", "--no-heuristic", "-o", str(out)]) == 2
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] == "resource_limit"
+    assert doc["reason"] == "inner decision hit its limit"
+    assert set(doc["stats"]) == keys and doc["stats"]["engine_nodes"] == 1
+    assert doc["stats"]["wall_time"] >= 0
+    capsys.readouterr()
+
+
 def test_no_boxes_is_solved_by_every_command(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"d": 2, "container": [5, 5], "boxes": []}))

@@ -19,7 +19,6 @@ from packclass.opp import (
     EXCLUDE,
     INCLUDE,
     Conflict,
-    Consequences,
     EdgeState,
     ImmediateConflict,
     Prune,
@@ -43,6 +42,7 @@ from packclass.sweep import exhaustive_grid
 from bottomleft import bottom_left_by_masks
 from certcheck import check_induced_c4, check_odd_2chordless_cycle
 from graphtools import greedy_weight_clique
+import reference_search as reference
 from packclass.graph import (
     Graph,
     _asteroidal_triple,
@@ -94,13 +94,12 @@ def test_propagate_forces_c4_completion_edge():
     ]
     decisions = [(i, state.pair_of(a, b), sign) for i, (a, b), sign in decisions]
     for decision in decisions:
-        result = propagate(state, decision)
-        assert isinstance(result, Consequences)
+        assert propagate(state, decision) is None
     pid = state.pair_of("v2", "v3")
     assert state.status[0][pid] == EXCLUDE
     # and re-running the final decision is a no-op
-    again = propagate(state, decisions[-1])
-    assert isinstance(again, Consequences) and again.applied == ()
+    mark = state.mark()
+    assert propagate(state, decisions[-1]) is None and state.mark() == mark
     # trying to include the forced-out edge is a contradiction
     conflict = propagate(state, (0, pid, INCLUDE))
     assert isinstance(conflict, Conflict)
@@ -121,8 +120,8 @@ def test_propagate_idempotent_on_random_states():
             if isinstance(result, Conflict):
                 state.undo_to(before)
                 continue
-            again = propagate(state, (i, pair, sign))
-            assert isinstance(again, Consequences) and again.applied == ()
+            mark = state.mark()
+            assert propagate(state, (i, pair, sign)) is None and state.mark() == mark
         # structural invariants: no pair both included and excluded, and no
         # pair included in every dimension
         for p in range(state.m):
@@ -144,11 +143,11 @@ def _fits_beside(state, i, pid):
 
 
 def _set_raw(state, i, a, b, sign):
-    # `_set` tests no widths: a state built by hand never excludes a pair
-    # too wide for the axis
+    # `set_edge` tests no widths: a state built by hand never excludes a
+    # pair too wide for the axis
     pid = state.pair_of(a, b)
     assert sign == INCLUDE or _fits_beside(state, i, pid)
-    assert state._set(i, pid, sign) == "applied"
+    assert reference.set_edge(state, i, pid, sign) == "applied"
 
 
 def test_propagation_leaves_no_plus_c4_with_minus_diagonals():
@@ -221,7 +220,7 @@ def test_silent_prune_check_implies_clique_bound():
                 if rng.random() < density:
                     sign = EXCLUDE if pair in planned[i] else INCLUDE
                     assert sign == INCLUDE or _fits_beside(state, i, pid)
-                    state._set(i, pid, sign)
+                    reference.set_edge(state, i, pid, sign)
         if prune_check(state) is not None:
             continue
         silent += 1
@@ -316,11 +315,12 @@ def _branch_by_definition(state):
     return (best[0], best[1], INCLUDE)
 
 
-def random_walk_states(rng, instances, undo=0.25):
+def random_walk_states(rng, instances, undo=0.25, apply=propagate):
     """Random propagate/undo_to walks from `initial_state` of seeded
     instances (n 2-9, d 1-3, sizes 1-4 in a cube of side 6); yields
     (state, undone) after each step, `undone` telling an undo step. A
-    step undoes with probability `undo`, and always on a decided state."""
+    step undoes with probability `undo`, and always on a decided state;
+    `apply` stands in for `propagate`."""
     for _ in range(instances):
         n, d = rng.randint(2, 9), rng.randint(1, 3)
         inst = Instance(
@@ -346,7 +346,7 @@ def random_walk_states(rng, instances, undo=0.25):
                 i, pid = rng.choice(open_slots)
                 mark = state.mark()
                 sign = INCLUDE if rng.random() < 0.5 else EXCLUDE
-                if isinstance(propagate(state, (i, pid, sign)), Conflict):
+                if isinstance(apply(state, (i, pid, sign)), Conflict):
                     state.undo_to(mark)
                 else:
                     marks.append(mark)
@@ -371,9 +371,44 @@ def test_branch_select_matches_definition():
             with pytest.raises(NoUndecided):
                 branch_select(state)
         else:
-            assert branch_select(state) == _branch_by_definition(state)
+            choice = branch_select(state)
+            assert choice == _branch_by_definition(state) == reference.branch_select(state)
             checked += 1
     assert checked > 1000 and undone > 200, (checked, undone)
+
+
+def _snapshot(state):
+    return (state.status, state.plus_adj, state.minus_adj, state.degree, state.open,
+            state.trail, state.undecided, state.stats.deterministic_view())
+
+
+def test_propagate_matches_reference_fixpoint():
+    """Along random propagate/undo_to walks, each `propagate` call leaves
+    the state the reference fixpoint leaves on a copy: the trail suffix
+    holds the reference's applied assignments in order, and a conflict is
+    the same one."""
+    seen = Counter()
+
+    def both(state, decision):
+        twin = reference.copy_state(state)
+        expected = reference.fixpoint(twin, [decision])
+        mark = state.mark()
+        got = propagate(state, decision)
+        if isinstance(expected, Conflict):
+            assert got == expected
+            seen[expected.rule] += 1
+        else:
+            assert got is None
+            suffix = [(i, pid, state.status[i][pid]) for i, pid in state.trail[mark:]]
+            assert suffix == list(expected)
+            seen["forced" if len(expected) > 1 else "single"] += 1
+        assert _snapshot(state) == _snapshot(twin)
+        return got
+
+    # Rare undos let walks run deep, where c4 exclusions conflict.
+    for _ in random_walk_states(random.Random(80), 120, undo=0.02, apply=both):
+        pass
+    assert min(seen[key] for key in ("single", "forced", "p3", "c4", "minus_clique")) >= 20, seen
 
 
 def _accept_by_definition(state):
@@ -512,7 +547,7 @@ def test_try_accept_rejects_asteroidal_triple():
     state = EdgeState(inst)
     claw = [("c", "a1"), ("a1", "a2"), ("c", "b1"), ("b1", "b2"), ("c", "d1"), ("d1", "d2")]
     for a, b in claw:
-        assert state._set(0, state.pair_of(a, b), INCLUDE) == "applied"
+        assert reference.set_edge(state, 0, state.pair_of(a, b), INCLUDE) == "applied"
     assert _try_accept(state) is None
     assert not verify_packing_class([state.e_plus(0), state.e_plus(1)], inst).all_ok
     state.undo_to(state.mark() - 1)  # drop d1-d2: a spider with short legs is interval
@@ -593,6 +628,58 @@ PINNED_GUILLOTINE_TREES = [
     (46, "resource_limit", (40, 40, 113, 12, (("infeasible_clique", 1),)), None),
     (58, "resource_limit", (40, 40, 93, 7, (("odd_cycle", 1),)), None),
 ]
+
+
+def reference_instance(rng, k):
+    """d 1-3; every other instance a guillotine cut (feasible), the rest
+    random boxes filling 60-110 % of the container. One in 25 has 65-72
+    boxes, past CLIQUE_CAP; the others 2-12."""
+    d = 1 + k % 3
+    large = k % 25 == 24
+    n = rng.randint(65, 72) if large else rng.randint(2, 12)
+    container = ((40,), (20, 20), (8, 8, 8))[d - 1] if large else tuple(
+        rng.randint(4, 10) for _ in range(d)
+    )
+    if k % 2:
+        return guillotine_instance(rng, container, min(n, prod(container)))
+    fill = rng.uniform(0.6, 1.1) * prod(container)
+    sizes, volume = [], 0
+    while len(sizes) < n and volume < fill:
+        size = tuple(rng.randint(1, max(1, c // 2)) for c in container)
+        sizes.append(size)
+        volume += prod(size)
+    return Instance(boxes=[Box(f"b{j}", s) for j, s in enumerate(sizes)], container=container)
+
+
+def test_search_matches_reference():
+    """`solve_opp` and the reference search (the parent's assignment
+    function, fixed point, branching and search loop) give the same
+    verdict, statistics and packing on seeded instances, with budgets of
+    0-2,000 nodes and the heuristic on and off; `initial_state` leaves the
+    reference's state."""
+    rng = random.Random(81)
+    seen = Counter()
+    for k in range(1040):
+        inst = reference_instance(rng, k)
+        limits = SearchLimits(
+            max_nodes=rng.choice((0, 1, 5, 20, 80, 300, 2000) if inst.n <= 12 else (40, 200)),
+            time_limit=None,
+            use_heuristic=rng.random() < 1 / 3,
+        )
+        state, expected_state = initial_state(inst), reference.initial_state(inst)
+        if isinstance(state, ImmediateConflict):
+            assert state == expected_state, k
+        else:
+            assert _snapshot(state) == _snapshot(expected_state), k
+        got, expected = solve_opp(inst, limits), reference.solve_opp(inst, limits)
+        assert got.verdict == expected.verdict, k
+        assert got.stats.deterministic_view() == expected.stats.deterministic_view(), k
+        assert got.packing == expected.packing, k
+        assert got.packing_class == expected.packing_class, k
+        seen[got.verdict] += 1
+        seen["searched"] += got.stats.nodes > 0
+        seen["large"] += inst.n > 64 and got.stats.nodes > 0
+    assert seen["searched"] >= 300 and seen["large"] >= 10 and min(seen.values()) >= 10, seen
 
 
 def test_search_tree_pinned_on_guillotine_cuts():
@@ -764,8 +851,8 @@ def test_bottom_left_under_a_lower_cap_keeps_its_placement_or_fails():
 def test_too_wide_table_matches_definition():
     """`Instance.int_too_wide` holds exactly the pairs too wide to sit side
     by side per axis, and `initial_state` applies them first, in (pair,
-    axis) order; `_set`, which tests no widths, then refuses to exclude
-    any of them."""
+    axis) order; a raw assignment, which tests no widths, and `propagate`
+    then refuse to exclude any of them."""
     rng = random.Random(92)
     ordered = 0
     for k in range(60):
@@ -800,7 +887,8 @@ def test_too_wide_table_matches_definition():
             ordered += len(seeds) >= 2
             for i, pid in seeds:
                 assert state.status[i][pid] == INCLUDE
-                assert state._set(i, pid, EXCLUDE) == "conflict"
+                assert reference.set_edge(state, i, pid, EXCLUDE) == "conflict"
+                assert propagate(state, (i, pid, EXCLUDE)) == Conflict("seed", i, state.pair_ids(pid))
     assert ordered >= 10, ordered
 
 

@@ -180,6 +180,7 @@ def test_spp_deadline_bounds_building_candidate_heights():
     out = solve_spp(boxes, (1,), SearchLimits(time_limit=limit))
     elapsed = time.perf_counter() - start
     assert isinstance(out, ResourceLimit) and out.reason == "spp budget exhausted"
+    assert out.stats.pop("wall_time") >= 0
     assert out.stats == {"probes": 0, "engine_nodes": 0, "candidates": 0}
     assert elapsed < 2 * limit + 0.2, elapsed
 
@@ -196,7 +197,45 @@ def test_spp_deadline_passing_during_the_last_subset_sum_step(monkeypatch):
     monkeypatch.setattr(solve, "_Budget", LastStepBudget)
     out = solve_spp(boxes, (1,))
     assert isinstance(out, ResourceLimit) and out.reason == "spp budget exhausted"
+    assert out.stats.pop("wall_time") >= 0
     assert out.stats == {"probes": 0, "engine_nodes": 0, "candidates": 0}
+
+
+def test_heuristic_stops_once_the_deadline_passes(monkeypatch):
+    """A deadline that passes during the first bottom-left order stops the
+    heuristic before the second: `_decide` then returns resource_limit
+    and SPP's bound ResourceLimit. Without it, every order of this box
+    set misses in the square and SPP's bound runs them all."""
+    sizes = ((3, 3), (2, 2), (3, 1), (3, 1), (1, 4))
+    inst = Instance(boxes=[Box(f"b{k}", s) for k, s in enumerate(sizes)], container=(5, 5))
+    runs = []
+    bottom_left = opp._bottom_left
+
+    def counted(inst, order):
+        runs.append(order)
+        return bottom_left(inst, order)
+
+    class FirstOrderBudget(opp._Budget):
+        def expired(self):
+            return bool(runs)
+
+    monkeypatch.setattr(opp, "_bottom_left", counted)
+    monkeypatch.setattr(solve, "_bottom_left", counted)
+    limits = SearchLimits(max_nodes=1, time_limit=None)
+    out = solve_opp(inst, limits)
+    assert len(runs) == 5 and out.stats.nodes == 1 and "heuristic" not in out.stats.prunes
+    runs.clear()
+    assert isinstance(solve_spp(inst.boxes, (5,), limits), ResourceLimit) and len(runs) == 5
+
+    monkeypatch.setattr(opp, "_Budget", FirstOrderBudget)
+    monkeypatch.setattr(solve, "_Budget", FirstOrderBudget)
+    runs.clear()
+    out = solve_opp(inst, limits)
+    assert out.verdict == "resource_limit" and out.stats.nodes == 0 and len(runs) == 1
+    runs.clear()
+    out = solve_spp(inst.boxes, (5,), limits)
+    assert isinstance(out, ResourceLimit) and out.reason == "spp budget exhausted"
+    assert out.stats["probes"] == 0 and len(runs) == 1
 
 
 def test_spp_empty_box_list():
@@ -301,10 +340,10 @@ def spp_pinned_instance(rng, k):
 
 
 def spp_digest(out):
+    stats = sorted((k, v) for k, v in out.stats.items() if k != "wall_time")
     if isinstance(out, ResourceLimit):
-        view = (out.reason, sorted(out.stats.items()))
+        view = (out.reason, stats)
     else:
-        stats = sorted((k, v) for k, v in out.stats.items() if k != "wall_time")
         view = (out.height, stats, out.packing.canonical())
     return hashlib.sha256(repr(view).encode()).hexdigest()[:12]
 
@@ -348,10 +387,10 @@ def okp_pinned_instance(rng, k):
 
 
 def okp_digest(out):
+    stats = sorted((k, v) for k, v in out.stats.items() if k != "wall_time")
     if isinstance(out, ResourceLimit):
-        view = (out.reason, sorted(out.stats.items()))
+        view = (out.reason, stats)
     else:
-        stats = sorted((k, v) for k, v in out.stats.items() if k != "wall_time")
         view = (out.chosen, out.total_value, stats, out.dismissed, out.packing.canonical())
     return hashlib.sha256(repr(view).encode()).hexdigest()[:12]
 
@@ -487,9 +526,11 @@ def test_spent_budget_reasons_and_stats(limits, okp_reason, okp_stats, spp_reaso
         out = solve_okp(inst, limits)
         assert isinstance(out, ResourceLimit) and out.reason == okp_reason
         keys = ("examined", "dismissed_screen", "dismissed_opp", "engine_nodes")
+        assert out.stats.pop("wall_time") >= 0
         assert out.stats == dict(zip(keys, okp_stats[k]))
         out = solve_spp(inst.boxes, inst.container[:-1], limits)
         assert isinstance(out, ResourceLimit) and out.reason == spp_reason
+        assert out.stats.pop("wall_time") >= 0
         assert out.stats == dict(zip(("candidates", "probes", "engine_nodes"), spp_stats[k]))
 
 
