@@ -91,6 +91,12 @@ def _emit(doc, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _emit_limit(sol: ResourceLimit, out_path) -> int:
+    _emit({"format": fileio.RESULT_FORMAT, "verdict": "resource_limit",
+           "reason": sol.reason, "stats": fileio.stats_to_json(sol.stats)}, out_path)
+    return EXIT_LIMIT
+
+
 def cmd_opp(args) -> int:
     inst, warnings = fileio.load_instance(args.instance, drop_unfit=args.drop_unfit)
     for w in warnings:
@@ -101,7 +107,7 @@ def cmd_opp(args) -> int:
         container=inst.container,
         packing=outcome.packing,
         edge_sets=outcome.packing_class.edge_sets if outcome.packing_class else None,
-        stats=fileio.stats_to_json(outcome.stats),
+        stats=fileio.stats_to_json(vars(outcome.stats)),
     )
     _emit(doc, args.out)
     return {"feasible": EXIT_OK, "infeasible": EXIT_FAIL}.get(outcome.verdict, EXIT_LIMIT)
@@ -113,9 +119,7 @@ def cmd_okp(args) -> int:
         print(f"warning: {w}", file=sys.stderr)
     sol = solve_okp(inst, _limits(args))
     if isinstance(sol, ResourceLimit):
-        _emit({"format": fileio.RESULT_FORMAT, "verdict": "resource_limit",
-               "reason": sol.reason, "stats": sol.stats}, args.out)
-        return EXIT_LIMIT
+        return _emit_limit(sol, args.out)
     sub = inst.restrict(sol.chosen)
     edge_sets = (
         project_to_class(sol.packing, sub).edge_sets if sol.chosen else None
@@ -125,7 +129,7 @@ def cmd_okp(args) -> int:
         container=inst.container,
         packing=sol.packing,
         edge_sets=edge_sets,
-        stats=sol.stats,
+        stats=fileio.stats_to_json(sol.stats),
         extra={
             "chosen": sorted(sol.chosen),
             "value": fileio.rational_to_json(sol.total_value),
@@ -143,14 +147,12 @@ def cmd_spp(args) -> int:
         cross = container[:-1]
     sol = solve_spp(boxes, cross, _limits(args))
     if isinstance(sol, ResourceLimit):
-        _emit({"format": fileio.RESULT_FORMAT, "verdict": "resource_limit",
-               "reason": sol.reason, "stats": sol.stats}, args.out)
-        return EXIT_LIMIT
+        return _emit_limit(sol, args.out)
     doc = fileio.result_file(
         verdict="feasible",
         container=(*cross, sol.height),
         packing=sol.packing,
-        stats=sol.stats,
+        stats=fileio.stats_to_json(sol.stats),
         extra={"height": fileio.rational_to_json(sol.height)},
     )
     _emit(doc, args.out)

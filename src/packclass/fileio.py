@@ -258,14 +258,13 @@ def write_json(doc: Any, path: Optional[str]) -> str:
     return text
 
 
-def stats_to_json(stats) -> dict:
-    return {
-        "nodes": stats.nodes,
-        "decisions": stats.decisions,
-        "propagations": stats.propagations,
-        "prunes": dict(sorted(stats.prunes.items())),
-        "wall_time_s": round(stats.wall_time, 6),
-    }
+def stats_to_json(stats: dict) -> dict:
+    """The `stats` of a result file, in one shape for every solve command:
+    the solver's counters by name, and its `wall_time` as `wall_time_s`,
+    rounded to 6 digits."""
+    doc = dict(stats)
+    doc["wall_time_s"] = round(doc.pop("wall_time"), 6)
+    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -487,7 +487,7 @@ def _greedy_clique(adj: Sequence[int], w: Sequence, P: int) -> tuple:
     """Greedy heavy-first clique over the vertices in mask `P`: (weight,
     mask). Each step adds the heaviest vertex adjacent to every vertex
     added so far, lowest index on ties. A sound under-approximation, used
-    beyond the exact-search cap and as propagation's overweight probe."""
+    only as propagation's overweight probe."""
     mask = total = 0
     while P:
         best, rest = -1, P

@@ -20,24 +20,23 @@ an object only for a conflict.
 
 Pruning certificates are structures that no completion of the current
 state can destroy: an odd 2-chordless cycle in the minus graph whose
-potential 2-chords are all plus, an overweight clique in the minus graph
-and, beyond CLIQUE_CAP boxes only, the width bound on fully decided
-vertex sets. Each is re-checkable against the state. Two structures need
-no check of their own: a plus 4-cycle with both diagonals minus never
-survives propagation (the third rule above), and up to CLIQUE_CAP boxes
-the odd-cycle and exact clique rules imply the width bound.
+potential 2-chords are all plus, and an overweight clique in the minus
+graph. Each is re-checkable against the state. Two structures need no
+check of their own: a plus 4-cycle with both diagonals minus never
+survives propagation (the third rule above), and the two rules together
+imply the width bound on every fully decided vertex set.
 
-Those two rules are monotone: adding assignments never destroys an odd
-cycle or an overweight clique. So once a check on the search path comes
-back silent, a later check can fire only through an assignment made
-since. The search keeps the trail marks of its silent checks, and up to
-CLIQUE_CAP boxes a periodic check runs a rule on an axis only when a new
-assignment can fire it there. The odd-cycle rule runs when a new minus
-edge is linked (it has a step other than its backtrack) or a new plus
-pair has a common minus neighbour. The clique rule runs when the common
-minus neighbours of a new minus edge {a, b} hold a clique heavier than
-cap - s_a - s_b. An open gate runs the full rule, so trees and
-certificates are those of full checks.
+Both rules are monotone: adding assignments never destroys an odd cycle
+or an overweight clique. So once a check on the search path comes back
+silent, a later check can fire only through an assignment made since.
+The search keeps the trail marks of its silent checks, and a periodic
+check runs a rule on an axis only when a new assignment can fire it
+there. The odd-cycle rule runs when a new minus edge is linked (it has a
+step other than its backtrack) or a new plus pair has a common minus
+neighbour. The clique rule runs when the common minus neighbours of a
+new minus edge {a, b} hold a clique heavier than cap - s_a - s_b. An
+open gate runs the full rule, so trees and certificates are those of
+full checks.
 
 Everything inside the search runs on integers: per-dimension adjacency
 bitsets (`EdgeState.plus_adj`/`minus_adj`), vertex indices and the
@@ -65,7 +64,6 @@ from typing import Iterator, Optional, Sequence, Union
 from .chargraph import _co_orientation
 from .errors import InvalidLimits, NoUndecided
 from .graph import (
-    CLIQUE_CAP,
     Graph,
     _chordal_stable_set,
     _greedy_clique,
@@ -338,26 +336,31 @@ def prune_check(state: EdgeState, since: Optional[int] = None) -> Optional[Prune
     when the minus edges an odd walk could use form a bipartite graph, and
     rule (3)'s search prunes every branch that cannot outweigh the axis.
 
+    No width rule is needed: (2) and (3) imply that the plus graph on a
+    set S whose pairs are all decided has a clique of ceil(total size /
+    cap). The non-minus pairs of S are plus, so (2) finds any odd
+    2-chordless closed walk of minus[S]; without one, minus[S] is a
+    comparability graph (Gallai), hence perfect, and S splits into as many
+    minus cliques as the largest plus clique on S, each of weight <= cap
+    by (3).
+
     `since` is the trail mark of a check that came back None on a state
-    this one extends. Up to CLIQUE_CAP boxes a rule can then fire only
-    through the assignments `state.trail[since:]`, because rules (2) and
-    (3) are monotone, and an axis's rule runs only when those can fire it:
-    (2) when a new minus edge {a, b} is linked (minus[a] & plus[b] or
-    minus[b] & plus[a]; an unlinked edge adds only a 2-cycle) or a new plus
-    pair {x, y} has a common minus neighbour (a new step x-v-y), since a
-    new odd closed walk needs a new arc or a new step; (3) when, for some
-    new minus edge {a, b}, the common minus neighbours of a and b hold a
-    clique heavier than cap - s_a - s_b, since a new overweight clique
-    contains a new edge (the clique search is skipped when even all those
-    neighbours together are not that heavy). An open gate runs the full
-    rule, so the result is always `prune_check(state)`'s. Beyond
-    CLIQUE_CAP the greedy rule (3) and rule (4) are not monotone, and
-    `since` is ignored.
+    this one extends. A rule can then fire only through the assignments
+    `state.trail[since:]`, because rules (2) and (3) are monotone, and an
+    axis's rule runs only when those can fire it: (2) when a new minus
+    edge {a, b} is linked (minus[a] & plus[b] or minus[b] & plus[a]; an
+    unlinked edge adds only a 2-cycle) or a new plus pair {x, y} has a
+    common minus neighbour (a new step x-v-y), since a new odd closed walk
+    needs a new arc or a new step; (3) when, for some new minus edge
+    {a, b}, the common minus neighbours of a and b hold a clique heavier
+    than cap - s_a - s_b, since a new overweight clique contains a new
+    edge (the clique search is skipped when even all those neighbours
+    together are not that heavy). An open gate runs the full rule, so the
+    result is always `prune_check(state)`'s.
     """
     inst = state.inst
     n = state.n
-    full = (1 << n) - 1
-    gated = since is not None and n <= CLIQUE_CAP
+    gated = since is not None
     if gated:
         odd = [False] * state.d  # per axis: can a new assignment close an odd walk?
         anchors = [[] for _ in range(state.d)]  # (a, b, common) per new minus edge
@@ -395,47 +398,18 @@ def prune_check(state: EdgeState, since: Optional[int] = None) -> Optional[Prune
                 )
         # (3) overweight clique in the minus graph (a stable set of the
         # final graph, so it must fit along the axis)
-        if n > CLIQUE_CAP:
-            weight, clique = _greedy_clique(minus, sizes, full)
-        elif not gated or any(
+        if gated and not any(
             _max_clique(minus, sizes, common, cap - sizes[a] - sizes[b])[1]
             for a, b, common in anchors[i]
         ):
-            weight, clique = _max_clique(minus, sizes, full, cap)
-        else:
             continue
+        weight, clique = _max_clique(minus, sizes, (1 << n) - 1, cap)
         if weight > cap:
-            ids = inst.ids
             return Prune(
                 rule="infeasible_clique",
                 dimension=i,
-                certificate=(tuple(ids[v] for v in bits(clique)),),
+                certificate=(tuple(inst.ids[v] for v in bits(clique)),),
             )
-        # (4) width bound on the fully decided vertex set: the plus graph
-        # on it needs a clique of ceil(total size / cap). Up to CLIQUE_CAP,
-        # (2) and exact (3) imply it for every set S whose pairs are all
-        # decided: the non-minus pairs of S are plus, so (2) finds any odd
-        # 2-chordless closed walk of minus[S]; without one, minus[S] is a
-        # comparability graph (Gallai), hence perfect, and S splits into
-        # as many minus cliques as the largest plus clique on S, each of
-        # weight <= cap by (3).
-        if n <= CLIQUE_CAP:
-            continue
-        decided = 0
-        for v in range(n):
-            if (plus[v] | minus[v]) == full & ~(1 << v):
-                decided |= 1 << v
-        if 2 <= decided.bit_count() <= CLIQUE_CAP:
-            needed = -(-sum(sizes[v] for v in bits(decided)) // cap)
-            if needed >= 2:
-                size, _ = _max_clique(plus, [1] * n, decided)
-                if size < needed:
-                    ids = inst.ids
-                    return Prune(
-                        rule="clique_bound",
-                        dimension=i,
-                        certificate=(tuple(ids[v] for v in bits(decided)), needed, size),
-                    )
     return None
 
 
@@ -710,7 +684,7 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
     class: `solve_okp` reads only the packing, and `solve_opp` projects it
     itself (`solve_spp` runs the heuristic once as its bound, and its
     probes pass `use_heuristic=False`). Then accept and prune checks on
-    the root state.
+    the root state, each only while the deadline has not passed.
     Otherwise a depth-first branch and bound over edge decisions, run as
     one loop on an explicit stack: its depth is bounded by the number of
     (dimension, pair) variables, not by the call stack. One check block
@@ -746,9 +720,14 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
     stats.conflicts += state.stats.conflicts
     state.stats = stats
 
+    # Either root check can outlast a short time limit on many boxes.
+    if budget.expired():
+        return outcome("resource_limit")
     accept = _try_accept(state)
     if accept is not None:
         return outcome("feasible", accept[0], accept[1])
+    if budget.expired():
+        return outcome("resource_limit")
     if prune_check(state) is not None:
         stats.bump("root_prune")
         return outcome("infeasible")

@@ -1,7 +1,8 @@
 """The search's per-node path as it was before it became one assignment
 loop, kept as a reference: `set_edge` (one raw assignment), `fixpoint`
 (a seed list and its forced consequences, returning the applied
-assignments), `branch_select` (every tie listed) and `solve_opp` (the
+assignments), `branch_select` (every tie listed), `prune_check` (the prune
+rules as they were when they forked at 64 boxes) and `solve_opp` (the
 search loop with an unconditional undo at every pop). The tests compare
 `opp.propagate`, `opp.branch_select` and `opp.solve_opp` with these.
 """
@@ -10,7 +11,7 @@ import copy
 from collections import deque
 from functools import reduce
 
-from packclass.graph import _greedy_clique
+from packclass.graph import CLIQUE_CAP, _greedy_clique, _max_clique, _odd_closed_walk, bits
 from packclass.model import project_to_class
 from packclass.opp import (
     CHECK_INTERVAL,
@@ -19,13 +20,13 @@ from packclass.opp import (
     Conflict,
     EdgeState,
     ImmediateConflict,
+    Prune,
     SearchLimits,
     SearchOutcome,
     SearchStats,
     _Budget,
     _try_accept,
     heuristic_pack,
-    prune_check,
     quick_infeasible,
 )
 
@@ -131,6 +132,96 @@ def initial_state(inst):
             seeds += [(i, pid, INCLUDE) for i, wide in enumerate(row) if wide >> b & 1]
     result = fixpoint(state, seeds)
     return ImmediateConflict(result) if isinstance(result, Conflict) else state
+
+
+def prune_check(state, since=None):
+    """`opp.prune_check` as it was when the rules forked at CLIQUE_CAP
+    boxes: up to it the exact clique rule (3) and the `since` gates, beyond
+    it a greedy rule (3), the width-bound rule (4) and a full check every
+    time."""
+    inst = state.inst
+    n = state.n
+    full = (1 << n) - 1
+    gated = since is not None and n <= CLIQUE_CAP
+    if gated:
+        odd = [False] * state.d  # per axis: can a new assignment close an odd walk?
+        anchors = [[] for _ in range(state.d)]  # (a, b, common) per new minus edge
+        trail = state.trail
+        for k in range(since, len(trail)):
+            i, pid = trail[k]
+            a, b = state.pairs[pid]
+            plus, minus, w = state.plus_adj[i], state.minus_adj[i], state.sizes[i]
+            common = minus[a] & minus[b]
+            if state.status[i][pid] == INCLUDE:
+                odd[i] |= common != 0
+            else:
+                odd[i] |= (minus[a] & plus[b] | minus[b] & plus[a]) != 0
+                total = w[a] + w[b]
+                rest = common
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    total += w[low.bit_length() - 1]
+                if common and total > state.caps[i]:
+                    anchors[i].append((a, b, common))
+    for i in range(state.d):
+        plus = state.plus_adj[i]
+        minus = state.minus_adj[i]
+        sizes = state.sizes[i]
+        cap = state.caps[i]
+        # (2) odd 2-chordless cycle in the minus graph (2-chords forced plus)
+        if not gated or odd[i]:
+            walk = _odd_closed_walk(n, minus, plus)
+            if walk is not None:
+                return Prune(
+                    rule="odd_cycle",
+                    dimension=i,
+                    certificate=tuple(inst.ids[v] for v in walk),
+                )
+        # (3) overweight clique in the minus graph (a stable set of the
+        # final graph, so it must fit along the axis)
+        if n > CLIQUE_CAP:
+            weight, clique = _greedy_clique(minus, sizes, full)
+        elif not gated or any(
+            _max_clique(minus, sizes, common, cap - sizes[a] - sizes[b])[1]
+            for a, b, common in anchors[i]
+        ):
+            weight, clique = _max_clique(minus, sizes, full, cap)
+        else:
+            continue
+        if weight > cap:
+            ids = inst.ids
+            return Prune(
+                rule="infeasible_clique",
+                dimension=i,
+                certificate=(tuple(ids[v] for v in bits(clique)),),
+            )
+        # (4) width bound on the fully decided vertex set: the plus graph
+        # on it needs a clique of ceil(total size / cap). Up to CLIQUE_CAP,
+        # (2) and exact (3) imply it for every set S whose pairs are all
+        # decided: the non-minus pairs of S are plus, so (2) finds any odd
+        # 2-chordless closed walk of minus[S]; without one, minus[S] is a
+        # comparability graph (Gallai), hence perfect, and S splits into
+        # as many minus cliques as the largest plus clique on S, each of
+        # weight <= cap by (3).
+        if n <= CLIQUE_CAP:
+            continue
+        decided = 0
+        for v in range(n):
+            if (plus[v] | minus[v]) == full & ~(1 << v):
+                decided |= 1 << v
+        if 2 <= decided.bit_count() <= CLIQUE_CAP:
+            needed = -(-sum(sizes[v] for v in bits(decided)) // cap)
+            if needed >= 2:
+                size, _ = _max_clique(plus, [1] * n, decided)
+                if size < needed:
+                    ids = inst.ids
+                    return Prune(
+                        rule="clique_bound",
+                        dimension=i,
+                        certificate=(tuple(ids[v] for v in bits(decided)), needed, size),
+                    )
+    return None
 
 
 def branch_select(state):

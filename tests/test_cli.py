@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from packclass import cli
 from packclass.cli import main
@@ -130,10 +135,14 @@ SEVEN_BOXES = {
 }
 
 
-@pytest.mark.parametrize("command, keys", [
-    ("okp", {"examined", "dismissed_screen", "dismissed_opp", "engine_nodes", "wall_time"}),
-    ("spp", {"candidates", "probes", "engine_nodes", "wall_time"}),
-])
+STATS_KEYS = {
+    "opp": {"nodes", "decisions", "propagations", "conflicts", "prunes", "wall_time_s"},
+    "okp": {"examined", "dismissed_screen", "dismissed_opp", "engine_nodes", "wall_time_s"},
+    "spp": {"candidates", "probes", "engine_nodes", "wall_time_s"},
+}
+
+
+@pytest.mark.parametrize("command, keys", [("okp", STATS_KEYS["okp"]), ("spp", STATS_KEYS["spp"])])
 def test_resource_limit_file_carries_stats(tmp_path, capsys, command, keys):
     # The full box set overfills the square, so OKP decides a subset, and
     # SPP probes a height: one node each, then the limit.
@@ -145,7 +154,21 @@ def test_resource_limit_file_carries_stats(tmp_path, capsys, command, keys):
     assert doc["verdict"] == "resource_limit"
     assert doc["reason"] == "inner decision hit its limit"
     assert set(doc["stats"]) == keys and doc["stats"]["engine_nodes"] == 1
-    assert doc["stats"]["wall_time"] >= 0
+    assert doc["stats"]["wall_time_s"] >= 0
+    capsys.readouterr()
+
+
+def test_solve_commands_write_stats_in_one_shape(tmp_path, capsys):
+    # opp (a screened no), okp and spp write the solver's counters by name
+    # and the wall time in seconds, rounded to 6 digits
+    inst = tmp_path / "seven.json"
+    inst.write_text(json.dumps(SEVEN_BOXES))
+    for command, code in (("opp", 1), ("okp", 0), ("spp", 0)):
+        out = tmp_path / f"{command}.json"
+        assert run([command, str(inst), "-o", str(out)]) == code, command
+        stats = json.loads(out.read_text())["stats"]
+        assert set(stats) == STATS_KEYS[command], command
+        assert stats["wall_time_s"] == round(stats["wall_time_s"], 6) >= 0, command
     capsys.readouterr()
 
 
@@ -334,3 +357,77 @@ def test_verify_drop_unfit(tmp_path, capsys):
     assert "packing: ok" in capsys.readouterr().out
     assert run(["verify", str(inst), str(result)]) == 64
     assert "box 'd' does not fit the container" in capsys.readouterr().err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats(-2, 9)
+    | st.sampled_from(("", "x", "1/2", "3", "-1", "1/0")),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(("id", "size", "d", "x")), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def instance_texts(draw):
+    """The text of an instance file: a valid instance (d 1-3, up to 6
+    boxes, some values, in one file of four a side one over the
+    container's), or one with a value swapped for any JSON value, a key
+    dropped, or text that is not such a document at all."""
+    d = draw(st.integers(1, 3))
+    container = [draw(st.integers(1, 5)) for _ in range(d)]
+    over = draw(st.sampled_from((0, 0, 0, 1)))
+    boxes = []
+    for j in range(draw(st.integers(0, 6))):
+        box = {"id": f"b{j}", "size": [draw(st.integers(1, w + over)) for w in container]}
+        if draw(st.booleans()):
+            box["value"] = draw(st.sampled_from((0, 2, "3/2")))
+        boxes.append(box)
+    doc = {"d": d, "container": container, "boxes": boxes}
+    fault = draw(st.sampled_from(("none", "none", "swap", "drop", "text")))
+    if fault == "text":
+        return draw(st.sampled_from(("", "{nope", "[]", "null", "7", '"boxes"')))
+    if fault != "none":
+        places = [(doc, key) for key in doc] + [(doc["container"], k) for k in range(d)]
+        places += [(box, key) for box in boxes for key in box]
+        places += [(box["size"], k) for box in boxes for k in range(d)]
+        holder, key = draw(st.sampled_from(places))
+        if fault == "drop":
+            del holder[key]
+        else:
+            holder[key] = draw(json_values)
+    return json.dumps(doc)
+
+
+def _check_exit(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 64, 65), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(instance_texts(), json_values, st.sampled_from(("0", "1", "50")), st.booleans())
+def test_commands_exit_with_their_codes_on_any_instance_file(text, junk, nodes, heuristic):
+    """opp, okp, spp and verify end with one of the documented exit codes
+    and print no traceback, on valid and malformed instance files; verify
+    checks the result file, that result with every box at the origin, and
+    an arbitrary JSON document."""
+    with tempfile.TemporaryDirectory() as tmp:
+        instance, result, stacked, other = (Path(tmp, name) for name in ("i", "r", "s", "o"))
+        instance.write_text(text)
+        other.write_text(json.dumps(junk))
+        flags = ["--node-limit", nodes, "--time-limit", "1", *([] if heuristic else ["--no-heuristic"])]
+        for command in ("okp", "spp", "opp"):
+            _check_exit([command, str(instance), *flags, "-o", str(result)])
+        if result.exists():
+            doc = json.loads(result.read_text())
+            for pos in doc.get("positions", {}).values():
+                pos[:] = [0] * len(pos)
+            stacked.write_text(json.dumps(doc))
+        for artifact in (result, stacked, other):
+            _check_exit(["verify", str(instance), str(artifact)])

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -498,7 +499,8 @@ def test_prune_check_since_a_silent_check_matches_full_check(monkeypatch):
 def test_search_checks_since_silent_marks_match_full_checks(monkeypatch):
     """In the search itself, every check since the top of `_decide`'s stack
     of silent marks returns what the full check returns: a mark dropped
-    too late on backtracking would hide assignments from the gates."""
+    too late on backtracking would hide assignments from the gates. Past
+    64 boxes too, where the gates hold as they do below."""
     full = opp.prune_check
     fired = Counter()
 
@@ -507,6 +509,7 @@ def test_search_checks_since_silent_marks_match_full_checks(monkeypatch):
         if since is not None:
             assert got == full(state)
             fired[got is not None] += 1
+            fired["past 64 boxes"] += state.n > 64
         return got
 
     monkeypatch.setattr(opp, "prune_check", checked)
@@ -514,7 +517,9 @@ def test_search_checks_since_silent_marks_match_full_checks(monkeypatch):
     limits = SearchLimits(max_nodes=600, time_limit=None, use_heuristic=False)
     for k in range(24):
         solve_opp(tight_instance(rng, 6 + k % 4), limits)
-    assert fired[True] >= 50 and fired[False] >= 500, fired
+    for k in range(8):
+        solve_opp(large_instance(rng, k, most=80), limits)
+    assert fired[True] >= 50 and fired[False] >= 500 and fired["past 64 boxes"] >= 150, fired
 
 
 def test_solve_five_box_example_by_search(five_box_example):
@@ -682,6 +687,43 @@ def test_search_matches_reference():
     assert seen["searched"] >= 300 and seen["large"] >= 10 and min(seen.values()) >= 10, seen
 
 
+def large_instance(rng, k, most=130):
+    """n 65-`most` boxes, d 1-3: every other instance a guillotine cut of a
+    fixed container (feasible); the rest boxes with sides 1-3 (1-2 in 3-D)
+    in a cube that they fill to 60-110 %."""
+    d = 1 + k % 3
+    n = rng.randint(65, most)
+    if k % 2:
+        return guillotine_instance(rng, ((200,), (20, 20), (8, 8, 8))[d - 1], n)
+    side = 2 if d == 3 else 3
+    sizes = [tuple(rng.randint(1, side) for _ in range(d)) for _ in range(n)]
+    width = round((sum(map(prod, sizes)) / rng.uniform(0.6, 1.1)) ** (1 / d))
+    return Instance(
+        boxes=[Box(f"b{j}", s) for j, s in enumerate(sizes)], container=(max(side, width),) * d
+    )
+
+
+def test_search_above_clique_cap_matches_reference():
+    """Past 64 boxes `prune_check` runs the exact clique rule and the
+    `since` gates, where the reference's (the rules as they were) ran a
+    greedy clique, a width-bound rule and full checks. On seeded 65-130
+    box searches the verdict, statistics and packing are the same."""
+    rng = random.Random(6530)
+    seen = Counter()
+    for k in range(40):
+        inst = large_instance(rng, k)
+        limits = SearchLimits(
+            max_nodes=rng.choice((40, 100, 200)), time_limit=None, use_heuristic=rng.random() < 0.25
+        )
+        got, expected = solve_opp(inst, limits), reference.solve_opp(inst, limits)
+        assert got.verdict == expected.verdict, k
+        assert got.stats.deterministic_view() == expected.stats.deterministic_view(), k
+        assert got.packing == expected.packing, k
+        seen[got.verdict] += 1
+        seen["searched"] += got.stats.nodes > 0
+    assert seen["searched"] >= 20 and min(seen.values()) >= 3, seen
+
+
 def test_search_tree_pinned_on_guillotine_cuts():
     rng = random.Random(2026)
     instances = []
@@ -694,12 +736,19 @@ def test_search_tree_pinned_on_guillotine_cuts():
 
 
 def test_search_tree_pinned_above_clique_cap():
-    # Beyond CLIQUE_CAP boxes rule (3) is greedy and rule (4) runs; neither
-    # is monotone, so prune_check ignores the search's silent marks there.
+    # Past 64 boxes (CLIQUE_CAP, the cap of `graph.max_weight_clique`)
+    # prune_check runs the same exact rules and `since` gates as below.
     # On this 66-box cut the first prune fires at node 108.
     instances = [guillotine_instance(random.Random(42), (16, 14), 66)]
     pins = [(0, "resource_limit", (120, 120, 359, 9, (("odd_cycle", 2),)), None)]
     limits = SearchLimits(max_nodes=120, time_limit=None, use_heuristic=False)
+    check_pinned_trees(instances, pins, limits)
+    # On these 70 boxes the exact clique rule prunes 30 times; a greedy
+    # clique, which the rules ran past 64 boxes before, found none of
+    # those cliques and gave (1001, 1001, 1796, 166, ()).
+    instances = [large_instance(random.Random(57), 4)]
+    pins = [(0, "resource_limit", (1000, 1000, 1883, 172, (("infeasible_clique", 30),)), None)]
+    limits = SearchLimits(max_nodes=1000, time_limit=None, use_heuristic=False)
     check_pinned_trees(instances, pins, limits)
 
 
@@ -708,6 +757,22 @@ def test_resource_limit_outcomes(five_box_example):
     assert out.verdict == "resource_limit"
     out = solve_opp(five_box_example, SearchLimits(time_limit=0.0, use_heuristic=False))
     assert out.verdict == "resource_limit"
+
+
+def test_root_checks_wait_for_the_deadline():
+    # 92 narrow boxes in one axis: the root accept alone takes about 0.1 s,
+    # and it ran even when the deadline had passed before it
+    rng = random.Random(120)
+    widths = []
+    while sum(widths) < 188:  # stop before the next width could pass 190
+        widths.append(rng.randint(1, 3))
+    inst = Instance(boxes=[Box(f"b{k}", (w,)) for k, w in enumerate(widths)], container=(200,))
+    assert inst.n == 92
+    start = time.perf_counter()
+    out = solve_opp(inst, SearchLimits(max_nodes=50, time_limit=0.0, use_heuristic=False))
+    assert out.verdict == "resource_limit" and time.perf_counter() - start < 0.05
+    out = solve_opp(inst, SearchLimits(max_nodes=50, time_limit=None, use_heuristic=False))
+    assert out.verdict == "feasible"
 
 
 def test_deep_search_stays_off_the_call_stack():

@@ -1,8 +1,11 @@
 """Every solver either returns a result or raises a `PackclassError`, on
 any box set and under any limits: no uncaught exception, whether or not
-the library's `assert`s are stripped (`python -O`)."""
+the library's `assert`s are stripped (`python -O`). Small box sets run
+under every limit; sets of up to 80 boxes, where the search's exact
+clique rule works on large minus graphs, run under a deadline."""
 
 from fractions import Fraction
+from math import ceil
 
 from hypothesis import given, settings, strategies as st
 
@@ -37,6 +40,38 @@ limits = st.builds(
 )
 
 
+
+@st.composite
+def large_problems(draw):
+    """(boxes, container): n 13-80, d 1-3, on a 1, 1/2 or 1/3 grid, box
+    sides scaled to the container so that the boxes fill about as much
+    as it holds; in one problem of four a side may be one grid step over
+    the container's."""
+    d = draw(st.integers(1, 3))
+    den = draw(st.sampled_from((1, 2, 3)))
+    over = draw(st.sampled_from((0, 0, 0, 1)))
+    n = draw(st.integers(13, 64) | st.integers(65, 80))
+    steps = [draw(st.integers(4 * den, 24 * den)) for _ in range(d)]
+    per_axis = ceil(n ** (1 / d))  # boxes side by side along each axis
+    boxes = []
+    for j in range(n):
+        tops = [max(1, 3 * w // (2 * per_axis)) + over for w in steps]
+        size = tuple(Fraction(draw(st.integers(1, top)), den) for top in tops)
+        value = draw(st.none() | st.integers(0, 12))
+        boxes.append(Box(f"b{j}", size, value=value))
+    return boxes, tuple(Fraction(w, den) for w in steps)
+
+
+# OKP charges no nodes for the subsets it screens, so on many boxes only a
+# deadline bounds it.
+timed_limits = st.builds(
+    SearchLimits,
+    max_nodes=st.sampled_from((0, 1, 5, 50)),
+    time_limit=st.sampled_from((0, 1e-6, 0.01, 0.05)),
+    use_heuristic=st.booleans(),
+)
+
+
 def _checked(run):
     try:
         return run()
@@ -44,9 +79,7 @@ def _checked(run):
         return None
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(problems(), limits)
-def test_solvers_return_or_raise_a_packclass_error(problem, limits):
+def _check_solvers(problem, limits):
     boxes, container = problem
     inst = _checked(lambda: Instance(boxes=boxes, container=container))
     if inst is not None:
@@ -58,3 +91,15 @@ def test_solvers_return_or_raise_a_packclass_error(problem, limits):
         assert out is None or isinstance(out, (OkpSolution, ResourceLimit))
     out = _checked(lambda: solve_spp(boxes, container[:-1], limits))
     assert out is None or isinstance(out, (SppSolution, ResourceLimit))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(problems(), limits)
+def test_solvers_return_or_raise_a_packclass_error(problem, limits):
+    _check_solvers(problem, limits)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(large_problems(), timed_limits)
+def test_solvers_on_up_to_80_boxes_return_or_raise_a_packclass_error(problem, limits):
+    _check_solvers(problem, limits)
