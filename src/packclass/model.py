@@ -11,19 +11,23 @@ arithmetic runs on plain integers. Public coordinates stay `Fraction`.
 Validation and projection run on integers too: each axis goes on a grid
 whose scale also absorbs the denominators of the packing's coordinates
 on that axis, so coordinates off the instance's own grid stay exact.
+A sub-instance (`Instance.restrict`, each OKP and SPP sub-problem) is
+derived from its validated parent's integer tables: only the scales and
+the container are recomputed, and the one check left is that every box
+fits the new container.
 
 Dimension indices are 0-based throughout the package.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
 from math import lcm, prod
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -91,6 +95,16 @@ class Box:
         return Fraction(prod(s.numerator for s in self.size), prod(s.denominator for s in self.size))
 
 
+def _check_fits(box: Box, row: tuple[int, ...], int_container: tuple[int, ...], container) -> None:
+    """Refuse a box whose integer row exceeds the integer container."""
+    if any(map(int.__gt__, row, int_container)):
+        i = next(i for i, (w, cap) in enumerate(zip(row, int_container)) if w > cap)
+        raise InvalidInstance(
+            f"box {box.id!r} does not fit the container in dimension {i}"
+            f" ({box.size[i]} > {container[i]})"
+        )
+
+
 @dataclass(frozen=True)
 class Instance:
     """A set of boxes plus the container they must fit into.
@@ -131,19 +145,47 @@ class Instance:
                     f"box {box.id!r} has {len(box.size)} size components, expected {d}"
                 )
             row = tuple([w.numerator * (k // w.denominator) for w, k in zip(box.size, scales)])
-            if any(map(int.__gt__, row, int_container)):
-                i = next(i for i in range(d) if row[i] > int_container[i])
-                raise InvalidInstance(
-                    f"box {box.id!r} does not fit the container in dimension {i}"
-                    f" ({box.size[i]} > {self.container[i]})"
-                )
+            _check_fits(box, row, int_container, self.container)
             int_sizes.append(row)
+        ids = tuple(b.id for b in self.boxes)
+        self._set_tables(scales, int_container, tuple(int_sizes), ids, {b: k for k, b in enumerate(ids)})
+
+    def _set_tables(self, scales, int_container, int_sizes, ids, index) -> None:
         object.__setattr__(self, "_scales", scales)
         object.__setattr__(self, "_int_container", int_container)
-        object.__setattr__(self, "_int_sizes", tuple(int_sizes))
-        ids = tuple(b.id for b in self.boxes)
+        object.__setattr__(self, "_int_sizes", int_sizes)
         object.__setattr__(self, "_ids", ids)
-        object.__setattr__(self, "_index", {b: k for k, b in enumerate(ids)})
+        object.__setattr__(self, "_index", index)
+
+    def _derive(self, keep: Optional[Sequence[int]], container: tuple[Fraction, ...]) -> "Instance":
+        """The instance of the boxes at the ascending indices `keep` (None:
+        all of them) in `container`, d `Fraction`s, built from this
+        instance's validated tables without a second validation. Only the
+        scales (the lcm of the denominators left) and the integer container
+        are recomputed, rows are rescaled only where a scale changed, and
+        the one check is that every kept box fits the new container."""
+        if keep is None:
+            boxes, ids, index = self.boxes, self._ids, self._index  # type: ignore[attr-defined]
+            rows = self._int_sizes  # type: ignore[attr-defined]
+        else:
+            boxes = tuple([self.boxes[k] for k in keep])
+            rows = tuple([self._int_sizes[k] for k in keep])  # type: ignore[attr-defined]
+            ids = tuple([b.id for b in boxes])
+            index = {b: k for k, b in enumerate(ids)}
+        old = self._scales  # type: ignore[attr-defined]
+        scales = tuple(
+            lcm(w.denominator, *(b.size[i].denominator for b in boxes)) for i, w in enumerate(container)
+        )
+        if scales != old:  # size * new scale, exactly: a row holds size * old scale
+            rows = tuple(tuple([r * k // o for r, k, o in zip(row, scales, old)]) for row in rows)
+        int_container = tuple(w.numerator * (k // w.denominator) for w, k in zip(container, scales))
+        for box, row in zip(boxes, rows):
+            _check_fits(box, row, int_container, container)
+        inst = object.__new__(Instance)
+        object.__setattr__(inst, "boxes", boxes)
+        object.__setattr__(inst, "container", container)
+        inst._set_tables(scales, int_container, rows, ids, index)
+        return inst
 
     @property
     def d(self) -> int:
@@ -204,15 +246,13 @@ class Instance:
         return tuple(table)
 
     def restrict(self, ids: Iterable[str]) -> "Instance":
-        """Sub-instance with the given boxes (instance order preserved)."""
+        """Sub-instance with the given boxes (instance order preserved),
+        derived from this instance's tables (`_derive`)."""
         wanted = set(ids)
-        unknown = wanted - set(self.ids)
+        unknown = wanted.difference(self._index)  # type: ignore[attr-defined]
         if unknown:
             raise UnknownBox(f"unknown box ids {sorted(unknown)!r}")
-        return Instance(
-            boxes=tuple(b for b in self.boxes if b.id in wanted),
-            container=self.container,
-        )
+        return self._derive([k for k, b in enumerate(self.ids) if b in wanted], self.container)
 
     def check_dimension(self, i: int) -> None:
         if not 0 <= i < self.d:
@@ -301,18 +341,44 @@ def _on_grid(p: Packing, inst: Instance) -> tuple[list, list[int]]:
     return spans, container
 
 
+def _meets(spans: list, i: int) -> list[int]:
+    """[k]: bitset over `spans` positions of the boxes whose axis-i span
+    meets box k's (k among them): those that start before its end (a
+    prefix of the boxes sorted by start) and end after its start (a
+    suffix of the boxes sorted by end)."""
+    axis = [box[i] for _, box in spans]
+    by_start = sorted(range(len(axis)), key=lambda k: axis[k][0])
+    by_end = sorted(range(len(axis)), key=lambda k: axis[k][1])
+    starts = [*accumulate((1 << k for k in by_start), int.__or__, initial=0)]
+    ends = [*accumulate((1 << k for k in reversed(by_end)), int.__or__, initial=0)][::-1]
+    los = sorted(lo for lo, _ in axis)
+    his = sorted(hi for _, hi in axis)
+    return [starts[bisect_left(los, hi)] & ends[bisect_right(his, lo)] for lo, hi in axis]
+
+
+def _pairs(masks: list[int]):
+    """The pairs (k, m), k < m, with bit m set in masks[k], k outer and m
+    ascending: the order of a nested loop over all pairs."""
+    for k, mask in enumerate(masks):
+        rest = mask >> k + 1
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            yield k, k + low.bit_length()
+
+
 def _violations(spans: list, container: list[int], inst: Instance) -> tuple:
-    """Closedness and overlap violations of `_on_grid` spans."""
+    """Closedness and overlap violations of `_on_grid` spans; overlaps by
+    the AND of the per-axis `_meets` bitsets."""
     violations: list = []
     for idx, box in spans:
         for i, ((_, hi), cap) in enumerate(zip(box, container)):
             if hi > cap:
                 violations.append(Closedness(inst.ids[idx], i))
-    for k, (idx_a, box_a) in enumerate(spans):
-        for idx_b, box_b in spans[k + 1 :]:
-            if all(la < hb and lb < ha for (la, ha), (lb, hb) in zip(box_a, box_b)):
-                first, second = sorted((inst.ids[idx_a], inst.ids[idx_b]))
-                violations.append(Overlap(first, second))
+    overlaps = [reduce(int.__and__, column) for column in zip(*(_meets(spans, i) for i in range(inst.d)))]
+    for k, m in _pairs(overlaps):
+        first, second = sorted((inst.ids[spans[k][0]], inst.ids[spans[m][0]]))
+        violations.append(Overlap(first, second))
     return tuple(violations)
 
 
@@ -356,17 +422,10 @@ def project_to_class(p: Packing, inst: Instance):
     ids = [inst.ids[idx] for idx, _ in spans]
     if len(ids) < inst.n:
         inst = inst.restrict(ids)  # partial packing: class lives on the subset
-    edge_sets = []
-    for i in range(inst.d):
-        edges = []
-        for k, (_, box_a) in enumerate(spans):
-            la, ha = box_a[i]
-            for m in range(k + 1, len(spans)):
-                lb, hb = spans[m][1][i]
-                if la < hb and lb < ha:
-                    edges.append((ids[k], ids[m]))
-        edge_sets.append(Graph(ids, edges))
-    return PackingClass(instance=inst, edge_sets=tuple(edge_sets))
+    edge_sets = tuple(
+        Graph(ids, [(ids[k], ids[m]) for k, m in _pairs(_meets(spans, i))]) for i in range(inst.d)
+    )
+    return PackingClass(instance=inst, edge_sets=edge_sets)
 
 
 def is_gapless(p: Packing, inst: Instance) -> bool:

@@ -82,6 +82,11 @@ CHECK_INTERVAL = 8  # decisions between expensive prune/accept checks
 
 @dataclass
 class SearchLimits:
+    """The budget of one solve, shared by all its sub-problems.
+    `max_nodes` counts search nodes of the exact engine only: `solve_okp`
+    charges nothing for the subsets it enumerates and screens, so only
+    `time_limit` (seconds, or None for none) bounds that enumeration."""
+
     max_nodes: int = 10_000_000
     time_limit: Optional[float] = 60.0
     use_heuristic: bool = True
@@ -514,7 +519,9 @@ def _bottom_left(inst: Instance, order: Sequence[int]) -> Optional[list[tuple[in
                 break
             if x < s[1] and s[2] < top and v < s[3]:
                 x = s[1]
-        return [x] if x + w0 <= cap0 else None
+                if x + w0 > cap0:  # x only grows
+                    return None
+        return [x]
 
     def first_free(i: int, kept: list, w: tuple[int, ...]) -> Optional[list[int]]:
         """Coordinates on axes 0..i (i >= 1) of the first corner free of `kept`."""
@@ -569,10 +576,11 @@ def _heuristic_orders(inst: Instance) -> Iterator[tuple[int, ...]]:
 
 
 def _heuristic_packing(inst: Instance, placed: list[tuple[int, tuple[int, ...]]]) -> Packing:
-    """The `Packing` of a `_bottom_left` placement, validated against
-    `inst` by an explicit raise, so the check holds under `python -O`."""
-    scales = [inst.scale(i) for i in range(inst.d)]
-    packing = Packing({inst.ids[b]: tuple(map(Fraction, pos, scales)) for b, pos in placed})
+    """The `Packing` of a `_bottom_left` placement, one `Fraction` per
+    distinct coordinate per axis, validated against `inst` by an explicit
+    raise, so the check holds under `python -O`."""
+    axes = [{v: Fraction(v, inst.scale(i)) for v in {pos[i] for _, pos in placed}} for i in range(inst.d)]
+    packing = Packing({inst.ids[b]: tuple([axis[v] for axis, v in zip(axes, pos)]) for b, pos in placed})
     if not validate_packing(packing, inst).valid:
         raise AssertionError("heuristic produced an invalid packing")
     return packing
@@ -585,8 +593,9 @@ def heuristic_pack(inst: Instance, *, budget: Optional[_Budget] = None) -> Optio
     The orders of `_heuristic_orders` are tried in turn; the first
     complete placement wins, and only its positions become `Fraction`s
     (`_heuristic_packing`). Incomplete: may return None for feasible
-    instances. `solve_spp` runs the same orders once per solve, at its
-    all-stacked height, as its upper bound. With a `budget`, the deadline
+    instances. `solve_spp` runs the same orders once per solve as its
+    upper bound, each after the first capped below the lowest top so
+    far. With a `budget`, the deadline
     is checked before every order after the first: once it has passed the
     heuristic gives up.
     """

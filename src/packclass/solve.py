@@ -29,20 +29,26 @@ decided.
 SPP probes candidate heights by binary search; since some optimal packing
 is gapless, every coordinate is a subset sum of box heights, so only those
 sums (at least the tallest box and the volume bound) can be optimal
-heights. With the heuristic on, the bottom-left heuristic runs once per
-solve, as the upper bound (Martello, Monaci and Vigo, "An exact approach
-to the strip-packing problem", INFORMS J. Computing 15(3), 2003): every
-order of `heuristic_pack` at the all-stacked height, where each run places
-every box, keeping the lowest top. Every candidate height has the same
-integer scale, and a lower cap on the last axis only cuts that axis's list
-of corner candidates, so under a cap H a run places its boxes exactly as
-at the all-stacked height if its top is at most H and fails otherwise.
-The heuristic therefore fails at every height below the bound, and the
-probes there run the exact engine alone. A feasible probe's packing fits
-every height from the one it actually uses, so the search is capped at
-the smallest candidate at or above that height, not just at the probed
-one, and the packing in hand (a probe's, or the bound's, validated at the
-all-stacked height) is returned once the search closes on it.
+heights. Every candidate height has the same integer scale, so SPP builds
+one instance, at the all-stacked height, and derives each sub-problem
+from its integer tables with only the height changed; the volume bound is
+taken on its integers too. With the heuristic on, the bottom-left
+heuristic runs once per solve, as the upper bound (Martello, Monaci and
+Vigo, "An exact approach to the strip-packing problem", INFORMS J.
+Computing 15(3), 2003): every order of `heuristic_pack`, keeping the
+lowest top. A lower cap on the last axis only cuts that axis's list of
+corner candidates, so under a cap H a run places its boxes exactly as at
+the all-stacked height if its top is at most H and fails otherwise. The
+first order runs at the all-stacked height, where it places every box,
+and each later one one grid step below the lowest top so far: it keeps
+its placement only if it beats that top, and otherwise stops at its
+first box over the cap. The heuristic therefore fails at every height
+below the bound, and the probes there run the exact engine alone. A
+feasible probe's packing fits every height from the one it actually
+uses, so the search is capped at the smallest candidate at or above that
+height, not just at the probed one, and the packing in hand is returned
+once the search closes on it. The bound's placement becomes a `Packing`,
+validated at the all-stacked height, only if it is the one returned.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import ceil, lcm
+from math import lcm, prod
 from typing import Optional, Sequence, Union
 
 from .errors import InfeasibleCrossSection, InvalidInstance
@@ -105,7 +111,12 @@ def solve_okp(
     inst: Instance, limits: Optional[SearchLimits] = None
 ) -> Union[OkpSolution, ResourceLimit]:
     """Maximize the total value of a packable subset. Exact unless a
-    resource limit interrupts the enumeration."""
+    resource limit interrupts the enumeration. `limits.max_nodes` counts
+    the exact engine's nodes only, not the subsets enumerated and
+    screened, so only `limits.time_limit` bounds the enumeration: with
+    no time limit, many boxes of which few fit can keep it running for
+    a very long time. Each decided subset is derived from `inst`'s
+    integer tables, not validated afresh."""
     limits = limits or SearchLimits()
     budget = _Budget(limits)
     n = inst.n
@@ -177,7 +188,7 @@ def solve_okp(
             if budget.nodes_left <= 0:
                 return limit("okp budget exhausted")
             # The subset passed the screen above: no second screen.
-            outcome = _decide(inst.restrict(subset_ids(mask)), limits.use_heuristic, budget)
+            outcome = _decide(inst._derive(list(bits(mask)), inst.container), limits.use_heuristic, budget)
             stats["engine_nodes"] += outcome.stats.nodes
             if outcome.verdict == "resource_limit":
                 return limit("inner decision hit its limit")
@@ -218,12 +229,12 @@ def solve_spp(
     last dimension. Candidate heights are the subset sums of the boxes'
     last-dimension sizes, probed in binary-search order; each feasible
     probe caps the search at the height its packing uses. With
-    `limits.use_heuristic`, the lowest top of the bottom-left orders at
-    the all-stacked height caps it first, and no probe runs the heuristic
-    (see the module docstring). The one budget is built first, so the
-    deadline also bounds building the sums; a budget spent by then ends
-    the solve before the bound, and the bound checks the deadline before
-    every order after the first.
+    `limits.use_heuristic`, the lowest top of the bottom-left orders caps
+    it first, and no probe runs the heuristic (see the module
+    docstring). The one budget is built first, so the deadline also
+    bounds building the sums; a budget spent by then ends the solve
+    before the bound, and the bound checks the deadline before every
+    order after the first.
     """
     limits = limits or SearchLimits()
     budget = _Budget(limits)
@@ -252,17 +263,22 @@ def solve_spp(
 
     scale = lcm(*(b.size[-1].denominator for b in boxes))
     heights = [b.size[-1].numerator * (scale // b.size[-1].denominator) for b in boxes]
+    # Every sub-problem derives from this one: every candidate height has
+    # the integer scale `scale` on the last axis, so only its cap changes.
+    stacked = Instance(boxes=boxes, container=(*cross, Fraction(sum(heights), scale)))
+
+    def at_height(s: int) -> Instance:
+        return stacked._derive(None, (*cross, Fraction(s, scale)))
+
     sums = {0}
     for h in heights:  # up to 2^n sums: the deadline holds here too
         sums |= {s + h for s in sums}
         if budget.expired():
             return limit()
-    cross_area = Fraction(1)
-    for c in cross:
-        cross_area *= c
-    volume = sum((b.volume for b in boxes), Fraction(0))
-    # any feasible height is at least the tallest box and volume / cross_area
-    floor = max(max(heights), ceil(volume / cross_area * scale))
+    # any feasible height is at least the tallest box and volume / cross-section
+    area = prod(stacked.int_container(i) for i in range(d - 1))
+    volume = sum(stacked.int_volume(b) for b in range(stacked.n))
+    floor = max(max(heights), -(-volume // area))
     candidates = sorted(s for s in sums if s >= floor)
     assert candidates, "stacking all boxes is always a candidate"
 
@@ -276,8 +292,7 @@ def solve_spp(
         # No screen: a candidate height holds the volume by construction,
         # and a pair too wide on every axis is an initial conflict at 0 nodes.
         # No heuristic: it fails below the bound, and is off without one.
-        container = (*cross, Fraction(s, scale))
-        outcome = _decide(Instance(boxes=boxes, container=container), False, budget)
+        outcome = _decide(at_height(s), False, budget)
         stats["probes"] += 1
         stats["engine_nodes"] += outcome.stats.nodes
         if outcome.verdict == "resource_limit":
@@ -294,26 +309,27 @@ def solve_spp(
         )
 
     lo, hi = 0, len(candidates) - 1
-    packing = None
+    packing = bound = None
     if limits.use_heuristic:
         # The bound: at the all-stacked height the top of the stack is
-        # always free, so each run places every box. One instance serves,
-        # as every candidate has the same integer scale.
-        stacked = Instance(boxes=boxes, container=(*cross, Fraction(candidates[-1], scale)))
-        best = None
+        # always free, so the first run places every box. Each later run
+        # is capped one grid step below the lowest top so far: it places
+        # its boxes as uncapped if it beats that top, and stops at its
+        # first box over the cap if it cannot.
+        capped = stacked
         for order in _heuristic_orders(stacked):
-            if best is not None and budget.expired():
+            if bound is not None and budget.expired():
                 return limit()
-            placed = _bottom_left(stacked, order)
-            top = max(pos[-1] + heights[b] for b, pos in placed)
-            if best is None or top < best[0]:
-                best = top, placed
-                if top <= candidates[0]:
+            placed = _bottom_left(capped, order)
+            if placed is not None:  # (top, placement)
+                bound = max(pos[-1] + heights[b] for b, pos in placed), placed
+                if bound[0] <= candidates[0]:
                     break
-        packing = _heuristic_packing(stacked, best[1])
-        hi = bisect_left(candidates, best[0])
+                capped = at_height(bound[0] - 1)  # still at least the tallest box
+        hi = bisect_left(candidates, bound[0])
     # Invariant: candidates below lo are infeasible and candidates[hi] is
-    # feasible; `packing`, once set, fits in height candidates[hi]. A probe's
+    # feasible; `packing`, once set, fits in height candidates[hi], and
+    # so does `bound` until a probe's packing replaces it. A probe's
     # packing fits every height from the one it uses, so hi drops to the
     # smallest candidate at or above that, not just to the probed one.
     while lo < hi:
@@ -326,7 +342,9 @@ def solve_spp(
             hi = bisect_left(candidates, used_height(packing), lo, mid)
         else:
             lo = mid + 1
-    if packing is None:  # no probe was feasible, so lo is the all-stacked height
+    if packing is None and bound is not None:  # validated at the all-stacked height
+        packing = _heuristic_packing(stacked, bound[1])
+    elif packing is None:  # no probe was feasible, so lo is the all-stacked height
         final = probe(candidates[lo])
         if isinstance(final, ResourceLimit):
             return final

@@ -46,3 +46,16 @@ def random_valid_packing(rng: random.Random, inst: Instance, tries: int = 200):
         if validate_packing(p, inst).valid:
             return p
     return None
+
+
+def assert_same_tables(derived: Instance, built: Instance) -> None:
+    """`derived` equals `built` on every field the engine reads: boxes,
+    container, scales, integer rows and container, ids, id index and the
+    too-wide table."""
+    assert derived.boxes == built.boxes and derived.container == built.container
+    axes = range(built.d)
+    assert [derived.scale(i) for i in axes] == [built.scale(i) for i in axes]
+    assert [derived.int_container(i) for i in axes] == [built.int_container(i) for i in axes]
+    assert derived.int_sizes == built.int_sizes
+    assert derived.ids == built.ids and [derived.index(b) for b in built.ids] == list(range(built.n))
+    assert derived.int_too_wide == built.int_too_wide

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,9 +24,10 @@ from packclass.model import (
     validate_packing,
     xi_feasible,
 )
+from packclass.opp import _bottom_left
 from packclass.packing_class import verify_packing_class
 
-from conftest import random_valid_packing
+from conftest import assert_same_tables, random_valid_packing
 
 
 def make(boxes, W):
@@ -152,6 +154,35 @@ def test_exact_rationals_in_sizes():
     assert inst.scale(0) == 3 and inst.int_size(0, 0) == 1
 
 
+def test_restrict_matches_a_fresh_instance():
+    """`restrict` derives its instance from the parent's tables and gives
+    the instance built from the kept boxes, also where a dropped box
+    carried an axis's only denominator of 3, so that the axis's scale
+    shrinks; an unknown id still raises UnknownBox."""
+    rng = random.Random(61)
+    shrunk = 0
+    for k in range(240):
+        d = 1 + k % 3
+        container = tuple(Fraction(rng.randint(4, 12), 2) for _ in range(d))
+        boxes = [
+            Box(f"b{j}", tuple(Fraction(rng.randint(1, int(2 * w)), 2) for w in container))
+            for j in range(rng.randint(2, 9))
+        ]
+        third, i = rng.randrange(len(boxes)), rng.randrange(d)
+        size = list(boxes[third].size)
+        size[i] = Fraction(1, 3) + rng.randrange(int(container[i]))
+        boxes[third] = Box(boxes[third].id, tuple(size), value=rng.randint(0, 5))
+        inst = Instance(boxes=boxes, container=container)
+        for _ in range(3):
+            kept = [b.id for b in boxes if rng.random() < 0.6]
+            sub = inst.restrict(rng.sample(kept, len(kept)))
+            assert_same_tables(sub, Instance(boxes=[b for b in boxes if b.id in kept], container=container))
+            shrunk += sub.scale(i) < inst.scale(i)
+        with pytest.raises(UnknownBox):
+            inst.restrict([boxes[0].id, "zz"])
+    assert shrunk >= 200, shrunk
+
+
 def test_xi_feasible_paper_pairs(five_box_example):
     assert xi_feasible(set(), 0, five_box_example)  # empty sum
     assert not xi_feasible({"b1", "b2"}, 0, five_box_example)  # 4+5 > 5
@@ -267,6 +298,51 @@ def test_validation_and_projection_match_fraction_reference():
             ]
             assert graph == Graph(ids, edges)
     assert valid >= 100
+    # 6-30 boxes: bottom-left placements in a strip tall enough for all of
+    # them (valid), then the same with one box moved onto another's span
+    # (an overlap) or anywhere in the container, maybe sticking out of it
+    moved = 0
+    for k in range(150):
+        d = 1 + k % 3
+        den = 1 + k // 3 % 3
+        cross = [Fraction(rng.randint(3 * den, 8 * den), den) for _ in range(d - 1)]
+        sizes = [
+            (*(Fraction(rng.randint(1, int(c * den) // 2), den) for c in cross),
+             Fraction(rng.randint(1, 3 * den), den))
+            for _ in range(rng.randint(6, 30))
+        ]
+        inst = make([(f"b{j}", size) for j, size in enumerate(sizes)], (*cross, sum(s[-1] for s in sizes)))
+        placed = _bottom_left(inst, rng.sample(range(inst.n), inst.n))
+        positions = {
+            inst.ids[b]: tuple(Fraction(v, inst.scale(i)) for i, v in enumerate(pos)) for b, pos in placed
+        }
+        packing = Packing(positions)
+        assert _reference_report(packing, inst) == () == validate_packing(packing, inst).violations
+        assert project_to_class(packing, inst).edge_sets == tuple(
+            Graph(inst.ids, [
+                (a, b)
+                for m, a in enumerate(inst.ids)
+                for b in inst.ids[m + 1 :]
+                if _reference_overlap(positions[a], inst.box(a).size, positions[b], inst.box(b).size, i)
+            ])
+            for i in range(d)
+        )
+        a, b = rng.sample(inst.ids, 2)
+        if k % 2:  # a corner inside b, so a and b overlap
+            step = rng.randint(1, 5)
+            pos = tuple(
+                p + Fraction(rng.randrange(ceil(w * step)), step) for p, w in zip(positions[b], inst.box(b).size)
+            )
+        else:
+            pos = tuple(Fraction(rng.randint(0, int(w * 4)), 4) for w in inst.container)
+        p = Packing({**positions, a: pos})
+        expected = _reference_report(p, inst)
+        assert validate_packing(p, inst).violations == expected, k
+        moved += bool(expected)
+        if expected:
+            with pytest.raises(InvalidPacking):
+                project_to_class(p, inst)
+    assert moved >= 100, moved
 
 
 def test_projection_of_valid_packings_is_packing_class():

@@ -42,6 +42,7 @@ from packclass.sweep import exhaustive_grid
 
 from bottomleft import bottom_left_by_masks
 from certcheck import check_induced_c4, check_odd_2chordless_cycle
+from conftest import assert_same_tables
 from graphtools import greedy_weight_clique
 import reference_search as reference
 from packclass.graph import (
@@ -881,7 +882,9 @@ def test_bottom_left_under_a_lower_cap_keeps_its_placement_or_fails():
     when that run's top is at most H, and returns None otherwise. So
     `heuristic_pack` fails exactly below the lowest top of its orders at
     the all-stacked height. d 1-3, heights on a 1, 1/2 or 1/3 grid, every
-    grid height from the tallest box to the stack."""
+    grid height from the tallest box to the stack. The stacked instance
+    derived at each height, as `solve_spp` derives its sub-problems,
+    equals the instance built there."""
     rng = random.Random(93)
     kept = failed = refused = 0
     for k in range(360):
@@ -903,6 +906,7 @@ def test_bottom_left_under_a_lower_cap_keeps_its_placement_or_fails():
         tallest = max(size[-1] for size in stacked.int_sizes)
         for h in range(tallest, stacked.int_container(d - 1) + 1):
             capped = Instance(boxes=boxes, container=(*cross, Fraction(h, scale)))
+            assert_same_tables(stacked._derive(None, capped.container), capped)
             for order, (top, placed) in zip(orders, runs):
                 assert _bottom_left(capped, order) == (placed if top <= h else None), (k, h, order)
                 kept += top <= h

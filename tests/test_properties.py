@@ -2,8 +2,11 @@
 any box set and under any limits: no uncaught exception, whether or not
 the library's `assert`s are stripped (`python -O`). Small box sets run
 under every limit; sets of up to 80 boxes, where the search's exact
-clique rule works on large minus graphs, run under a deadline."""
+clique rule works on large minus graphs, run under a deadline, and each
+resource limit there must come back within the deadline plus a stated
+slack."""
 
+import time
 from fractions import Fraction
 from math import ceil
 
@@ -72,24 +75,42 @@ timed_limits = st.builds(
 )
 
 
-def _checked(run):
+# How long past its time limit a solve may return a resource limit. On
+# the 13-80-box inputs below (400 examples of the same strategies) the
+# largest overrun measured was 0.04 s, where `solve_opp` builds the
+# initial state of 73-80 3-D boxes before its first deadline check, plus
+# one 0.1 s outlier under host load; 0.5 s leaves a margin for slower
+# machines.
+DEADLINE_SLACK = 0.5
+
+
+def _checked(run, deadline=None):
+    """run(), or None if it raises a PackclassError. With a `deadline`
+    (time limit plus slack, in seconds), a resource limit must come back
+    within it."""
+    start = time.perf_counter()
     try:
-        return run()
+        out = run()
     except PackclassError:
         return None
+    limited = isinstance(out, ResourceLimit) or getattr(out, "verdict", None) == "resource_limit"
+    if deadline is not None and limited:
+        assert time.perf_counter() - start <= deadline, (out, deadline)
+    return out
 
 
-def _check_solvers(problem, limits):
+def _check_solvers(problem, limits, slack=None):
     boxes, container = problem
+    deadline = None if slack is None else limits.time_limit + slack
     inst = _checked(lambda: Instance(boxes=boxes, container=container))
     if inst is not None:
-        out = _checked(lambda: solve_opp(inst, limits))
+        out = _checked(lambda: solve_opp(inst, limits), deadline)
         if out is not None:
             assert out.verdict in ("feasible", "infeasible", "resource_limit")
             assert out.packing is None or validate_packing(out.packing, inst).valid
-        out = _checked(lambda: solve_okp(inst, limits))
+        out = _checked(lambda: solve_okp(inst, limits), deadline)
         assert out is None or isinstance(out, (OkpSolution, ResourceLimit))
-    out = _checked(lambda: solve_spp(boxes, container[:-1], limits))
+    out = _checked(lambda: solve_spp(boxes, container[:-1], limits), deadline)
     assert out is None or isinstance(out, (SppSolution, ResourceLimit))
 
 
@@ -102,4 +123,6 @@ def test_solvers_return_or_raise_a_packclass_error(problem, limits):
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(large_problems(), timed_limits)
 def test_solvers_on_up_to_80_boxes_return_or_raise_a_packclass_error(problem, limits):
-    _check_solvers(problem, limits)
+    """Also: every resource limit comes back within its time limit plus
+    DEADLINE_SLACK."""
+    _check_solvers(problem, limits, DEADLINE_SLACK)

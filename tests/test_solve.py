@@ -16,6 +16,8 @@ from packclass.oracle import brute_force_opp
 from packclass.solve import OkpSolution, ResourceLimit, SppSolution, solve_okp, solve_spp
 from packclass.sweep import random_instance
 
+import reference_spp
+
 
 def brute_okp_optimum(inst):
     best = Fraction(0)
@@ -372,6 +374,43 @@ def test_spp_without_heuristic_pinned():
     assert digests == PINNED_SPP_NO_HEURISTIC
 
 
+def test_spp_matches_reference():
+    """solve_spp gives the reference's height, packing and statistics, or
+    its ResourceLimit, on 1,080 seeded calls: d 1-3, every side on a 1,
+    1/2 or 1/3 grid, 1-11 boxes, heuristic on and off, node budgets of 0
+    to 2,000, so that many solves end in a limit before, inside or after
+    the bound."""
+    rng = random.Random(59)
+    solved = limited = 0
+    for k in range(540):
+        d = 1 + k % 3
+        den = 1 + k // 3 % 3
+        cross = tuple(Fraction(rng.randint(2 * den, 5 * den), den) for _ in range(d - 1))
+        boxes = tuple(
+            Box(f"b{j}", (
+                *(Fraction(rng.randint(1, int(c * den)), den) for c in cross),
+                Fraction(rng.randint(1, 3 * den), den),
+            ))
+            for j in range(rng.randint(1, 11))
+        )
+        max_nodes = (0, 1, 5, 20, 100, 2000)[k // 9 % 6]
+        for heuristic in (True, False):
+            limits = SearchLimits(max_nodes=max_nodes, time_limit=None, use_heuristic=heuristic)
+            out = solve_spp(boxes, cross, limits)
+            expected = reference_spp.solve_spp(boxes, cross, limits)
+            assert type(out) is type(expected), (k, heuristic)
+            assert out.stats.pop("wall_time") >= 0 and expected.stats.pop("wall_time") >= 0
+            assert out.stats == expected.stats, (k, heuristic)
+            if isinstance(out, ResourceLimit):
+                assert out.reason == expected.reason, (k, heuristic)
+                limited += 1
+                continue
+            assert out.height == expected.height and out.packing == expected.packing, (k, heuristic)
+            assert validate_packing(out.packing, Instance(boxes=boxes, container=(*cross, out.height))).valid
+            solved += 1
+    assert solved >= 500 and limited >= 300, (solved, limited)
+
+
 def okp_pinned_instance(rng, k):
     """d 2-3, n 4-10 boxes that mostly do not all fit, so subsets get
     screened and decided; every other instance has mixed-denominator
@@ -444,11 +483,12 @@ def test_inner_decisions_build_no_class(monkeypatch):
     """solve_okp and solve_spp read only a decision's packing: no inner
     decision or SPP bound projects a packing class or builds a Graph,
     except a search accept, which extracts its packing from the class it
-    found. A solve_opp heuristic hit still returns the projection of its
-    packing."""
+    found. SPP builds its bound's packing only for a solution that
+    returns the bound's placement, once. A solve_opp heuristic hit still
+    returns the projection of its packing."""
     counts = {"project": 0, "graph": 0}
     decisions = []  # (verdict, heuristic hit, Graphs built)
-    bounds = []  # Graphs built by each SPP bound's packing step
+    bounds = []  # (Graphs built, packing) of each SPP bound's packing step
     project, graph_init, decide = opp.project_to_class, graph.Graph.__init__, solve._decide
     bound_packing = solve._heuristic_packing
 
@@ -469,7 +509,7 @@ def test_inner_decisions_build_no_class(monkeypatch):
     def logged_bound(*args):
         before = counts["graph"]
         out = bound_packing(*args)
-        bounds.append(counts["graph"] - before)
+        bounds.append((counts["graph"] - before, out))
         return out
 
     monkeypatch.setattr(opp, "project_to_class", counted_project)
@@ -478,11 +518,23 @@ def test_inner_decisions_build_no_class(monkeypatch):
     monkeypatch.setattr(solve, "_heuristic_packing", logged_bound)
     rng = random.Random(56)
     limits = SearchLimits(max_nodes=300, time_limit=None)
+    from_probes = limited = 0
     for k in range(30):
         inst = okp_pinned_instance(rng, k)
         solve_okp(inst, limits)
-        solve_spp(inst.boxes, inst.container[:-1], limits)
-    assert counts["project"] == 0 and len(bounds) == 30 and not any(bounds)
+        built = len(bounds)
+        sol = solve_spp(inst.boxes, inst.container[:-1], limits)
+        if isinstance(sol, ResourceLimit):  # the bound's placement is dropped unbuilt
+            assert len(bounds) == built
+            limited += 1
+        elif len(bounds) > built:
+            assert len(bounds) == built + 1 and sol.packing is bounds[-1][1]
+        else:  # a feasible probe beat the bound
+            assert sol.stats["probes"] > 0
+            from_probes += 1
+    counted = (len(bounds), from_probes, limited)
+    assert counts["project"] == 0 and len(bounds) >= 20 and limited >= 5 and sum(counted) == 30, counted
+    assert not any(graphs for graphs, _ in bounds)
     assert counts["graph"] == sum(graphs for _, _, graphs in decisions)
     assert all(verdict == "feasible" and not hit for verdict, hit, graphs in decisions if graphs)
     # each SPP bound is a heuristic packing
