@@ -120,10 +120,7 @@ def cmd_okp(args) -> int:
     sol = solve_okp(inst, _limits(args))
     if isinstance(sol, ResourceLimit):
         return _emit_limit(sol, args.out)
-    sub = inst.restrict(sol.chosen)
-    edge_sets = (
-        project_to_class(sol.packing, sub).edge_sets if sol.chosen else None
-    )
+    edge_sets = project_to_class(sol.packing, inst).edge_sets if sol.chosen else None
     doc = fileio.result_file(
         verdict="feasible",
         container=inst.container,

@@ -29,14 +29,16 @@ imply the width bound on every fully decided vertex set.
 Both rules are monotone: adding assignments never destroys an odd cycle
 or an overweight clique. So once a check on the search path comes back
 silent, a later check can fire only through an assignment made since.
-The search keeps the trail marks of its silent checks, and a periodic
-check runs a rule on an axis only when a new assignment can fire it
-there. The odd-cycle rule runs when a new minus edge is linked (it has a
-step other than its backtrack) or a new plus pair has a common minus
-neighbour. The clique rule runs when the common minus neighbours of a
-new minus edge {a, b} hold a clique heavier than cap - s_a - s_b. An
-open gate runs the full rule, so trees and certificates are those of
-full checks.
+The search keeps the trail marks of its silent checks, the empty trail
+counting as one at the root, and every check runs a rule on an axis only
+when a new assignment can fire it there. The odd-cycle rule runs when a
+new minus edge is linked (it has a step other than its backtrack) or a
+new plus pair has a common minus neighbour. The clique rule runs when
+the common minus neighbours of a new minus edge {a, b} hold a clique
+heavier than cap - s_a - s_b. An open gate runs the full rule, so trees
+and certificates are those of ungated checks. At a fully decided state
+a silent check means the accept succeeds, so no leaf is rejected after
+it.
 
 Everything inside the search runs on integers: per-dimension adjacency
 bitsets (`EdgeState.plus_adj`/`minus_adj`), vertex indices and the
@@ -329,71 +331,67 @@ def propagate(state: EdgeState, *decisions: tuple[int, int, int]) -> Optional[Co
     return conflict
 
 
-def prune_check(state: EdgeState, since: Optional[int] = None) -> Optional[Prune]:
+def prune_check(state: EdgeState, since: int = 0) -> Optional[Prune]:
     """Certificate-backed dead-end detection on the current state.
 
     Returns None when no rule fires. Every certificate survives every
     completion of the state, so pruning never loses solutions. The state
-    must be a conflict-free `propagate` result: rule (1), a plus 4-cycle
-    with both diagonals minus, is never checked here because `propagate`
-    excludes the closing pair of every plus 3-path with minus diagonals
-    and conflicts if that pair is already plus. Rule (2) returns at once
+    must be a conflict-free `propagate` result, which leaves no plus
+    4-cycle with both diagonals minus (rule (1)). Rule (2) returns at once
     when the minus edges an odd walk could use form a bipartite graph, and
     rule (3)'s search prunes every branch that cannot outweigh the axis.
 
-    No width rule is needed: (2) and (3) imply that the plus graph on a
-    set S whose pairs are all decided has a clique of ceil(total size /
-    cap). The non-minus pairs of S are plus, so (2) finds any odd
-    2-chordless closed walk of minus[S]; without one, minus[S] is a
-    comparability graph (Gallai), hence perfect, and S splits into as many
-    minus cliques as the largest plus clique on S, each of weight <= cap
-    by (3).
+    On a set S whose pairs are all decided, the non-minus pairs are plus,
+    so with (2) silent minus[S] is a comparability graph (Gallai). It is
+    perfect, so S splits into as many minus cliques, each fitting the axis
+    by (3), as its largest plus clique: no width rule is needed. On a fully
+    decided state the plus graph, the complement, is then AT-free with no
+    plus 4-cycle, so chordal and interval (Gilmore-Hoffman); with P2 by
+    (3) and P3 by propagation, the accept succeeds.
 
-    `since` is the trail mark of a check that came back None on a state
-    this one extends. A rule can then fire only through the assignments
-    `state.trail[since:]`, because rules (2) and (3) are monotone, and an
-    axis's rule runs only when those can fire it: (2) when a new minus
-    edge {a, b} is linked (minus[a] & plus[b] or minus[b] & plus[a]; an
-    unlinked edge adds only a 2-cycle) or a new plus pair {x, y} has a
-    common minus neighbour (a new step x-v-y), since a new odd closed walk
-    needs a new arc or a new step; (3) when, for some new minus edge
-    {a, b}, the common minus neighbours of a and b hold a clique heavier
-    than cap - s_a - s_b, since a new overweight clique contains a new
-    edge (the clique search is skipped when even all those neighbours
-    together are not that heavy). An open gate runs the full rule, so the
-    result is always `prune_check(state)`'s.
+    `since` is the trail mark of a silent check on a state this one
+    extends; the empty trail (0) counts as one. Rules (2) and (3) are
+    monotone, so a rule can fire only through `state.trail[since:]`, and
+    an axis's rule runs only when those assignments can fire it: (2) when
+    a new minus edge {a, b} is linked (minus[a] & plus[b] or minus[b] &
+    plus[a]; an unlinked edge adds only a 2-cycle) or a new plus pair has
+    a common minus neighbour, since a new odd closed walk needs a new arc
+    or step; (3) when, for some new minus edge {a, b}, the common minus
+    neighbours hold a clique heavier than cap - s_a - s_b (searched only
+    when all of them together are), since a new overweight clique holds a
+    new edge. From the empty trail every edge is new, and one box fits its
+    axis, so an overweight clique has an edge. An open gate runs the full
+    rule: the certificates are those of an ungated check.
     """
     inst = state.inst
     n = state.n
-    gated = since is not None
-    if gated:
-        odd = [False] * state.d  # per axis: can a new assignment close an odd walk?
-        anchors = [[] for _ in range(state.d)]  # (a, b, common) per new minus edge
-        trail = state.trail
-        for k in range(since, len(trail)):
-            i, pid = trail[k]
-            a, b = state.pairs[pid]
-            plus, minus, w = state.plus_adj[i], state.minus_adj[i], state.sizes[i]
-            common = minus[a] & minus[b]
-            if state.status[i][pid] == INCLUDE:
-                odd[i] |= common != 0
-            else:
-                odd[i] |= (minus[a] & plus[b] | minus[b] & plus[a]) != 0
-                total = w[a] + w[b]
-                rest = common
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    total += w[low.bit_length() - 1]
-                if common and total > state.caps[i]:
-                    anchors[i].append((a, b, common))
+    odd = [False] * state.d  # per axis: can a new assignment close an odd walk?
+    anchors = [[] for _ in range(state.d)]  # (a, b, common) per new minus edge
+    trail = state.trail
+    for k in range(since, len(trail)):
+        i, pid = trail[k]
+        a, b = state.pairs[pid]
+        plus, minus, w = state.plus_adj[i], state.minus_adj[i], state.sizes[i]
+        common = minus[a] & minus[b]
+        if state.status[i][pid] == INCLUDE:
+            odd[i] |= common != 0
+        else:
+            odd[i] |= (minus[a] & plus[b] | minus[b] & plus[a]) != 0
+            total = w[a] + w[b]
+            rest = common
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                total += w[low.bit_length() - 1]
+            if common and total > state.caps[i]:
+                anchors[i].append((a, b, common))
     for i in range(state.d):
         plus = state.plus_adj[i]
         minus = state.minus_adj[i]
         sizes = state.sizes[i]
         cap = state.caps[i]
         # (2) odd 2-chordless cycle in the minus graph (2-chords forced plus)
-        if not gated or odd[i]:
+        if odd[i]:
             walk = _odd_closed_walk(n, minus, plus)
             if walk is not None:
                 return Prune(
@@ -402,14 +400,13 @@ def prune_check(state: EdgeState, since: Optional[int] = None) -> Optional[Prune
                     certificate=tuple(inst.ids[v] for v in walk),
                 )
         # (3) overweight clique in the minus graph (a stable set of the
-        # final graph, so it must fit along the axis)
-        if gated and not any(
+        # final graph, so it must fit along the axis); an anchor that
+        # fires shows the heaviest clique is over the axis
+        if any(
             _max_clique(minus, sizes, common, cap - sizes[a] - sizes[b])[1]
             for a, b, common in anchors[i]
         ):
-            continue
-        weight, clique = _max_clique(minus, sizes, (1 << n) - 1, cap)
-        if weight > cap:
+            clique = _max_clique(minus, sizes, (1 << n) - 1, cap)[1]
             return Prune(
                 rule="infeasible_clique",
                 dimension=i,
@@ -692,15 +689,16 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
     The bottom-left heuristic for a quick yes, returned without a packing
     class: `solve_okp` reads only the packing, and `solve_opp` projects it
     itself (`solve_spp` runs the heuristic once as its bound, and its
-    probes pass `use_heuristic=False`). Then accept and prune checks on
-    the root state, each only while the deadline has not passed.
-    Otherwise a depth-first branch and bound over edge decisions, run as
-    one loop on an explicit stack: its depth is bounded by the number of
-    (dimension, pair) variables, not by the call stack. One check block
-    runs at every node that is due a periodic check (every CHECK_INTERVAL
-    decisions) or fully decided. It passes `prune_check` the trail mark
-    of the last silent check on the current path; a mark is dropped when
-    backtracking undoes the trail below it.
+    probes pass `use_heuristic=False`). Then the initial state, the accept
+    and the prune check on the root, each only while the deadline has not
+    passed; the root's check is gated from the empty trail. Otherwise a
+    depth-first branch and bound over edge decisions, run as one loop on
+    an explicit stack: its depth is bounded by the number of (dimension,
+    pair) variables, not by the call stack. One check block runs at every
+    node that is due a periodic check (every CHECK_INTERVAL decisions) or
+    fully decided. It passes `prune_check` the trail mark of the last
+    silent check on the current path; a mark is dropped when backtracking
+    undoes the trail below it.
     """
     stats = SearchStats()
     start = time.perf_counter()
@@ -717,19 +715,16 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
         if packing is not None:
             stats.bump("heuristic")
             return outcome("feasible", packing)
-        if budget.expired():
-            return outcome("resource_limit")
-
-    init = initial_state(inst)
-    if isinstance(init, ImmediateConflict):
+    # Building the initial state, and either root check, can outlast a
+    # short time limit on many boxes.
+    if budget.expired():
+        return outcome("resource_limit")
+    state = initial_state(inst)
+    if isinstance(state, ImmediateConflict):
         stats.bump("initial_conflict")
         return outcome("infeasible")
-    state = init
-    stats.propagations += state.stats.propagations
-    stats.conflicts += state.stats.conflicts
-    state.stats = stats
+    stats = state.stats
 
-    # Either root check can outlast a short time limit on many boxes.
     if budget.expired():
         return outcome("resource_limit")
     accept = _try_accept(state)
@@ -759,8 +754,8 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
         pr = None
         if periodic or leaf:
             # At a fully decided state the prune rules are a complete class
-            # test and far cheaper than building the verification
-            # artifacts, so `_try_accept` runs only when they pass.
+            # test, far cheaper than the accept: when they pass, the plus
+            # graphs are interval (see `prune_check`), so the accept succeeds.
             if periodic:
                 since_check = 0
             pr = prune_check(state, silent[-1])
@@ -769,8 +764,6 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
                 accept = _try_accept(state)
                 if accept is not None:
                     return outcome("feasible", *accept)
-                if leaf:
-                    stats.bump("leaf_reject")
             else:
                 stats.bump(pr.rule if periodic else f"leaf_{pr.rule}")
         if pr is None and not leaf:

@@ -27,11 +27,10 @@ from .errors import (
 from .graph import (
     Graph,
     _chordal_stable_set,
+    _max_clique,
     _mcs_peo,
     bits,
     complement,
-    induced,
-    max_weight_clique,
 )
 from .model import Instance, Packing
 
@@ -223,11 +222,7 @@ def clique_bound_holds(E: EdgeSetsLike, S: Iterable[str], i: int, inst: Optional
         raise InvalidInstance("instance required when passing raw edge sets")
     inst.check_dimension(i)
     graphs = _as_graphs(E, inst)
-    members = sorted(set(S), key=inst.index)
-    total = sum(inst.int_size(inst.index(b), i) for b in members)
-    needed = -(-total // inst.int_container(i))
-    if needed <= 1:
-        return True
-    sub = induced(graphs[i], members)
-    size, _ = max_weight_clique(sub, {v: 1 for v in sub.vertices})
-    return size >= needed
+    members = {inst.index(b) for b in S}
+    total = sum(inst.int_size(v, i) for v in members)
+    size, _ = _max_clique(graphs[i].adj, [1] * inst.n, sum(1 << v for v in members))
+    return size >= -(-total // inst.int_container(i))

@@ -261,11 +261,11 @@ def solve_spp(
                     f"box {box.id!r} exceeds fixed dimension {i}"
                 )
 
-    scale = lcm(*(b.size[-1].denominator for b in boxes))
-    heights = [b.size[-1].numerator * (scale // b.size[-1].denominator) for b in boxes]
     # Every sub-problem derives from this one: every candidate height has
     # the integer scale `scale` on the last axis, so only its cap changes.
-    stacked = Instance(boxes=boxes, container=(*cross, Fraction(sum(heights), scale)))
+    stacked = Instance(boxes=boxes, container=(*cross, sum((b.size[-1] for b in boxes), Fraction(0))))
+    scale = stacked.scale(d - 1)
+    heights = [row[-1] for row in stacked.int_sizes]
 
     def at_height(s: int) -> Instance:
         return stacked._derive(None, (*cross, Fraction(s, scale)))

@@ -49,7 +49,10 @@ from packclass.graph import (
     Graph,
     _asteroidal_triple,
     _chordal_stable_set,
+    _max_clique,
     _mcs_peo,
+    _odd_closed_walk,
+    bits,
     complement,
     max_weight_clique,
 )
@@ -451,12 +454,29 @@ def test_try_accept_matches_filter_free_check():
     assert min(outcomes.values()) >= 50, outcomes
 
 
+def _ungated_prune_check(state):
+    """Both prune rules on every axis with no gate, in `prune_check`'s
+    order: the answer every gated check must give."""
+    ids = state.inst.ids
+    for i, (plus, minus, sizes, cap) in enumerate(
+        zip(state.plus_adj, state.minus_adj, state.sizes, state.caps)
+    ):
+        walk = _odd_closed_walk(state.n, minus, plus)
+        if walk is not None:
+            return Prune("odd_cycle", i, tuple(ids[v] for v in walk))
+        weight, clique = _max_clique(minus, sizes, (1 << state.n) - 1, cap)
+        if weight > cap:
+            return Prune("infeasible_clique", i, (tuple(ids[v] for v in bits(clique)),))
+    return None
+
+
 def test_prune_check_since_a_silent_check_matches_full_check(monkeypatch):
     """Along random propagate/undo_to walks, checked every few steps with a
     stack of the trail marks of silent checks kept as `_decide` keeps it
     (a mark above the trail is dropped on undo), `prune_check(state,
-    since)` equals the full check. Counts show each gate skipping its rule
-    and each rule still firing."""
+    since)` equals the ungated check, and so does the check from the
+    empty trail that `_decide` runs at the root. Counts show each gate
+    skipping its rule and each rule firing."""
     calls = {"walk": 0, "clique": 0}
     walk, max_clique = opp._odd_closed_walk, opp._max_clique
 
@@ -470,7 +490,7 @@ def test_prune_check_since_a_silent_check_matches_full_check(monkeypatch):
 
     monkeypatch.setattr(opp, "_odd_closed_walk", counted_walk)
     monkeypatch.setattr(opp, "_max_clique", counted_clique)
-    seen = dict.fromkeys(("odd_cycle", "infeasible_clique", "walk skipped", "clique skipped"), 0)
+    seen = Counter()
     silent, last = [], None
     # Rare undos let walks run deep, where the rules fire.
     for step, (state, _) in enumerate(random_walk_states(random.Random(79), 300, undo=0.02)):
@@ -480,37 +500,59 @@ def test_prune_check_since_a_silent_check_matches_full_check(monkeypatch):
             silent.pop()
         if step % 3:
             continue
-        if not silent:  # the first check is a full one, as at the root
-            if prune_check(state) is None:
-                silent.append(state.mark())
-            continue
         calls.update(walk=0, clique=0)
-        got = prune_check(state, silent[-1])
+        got = prune_check(state, silent[-1] if silent else 0)
         reached = state.d if got is None else got.dimension + 1
         seen["walk skipped"] += reached - calls["walk"]
         seen["clique skipped"] += reached - (got is not None and got.rule == "odd_cycle") - calls["clique"]
-        assert got == prune_check(state)
+        assert got == _ungated_prune_check(state) == prune_check(state)
         if got is None:
             silent.append(state.mark())
         else:
             seen[got.rule] += 1
-    assert min(seen.values()) >= 50, seen
+    assert min(seen[key] for key in ("odd_cycle", "infeasible_clique", "walk skipped", "clique skipped")) >= 50, seen
+
+
+def test_root_prune_check_matches_ungated_check():
+    """At the root `_decide` checks from the empty trail. That equals the
+    ungated check on seeded roots of 6-80 boxes, and it fires where
+    propagation's greedy clique probe misses an overweight clique: the
+    probe at the last minus edge {a, b} on axis 1 takes e (11), which
+    meets neither c nor d, so it stops at 19 <= 20 while {c, d, a, b}
+    weighs 22."""
+    inst = Instance(
+        boxes=[Box(b, s) for b, s in (("c", (6, 7)), ("d", (6, 7)), ("e", (2, 11)), ("a", (9, 4)), ("b", (9, 4)))],
+        container=(10, 20),
+    )
+    state = initial_state(inst)
+    assert prune_check(state) == _ungated_prune_check(state) == Prune("infeasible_clique", 1, (("c", "d", "a", "b"),))
+    out = solve_opp(inst, SearchLimits(use_heuristic=False))
+    assert out.verdict == "infeasible" and out.stats.prunes == {"root_prune": 1}
+
+    rng = random.Random(2004)
+    roots = [initial_state(tight_instance(rng, 6 + k % 4)) for k in range(60)]
+    roots += [initial_state(large_instance(rng, k, most=80)) for k in range(6)]
+    roots = [state for state in roots if isinstance(state, EdgeState)]
+    assert len(roots) >= 40 and sum(state.n > 64 for state in roots) >= 3
+    for state in roots:
+        assert prune_check(state) == _ungated_prune_check(state)
 
 
 def test_search_checks_since_silent_marks_match_full_checks(monkeypatch):
-    """In the search itself, every check since the top of `_decide`'s stack
-    of silent marks returns what the full check returns: a mark dropped
-    too late on backtracking would hide assignments from the gates. Past
-    64 boxes too, where the gates hold as they do below."""
-    full = opp.prune_check
+    """In the search itself, every check, from the root's empty trail or
+    since the top of `_decide`'s stack of silent marks, returns what the
+    ungated check returns: a mark dropped too late on backtracking would
+    hide assignments from the gates. Past 64 boxes too, where the gates
+    hold as they do below."""
+    gated = opp.prune_check
     fired = Counter()
 
-    def checked(state, since=None):
-        got = full(state, since)
-        if since is not None:
-            assert got == full(state)
-            fired[got is not None] += 1
-            fired["past 64 boxes"] += state.n > 64
+    def checked(state, since=0):
+        got = gated(state, since)
+        assert got == _ungated_prune_check(state)
+        fired[got is not None] += 1
+        fired["from the empty trail"] += since == 0
+        fired["past 64 boxes"] += state.n > 64
         return got
 
     monkeypatch.setattr(opp, "prune_check", checked)
@@ -521,6 +563,21 @@ def test_search_checks_since_silent_marks_match_full_checks(monkeypatch):
     for k in range(8):
         solve_opp(large_instance(rng, k, most=80), limits)
     assert fired[True] >= 50 and fired[False] >= 500 and fired["past 64 boxes"] >= 150, fired
+    assert fired["from the empty trail"] >= 20, fired
+
+
+def test_decided_states_pass_the_check_exactly_when_accepted():
+    """Along random walks to fully decided states (d 1-3), `prune_check`
+    is silent exactly when `_try_accept` accepts: there the rules are a
+    complete class test, so no leaf of the search passes the check and
+    fails the accept."""
+    kinds = Counter()
+    for state, undone in random_walk_states(random.Random(84), 2500, undo=0.0):
+        if state.undecided == 0 and not undone:
+            silent = prune_check(state) is None
+            assert silent == (_try_accept(state) is not None)
+            kinds[silent] += 1
+    assert min(kinds[True], kinds[False]) >= 50, kinds
 
 
 def test_solve_five_box_example_by_search(five_box_example):
@@ -774,6 +831,24 @@ def test_root_checks_wait_for_the_deadline():
     assert out.verdict == "resource_limit" and time.perf_counter() - start < 0.05
     out = solve_opp(inst, SearchLimits(max_nodes=50, time_limit=None, use_heuristic=False))
     assert out.verdict == "feasible"
+
+
+def test_passed_deadline_stops_before_the_initial_state(monkeypatch):
+    # A passed deadline ends the call before the initial state is built,
+    # also with the heuristic off: building it takes about 0.035 s on
+    # 73-80 3-D boxes
+    built = []
+    build = opp.initial_state
+    monkeypatch.setattr(opp, "initial_state", lambda inst: built.append(inst.n) or build(inst))
+    rng = random.Random(73)
+    inst = Instance(
+        boxes=[Box(f"b{k}", tuple(rng.randint(1, 3) for _ in range(3))) for k in range(76)],
+        container=(12, 12, 12),
+    )
+    out = solve_opp(inst, SearchLimits(time_limit=0.0, use_heuristic=False))
+    assert out.verdict == "resource_limit" and built == []
+    out = solve_opp(inst, SearchLimits(max_nodes=0, time_limit=None, use_heuristic=False))
+    assert out.verdict == "resource_limit" and built == [76]
 
 
 def test_deep_search_stays_off_the_call_stack():

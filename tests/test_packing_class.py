@@ -244,6 +244,20 @@ def test_clique_bound_holds_on_projected_classes(five_box_example):
                 assert clique_bound_holds(pc, S, i, pc.instance)
 
 
+def test_clique_bound_holds_past_64_boxes():
+    # 70 unit squares in a 70 x 1 strip: every pair overlaps on axis 1, so
+    # the bound asks for a clique of all 70 there, past the 64-vertex cap
+    # of `max_weight_clique`
+    from packclass.opp import solve_opp
+
+    inst = Instance(boxes=[Box(f"b{k}", (1, 1)) for k in range(70)], container=(70, 1))
+    out = solve_opp(inst)
+    assert out.verdict == "feasible"
+    assert clique_bound_holds(out.packing_class, inst.ids, 1)
+    assert clique_bound_holds(out.packing_class, inst.ids, 0)
+    assert not clique_bound_holds([[], []], inst.ids, 1, inst)
+
+
 GUARD_SCRIPT = """
 from packclass.chargraph import Dag
 from packclass.fileio import render_svg
