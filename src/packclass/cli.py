@@ -16,17 +16,20 @@ import os
 import random
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import fileio
 from .errors import PackclassError
 from .fileio import ParseError
-from .model import to_fraction, validate_packing
+from .model import project_to_class, to_fraction, validate_packing
 from .opp import SearchLimits, solve_opp
-from .oracle import brute_force_opp, enumerate_packing_classes
 from .packing_class import verify_packing_class
-from .model import project_to_class
-from .solve import ResourceLimit, solve_okp, solve_spp
-from .sweep import exhaustive_grid, random_instance, run_opp_sweep
+
+# `opp` and `verify` run only the modules imported above. The knapsack and
+# strip solvers, the oracle and the sweep (with its process pool) are
+# imported by the commands that run them.
+if TYPE_CHECKING:
+    from .solve import ResourceLimit
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -114,6 +117,8 @@ def cmd_opp(args) -> int:
 
 
 def cmd_okp(args) -> int:
+    from .solve import ResourceLimit, solve_okp
+
     inst, warnings = fileio.load_instance(args.instance, drop_unfit=args.drop_unfit)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -137,6 +142,8 @@ def cmd_okp(args) -> int:
 
 
 def cmd_spp(args) -> int:
+    from .solve import ResourceLimit, solve_spp
+
     boxes, container = fileio.load_spp_input(args.instance)
     if args.fixed_dims:
         cross = tuple(to_fraction(tok) for tok in args.fixed_dims.split(","))
@@ -239,6 +246,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import brute_force_opp, enumerate_packing_classes
+
     inst, _ = fileio.load_instance(args.instance)
     if args.what == "opp":
         result = brute_force_opp(inst)
@@ -258,6 +267,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .sweep import exhaustive_grid, random_instance, run_opp_sweep
+
     if args.mode == "exhaustive":
         instances = exhaustive_grid(
             max_boxes=args.max_boxes,

@@ -151,21 +151,6 @@ def load_spp_input(path: str) -> tuple[list[Box], tuple[Fraction, ...]]:
     return boxes, W
 
 
-def instance_to_json(inst: Instance) -> dict:
-    return {
-        "d": inst.d,
-        "container": [rational_to_json(w) for w in inst.container],
-        "boxes": [
-            {
-                "id": b.id,
-                "size": [rational_to_json(s) for s in b.size],
-                "value": rational_to_json(b.value),
-            }
-            for b in inst.boxes
-        ],
-    }
-
-
 def packing_to_json(p: Packing) -> dict:
     return {
         box_id: [rational_to_json(c) for c in pos]

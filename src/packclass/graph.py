@@ -402,15 +402,6 @@ def _find_hole(G: Graph) -> Optional[tuple[str, ...]]:
     return None
 
 
-def is_triangulated(G: Graph) -> tuple[bool, Optional[tuple[str, ...]]]:
-    """True iff G has no chordless cycle of length >= 4; else a witness cycle."""
-    if _mcs_peo(G.n, G.adj) is not None:
-        return True, None
-    hole = _find_hole(G)
-    assert hole is not None, "non-chordal graph must contain a hole"
-    return False, hole
-
-
 def _as_weight_map(G: Graph, weight) -> list[Fraction]:
     if callable(weight):
         return [to_fraction(weight(v)) for v in G.vertices]

@@ -8,7 +8,6 @@ the same comparison record, which the CLI and the acceptance suite share.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product, repeat
 from typing import Iterable, Optional, Sequence
@@ -18,6 +17,7 @@ from .opp import SearchLimits, solve_opp
 from .oracle import brute_force_opp, enumerate_packing_classes
 
 CLASS_CAP = 0  # the sweep compares class counts and keeps no class
+CHUNK = 8  # instances per task handed to a sweep worker
 
 
 def exhaustive_grid(
@@ -89,10 +89,15 @@ def run_opp_sweep(
     jobs: int = 1,
 ) -> list[OppComparison]:
     instances = list(instances)
-    if jobs > 1:
+    # A forking pool starts every worker it is given at its first task, so
+    # it gets no more than there are chunks to hand out.
+    workers = min(jobs, -(-len(instances) // CHUNK))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # Disjoint instances, one worker each; results keep input order.
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_compare_worker, instances, repeat(limits), chunksize=8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            raw = list(pool.map(_compare_worker, instances, repeat(limits), chunksize=CHUNK))
         return [
             OppComparison(inst, verdict, feas, count)
             for inst, (verdict, feas, count) in zip(instances, raw)

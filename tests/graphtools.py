@@ -1,12 +1,13 @@
 """Graph algorithms that only the tests use.
 
 Orientation enumeration and its definitional check back the acceptance
-criteria on transitive orientations; the interval model, the induced
-4-cycle search and the greedy clique are exercised against the library's
-own recognizers and clique search; the arc-state parity search is the
-odd-closed-walk search as it was before its early exit, and the sorted
-greedy clique and the overweight probe are the greedy clique and
-propagation's probe as they were before the probe became a greedy clique.
+criteria on transitive orientations; the chordality test with its hole
+witness, the interval model, the induced 4-cycle search and the greedy
+clique are exercised against the library's own recognizers and clique
+search; the arc-state parity search is the odd-closed-walk search as it
+was before its early exit, and the sorted greedy clique and the
+overweight probe are the greedy clique and propagation's probe as they
+were before the probe became a greedy clique.
 """
 
 from typing import Optional, Sequence
@@ -16,6 +17,7 @@ from packclass.errors import NotInterval, TooLarge
 from packclass.graph import (
     Graph,
     _as_weight_map,
+    _find_hole,
     _greedy_clique,
     _mcs_peo,
     bits,
@@ -139,6 +141,15 @@ def enumerate_transitive_orientations(G: Graph, cap: Optional[int] = None) -> li
 
     rec(0)
     return results
+
+
+def is_triangulated(G: Graph) -> tuple[bool, Optional[tuple[str, ...]]]:
+    """True iff G has no chordless cycle of length >= 4; else a witness cycle."""
+    if _mcs_peo(G.n, G.adj) is not None:
+        return True, None
+    hole = _find_hole(G)
+    assert hole is not None, "non-chordal graph must contain a hole"
+    return False, hole
 
 
 def maximal_cliques_chordal(G: Graph) -> list[int]:

@@ -19,7 +19,7 @@ from packclass.chargraph import (
     transitive_orientation,
 )
 from packclass.fileio import convert_ngcut, write_json, load_instance
-from packclass.graph import Graph, complement, find_odd_2chordless_cycle, is_triangulated
+from packclass.graph import Graph, complement, find_odd_2chordless_cycle
 from packclass.model import Instance, is_gapless, project_to_class, validate_packing
 from packclass.opp import SearchLimits, solve_opp
 from packclass.oracle import (
@@ -33,7 +33,11 @@ from packclass.solve import OkpSolution, ResourceLimit, SppSolution, solve_okp, 
 from packclass.sweep import exhaustive_grid, random_instance
 
 from graphgen import mask_to_edges, nonisomorphic_graphs, vertex_names
-from graphtools import enumerate_transitive_orientations, is_transitive_orientation_of
+from graphtools import (
+    enumerate_transitive_orientations,
+    is_transitive_orientation_of,
+    is_triangulated,
+)
 
 CLASS_CAP = 50
 ORIENTATION_CAP = 50

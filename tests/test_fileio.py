@@ -8,7 +8,6 @@ from packclass.fileio import (
     class_from_json,
     class_to_json,
     convert_ngcut,
-    instance_to_json,
     load_instance,
     packing_from_json,
     packing_to_json,
@@ -19,6 +18,21 @@ from packclass.fileio import (
     write_json,
 )
 from packclass.model import Box, Instance, Packing
+
+
+def instance_to_json(inst: Instance) -> dict:
+    return {
+        "d": inst.d,
+        "container": [rational_to_json(w) for w in inst.container],
+        "boxes": [
+            {
+                "id": b.id,
+                "size": [rational_to_json(s) for s in b.size],
+                "value": rational_to_json(b.value),
+            }
+            for b in inst.boxes
+        ],
+    }
 
 
 def write(tmp_path, name, payload):

@@ -22,7 +22,6 @@ from packclass.graph import (
     find_asteroidal_triple,
     find_odd_2chordless_cycle,
     induced,
-    is_triangulated,
     max_weight_clique,
     max_weight_stable_set_interval,
 )
@@ -38,6 +37,7 @@ from graphtools import (
     greedy_clique_by_sorting,
     greedy_clique_overweight,
     greedy_weight_clique,
+    is_triangulated,
     odd_closed_walk_by_arcs,
 )
 

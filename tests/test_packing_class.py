@@ -14,7 +14,6 @@ from packclass.graph import (
     Graph,
     complement,
     find_asteroidal_triple,
-    is_triangulated,
     max_weight_stable_set_interval,
 )
 from packclass.model import Box, Instance, is_gapless, project_to_class, validate_packing
@@ -29,6 +28,7 @@ from packclass.packing_class import (
 )
 
 from conftest import random_valid_packing
+from graphtools import is_triangulated
 
 
 def two_box_instance():
