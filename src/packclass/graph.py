@@ -154,9 +154,10 @@ def _odd_closed_walk(
     than its backtrack. An unlinked edge's two arcs are an SCC of their
     own, a 2-cycle, so odd closed walks use linked edges only, and when
     those form a bipartite graph None is returned before any arc is built.
-    Otherwise only linked arcs are numbered, rooted and stepped over: a
-    step from an arc of a linked edge always lands on a linked edge, and
-    roots on unlinked edges reach only their own 2-cycle.
+    Otherwise only linked arcs are rooted and stepped over, in order of
+    tail, then head: a step from an arc of a linked edge always lands on a
+    linked edge, and roots on unlinked edges reach only their own 2-cycle.
+    Arc (u, v) is keyed u * n + v.
     """
     linked = [0] * n
     for u in range(n):
@@ -170,96 +171,83 @@ def _odd_closed_walk(
                 linked[v] |= 1 << u
     if _bipartite(n, linked):
         return None
-    # Linked arcs numbered by tail, then head; arc_at[u * n + v] is arc (u, v)'s.
-    tail: list[int] = []
-    head: list[int] = []
-    arc_at = [0] * (n * n)
-    for u in range(n):
-        heads = linked[u]
-        while heads:
-            low = heads & -heads
-            heads ^= low
-            v = low.bit_length() - 1
-            arc_at[u * n + v] = len(head)
-            tail.append(u)
-            head.append(v)
-
-    def successors(s: int) -> list[int]:
-        u, v = tail[s], head[s]
-        allowed = linked[v] & (safe_pair_adj[u] | (1 << u))
-        return [arc_at[v * n + w] for w in bits(allowed)]
-
     # parent[2 * s + parity]: the key the parity BFS reached (arc s, parity)
     # from, -1 at a root, None if unreached. A key at both parities
     # certifies an odd closed walk through the root.
-    parent: list[Optional[int]] = [None] * (2 * len(head))
-    for root in range(len(head)):
-        if parent[2 * root] is not None or parent[2 * root + 1] is not None:
-            continue
-        parent[2 * root] = -1
-        frontier = [2 * root]
-        conflict: Optional[int] = None
-        while frontier and conflict is None:
-            nxt = []
-            for key in frontier:
-                s = key >> 1
-                u, v = tail[s], head[s]
-                allowed = linked[v] & (safe_pair_adj[u] | (1 << u))
-                flip = ~key & 1
-                row = v * n
-                while allowed:
-                    low = allowed & -allowed
-                    allowed ^= low
-                    t = 2 * arc_at[row + low.bit_length() - 1] + flip
-                    if parent[t] is None:
-                        parent[t] = key
-                        nxt.append(t)
-                        if parent[t ^ 1] is not None:
-                            conflict = t >> 1
-                            break
-                if conflict is not None:
-                    break
-            frontier = nxt
-        if conflict is None:
-            continue
-        # Paths root->conflict at both parities, plus any path conflict->root.
-        def unwind(key: int) -> list[int]:
-            seq = []
-            while key != -1:
-                seq.append(key >> 1)
-                key = parent[key]
-            seq.reverse()
-            return seq
+    parent: list[Optional[int]] = [None] * (2 * n * n)
+    conflict: Optional[int] = None
+    for u in range(n):
+        heads = linked[u]
+        while heads and conflict is None:
+            low = heads & -heads
+            heads ^= low
+            root = u * n + low.bit_length() - 1
+            if parent[2 * root] is not None or parent[2 * root + 1] is not None:
+                continue
+            parent[2 * root] = -1
+            frontier = [2 * root]
+            while frontier and conflict is None:
+                nxt = []
+                for key in frontier:
+                    a, b = divmod(key >> 1, n)
+                    allowed = linked[b] & (safe_pair_adj[a] | (1 << a))
+                    row = 2 * b * n + (~key & 1)  # key of (arc (b, c), flipped parity) is row + 2c
+                    while allowed:
+                        low = allowed & -allowed
+                        allowed ^= low
+                        t = row + 2 * (low.bit_length() - 1)
+                        if parent[t] is None:
+                            parent[t] = key
+                            nxt.append(t)
+                            if parent[t ^ 1] is not None:
+                                conflict = t >> 1
+                                break
+                    if conflict is not None:
+                        break
+                frontier = nxt
+        if conflict is not None:
+            break
+    if conflict is None:
+        return None
 
-        path0 = unwind(2 * conflict)
-        path1 = unwind(2 * conflict + 1)
-        back_parent: dict[int, int] = {conflict: -1}
-        queue = [conflict]
-        while queue and root not in back_parent:
-            nq = []
-            for s in queue:
-                for t in successors(s):
-                    if t not in back_parent:
-                        back_parent[t] = s
-                        nq.append(t)
-            queue = nq
-        back = []
-        cur = root
-        while cur != -1:
-            back.append(cur)
-            cur = back_parent[cur]
-        back.reverse()  # conflict .. root as a state path
-        for fwd in (path0, path1):
-            if (len(fwd) - 1 + len(back) - 1) % 2 == 1:
-                state_path = fwd + back[1:]
-                # State path s_0=root..s_L=root; appended vertices form the walk.
-                verts = [head[root]]
-                for s in state_path[1:]:
-                    verts.append(head[s])
-                # verts has length L+1 and ends back at root's head; drop the
-                # final repeat to get the cyclic sequence of length L (odd).
-                return tuple(verts[:-1])
-    return None
+    # Paths root->conflict at both parities, plus any path conflict->root.
+    def unwind(key: int) -> list[int]:
+        seq = []
+        while key != -1:
+            seq.append(key >> 1)
+            key = parent[key]
+        seq.reverse()
+        return seq
+
+    path0 = unwind(2 * conflict)
+    path1 = unwind(2 * conflict + 1)
+    back_parent: list[Optional[int]] = [None] * (n * n)
+    back_parent[conflict] = -1
+    queue = [conflict]
+    while back_parent[root] is None:
+        nq = []
+        for s in queue:
+            if back_parent[root] is not None:
+                break  # the rest of the level cannot change root's path
+            a, b = divmod(s, n)
+            allowed = linked[b] & (safe_pair_adj[a] | (1 << a))
+            while allowed:
+                low = allowed & -allowed
+                allowed ^= low
+                t = b * n + low.bit_length() - 1
+                if back_parent[t] is None:
+                    back_parent[t] = s
+                    nq.append(t)
+        queue = nq
+    back = []
+    cur = root
+    while cur != -1:
+        back.append(cur)
+        cur = back_parent[cur]
+    back.reverse()  # conflict .. root as a state path
+    fwd = path0 if (len(path0) + len(back)) % 2 == 1 else path1
+    # State path s_0=root..s_L=root, L odd; the heads of s_0..s_{L-1} form the walk.
+    return tuple(s % n for s in (fwd + back[1:])[:-1])
 
 
 def find_odd_2chordless_cycle(G: Graph) -> Optional[tuple[str, ...]]:

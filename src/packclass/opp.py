@@ -18,6 +18,12 @@ node and once by `initial_state`: it applies a queue of assignments first
 in first out, writing straight to the state's tables and trail, and builds
 an object only for a conflict.
 
+Branching follows one static order of the (dimension, pair) variables
+per state: the pairs of the largest boxes first (`EdgeState.seq`), each
+on the axis where it is widest against the container first, inclusion
+first. Each search node keeps its position in the order, so a scan for
+the next variable starts where its parent's stopped.
+
 Pruning certificates are structures that no completion of the current
 state can destroy: an odd 2-chordless cycle in the minus graph whose
 potential 2-chords are all plus, and an overweight clique in the minus
@@ -152,11 +158,14 @@ class EdgeState:
     mark. plus_adj/minus_adj mirror the status as per-vertex bitsets;
     sizes[i][v] is box v's integer-scaled size along axis i and caps[i]
     the container's, and widest[i] lists the boxes widest first along it.
-    pid_of[a][b] is the index of pair {a, b}. degree[v] counts the decided
-    (dimension, pair) relations at v and open[pid] the dimensions in which
-    pair pid is undecided; `branch_select` scores pairs with both. Only
-    `propagate` assigns, in one loop that updates all of these in place,
-    and `undo_to` retracts.
+    pid_of[a][b] is the index of pair {a, b}. seq lists the pair indices in
+    branching order: boxes ranked by volume, largest first, ties by index;
+    each box in rank order paired with every box ranked before it,
+    highest-ranked first. (s_a + s_b) * units[i] ranks a pair's axes as
+    (s_a + s_b)/caps[i] does, in integers; order is the prefix of the
+    (dimension, pair) branching order that `branch_select` has built. Only
+    `propagate` assigns, in one loop that updates the tables in place, and
+    `undo_to` retracts.
     """
 
     def __init__(self, inst: Instance):
@@ -174,8 +183,11 @@ class EdgeState:
         self.sizes = [[inst.int_size(v, i) for v in range(self.n)] for i in range(self.d)]
         self.caps = [inst.int_container(i) for i in range(self.d)]
         self.widest = [sorted(range(self.n), key=lambda v: -s[v]) for s in self.sizes]
-        self.degree = [0] * self.n
-        self.open = [self.d] * self.m
+        rank = sorted(range(self.n), key=lambda v: -inst.int_volume(v))  # stable: ties by index
+        self.seq = [self.pid_of[a][b] for k, b in enumerate(rank) for a in rank[:k]]
+        span = prod(self.caps)  # (s_a + s_b) * units[i] ranks as (s_a + s_b) / cap_i
+        self.units = [span // cap for cap in self.caps]
+        self.order: list[tuple[int, int]] = []
         self.trail: list[tuple[int, int]] = []
         self.undecided = self.d * self.m
         self.stats = SearchStats()
@@ -199,7 +211,6 @@ class EdgeState:
 
     def undo_to(self, mark: int) -> None:
         trail, status, pairs = self.trail, self.status, self.pairs
-        degree, open_ = self.degree, self.open
         while len(trail) > mark:
             i, pid = trail.pop()
             row = status[i]
@@ -208,9 +219,6 @@ class EdgeState:
             adj[a] &= ~(1 << b)
             adj[b] &= ~(1 << a)
             row[pid] = 0
-            degree[a] -= 1
-            degree[b] -= 1
-            open_[pid] += 1
             self.undecided += 1
 
 
@@ -243,7 +251,7 @@ def propagate(state: EdgeState, *decisions: tuple[int, int, int]) -> Optional[Co
     # the queue is first in, first out without a deque's pops.
     queue = [(i, pid, sign, "seed") for i, pid, sign in decisions]
     status, pairs, pid_of, trail = state.status, state.pairs, state.pid_of, state.trail
-    plus_adj, minus_adj, degree, open_ = state.plus_adj, state.minus_adj, state.degree, state.open
+    plus_adj, minus_adj = state.plus_adj, state.minus_adj
     d = state.d
     mark = len(trail)
     conflict = None
@@ -262,9 +270,6 @@ def propagate(state: EdgeState, *decisions: tuple[int, int, int]) -> Optional[Co
         adj = plus if sign == INCLUDE else minus
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-        degree[a] += 1
-        degree[b] += 1
-        open_[pid] -= 1
         trail.append((i, pid))
         if sign == INCLUDE:
             count = 0
@@ -367,13 +372,12 @@ def prune_check(state: EdgeState, since: int = 0) -> Optional[Prune]:
     n = state.n
     odd = [False] * state.d  # per axis: can a new assignment close an odd walk?
     anchors = [[] for _ in range(state.d)]  # (a, b, common) per new minus edge
-    trail = state.trail
-    for k in range(since, len(trail)):
-        i, pid = trail[k]
-        a, b = state.pairs[pid]
-        plus, minus, w = state.plus_adj[i], state.minus_adj[i], state.sizes[i]
+    pairs, status, plus_adj, minus_adj = state.pairs, state.status, state.plus_adj, state.minus_adj
+    for i, pid in state.trail[since:]:
+        a, b = pairs[pid]
+        plus, minus, w = plus_adj[i], minus_adj[i], state.sizes[i]
         common = minus[a] & minus[b]
-        if state.status[i][pid] == INCLUDE:
+        if status[i][pid] == INCLUDE:
             odd[i] |= common != 0
         else:
             odd[i] |= (minus[a] & plus[b] | minus[b] & plus[a]) != 0
@@ -415,30 +419,33 @@ def prune_check(state: EdgeState, since: int = 0) -> Optional[Prune]:
     return None
 
 
-def branch_select(state: EdgeState) -> tuple[int, int, int]:
-    """Deterministic branching choice as (dimension, pair index, sign): the
-    undecided (dimension, pair) whose endpoints touch the most
-    already-decided relations, ties broken by smallest dimension then
-    smallest pair index; inclusion is tried first."""
-    if state.undecided == 0:
-        raise NoUndecided("no undecided pair to branch on")
-    degree = state.degree
-    # A pair decided in some dimension is counted at both of its endpoints
-    # there, so it comes off its score once per such dimension: the score
-    # degree[a] + degree[b] - (d - open) ranks as degree[a] + degree[b] + open.
-    scores = [
-        degree[a] + degree[b] + left if left else -1
-        for (a, b), left in zip(state.pairs, state.open)
-    ]
-    best = max(scores)
-    scores.append(best)  # a sentinel, so `index` finds m past the last tie
-    for i, row in enumerate(state.status):
-        pid = scores.index(best)
-        while pid < state.m and row[pid]:
-            pid = scores.index(best, pid + 1)
-        if pid < state.m:
-            return i, pid, INCLUDE
-    raise AssertionError("unreachable: a pair with the best score is undecided somewhere")
+def branch_select(state: EdgeState, start: int = 0) -> tuple[int, int, int]:
+    """The variable to branch on, as (position, dimension, pair index): the
+    first undecided (dimension, pair) of `state.order`, which lists the
+    pairs of `state.seq` in turn, each on its axes widest first (by
+    (s_a + s_b)/cap_i, the lower axis first on ties). The order is built
+    as scans reach its end, a doubling chunk of pairs at a time, so a
+    search that ends early never ranks the axes of every pair. `start` is
+    a position before which every variable is decided, such as the
+    position chosen at an ancestor of this state on the search path; a
+    scan from it returns what a scan from zero returns."""
+    status, order = state.status, state.order
+    while True:
+        for pos in range(start, len(order)):
+            i, pid = order[pos]
+            if not status[i][pid]:
+                return pos, i, pid
+        start = len(order)
+        if start == state.d * state.m:
+            raise NoUndecided("no undecided pair to branch on")
+        # the next pairs of `seq`, as many as are in the order already, and 8 more
+        chunk = state.seq[start // state.d: 2 * start // state.d + 8]
+        keys = sorted(
+            (k, -(s[a] + s[b]) * unit, i)
+            for i, (s, unit) in enumerate(zip(state.sizes, state.units))
+            for k, (a, b) in enumerate([state.pairs[pid] for pid in chunk])
+        )
+        order += [(i, chunk[k]) for k, _, i in keys]
 
 
 def _try_accept(state: EdgeState) -> Optional[tuple[Packing, PackingClass]]:
@@ -698,7 +705,9 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
     node that is due a periodic check (every CHECK_INTERVAL decisions) or
     fully decided. It passes `prune_check` the trail mark of the last
     silent check on the current path; a mark is dropped when backtracking
-    undoes the trail below it.
+    undoes the trail below it. Each open node keeps the position in
+    `state.order` of the variable it branches on, and `branch_select`
+    scans its children's states from there, never from zero at depth.
     """
     stats = SearchStats()
     start = time.perf_counter()
@@ -739,10 +748,11 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
     # the root's first: `prune_check` looks only at what came after the top.
     silent = [state.mark()]
 
-    # Each open node is (trail mark, dimension, pair index, signs still to
-    # try). A child is entered by propagating its decision and left by
-    # undoing the trail to its parent's mark.
-    stack: list[tuple[int, int, int, tuple[int, ...]]] = []
+    # Each open node is (trail mark, position in `state.order`, dimension,
+    # pair index, signs still to try). A child is entered by propagating its
+    # decision and left by undoing the trail to its parent's mark; its own
+    # branching scan starts at its parent's position.
+    stack: list[tuple[int, int, int, int, tuple[int, ...]]] = []
     since_check = 0
     while True:
         if deadline is not None and time.perf_counter() > deadline:
@@ -767,17 +777,17 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
             else:
                 stats.bump(pr.rule if periodic else f"leaf_{pr.rule}")
         if pr is None and not leaf:
-            i, pid, first = branch_select(state)
-            stack.append((state.mark(), i, pid, (first, -first)))
+            pos, i, pid = branch_select(state, stack[-1][1] if stack else 0)
+            stack.append((state.mark(), pos, i, pid, (INCLUDE, EXCLUDE)))
         # Enter the next child that propagates without conflict.
         while stack:
-            mark, i, pid, signs = stack.pop()
+            mark, pos, i, pid, signs = stack.pop()
             if len(state.trail) > mark:  # else the undo is a no-op
                 state.undo_to(mark)
                 while silent[-1] > mark:
                     silent.pop()
             if signs:
-                stack.append((mark, i, pid, signs[1:]))
+                stack.append((mark, pos, i, pid, signs[1:]))
                 stats.nodes += 1
                 stats.decisions += 1
                 since_check += 1

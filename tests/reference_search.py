@@ -1,14 +1,16 @@
 """The search's per-node path as it was before it became one assignment
 loop, kept as a reference: `set_edge` (one raw assignment), `fixpoint`
 (a seed list and its forced consequences, returning the applied
-assignments), `branch_select` (every tie listed), `prune_check` (the prune
-rules as they were when they forked at 64 boxes) and `solve_opp` (the
-search loop with an unconditional undo at every pop). The tests compare
-`opp.propagate`, `opp.branch_select` and `opp.solve_opp` with these.
+assignments), `branch_select` (a scan of `state.seq` from its start at
+every node), `prune_check` (the prune rules as they were when they forked
+at 64 boxes) and `solve_opp` (the search loop with an unconditional undo
+at every pop). The tests compare `opp.propagate`, `opp.branch_select`
+and `opp.solve_opp` with these.
 """
 
 import copy
 from collections import deque
+from fractions import Fraction
 from functools import reduce
 
 from packclass.graph import CLIQUE_CAP, _greedy_clique, _max_clique, _odd_closed_walk, bits
@@ -46,9 +48,6 @@ def set_edge(state, i, pid, sign):
     adj = state.plus_adj[i] if sign == INCLUDE else state.minus_adj[i]
     adj[a] |= 1 << b
     adj[b] |= 1 << a
-    state.degree[a] += 1
-    state.degree[b] += 1
-    state.open[pid] -= 1
     state.trail.append((i, pid))
     state.undecided -= 1
     return "applied"
@@ -60,8 +59,6 @@ def copy_state(state):
     twin.status = [row[:] for row in state.status]
     twin.plus_adj = [row[:] for row in state.plus_adj]
     twin.minus_adj = [row[:] for row in state.minus_adj]
-    twin.degree = state.degree[:]
-    twin.open = state.open[:]
     twin.trail = state.trail[:]
     twin.stats = copy.deepcopy(state.stats)
     return twin
@@ -136,9 +133,10 @@ def initial_state(inst):
 
 def prune_check(state, since=None):
     """`opp.prune_check` as it was when the rules forked at CLIQUE_CAP
-    boxes: up to it the exact clique rule (3) and the `since` gates, beyond
-    it a greedy rule (3), the width-bound rule (4) and a full check every
-    time."""
+    boxes: up to it the `since` gates, beyond it the width-bound rule (4)
+    and a full check every time. Rule (3) is the exact clique rule on every
+    size; the fork ran a greedy one past the cap, which misses cliques that
+    the exact rule prunes (`test_search_tree_pinned_above_clique_cap`)."""
     inst = state.inst
     n = state.n
     full = (1 << n) - 1
@@ -180,9 +178,7 @@ def prune_check(state, since=None):
                 )
         # (3) overweight clique in the minus graph (a stable set of the
         # final graph, so it must fit along the axis)
-        if n > CLIQUE_CAP:
-            weight, clique = _greedy_clique(minus, sizes, full)
-        elif not gated or any(
+        if not gated or any(
             _max_clique(minus, sizes, common, cap - sizes[a] - sizes[b])[1]
             for a, b, common in anchors[i]
         ):
@@ -225,16 +221,15 @@ def prune_check(state, since=None):
 
 
 def branch_select(state):
-    degree = state.degree
-    scores = [
-        degree[a] + degree[b] + left if left else -1
-        for (a, b), left in zip(state.pairs, state.open)
-    ]
-    best = max(scores)
-    tied = [pid for pid, score in enumerate(scores) if score == best]
-    return next(
-        (i, pid, INCLUDE) for i, row in enumerate(state.status) for pid in tied if row[pid] == 0
-    )
+    """(dimension, pair index): the first pair of `state.seq` with an
+    undecided dimension, scanned from the start, on the undecided
+    dimension with the largest (s_a + s_b) / cap, the lowest on ties."""
+    for pid in state.seq:
+        a, b = state.pairs[pid]
+        axes = [i for i in range(state.d) if state.status[i][pid] == 0]
+        if axes:
+            width = [Fraction(s[a] + s[b], cap) for s, cap in zip(state.sizes, state.caps)]
+            return max(axes, key=width.__getitem__), pid
 
 
 def solve_opp(inst, limits=None):
@@ -300,8 +295,8 @@ def _decide(inst, use_heuristic, budget):
             else:
                 stats.bump(pr.rule if periodic else f"leaf_{pr.rule}")
         if pr is None and not leaf:
-            i, pid, first = branch_select(state)
-            stack.append((state.mark(), i, pid, (first, -first)))
+            i, pid = branch_select(state)
+            stack.append((state.mark(), i, pid, (INCLUDE, EXCLUDE)))
         while stack:
             mark, i, pid, signs = stack.pop()
             state.undo_to(mark)

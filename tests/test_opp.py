@@ -280,44 +280,62 @@ def test_branch_select_single_pair_and_determinism():
     inst = unit_boxes_instance(2)
     state = initial_state(inst)
     pid = state.pair_of("v1", "v2")
-    choice = branch_select(state)
-    assert choice == (0, pid, INCLUDE)
-    # deciding everything leaves nothing to branch on
+    # both axes are equally wide for the pair: the lower one first
+    assert state.seq == [pid] and branch_select(state) == (0, 0, pid)
     propagate(state, (0, pid, EXCLUDE))
+    assert branch_select(state) == branch_select(state, 1) == (1, 1, pid)
+    assert state.order == [(0, pid), (1, pid)]
+    # deciding everything leaves nothing to branch on
     propagate(state, (1, pid, EXCLUDE))
     with pytest.raises(NoUndecided):
         branch_select(state)
+    with pytest.raises(NoUndecided):
+        branch_select(state, 1)
 
 
-def test_branch_select_prefers_decided_neighborhoods():
-    inst = unit_boxes_instance(4)
+def test_search_branches_first_on_the_two_largest_boxes(monkeypatch):
+    """The search's first decision includes the pair of the two largest
+    boxes (volume 12 each, the lower index ranked first) on the axis where
+    it is widest against the container, 7/8 on axis 1 against 7/10 on
+    axis 0; the P3 exclusion that follows leaves that pair decided, so the
+    next decision pairs the third largest box with the largest, on axis 0,
+    where it is wider (8/10 against 5/8)."""
+    sizes = {"v0": (1, 1), "v1": (3, 4), "v2": (2, 2), "v3": (4, 3), "v4": (5, 1)}
+    inst = Instance(boxes=[Box(b, s) for b, s in sizes.items()], container=(10, 8))
     state = initial_state(inst)
-    propagate(state, (0, state.pair_of("v1", "v2"), INCLUDE))
-    i, pid, sign = branch_select(state)
-    assert sign == INCLUDE
-    assert set(state.pair_ids(pid)) & {"v1", "v2"}  # touches the decided relation
-    assert branch_select(state) == (i, pid, sign)
+    assert state.undecided == state.d * state.m  # nothing too wide
+    first = (1, state.pair_of("v1", "v3"), INCLUDE)
+    second = (0, state.pair_of("v1", "v4"), INCLUDE)
+    assert branch_select(state) == (0, *first[:2])
+    propagate(state, first)
+    assert branch_select(state, 0) == branch_select(state, 1) == (2, *second[:2])
+
+    decisions = []
+    apply = opp.propagate
+    monkeypatch.setattr(opp, "propagate", lambda st, *ds: decisions.append(ds) or apply(st, *ds))
+    solve_opp(inst, SearchLimits(max_nodes=2, time_limit=None, use_heuristic=False))
+    assert decisions[1:] == [(first,), (second,)]
 
 
-def _branch_by_definition(state):
-    """The branching rule recomputed directly from the state: the undecided
-    (dimension, pair) with the highest score degree[a] + degree[b] - d +
-    (undecided dimensions of the pair), where degree[v] counts the decided
-    relations at v; first in dimension-major order on ties."""
-    degree = [0] * state.n
-    for plus, minus in zip(state.plus_adj, state.minus_adj):
-        for v in range(state.n):
-            degree[v] += (plus[v] | minus[v]).bit_count()
-    score = [
-        degree[a] + degree[b] - state.d + column.count(0)
-        for (a, b), column in zip(state.pairs, zip(*state.status))
-    ]
-    best = None
-    for i, row in enumerate(state.status):
-        for pid, sign in enumerate(row):
-            if sign == 0 and (best is None or score[pid] > score[best[1]]):
-                best = (i, pid)
-    return (best[0], best[1], INCLUDE)
+def _order_by_definition(inst):
+    """The branching order written out from the instance's `Fraction`
+    sizes: boxes ranked by volume, largest first, ties to the lower index;
+    each box in rank order paired with every box ranked before it,
+    highest-ranked first; within a pair the axes by (s_a + s_b) / cap_i,
+    largest first, ties to the lower axis. (dimension, pair index) pairs."""
+    pair_index = {pair: pid for pid, pair in enumerate(combinations(range(inst.n), 2))}
+    rank = sorted(range(inst.n), key=lambda v: (-inst.boxes[v].volume, v))
+    order = []
+    for k in range(inst.n):
+        for j in range(k):
+            a, b = rank[j], rank[k]
+            width = [
+                (inst.boxes[a].size[i] + inst.boxes[b].size[i]) / Fraction(inst.container[i])
+                for i in range(inst.d)
+            ]
+            pid = pair_index[min(a, b), max(a, b)]
+            order += [(i, pid) for i in sorted(range(inst.d), key=lambda i: (-width[i], i))]
+    return order
 
 
 def random_walk_states(rng, instances, undo=0.25, apply=propagate):
@@ -359,32 +377,66 @@ def random_walk_states(rng, instances, undo=0.25, apply=propagate):
 
 
 def test_branch_select_matches_definition():
-    """Along random propagate/undo_to walks, the incremental counters match
-    the status table and `branch_select` matches the rule's definition."""
-    checked = undone = 0
-    for state, step_undone in random_walk_states(random.Random(77), 120):
-        undone += step_undone
-        degree = [0] * state.n
-        for row in state.status:
-            for (a, b), sign in zip(state.pairs, row):
-                if sign:
-                    degree[a] += 1
-                    degree[b] += 1
-        assert state.degree == degree
-        assert state.open == [column.count(0) for column in zip(*state.status)]
-        if state.undecided == 0:
-            with pytest.raises(NoUndecided):
-                branch_select(state)
-        else:
-            choice = branch_select(state)
-            assert choice == _branch_by_definition(state) == reference.branch_select(state)
-            checked += 1
-    assert checked > 1000 and undone > 200, (checked, undone)
+    """On seeded propagate/undo_to walks (d 1-3, n 2-12, sizes on a 1, 1/2
+    or 1/3 grid), `state.seq` holds the pairs in the order written out,
+    `state.order` is a prefix of that order, `branch_select` returns its
+    first undecided (dimension, pair), and a scan from the position chosen
+    at any state on the walk's path to this one returns what a scan from
+    zero returns."""
+    rng = random.Random(77)
+    checked = carried = undone = 0
+    for k in range(150):
+        n, d, den = rng.randint(2, 12), rng.randint(1, 3), 1 + k % 3
+        inst = Instance(
+            boxes=[
+                Box(f"v{j}", tuple(Fraction(rng.randint(1, 4 * den), den) for _ in range(d)))
+                for j in range(n)
+            ],
+            container=tuple(rng.randint(6, 12) for _ in range(d)),
+        )
+        state = initial_state(inst)
+        if not isinstance(state, EdgeState):
+            continue
+        order = _order_by_definition(inst)
+        assert state.seq == list(dict.fromkeys(pid for _, pid in order)), k
+        path = []  # (trail mark, position chosen) per decision still applied
+        for _ in range(4 * state.m):
+            undecided = [(i, pid) for i, pid in order if state.status[i][pid] == 0]
+            starts = {0, *(pos for _, pos in path)}
+            if undecided:
+                pos, i, pid = branch_select(state)
+                assert state.order[pos] == (i, pid) == undecided[0] == reference.branch_select(state), k
+                assert state.order == order[:len(state.order)], k
+                for start in starts:
+                    assert branch_select(state, start) == (pos, i, pid), (k, start)
+                checked += 1
+                carried += len(starts) > 1
+            else:
+                for start in starts:
+                    with pytest.raises(NoUndecided):
+                        branch_select(state, start)
+            if path and (not undecided or rng.random() < 0.25):
+                cut = rng.randrange(len(path))
+                state.undo_to(path[cut][0])
+                del path[cut:]
+                undone += 1
+                continue
+            if not undecided:
+                break
+            mark = state.mark()
+            # half the walk follows the branching choice, half goes anywhere
+            i, pid = undecided[0] if rng.random() < 0.5 else rng.choice(undecided)
+            sign = INCLUDE if rng.random() < 0.5 else EXCLUDE
+            if isinstance(propagate(state, (i, pid, sign)), Conflict):
+                state.undo_to(mark)
+            else:
+                path.append((mark, pos))
+    assert checked > 10000 and carried > 5000 and undone > 2000, (checked, carried, undone)
 
 
 def _snapshot(state):
-    return (state.status, state.plus_adj, state.minus_adj, state.degree, state.open,
-            state.trail, state.undecided, state.stats.deterministic_view())
+    return (state.status, state.plus_adj, state.minus_adj, state.trail, state.undecided,
+            state.stats.deterministic_view())
 
 
 def test_propagate_matches_reference_fixpoint():
@@ -558,7 +610,9 @@ def test_search_checks_since_silent_marks_match_full_checks(monkeypatch):
     monkeypatch.setattr(opp, "prune_check", checked)
     rng = random.Random(2003)
     limits = SearchLimits(max_nodes=600, time_limit=None, use_heuristic=False)
-    for k in range(24):
+    # most checks on these tight trees fire: 96 instances reach the floor
+    # of silent checks below
+    for k in range(96):
         solve_opp(tight_instance(rng, 6 + k % 4), limits)
     for k in range(8):
         solve_opp(large_instance(rng, k, most=80), limits)
@@ -643,18 +697,18 @@ def check_pinned_trees(instances, pins, limits):
 # A mismatch means the search tree or the returned packing changed.
 # Instances whose search closes at the root are left out.
 PINNED_TREES = [
-    (1, "resource_limit", (81, 81, 116, 32, ()), None),
-    (2, "resource_limit", (82, 82, 141, 32, (("odd_cycle", 1),)), None),
-    (3, "resource_limit", (80, 80, 127, 34, ()), None),
-    (7, "resource_limit", (80, 80, 124, 28, (("odd_cycle", 1),)), None),
-    (8, "resource_limit", (82, 82, 114, 36, ()), None),
-    (9, "feasible", (79, 79, 136, 28, (("odd_cycle", 4),)), "ac548ce84c7e"),
-    (10, "resource_limit", (80, 80, 119, 32, ()), None),
-    (11, "resource_limit", (81, 81, 133, 32, ()), None),
-    (13, "resource_limit", (82, 82, 117, 37, ()), None),
-    (14, "resource_limit", (82, 82, 131, 35, ()), None),
-    (15, "resource_limit", (80, 80, 158, 35, ()), None),
-    (16, "feasible", (72, 72, 108, 30, ()), "1a5667e552e5"),
+    (1, "feasible", (30, 30, 53, 5, ()), "091622d474b2"),
+    (2, "feasible", (35, 35, 68, 6, ()), "2cedc5ae821d"),
+    (3, "resource_limit", (80, 80, 127, 30, ()), None),
+    (7, "resource_limit", (80, 80, 139, 17, (("leaf_odd_cycle", 3), ("odd_cycle", 7))), None),
+    (8, "resource_limit", (82, 82, 123, 27, (("leaf_odd_cycle", 3), ("odd_cycle", 7))), None),
+    (9, "resource_limit", (82, 82, 132, 26, (("leaf_odd_cycle", 3), ("odd_cycle", 6))), None),
+    (10, "resource_limit", (80, 80, 130, 13, (("leaf_odd_cycle", 10), ("odd_cycle", 7))), None),
+    (11, "resource_limit", (81, 81, 153, 17, (("leaf_odd_cycle", 5), ("odd_cycle", 7))), None),
+    (13, "feasible", (20, 20, 44, 1, ()), "a5b6f4ddbfb4"),
+    (14, "feasible", (61, 61, 106, 19, ()), "730d7d8ba107"),
+    (15, "feasible", (34, 34, 76, 2, ()), "c219570d6041"),
+    (16, "feasible", (18, 18, 36, 3, ()), "cff1dadd6a06"),
 ]
 
 
@@ -681,16 +735,67 @@ def guillotine_instance(rng, container, n):
 
 # As PINNED_TREES, on guillotine cuts: 3-D with n 5-9, 2-D with n 20-22.
 PINNED_GUILLOTINE_TREES = [
-    (1, "feasible", (24, 24, 96, 6, ()), "346b315ecf3d"),
-    (2, "feasible", (39, 39, 81, 9, ()), "b8690aed9f5d"),
-    (3, "resource_limit", (40, 40, 77, 2, ()), None),
-    (4, "resource_limit", (40, 40, 122, 0, ()), None),
-    (27, "feasible", (33, 33, 65, 11, (("leaf_odd_cycle", 2),)), "74f470e819c5"),
-    (35, "resource_limit", (43, 43, 106, 13, (("infeasible_clique", 4),)), None),
-    (41, "feasible", (35, 35, 82, 9, ()), "633221458bb1"),
-    (46, "resource_limit", (40, 40, 113, 12, (("infeasible_clique", 1),)), None),
-    (58, "resource_limit", (40, 40, 93, 7, (("odd_cycle", 1),)), None),
+    (1, "feasible", (29, 29, 103, 9, ()), "c2b34c2c15bc"),
+    (2, "feasible", (31, 31, 73, 5, ()), "b8690aed9f5d"),
+    (3, "resource_limit", (40, 40, 68, 7, ()), None),
+    (4, "resource_limit", (40, 40, 110, 8, (("odd_cycle", 1),)), None),
+    (27, "resource_limit", (40, 40, 69, 15, (("leaf_odd_cycle", 2),)), None),
+    (35, "resource_limit", (41, 41, 108, 13, (("infeasible_clique", 1), ("odd_cycle", 1))), None),
+    (41, "resource_limit", (40, 40, 85, 15, ()), None),
+    (46, "resource_limit", (41, 41, 111, 15, ()), None),
+    (58, "resource_limit", (40, 40, 98, 2, ()), None),
 ]
+
+
+def decision_power_set():
+    """16 tight instances that `heuristic_pack` misses (n 8, 9, 10 and 12 in
+    turn), then four guillotine cuts each of n 8, 12, 16 and 20 of a
+    10 x 10 square and of a 6 x 6 x 6 cube: perfect packings."""
+    rng = random.Random(1)
+    hard = []
+    while len(hard) < 16:
+        inst = tight_instance(rng, (8, 9, 10, 12)[len(hard) % 4])
+        if heuristic_pack(inst) is None:
+            hard.append(inst)
+    cuts = [
+        guillotine_instance(rng, container, n)
+        for container in ((10, 10), (6, 6, 6))
+        for n in (8, 12, 16, 20)
+        for _ in range(4)
+    ]
+    return hard + cuts
+
+
+# The instances of `decision_power_set` that the search decided within
+# 2,000 nodes when it branched on the undecided pair whose boxes touched
+# the most decided relations, with their verdicts: 3 of the 16 hard ones,
+# 3 of the 2-D cuts and 4 of the 3-D cuts.
+DECIDED_BY_DEGREE_ORDER = {
+    2: "infeasible", 9: "infeasible", 13: "infeasible",
+    17: "feasible", 18: "feasible", 19: "feasible",
+    32: "feasible", 33: "feasible", 34: "feasible", 35: "feasible",
+}
+
+
+def test_decision_power_at_a_fixed_node_budget():
+    """A gate on what the search decides, independent of timing: with the
+    heuristic off and 2,000 nodes per instance, it decides at least 4 of
+    the hard instances, 6 of the 2-D and 6 of the 3-D perfect packings,
+    keeps every verdict of `DECIDED_BY_DEGREE_ORDER`, calls no perfect
+    packing infeasible, and every packing it returns validates."""
+    limits = SearchLimits(max_nodes=2000, time_limit=None, use_heuristic=False)
+    instances = decision_power_set()
+    decided = {}
+    for k, inst in enumerate(instances):
+        out = solve_opp(inst, limits)
+        if out.verdict == "feasible":
+            assert validate_packing(out.packing, inst).valid, k
+        if out.verdict != "resource_limit":
+            decided[k] = out.verdict
+    assert {k: decided.get(k) for k in DECIDED_BY_DEGREE_ORDER} == DECIDED_BY_DEGREE_ORDER
+    assert all(decided[k] == "feasible" for k in decided if k >= 16), decided
+    counts = tuple(sum(lo <= k < lo + 16 for k in decided) for lo in (0, 16, 32))
+    assert all(got >= floor for got, floor in zip(counts, (4, 6, 6))), counts
 
 
 def reference_instance(rng, k):
@@ -762,10 +867,10 @@ def large_instance(rng, k, most=130):
 
 
 def test_search_above_clique_cap_matches_reference():
-    """Past 64 boxes `prune_check` runs the exact clique rule and the
-    `since` gates, where the reference's (the rules as they were) ran a
-    greedy clique, a width-bound rule and full checks. On seeded 65-130
-    box searches the verdict, statistics and packing are the same."""
+    """Past 64 boxes `prune_check` runs the `since` gates, where the
+    reference's rules (as they were) run a width-bound rule and full
+    checks. On seeded 65-130 box searches the verdict, statistics and
+    packing are the same."""
     rng = random.Random(6530)
     seen = Counter()
     for k in range(40):
@@ -796,16 +901,18 @@ def test_search_tree_pinned_on_guillotine_cuts():
 def test_search_tree_pinned_above_clique_cap():
     # Past 64 boxes (CLIQUE_CAP, the cap of `graph.max_weight_clique`)
     # prune_check runs the same exact rules and `since` gates as below.
-    # On this 66-box cut the first prune fires at node 108.
+    # On this 66-box cut the exact clique rule prunes 8 times, first at
+    # node 56; a greedy clique, which the rules ran past 64 boxes before,
+    # prunes nothing here and gave (120, 120, 299, 10, ()).
     instances = [guillotine_instance(random.Random(42), (16, 14), 66)]
-    pins = [(0, "resource_limit", (120, 120, 359, 9, (("odd_cycle", 2),)), None)]
+    pins = [(0, "resource_limit", (120, 120, 299, 8, (("infeasible_clique", 8),)), None)]
     limits = SearchLimits(max_nodes=120, time_limit=None, use_heuristic=False)
     check_pinned_trees(instances, pins, limits)
-    # On these 70 boxes the exact clique rule prunes 30 times; a greedy
-    # clique, which the rules ran past 64 boxes before, found none of
-    # those cliques and gave (1001, 1001, 1796, 166, ()).
+    # On these 70 boxes the exact clique rule prunes twice, and the odd-
+    # cycle rule 115 times in the subtrees that leaves; a greedy clique
+    # prunes nothing here and gave (1001, 1001, 1562, 364, ()).
     instances = [large_instance(random.Random(57), 4)]
-    pins = [(0, "resource_limit", (1000, 1000, 1883, 172, (("infeasible_clique", 30),)), None)]
+    pins = [(0, "resource_limit", (1000, 1000, 1749, 274, (("infeasible_clique", 2), ("odd_cycle", 115))), None)]
     limits = SearchLimits(max_nodes=1000, time_limit=None, use_heuristic=False)
     check_pinned_trees(instances, pins, limits)
 
