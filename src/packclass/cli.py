@@ -56,6 +56,17 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _at_least_one(text: str) -> int:
+    """An integer count or size of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r} (want an integer >= 1)")
+    return value
+
+
 def _limits(args) -> SearchLimits:
     time_limit = args.time_limit
     if time_limit is None:
@@ -355,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exhaustive", "random"], default="exhaustive")
     p.add_argument("--count", type=int, default=100, help="random mode: instance count")
     p.add_argument("--seed", type=int, default=0, help="random mode: generator seed")
-    p.add_argument("--max-boxes", type=int, default=4)
-    p.add_argument("--max-size", type=int, default=3)
+    p.add_argument("--max-boxes", type=_at_least_one, default=4)
+    p.add_argument("--max-size", type=_at_least_one, default=3)
     p.add_argument("--container", type=int, default=3)
     p.add_argument("--jobs", type=int, default=1, help="parallel workers over instances")
     p.add_argument("-o", "--out", default=None)

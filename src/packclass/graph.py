@@ -1,13 +1,15 @@
 """Undirected graphs over string ids with bitset adjacency.
 
 Vertex sets are represented as Python ints used as bitsets, indexed by the
-graph's vertex order. Every algorithm the search engine runs (clique
-search, elimination order, stable sets of chordal graphs, odd closed
-walks) has one core over `(n, adjacency bitsets[, weights, vertex mask])`
-with plain numeric weights, which the engine calls directly on its own
-bitsets. The `Graph` functions are thin wrappers over the same cores that
-take id-keyed weights as `Fraction`s and report results with original
-ids; holes and asteroidal triples are searched only as witnesses.
+graph's vertex order. Every algorithm the search engine runs (the exact
+clique search that propagation runs at each new exclusion, the
+elimination order and heaviest stable set of a chordal graph that the
+accept runs, the odd closed walk search of the prune check) has one core
+over `(n, adjacency bitsets[, weights, vertex mask])` with plain numeric
+weights, which the engine calls directly on its own bitsets. The `Graph`
+functions are thin wrappers over the same cores that take id-keyed
+weights as `Fraction`s and report results with original ids; holes and
+asteroidal triples are searched only as witnesses.
 """
 
 from __future__ import annotations
@@ -148,7 +150,9 @@ def _odd_closed_walk(
     parity BFS from some root reaches a state at both parities. A root
     that an earlier root's BFS reached lies in an SCC already searched, and
     a new root's BFS never meets an earlier one's states, so one parity
-    table serves every root.
+    table serves every root. The walk goes out along the BFS path that
+    reaches the state at odd parity and back along the even one, each of
+    its steps undone.
 
     Early exit: a walk edge is linked if one of its arcs has a step other
     than its backtrack. An unlinked edge's two arcs are an SCC of their
@@ -210,44 +214,19 @@ def _odd_closed_walk(
     if conflict is None:
         return None
 
-    # Paths root->conflict at both parities, plus any path conflict->root.
     def unwind(key: int) -> list[int]:
+        """The states of the BFS path to `key`, back to the root."""
         seq = []
         while key != -1:
             seq.append(key >> 1)
             key = parent[key]
-        seq.reverse()
         return seq
 
-    path0 = unwind(2 * conflict)
-    path1 = unwind(2 * conflict + 1)
-    back_parent: list[Optional[int]] = [None] * (n * n)
-    back_parent[conflict] = -1
-    queue = [conflict]
-    while back_parent[root] is None:
-        nq = []
-        for s in queue:
-            if back_parent[root] is not None:
-                break  # the rest of the level cannot change root's path
-            a, b = divmod(s, n)
-            allowed = linked[b] & (safe_pair_adj[a] | (1 << a))
-            while allowed:
-                low = allowed & -allowed
-                allowed ^= low
-                t = b * n + low.bit_length() - 1
-                if back_parent[t] is None:
-                    back_parent[t] = s
-                    nq.append(t)
-        queue = nq
-    back = []
-    cur = root
-    while cur != -1:
-        back.append(cur)
-        cur = back_parent[cur]
-    back.reverse()  # conflict .. root as a state path
-    fwd = path0 if (len(path0) + len(back)) % 2 == 1 else path1
-    # State path s_0=root..s_L=root, L odd; the heads of s_0..s_{L-1} form the walk.
-    return tuple(s % n for s in (fwd + back[1:])[:-1])
+    # the heads of the odd path's arcs from the root, then the tails of the
+    # even path's arcs from the conflict
+    odd = unwind(2 * conflict + 1)
+    even = unwind(2 * conflict)
+    return tuple([s % n for s in reversed(odd)] + [s // n for s in even])
 
 
 def find_odd_2chordless_cycle(G: Graph) -> Optional[tuple[str, ...]]:
@@ -409,13 +388,22 @@ def max_weight_clique(
 
 def _max_clique(adj: Sequence[int], w: Sequence, P: int, floor=0) -> tuple:
     """Bitset core of `max_weight_clique` over the vertices in mask `P`:
-    (weight, clique mask). Weights are any exact numbers.
+    (weight, clique mask). Weights are any non-negative exact numbers.
 
-    A `floor` also prunes branches whose bound is at most the floor. Every
+    A `floor` prunes every branch whose bound is at most the floor, the
+    whole search first when all of `P` together weighs no more. Every
     branch holding the first heaviest clique is bounded at or above its
     weight, so a maximum above the floor comes back as the same (weight,
     mask); otherwise (floor, 0) does.
     """
+    total = 0
+    rest = P
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        total += w[low.bit_length() - 1]
+    if total <= floor:
+        return floor, 0
     best_w = floor
     best_set = 0
 
@@ -460,26 +448,6 @@ def _max_clique(adj: Sequence[int], w: Sequence, P: int, floor=0) -> tuple:
 
     expand(P, 0, 0)
     return best_w, best_set
-
-
-def _greedy_clique(adj: Sequence[int], w: Sequence, P: int) -> tuple:
-    """Greedy heavy-first clique over the vertices in mask `P`: (weight,
-    mask). Each step adds the heaviest vertex adjacent to every vertex
-    added so far, lowest index on ties. A sound under-approximation, used
-    only as propagation's overweight probe."""
-    mask = total = 0
-    while P:
-        best, rest = -1, P
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            if best < 0 or w[v] > w[best]:
-                best = v
-        mask |= 1 << best
-        total += w[best]
-        P &= adj[best]
-    return total, mask
 
 
 def max_weight_stable_set_interval(G: Graph, weight) -> tuple[Fraction, tuple[str, ...]]:

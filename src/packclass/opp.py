@@ -11,7 +11,11 @@ propagation applies the forced consequences:
     (some axis must separate every pair);
   * an undecided pair whose inclusion would complete a 4-cycle whose both
     diagonals are already excluded is itself excluded (such a cycle could
-    never gain a chord, and chordless 4-cycles are not interval).
+    never gain a chord, and chordless 4-cycles are not interval);
+  * an exclusion that completes a clique of excluded pairs wider than the
+    axis conflicts (the clique is a stable set of the final graph, so P2
+    fails): one exact clique search over the common excluded neighbours
+    of the new pair, so no such clique survives propagation.
 
 All assignments go through one loop, `propagate`, called once per search
 node and once by `initial_state`: it applies a queue of assignments first
@@ -24,27 +28,22 @@ on the axis where it is widest against the container first, inclusion
 first. Each search node keeps its position in the order, so a scan for
 the next variable starts where its parent's stopped.
 
-Pruning certificates are structures that no completion of the current
-state can destroy: an odd 2-chordless cycle in the minus graph whose
-potential 2-chords are all plus, and an overweight clique in the minus
-graph. Each is re-checkable against the state. Two structures need no
-check of their own: a plus 4-cycle with both diagonals minus never
-survives propagation (the third rule above), and the two rules together
-imply the width bound on every fully decided vertex set.
+The one prune rule, `prune_check`, looks for an odd 2-chordless cycle in
+the minus graph whose potential 2-chords are all plus, a certificate that
+no completion of the state can destroy and that is re-checkable against
+it. Together with what propagation leaves out (a plus 4-cycle with both
+diagonals minus, an overweight minus clique) it implies the width bound
+on every fully decided vertex set.
 
-Both rules are monotone: adding assignments never destroys an odd cycle
-or an overweight clique. So once a check on the search path comes back
-silent, a later check can fire only through an assignment made since.
-The search keeps the trail marks of its silent checks, the empty trail
-counting as one at the root, and every check runs a rule on an axis only
-when a new assignment can fire it there. The odd-cycle rule runs when a
-new minus edge is linked (it has a step other than its backtrack) or a
-new plus pair has a common minus neighbour. The clique rule runs when
-the common minus neighbours of a new minus edge {a, b} hold a clique
-heavier than cap - s_a - s_b. An open gate runs the full rule, so trees
-and certificates are those of ungated checks. At a fully decided state
-a silent check means the accept succeeds, so no leaf is rejected after
-it.
+The rule is monotone: adding assignments never destroys an odd cycle. So
+once a check on the search path comes back silent, a later check can
+fire only through an assignment made since. The search keeps the trail
+marks of its silent checks, the empty trail counting as one at the root,
+and every check runs the rule on an axis only when a new minus edge is
+linked (it has a step other than its backtrack) or a new plus pair has a
+common minus neighbour there. An open gate runs the full rule, so trees
+and certificates are those of ungated checks. At a fully decided state a
+silent check means the accept succeeds, so no leaf is rejected after it.
 
 Everything inside the search runs on integers: per-dimension adjacency
 bitsets (`EdgeState.plus_adj`/`minus_adj`), vertex indices and the
@@ -74,11 +73,9 @@ from .errors import InvalidLimits, NoUndecided
 from .graph import (
     Graph,
     _chordal_stable_set,
-    _greedy_clique,
     _max_clique,
     _mcs_peo,
     _odd_closed_walk,
-    bits,
 )
 from .model import Instance, Packing, project_to_class, validate_packing
 from .packing_class import PackingClass, _longest_paths
@@ -243,9 +240,11 @@ def propagate(state: EdgeState, *decisions: tuple[int, int, int]) -> Optional[Co
     consequences to a fixed point, first in first out. Returns None on
     success, the assignments made being `state.trail[mark:]` for the mark
     taken before the call; on Conflict the partial assignments stay on the
-    trail too (`state.undo_to(mark)` retracts them). No width is tested:
-    `initial_state` includes every too-wide pair first, so excluding one
-    conflicts.
+    trail too (`state.undo_to(mark)` retracts them). No pair's width is
+    tested: `initial_state` includes every too-wide pair first, so
+    excluding one conflicts. Each new exclusion is tested for a minus
+    clique through it heavier than the axis, so a conflict-free result
+    leaves none (P2 on every decided set).
     """
     # A `for` over a list also visits what is appended during the loop:
     # the queue is first in, first out without a deque's pops.
@@ -319,13 +318,14 @@ def propagate(state: EdgeState, *decisions: tuple[int, int, int]) -> Optional[Co
                         low = ss & -ss
                         ss ^= low
                         queue.append((i, row[low.bit_length() - 1], EXCLUDE, "c4"))
-            # greedy overweight-clique probe around the new exclusion: any
-            # clique in the minus graph is a stable set of the final graph,
-            # so its width is capped by the axis. {a, b} alone fits:
-            # `initial_state` includes too-wide pairs.
+            # any clique in the minus graph is a stable set of the final
+            # graph, so it must fit along the axis; an overweight one holds
+            # the edge that completed it, so this exact test at each new
+            # edge leaves none. {a, b} alone fits: `initial_state`
+            # includes too-wide pairs.
             common = minus[a] & minus[b]
             w = state.sizes[i]
-            if common and w[a] + w[b] + _greedy_clique(minus, w, common)[0] > state.caps[i]:
+            if common and _max_clique(minus, w, common, state.caps[i] - w[a] - w[b])[1]:
                 conflict = Conflict(rule="minus_clique", dimension=i, pair=state.pair_ids(pid))
                 break
     applied = len(trail) - mark
@@ -337,85 +337,52 @@ def propagate(state: EdgeState, *decisions: tuple[int, int, int]) -> Optional[Co
 
 
 def prune_check(state: EdgeState, since: int = 0) -> Optional[Prune]:
-    """Certificate-backed dead-end detection on the current state.
+    """Certificate-backed dead-end detection on the current state: an odd
+    2-chordless cycle in the minus graph whose potential 2-chords are all
+    plus, found by `_odd_closed_walk`, which returns at once when the minus
+    edges such a walk could use form a bipartite graph.
 
-    Returns None when no rule fires. Every certificate survives every
+    Returns None when the rule is silent. The certificate survives every
     completion of the state, so pruning never loses solutions. The state
     must be a conflict-free `propagate` result, which leaves no plus
-    4-cycle with both diagonals minus (rule (1)). Rule (2) returns at once
-    when the minus edges an odd walk could use form a bipartite graph, and
-    rule (3)'s search prunes every branch that cannot outweigh the axis.
+    4-cycle with both diagonals minus and no minus clique heavier than its
+    axis.
 
     On a set S whose pairs are all decided, the non-minus pairs are plus,
-    so with (2) silent minus[S] is a comparability graph (Gallai). It is
-    perfect, so S splits into as many minus cliques, each fitting the axis
-    by (3), as its largest plus clique: no width rule is needed. On a fully
-    decided state the plus graph, the complement, is then AT-free with no
-    plus 4-cycle, so chordal and interval (Gilmore-Hoffman); with P2 by
-    (3) and P3 by propagation, the accept succeeds.
+    so with the rule silent minus[S] is a comparability graph (Gallai). It
+    is perfect, so S splits into as many minus cliques, each fitting the
+    axis by propagation, as its largest plus clique: no width rule is
+    needed. On a fully decided state the plus graph, the complement, is
+    then AT-free with no plus 4-cycle, so chordal and interval
+    (Gilmore-Hoffman); with P2 and P3 by propagation, the accept succeeds.
 
     `since` is the trail mark of a silent check on a state this one
-    extends; the empty trail (0) counts as one. Rules (2) and (3) are
-    monotone, so a rule can fire only through `state.trail[since:]`, and
-    an axis's rule runs only when those assignments can fire it: (2) when
-    a new minus edge {a, b} is linked (minus[a] & plus[b] or minus[b] &
-    plus[a]; an unlinked edge adds only a 2-cycle) or a new plus pair has
-    a common minus neighbour, since a new odd closed walk needs a new arc
-    or step; (3) when, for some new minus edge {a, b}, the common minus
-    neighbours hold a clique heavier than cap - s_a - s_b (searched only
-    when all of them together are), since a new overweight clique holds a
-    new edge. From the empty trail every edge is new, and one box fits its
-    axis, so an overweight clique has an edge. An open gate runs the full
-    rule: the certificates are those of an ungated check.
+    extends; the empty trail (0) counts as one. The rule is monotone, so
+    it can fire only through `state.trail[since:]`, and it runs on an axis
+    only when those assignments hold a new minus edge {a, b} that is linked
+    (minus[a] & plus[b] or minus[b] & plus[a]; an unlinked edge adds only a
+    2-cycle) or a new plus pair with a common minus neighbour, since a new
+    odd closed walk needs a new arc or step. An open gate runs the full
+    rule: the certificate is that of an ungated check.
     """
-    inst = state.inst
-    n = state.n
     odd = [False] * state.d  # per axis: can a new assignment close an odd walk?
-    anchors = [[] for _ in range(state.d)]  # (a, b, common) per new minus edge
     pairs, status, plus_adj, minus_adj = state.pairs, state.status, state.plus_adj, state.minus_adj
     for i, pid in state.trail[since:]:
         a, b = pairs[pid]
-        plus, minus, w = plus_adj[i], minus_adj[i], state.sizes[i]
-        common = minus[a] & minus[b]
+        plus, minus = plus_adj[i], minus_adj[i]
         if status[i][pid] == INCLUDE:
-            odd[i] |= common != 0
+            odd[i] |= (minus[a] & minus[b]) != 0
         else:
             odd[i] |= (minus[a] & plus[b] | minus[b] & plus[a]) != 0
-            total = w[a] + w[b]
-            rest = common
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                total += w[low.bit_length() - 1]
-            if common and total > state.caps[i]:
-                anchors[i].append((a, b, common))
     for i in range(state.d):
-        plus = state.plus_adj[i]
-        minus = state.minus_adj[i]
-        sizes = state.sizes[i]
-        cap = state.caps[i]
-        # (2) odd 2-chordless cycle in the minus graph (2-chords forced plus)
         if odd[i]:
-            walk = _odd_closed_walk(n, minus, plus)
+            walk = _odd_closed_walk(state.n, minus_adj[i], plus_adj[i])
             if walk is not None:
                 return Prune(
                     rule="odd_cycle",
                     dimension=i,
-                    certificate=tuple(inst.ids[v] for v in walk),
+                    certificate=tuple(state.inst.ids[v] for v in walk),
                 )
-        # (3) overweight clique in the minus graph (a stable set of the
-        # final graph, so it must fit along the axis); an anchor that
-        # fires shows the heaviest clique is over the axis
-        if any(
-            _max_clique(minus, sizes, common, cap - sizes[a] - sizes[b])[1]
-            for a, b, common in anchors[i]
-        ):
-            clique = _max_clique(minus, sizes, (1 << n) - 1, cap)[1]
-            return Prune(
-                rule="infeasible_clique",
-                dimension=i,
-                certificate=(tuple(inst.ids[v] for v in bits(clique)),),
-            )
     return None
 
 
@@ -763,8 +730,8 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
         leaf = state.undecided == 0
         pr = None
         if periodic or leaf:
-            # At a fully decided state the prune rules are a complete class
-            # test, far cheaper than the accept: when they pass, the plus
+            # At a fully decided state the prune rule is a complete class
+            # test, far cheaper than the accept: when it passes, the plus
             # graphs are interval (see `prune_check`), so the accept succeeds.
             if periodic:
                 since_check = 0

@@ -2,12 +2,10 @@
 
 Orientation enumeration and its definitional check back the acceptance
 criteria on transitive orientations; the chordality test with its hole
-witness, the interval model, the induced 4-cycle search and the greedy
-clique are exercised against the library's own recognizers and clique
-search; the arc-state parity search is the odd-closed-walk search as it
-was before its early exit, and the sorted greedy clique and the
-overweight probe are the greedy clique and propagation's probe as they
-were before the probe became a greedy clique.
+witness, the interval model and the induced 4-cycle search are exercised
+against the library's own recognizers; the greedy clique tells which of
+the accept's rejections its greedy stable set makes; the arc-state parity
+search is the odd-closed-walk search as it was before its early exit.
 """
 
 from typing import Optional, Sequence
@@ -18,7 +16,6 @@ from packclass.graph import (
     Graph,
     _as_weight_map,
     _find_hole,
-    _greedy_clique,
     _mcs_peo,
     bits,
     complement,
@@ -241,40 +238,15 @@ def find_induced_c4(
 
 
 def greedy_weight_clique(G: Graph, weight):
-    """Greedy heavy-first clique over `Graph` ids, via the engine's core."""
-    total, mask = _greedy_clique(G.adj, _as_weight_map(G, weight), (1 << G.n) - 1)
-    return to_fraction(total), G.names(mask)
-
-
-def greedy_clique_by_sorting(adj: Sequence[int], w: Sequence, P: int) -> tuple:
-    """`graph._greedy_clique` as a scan of the vertices in mask `P`,
+    """Greedy heavy-first clique over `Graph` ids: a scan of the vertices,
     heaviest first and lowest index on ties, adding each vertex adjacent to
-    all added before it: (weight, mask)."""
+    all added before it."""
+    w = _as_weight_map(G, weight)
     mask = 0
-    total = 0
-    for v in sorted(bits(P), key=lambda v: (-w[v], v)):
-        if (adj[v] & mask) == mask:
+    for v in sorted(range(G.n), key=lambda v: (-w[v], v)):
+        if (G.adj[v] & mask) == mask:
             mask |= 1 << v
-            total += w[v]
-    return total, mask
-
-
-def greedy_clique_overweight(adj: Sequence[int], w: Sequence, cap, a: int, b: int) -> bool:
-    """Propagation's overweight probe as a loop of its own: grow the clique
-    {a, b} by the heaviest common neighbour (lowest index on ties) and stop
-    as soon as its weight passes `cap`, or when it is maximal."""
-    total = w[a] + w[b]
-    common = adj[a] & adj[b]
-    while common:
-        best_v, best_w = -1, -1
-        for v in bits(common):
-            if w[v] > best_w:
-                best_v, best_w = v, w[v]
-        total += best_w
-        if total > cap:
-            return True
-        common &= adj[best_v]
-    return False
+    return to_fraction(sum(w[v] for v in bits(mask))), G.names(mask)
 
 
 def odd_closed_walk_by_arcs(
@@ -296,11 +268,6 @@ def odd_closed_walk_by_arcs(
             arc_at[u * n + v] = len(head)
             tail.append(u)
             head.append(v)
-
-    def successors(s: int) -> list[int]:
-        u, v = tail[s], head[s]
-        allowed = walk_adj[v] & (safe_pair_adj[u] | (1 << u))
-        return [arc_at[v * n + w] for w in bits(allowed)]
 
     # parent[2 * s + parity]: the key the parity BFS reached (arc s, parity)
     # from, -1 at a root, None if unreached. A key at both parities
@@ -335,41 +302,17 @@ def odd_closed_walk_by_arcs(
             frontier = nxt
         if conflict is None:
             continue
-        # Paths root->conflict at both parities, plus any path conflict->root.
+        # Out along the odd path to the conflict, back along the even one
+        # with each step undone: the heads of the odd path's arcs, then the
+        # tails of the even path's arcs from the conflict back to the root.
         def unwind(key: int) -> list[int]:
             seq = []
             while key != -1:
                 seq.append(key >> 1)
                 key = parent[key]
-            seq.reverse()
             return seq
 
-        path0 = unwind(2 * conflict)
-        path1 = unwind(2 * conflict + 1)
-        back_parent: dict[int, int] = {conflict: -1}
-        queue = [conflict]
-        while queue and root not in back_parent:
-            nq = []
-            for s in queue:
-                for t in successors(s):
-                    if t not in back_parent:
-                        back_parent[t] = s
-                        nq.append(t)
-            queue = nq
-        back = []
-        cur = root
-        while cur != -1:
-            back.append(cur)
-            cur = back_parent[cur]
-        back.reverse()  # conflict .. root as a state path
-        for fwd in (path0, path1):
-            if (len(fwd) - 1 + len(back) - 1) % 2 == 1:
-                state_path = fwd + back[1:]
-                # State path s_0=root..s_L=root; appended vertices form the walk.
-                verts = [head[root]]
-                for s in state_path[1:]:
-                    verts.append(head[s])
-                # verts has length L+1 and ends back at root's head; drop the
-                # final repeat to get the cyclic sequence of length L (odd).
-                return tuple(verts[:-1])
+        odd = unwind(2 * conflict + 1)
+        even = unwind(2 * conflict)
+        return tuple([head[s] for s in reversed(odd)] + [tail[s] for s in even])
     return None

@@ -13,7 +13,7 @@ from collections import deque
 from fractions import Fraction
 from functools import reduce
 
-from packclass.graph import CLIQUE_CAP, _greedy_clique, _max_clique, _odd_closed_walk, bits
+from packclass.graph import CLIQUE_CAP, _max_clique, _odd_closed_walk, bits
 from packclass.model import project_to_class
 from packclass.opp import (
     CHECK_INTERVAL,
@@ -107,7 +107,7 @@ def fixpoint(state, seeds):
                         queue.append((i, pid_of[p][s], EXCLUDE, "c4"))
             common = minus[a] & minus[b]
             w = state.sizes[i]
-            if common and w[a] + w[b] + _greedy_clique(minus, w, common)[0] > state.caps[i]:
+            if _max_clique(minus, w, common, state.caps[i] - w[a] - w[b])[1]:
                 state.stats.conflicts += 1
                 return Conflict(rule="minus_clique", dimension=i, pair=state.pair_ids(pid))
     return tuple(applied)
@@ -135,8 +135,9 @@ def prune_check(state, since=None):
     """`opp.prune_check` as it was when the rules forked at CLIQUE_CAP
     boxes: up to it the `since` gates, beyond it the width-bound rule (4)
     and a full check every time. Rule (3) is the exact clique rule on every
-    size; the fork ran a greedy one past the cap, which misses cliques that
-    the exact rule prunes (`test_search_tree_pinned_above_clique_cap`)."""
+    size; the fork ran a greedy one past the cap. Propagation now leaves no
+    minus clique heavier than its axis, so rule (3) never fires on the
+    states a search reaches."""
     inst = state.inst
     n = state.n
     full = (1 << n) - 1

@@ -262,6 +262,18 @@ def test_sweep_random_seeded(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("mode", ["random", "exhaustive"])
+@pytest.mark.parametrize("flag", ["--max-boxes", "--max-size"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_sweep_sizes_below_one_are_usage_errors(capsys, mode, flag, value):
+    # in random mode 0 ended in a ValueError from random.randint (exit 1)
+    with pytest.raises(SystemExit) as exit_info:
+        run(["sweep", "--mode", mode, "--count", "3", flag, value])
+    assert exit_info.value.code == 64
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}" in err and err.startswith("usage:") and "Traceback" not in err
+
+
 def test_cached_parser_carries_no_flag_over(tmp_path, example_file, monkeypatch, capsys):
     # `main` reuses one parser per process: each run must give the exit code
     # and result file that a freshly built parser gives, whatever ran before.

@@ -191,13 +191,31 @@ def test_propagation_leaves_no_plus_c4_with_minus_diagonals():
     assert near_misses > 100
 
 
+def minus_cliques(state, i):
+    """Every clique of axis i's minus graph, the empty one too, as
+    (weight, vertex mask), by extending each clique found so far with
+    each vertex in turn."""
+    minus, sizes = state.minus_adj[i], state.sizes[i]
+    cliques = [(0, 0)]
+    for v in range(state.n):
+        cliques += [(w + sizes[v], c | 1 << v) for w, c in cliques if minus[v] & c == c]
+    return cliques
+
+
+def overweight_minus_clique(state):
+    """Does some axis's minus graph hold a clique heavier than the axis?"""
+    return any(w > state.caps[i] for i in range(state.d) for w, _ in minus_cliques(state, i))
+
+
 def test_silent_prune_check_implies_clique_bound():
-    # Up to CLIQUE_CAP boxes prune_check has no width-bound rule: with the
-    # odd-cycle and exact clique rules silent, the bound holds on every
-    # vertex set whose pairs are all decided, even in states propagation
-    # never built. Each axis is as wide as the heaviest clique of a planned
-    # minus graph, half of which hold an odd hole, where the clique rule
-    # alone would let the bound fail.
+    # prune_check has no width-bound rule: with the odd-cycle rule silent
+    # and no minus clique over its axis, as propagation leaves the state,
+    # the bound holds on every vertex set whose pairs are all decided, even
+    # in states propagation never built. Each axis is as wide as the
+    # heaviest clique of a planned minus graph, half of which hold an odd
+    # hole, where the clique width alone would let the bound fail. The
+    # exclusions `initial_state` adds can complete an overweight clique on
+    # top of the plan: such states are skipped.
     rng = random.Random(5)
     silent = checked = 0
     for _ in range(300):
@@ -226,7 +244,7 @@ def test_silent_prune_check_implies_clique_bound():
                     sign = EXCLUDE if pair in planned[i] else INCLUDE
                     assert sign == INCLUDE or _fits_beside(state, i, pid)
                     reference.set_edge(state, i, pid, sign)
-        if prune_check(state) is not None:
+        if overweight_minus_clique(state) or prune_check(state) is not None:
             continue
         silent += 1
         edge_sets = [state.e_plus(i) for i in range(d)]
@@ -259,21 +277,20 @@ def test_prune_check_odd_cycle():
     assert check_odd_2chordless_cycle(minus, prune.certificate)
 
 
-def test_prune_check_infeasible_clique():
+def test_propagate_conflicts_on_overweight_minus_clique():
     inst = Instance(
         boxes=(Box("a", (2, 1)), Box("b", (2, 1)), Box("c", (2, 1))),
         container=(5, 5),
     )
     state = initial_state(inst)
-    for x, y in combinations(("a", "b", "c"), 2):
-        since = state.mark()
-        _set_raw(state, 0, x, y, EXCLUDE)
-    prune = prune_check(state)
-    assert isinstance(prune, Prune) and prune.rule == "infeasible_clique"
-    (clique,) = prune.certificate
-    assert set(clique) == {"a", "b", "c"}  # widths 2+2+2 > 5
-    # one over the axis, and closed by the last edge alone
-    assert prune_check(state, since) == prune
+    first, second, third = [(0, state.pair_of(x, y), EXCLUDE) for x, y in combinations("abc", 2)]
+    assert propagate(state, first) is None and propagate(state, second) is None
+    # widths 2+2+2 > 5: the exclusion that closes the clique conflicts
+    mark = state.mark()
+    assert propagate(state, third) == Conflict("minus_clique", 0, ("b", "c"))
+    state.undo_to(mark)
+    # on the other axis {b, c} is a lone minus edge
+    assert propagate(state, (1, third[1], EXCLUDE)) is None
 
 
 def test_branch_select_single_pair_and_determinism():
@@ -468,6 +485,32 @@ def test_propagate_matches_reference_fixpoint():
     assert min(seen[key] for key in ("single", "forced", "p3", "c4", "minus_clique")) >= 20, seen
 
 
+def test_propagation_leaves_no_overweight_minus_clique():
+    """Along random propagate/undo_to walks, no conflict-free `propagate`
+    leaves a minus clique heavier than its axis, and each `minus_clique`
+    conflict leaves one on its axis that holds its pair: the exclusion
+    that completed it. Both by brute force over the minus cliques."""
+    seen = Counter()
+
+    def checked(state, decision):
+        got = propagate(state, decision)
+        if got is None:
+            assert not overweight_minus_clique(state)
+            seen["clean"] += 1
+        elif got.rule == "minus_clique":
+            a, b = map(state.inst.index, got.pair)
+            cap = state.caps[got.dimension]
+            assert any(
+                w > cap and c >> a & 1 and c >> b & 1 for w, c in minus_cliques(state, got.dimension)
+            )
+            seen["minus_clique"] += 1
+        return got
+
+    for _ in random_walk_states(random.Random(85), 120, undo=0.02, apply=checked):
+        pass
+    assert min(seen["clean"], seen["minus_clique"]) >= 50, seen
+
+
 def _accept_by_definition(state):
     """P3, then per axis P1 (an elimination order and no asteroidal
     triple) and P2 (the heaviest stable set fits), with no filter first."""
@@ -507,8 +550,10 @@ def test_try_accept_matches_filter_free_check():
 
 
 def _ungated_prune_check(state):
-    """Both prune rules on every axis with no gate, in `prune_check`'s
-    order: the answer every gated check must give."""
+    """The odd-cycle rule on every axis with no gate, the answer every
+    gated check must give, and the exact clique rule that `prune_check`
+    once ran after it: on a state `propagate` built, the clique rule must
+    never fire."""
     ids = state.inst.ids
     for i, (plus, minus, sizes, cap) in enumerate(
         zip(state.plus_adj, state.minus_adj, state.sizes, state.caps)
@@ -527,24 +572,20 @@ def test_prune_check_since_a_silent_check_matches_full_check(monkeypatch):
     stack of the trail marks of silent checks kept as `_decide` keeps it
     (a mark above the trail is dropped on undo), `prune_check(state,
     since)` equals the ungated check, and so does the check from the
-    empty trail that `_decide` runs at the root. Counts show each gate
-    skipping its rule and each rule firing."""
-    calls = {"walk": 0, "clique": 0}
-    walk, max_clique = opp._odd_closed_walk, opp._max_clique
+    empty trail that `_decide` runs at the root. Counts show the gate
+    skipping the rule and the rule firing."""
+    calls = 0
+    walk = opp._odd_closed_walk
 
     def counted_walk(*args):
-        calls["walk"] += 1
+        nonlocal calls
+        calls += 1
         return walk(*args)
 
-    def counted_clique(adj, w, P, floor=0):
-        calls["clique"] += P == (1 << len(adj)) - 1  # not the gate's own searches
-        return max_clique(adj, w, P, floor)
-
     monkeypatch.setattr(opp, "_odd_closed_walk", counted_walk)
-    monkeypatch.setattr(opp, "_max_clique", counted_clique)
     seen = Counter()
     silent, last = [], None
-    # Rare undos let walks run deep, where the rules fire.
+    # Rare undos let walks run deep, where the rule fires.
     for step, (state, _) in enumerate(random_walk_states(random.Random(79), 300, undo=0.02)):
         if state is not last:  # a new instance
             silent, last = [], state
@@ -552,34 +593,33 @@ def test_prune_check_since_a_silent_check_matches_full_check(monkeypatch):
             silent.pop()
         if step % 3:
             continue
-        calls.update(walk=0, clique=0)
+        calls = 0
         got = prune_check(state, silent[-1] if silent else 0)
         reached = state.d if got is None else got.dimension + 1
-        seen["walk skipped"] += reached - calls["walk"]
-        seen["clique skipped"] += reached - (got is not None and got.rule == "odd_cycle") - calls["clique"]
+        seen["walk skipped"] += reached - calls
         assert got == _ungated_prune_check(state) == prune_check(state)
         if got is None:
             silent.append(state.mark())
         else:
             seen[got.rule] += 1
-    assert min(seen[key] for key in ("odd_cycle", "infeasible_clique", "walk skipped", "clique skipped")) >= 50, seen
+    assert min(seen[key] for key in ("odd_cycle", "walk skipped")) >= 50, seen
 
 
 def test_root_prune_check_matches_ungated_check():
     """At the root `_decide` checks from the empty trail. That equals the
-    ungated check on seeded roots of 6-80 boxes, and it fires where
-    propagation's greedy clique probe misses an overweight clique: the
-    probe at the last minus edge {a, b} on axis 1 takes e (11), which
-    meets neither c nor d, so it stops at 19 <= 20 while {c, d, a, b}
-    weighs 22."""
+    ungated check on seeded roots of 6-80 boxes. On the 5-box instance
+    below, {c, d, a, b} is an overweight minus clique on axis 1 (22 > 20)
+    at the root: propagation's exact clique test conflicts at its last
+    edge {a, b}, so the search ends before any node. A greedy probe there
+    took e (11), which meets neither c nor d, and stopped at 19."""
     inst = Instance(
         boxes=[Box(b, s) for b, s in (("c", (6, 7)), ("d", (6, 7)), ("e", (2, 11)), ("a", (9, 4)), ("b", (9, 4)))],
         container=(10, 20),
     )
-    state = initial_state(inst)
-    assert prune_check(state) == _ungated_prune_check(state) == Prune("infeasible_clique", 1, (("c", "d", "a", "b"),))
+    assert initial_state(inst) == ImmediateConflict(Conflict("minus_clique", 1, ("a", "b")))
     out = solve_opp(inst, SearchLimits(use_heuristic=False))
-    assert out.verdict == "infeasible" and out.stats.prunes == {"root_prune": 1}
+    assert out.verdict == "infeasible" and out.stats.nodes == 0
+    assert out.stats.prunes == {"initial_conflict": 1}
 
     rng = random.Random(2004)
     roots = [initial_state(tight_instance(rng, 6 + k % 4)) for k in range(60)]
@@ -700,7 +740,7 @@ PINNED_TREES = [
     (1, "feasible", (30, 30, 53, 5, ()), "091622d474b2"),
     (2, "feasible", (35, 35, 68, 6, ()), "2cedc5ae821d"),
     (3, "resource_limit", (80, 80, 127, 30, ()), None),
-    (7, "resource_limit", (80, 80, 139, 17, (("leaf_odd_cycle", 3), ("odd_cycle", 7))), None),
+    (7, "resource_limit", (80, 80, 139, 18, (("leaf_odd_cycle", 2), ("odd_cycle", 7))), None),
     (8, "resource_limit", (82, 82, 123, 27, (("leaf_odd_cycle", 3), ("odd_cycle", 7))), None),
     (9, "resource_limit", (82, 82, 132, 26, (("leaf_odd_cycle", 3), ("odd_cycle", 6))), None),
     (10, "resource_limit", (80, 80, 130, 13, (("leaf_odd_cycle", 10), ("odd_cycle", 7))), None),
@@ -740,7 +780,7 @@ PINNED_GUILLOTINE_TREES = [
     (3, "resource_limit", (40, 40, 68, 7, ()), None),
     (4, "resource_limit", (40, 40, 110, 8, (("odd_cycle", 1),)), None),
     (27, "resource_limit", (40, 40, 69, 15, (("leaf_odd_cycle", 2),)), None),
-    (35, "resource_limit", (41, 41, 108, 13, (("infeasible_clique", 1), ("odd_cycle", 1))), None),
+    (35, "resource_limit", (41, 41, 110, 12, (("odd_cycle", 2),)), None),
     (41, "resource_limit", (40, 40, 85, 15, ()), None),
     (46, "resource_limit", (41, 41, 111, 15, ()), None),
     (58, "resource_limit", (40, 40, 98, 2, ()), None),
@@ -900,19 +940,19 @@ def test_search_tree_pinned_on_guillotine_cuts():
 
 def test_search_tree_pinned_above_clique_cap():
     # Past 64 boxes (CLIQUE_CAP, the cap of `graph.max_weight_clique`)
-    # prune_check runs the same exact rules and `since` gates as below.
-    # On this 66-box cut the exact clique rule prunes 8 times, first at
-    # node 56; a greedy clique, which the rules ran past 64 boxes before,
-    # prunes nothing here and gave (120, 120, 299, 10, ()).
+    # propagation runs the same exact clique test, and prune_check the same
+    # rule and `since` gate, as below. On this 66-box cut 9 of the 36
+    # conflicts are overweight minus cliques; a greedy clique finds none
+    # here and gave (120, 120, 299, 10, ()).
     instances = [guillotine_instance(random.Random(42), (16, 14), 66)]
-    pins = [(0, "resource_limit", (120, 120, 299, 8, (("infeasible_clique", 8),)), None)]
+    pins = [(0, "resource_limit", (122, 122, 283, 36, ()), None)]
     limits = SearchLimits(max_nodes=120, time_limit=None, use_heuristic=False)
     check_pinned_trees(instances, pins, limits)
-    # On these 70 boxes the exact clique rule prunes twice, and the odd-
-    # cycle rule 115 times in the subtrees that leaves; a greedy clique
-    # prunes nothing here and gave (1001, 1001, 1562, 364, ()).
+    # On these 70 boxes 222 of the 342 conflicts are overweight minus
+    # cliques, and the odd-cycle rule prunes 77 times; a greedy clique
+    # gave (1001, 1001, 1562, 364, ()).
     instances = [large_instance(random.Random(57), 4)]
-    pins = [(0, "resource_limit", (1000, 1000, 1749, 274, (("infeasible_clique", 2), ("odd_cycle", 115))), None)]
+    pins = [(0, "resource_limit", (1000, 1000, 1603, 342, (("odd_cycle", 77),)), None)]
     limits = SearchLimits(max_nodes=1000, time_limit=None, use_heuristic=False)
     check_pinned_trees(instances, pins, limits)
 

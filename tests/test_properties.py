@@ -1,8 +1,8 @@
 """Every solver either returns a result or raises a `PackclassError`, on
 any box set and under any limits: no uncaught exception, whether or not
 the library's `assert`s are stripped (`python -O`). Small box sets run
-under every limit; sets of up to 80 boxes, where the search's exact
-clique rule works on large minus graphs, run under a deadline, and each
+under every limit; sets of up to 80 boxes, where propagation's exact
+clique test works on large minus graphs, run under a deadline, and each
 resource limit there must come back within the deadline plus a stated
 slack."""
 

@@ -361,7 +361,7 @@ PINNED_SPP_NO_HEURISTIC = [
     "8b59adfae827", "63680d9a589f", "3fb1494a39a0", "b760c76becc3", "e688df75736d",
     "0410b97ec57d", "d2416513541f", "38882fe64474", "175b60b8ebbb", "c661c5af8d83",
     "b133e3fb1d7d", "3c2a366b0b63", "95324eebecfb", "6f98d8d28f28", "172cfee3c4fd",
-    "3a582f4fa8f1", "580cf56ade00", "e8787cc8c8bd", "7aad70d0129c", "9df4fac00a81",
+    "3a582f4fa8f1", "580cf56ade00", "020bf3493a10", "7aad70d0129c", "9df4fac00a81",
     "860735991af9", "cf20ace3fb47", "b5612f2aa4d2", "b4d019dea390", "ae40f10e97fe",
     "77c3246e1059", "ea3a45d72feb", "1b914a4cc6df", "3f25f73d9993", "4fdd1ebe373f",
 ]
