@@ -364,12 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="solver-vs-oracle agreement sweep")
     p.add_argument("--mode", choices=["exhaustive", "random"], default="exhaustive")
-    p.add_argument("--count", type=int, default=100, help="random mode: instance count")
+    p.add_argument("--count", type=_at_least_one, default=100, help="random mode: instance count")
     p.add_argument("--seed", type=int, default=0, help="random mode: generator seed")
     p.add_argument("--max-boxes", type=_at_least_one, default=4)
     p.add_argument("--max-size", type=_at_least_one, default=3)
     p.add_argument("--container", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers over instances")
+    p.add_argument("--jobs", type=_at_least_one, default=1, help="parallel workers over instances")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_sweep)
 

@@ -1,11 +1,12 @@
 """Undirected graphs over string ids with bitset adjacency.
 
 Vertex sets are represented as Python ints used as bitsets, indexed by the
-graph's vertex order. Every algorithm the search engine runs (the exact
-clique search that propagation runs at each new exclusion, the
-elimination order and heaviest stable set of a chordal graph that the
-accept runs, the odd closed walk search of the prune check) has one core
-over `(n, adjacency bitsets[, weights, vertex mask])` with plain numeric
+graph's vertex order. Every algorithm the engine runs (the exact clique
+search that propagation runs at each new exclusion, the elimination
+order and heaviest stable set of a chordal graph that the accept runs,
+the odd closed walk search that reads `prune_check`'s certificates; the
+search itself finds odd cycles by propagation) has one core over
+`(n, adjacency bitsets[, weights, vertex mask])` with plain numeric
 weights, which the engine calls directly on its own bitsets. The `Graph`
 functions are thin wrappers over the same cores that take id-keyed
 weights as `Fraction`s and report results with original ids; holes and
@@ -112,28 +113,6 @@ def induced(G: Graph, S: Iterable[str]) -> Graph:
     return H
 
 
-def _bipartite(n: int, adj: Sequence[int]) -> bool:
-    """True iff a BFS 2-colouring, layer by layer, finds no odd cycle."""
-    side = [0, 0]
-    unseen = (1 << n) - 1
-    while unseen:
-        frontier = unseen & -unseen
-        colour = 0
-        while frontier:
-            side[colour] |= frontier
-            unseen &= ~frontier
-            reached = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                reached |= adj[low.bit_length() - 1]
-            if reached & side[colour]:
-                return False
-            colour ^= 1
-            frontier = reached & unseen
-    return True
-
-
 def _odd_closed_walk(
     n: int, walk_adj: Sequence[int], safe_pair_adj: Sequence[int]
 ) -> Optional[tuple[int, ...]]:
@@ -152,36 +131,16 @@ def _odd_closed_walk(
     a new root's BFS never meets an earlier one's states, so one parity
     table serves every root. The walk goes out along the BFS path that
     reaches the state at odd parity and back along the even one, each of
-    its steps undone.
-
-    Early exit: a walk edge is linked if one of its arcs has a step other
-    than its backtrack. An unlinked edge's two arcs are an SCC of their
-    own, a 2-cycle, so odd closed walks use linked edges only, and when
-    those form a bipartite graph None is returned before any arc is built.
-    Otherwise only linked arcs are rooted and stepped over, in order of
-    tail, then head: a step from an arc of a linked edge always lands on a
-    linked edge, and roots on unlinked edges reach only their own 2-cycle.
-    Arc (u, v) is keyed u * n + v.
+    its steps undone. Arcs are rooted in order of tail, then head; arc
+    (u, v) is keyed u * n + v.
     """
-    linked = [0] * n
-    for u in range(n):
-        heads = walk_adj[u]
-        while heads:
-            low = heads & -heads
-            heads ^= low
-            v = low.bit_length() - 1
-            if walk_adj[v] & safe_pair_adj[u]:  # arc (u, v) steps on to w != u
-                linked[u] |= low
-                linked[v] |= 1 << u
-    if _bipartite(n, linked):
-        return None
     # parent[2 * s + parity]: the key the parity BFS reached (arc s, parity)
     # from, -1 at a root, None if unreached. A key at both parities
     # certifies an odd closed walk through the root.
     parent: list[Optional[int]] = [None] * (2 * n * n)
     conflict: Optional[int] = None
     for u in range(n):
-        heads = linked[u]
+        heads = walk_adj[u]
         while heads and conflict is None:
             low = heads & -heads
             heads ^= low
@@ -194,7 +153,7 @@ def _odd_closed_walk(
                 nxt = []
                 for key in frontier:
                     a, b = divmod(key >> 1, n)
-                    allowed = linked[b] & (safe_pair_adj[a] | (1 << a))
+                    allowed = walk_adj[b] & (safe_pair_adj[a] | (1 << a))
                     row = 2 * b * n + (~key & 1)  # key of (arc (b, c), flipped parity) is row + 2c
                     while allowed:
                         low = allowed & -allowed

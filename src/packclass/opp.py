@@ -15,7 +15,13 @@ propagation applies the forced consequences:
   * an exclusion that completes a clique of excluded pairs wider than the
     axis conflicts (the clique is a stable set of the final graph, so P2
     fails): one exact clique search over the common excluded neighbours
-    of the new pair, so no such clique survives propagation.
+    of the new pair, so no such clique survives propagation;
+  * an assignment that closes an odd 2-chordless cycle in the excluded
+    graph, its potential 2-chords all included, conflicts (the excluded
+    graph could never become a comparability graph, so P1 fails): each
+    axis keeps a parity union-find over the excluded arcs, joined at every
+    step an assignment makes legal and undone with the trail, so no such
+    cycle survives propagation.
 
 All assignments go through one loop, `propagate`, called once per search
 node and once by `initial_state`: it applies a queue of assignments first
@@ -28,22 +34,13 @@ on the axis where it is widest against the container first, inclusion
 first. Each search node keeps its position in the order, so a scan for
 the next variable starts where its parent's stopped.
 
-The one prune rule, `prune_check`, looks for an odd 2-chordless cycle in
-the minus graph whose potential 2-chords are all plus, a certificate that
-no completion of the state can destroy and that is re-checkable against
-it. Together with what propagation leaves out (a plus 4-cycle with both
-diagonals minus, an overweight minus clique) it implies the width bound
-on every fully decided vertex set.
-
-The rule is monotone: adding assignments never destroys an odd cycle. So
-once a check on the search path comes back silent, a later check can
-fire only through an assignment made since. The search keeps the trail
-marks of its silent checks, the empty trail counting as one at the root,
-and every check runs the rule on an axis only when a new minus edge is
-linked (it has a step other than its backtrack) or a new plus pair has a
-common minus neighbour there. An open gate runs the full rule, so trees
-and certificates are those of ungated checks. At a fully decided state a
-silent check means the accept succeeds, so no leaf is rejected after it.
+Every dead end of the search is a propagation conflict. What propagation
+leaves out (a plus 4-cycle with both diagonals minus, an overweight minus
+clique, an odd 2-chordless minus cycle) implies the width bound on every
+fully decided vertex set, and the accept succeeds on every fully decided
+state (`prune_check`). `prune_check` runs the odd-cycle rule in full and
+returns its certificate, which no completion of the state can destroy;
+the search does not call it.
 
 Everything inside the search runs on integers: per-dimension adjacency
 bitsets (`EdgeState.plus_adj`/`minus_adj`), vertex indices and the
@@ -82,7 +79,7 @@ from .packing_class import PackingClass, _longest_paths
 
 INCLUDE = 1
 EXCLUDE = -1
-CHECK_INTERVAL = 8  # decisions between expensive prune/accept checks
+CHECK_INTERVAL = 8  # decisions between accepts on states not fully decided
 
 
 @dataclass
@@ -160,9 +157,17 @@ class EdgeState:
     each box in rank order paired with every box ranked before it,
     highest-ranked first. (s_a + s_b) * units[i] ranks a pair's axes as
     (s_a + s_b)/caps[i] does, in integers; order is the prefix of the
-    (dimension, pair) branching order that `branch_select` has built. Only
-    `propagate` assigns, in one loop that updates the tables in place, and
-    `undo_to` retracts.
+    (dimension, pair) branching order that `branch_select` has built.
+
+    up/par/size[i] are axis i's parity union-find over the minus arcs, by
+    size without path compression, so a link is undone by resetting one
+    root (union-find with backtracking: Westbrook and Tarjan, SIAM J.
+    Comput. 18(1), 1989). Node pid is the arc (a, b) of pairs[pid], a < b,
+    and (b, a) is the same node at parity 1 (the backtrack step is always
+    legal). par[i][v] is v's parity against up[i][v]. joins logs each link
+    as (trail index of the assignment that made it, axis, linked root).
+    Only `propagate` assigns, in one loop that updates the tables in
+    place, and `undo_to` retracts.
     """
 
     def __init__(self, inst: Instance):
@@ -186,6 +191,10 @@ class EdgeState:
         self.units = [span // cap for cap in self.caps]
         self.order: list[tuple[int, int]] = []
         self.trail: list[tuple[int, int]] = []
+        self.up = [list(range(self.m)) for _ in range(self.d)]
+        self.par = [[0] * self.m for _ in range(self.d)]
+        self.size = [[1] * self.m for _ in range(self.d)]
+        self.joins: list[tuple[int, int, int]] = []
         self.undecided = self.d * self.m
         self.stats = SearchStats()
 
@@ -217,6 +226,13 @@ class EdgeState:
             adj[b] &= ~(1 << a)
             row[pid] = 0
             self.undecided += 1
+        joins, ups, pars, set_sizes = self.joins, self.up, self.par, self.size
+        while joins and joins[-1][0] >= mark:
+            _, i, v = joins.pop()
+            up, size = ups[i], set_sizes[i]
+            size[up[v]] -= size[v]
+            up[v] = v
+            pars[i][v] = 0
 
 
 def initial_state(inst: Instance) -> Union[EdgeState, ImmediateConflict]:
@@ -244,13 +260,19 @@ def propagate(state: EdgeState, *decisions: tuple[int, int, int]) -> Optional[Co
     tested: `initial_state` includes every too-wide pair first, so
     excluding one conflicts. Each new exclusion is tested for a minus
     clique through it heavier than the axis, so a conflict-free result
-    leaves none (P2 on every decided set).
+    leaves none (P2 on every decided set). Each assignment then joins, in
+    its axis's parity union-find, the two minus arcs of each step it makes
+    legal; a join that closes an odd closed walk over the steps (an odd
+    2-chordless cycle, Gallai's obstruction to a comparability graph)
+    conflicts as `odd_cycle`, so a conflict-free result leaves none
+    either.
     """
     # A `for` over a list also visits what is appended during the loop:
     # the queue is first in, first out without a deque's pops.
     queue = [(i, pid, sign, "seed") for i, pid, sign in decisions]
     status, pairs, pid_of, trail = state.status, state.pairs, state.pid_of, state.trail
-    plus_adj, minus_adj = state.plus_adj, state.minus_adj
+    plus_adj, minus_adj, joins = state.plus_adj, state.minus_adj, state.joins
+    ups, pars, set_sizes = state.up, state.par, state.size
     d = state.d
     mark = len(trail)
     conflict = None
@@ -305,6 +327,14 @@ def propagate(state: EdgeState, *decisions: tuple[int, int, int]) -> Optional[Co
                     low = ts & -ts
                     ts ^= low
                     queue.append((i, row[low.bit_length() - 1], EXCLUDE, "c4"))
+            # new steps (a, v) -> (v, b)
+            links = []
+            vs = minus[a] & minus[b]
+            while vs:
+                low = vs & -vs
+                vs ^= low
+                v = low.bit_length() - 1
+                links.append((pid_of[a][v], pid_of[v][b], a < v < b))
         else:
             # new minus edge as a diagonal {p,r} of a plus path p-q-r-s
             for p, r in ((a, b), (b, a)):
@@ -328,6 +358,46 @@ def propagate(state: EdgeState, *decisions: tuple[int, int, int]) -> Optional[Co
             if common and _max_clique(minus, w, common, state.caps[i] - w[a] - w[b])[1]:
                 conflict = Conflict(rule="minus_clique", dimension=i, pair=state.pair_ids(pid))
                 break
+            # new steps (x, a) -> (a, b), then (a, b) -> (b, x)
+            links = []
+            xs = minus[a] & plus[b]
+            while xs:
+                low = xs & -xs
+                xs ^= low
+                x = low.bit_length() - 1
+                links.append((pid_of[x][a], pid, x < a))
+            xs = minus[b] & plus[a]
+            while xs:
+                low = xs & -xs
+                xs ^= low
+                x = low.bit_length() - 1
+                links.append((pid, pid_of[b][x], x > b))
+        # A link (s, t, w) joins the nodes of two arcs one step apart. The
+        # arcs' parities differ, so the nodes' parities must sum (xor) to
+        # w, which folds in the way round each arc is stored. A link inside
+        # one set at the other sum closes an odd closed walk, an odd
+        # 2-chordless cycle (`prune_check`), so a conflict-free result
+        # leaves none.
+        up, par, size = ups[i], pars[i], set_sizes[i]
+        for s, t, w in links:
+            while up[s] != s:
+                w ^= par[s]
+                s = up[s]
+            while up[t] != t:
+                w ^= par[t]
+                t = up[t]
+            if s != t:
+                if size[s] > size[t]:
+                    s, t = t, s
+                up[s] = t
+                par[s] = w
+                size[t] += size[s]
+                joins.append((len(trail) - 1, i, s))
+            elif w:
+                conflict = Conflict(rule="odd_cycle", dimension=i, pair=state.pair_ids(pid))
+                break
+        if conflict is not None:
+            break
     applied = len(trail) - mark
     state.undecided -= applied
     state.stats.propagations += applied
@@ -336,17 +406,14 @@ def propagate(state: EdgeState, *decisions: tuple[int, int, int]) -> Optional[Co
     return conflict
 
 
-def prune_check(state: EdgeState, since: int = 0) -> Optional[Prune]:
-    """Certificate-backed dead-end detection on the current state: an odd
-    2-chordless cycle in the minus graph whose potential 2-chords are all
-    plus, found by `_odd_closed_walk`, which returns at once when the minus
-    edges such a walk could use form a bipartite graph.
-
-    Returns None when the rule is silent. The certificate survives every
-    completion of the state, so pruning never loses solutions. The state
-    must be a conflict-free `propagate` result, which leaves no plus
-    4-cycle with both diagonals minus and no minus clique heavier than its
-    axis.
+def prune_check(state: EdgeState) -> Optional[Prune]:
+    """The odd-cycle rule in full, as a certificate reader: an odd
+    2-chordless cycle in some axis's minus graph whose potential 2-chords
+    are all plus, found by `_odd_closed_walk`, or None. The certificate
+    survives every completion of the state and is re-checkable against it.
+    The search does not call this: `propagate` conflicts (`odd_cycle`) at
+    the assignment that closes such a cycle, so on a conflict-free
+    `propagate` result the rule is silent.
 
     On a set S whose pairs are all decided, the non-minus pairs are plus,
     so with the rule silent minus[S] is a comparability graph (Gallai). It
@@ -355,34 +422,12 @@ def prune_check(state: EdgeState, since: int = 0) -> Optional[Prune]:
     needed. On a fully decided state the plus graph, the complement, is
     then AT-free with no plus 4-cycle, so chordal and interval
     (Gilmore-Hoffman); with P2 and P3 by propagation, the accept succeeds.
-
-    `since` is the trail mark of a silent check on a state this one
-    extends; the empty trail (0) counts as one. The rule is monotone, so
-    it can fire only through `state.trail[since:]`, and it runs on an axis
-    only when those assignments hold a new minus edge {a, b} that is linked
-    (minus[a] & plus[b] or minus[b] & plus[a]; an unlinked edge adds only a
-    2-cycle) or a new plus pair with a common minus neighbour, since a new
-    odd closed walk needs a new arc or step. An open gate runs the full
-    rule: the certificate is that of an ungated check.
     """
-    odd = [False] * state.d  # per axis: can a new assignment close an odd walk?
-    pairs, status, plus_adj, minus_adj = state.pairs, state.status, state.plus_adj, state.minus_adj
-    for i, pid in state.trail[since:]:
-        a, b = pairs[pid]
-        plus, minus = plus_adj[i], minus_adj[i]
-        if status[i][pid] == INCLUDE:
-            odd[i] |= (minus[a] & minus[b]) != 0
-        else:
-            odd[i] |= (minus[a] & plus[b] | minus[b] & plus[a]) != 0
     for i in range(state.d):
-        if odd[i]:
-            walk = _odd_closed_walk(state.n, minus_adj[i], plus_adj[i])
-            if walk is not None:
-                return Prune(
-                    rule="odd_cycle",
-                    dimension=i,
-                    certificate=tuple(state.inst.ids[v] for v in walk),
-                )
+        walk = _odd_closed_walk(state.n, state.minus_adj[i], state.plus_adj[i])
+        if walk is not None:
+            certificate = tuple(state.inst.ids[v] for v in walk)
+            return Prune(rule="odd_cycle", dimension=i, certificate=certificate)
     return None
 
 
@@ -663,18 +708,18 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
     The bottom-left heuristic for a quick yes, returned without a packing
     class: `solve_okp` reads only the packing, and `solve_opp` projects it
     itself (`solve_spp` runs the heuristic once as its bound, and its
-    probes pass `use_heuristic=False`). Then the initial state, the accept
-    and the prune check on the root, each only while the deadline has not
-    passed; the root's check is gated from the empty trail. Otherwise a
-    depth-first branch and bound over edge decisions, run as one loop on
+    probes pass `use_heuristic=False`). Then the initial state and the
+    accept on the root, each only while the deadline has not passed.
+    Otherwise a depth-first search over edge decisions, run as one loop on
     an explicit stack: its depth is bounded by the number of (dimension,
-    pair) variables, not by the call stack. One check block runs at every
-    node that is due a periodic check (every CHECK_INTERVAL decisions) or
-    fully decided. It passes `prune_check` the trail mark of the last
-    silent check on the current path; a mark is dropped when backtracking
-    undoes the trail below it. Each open node keeps the position in
-    `state.order` of the variable it branches on, and `branch_select`
-    scans its children's states from there, never from zero at depth.
+    pair) variables, not by the call stack. Every dead end is a
+    propagation conflict. The accept runs at every node that is due a
+    periodic check (every CHECK_INTERVAL decisions) or fully decided,
+    where it succeeds (see `prune_check`). Each open node keeps the
+    position in `state.order` of the variable it branches on, and
+    `branch_select` scans its children's states from there, never from
+    zero at depth. `max_nodes` is a hard cap: no child is entered once
+    the nodes charged reach it.
     """
     stats = SearchStats()
     start = time.perf_counter()
@@ -691,8 +736,8 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
         if packing is not None:
             stats.bump("heuristic")
             return outcome("feasible", packing)
-    # Building the initial state, and either root check, can outlast a
-    # short time limit on many boxes.
+    # Building the initial state, and the root accept, can outlast a short
+    # time limit on many boxes.
     if budget.expired():
         return outcome("resource_limit")
     state = initial_state(inst)
@@ -706,14 +751,6 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
     accept = _try_accept(state)
     if accept is not None:
         return outcome("feasible", accept[0], accept[1])
-    if budget.expired():
-        return outcome("resource_limit")
-    if prune_check(state) is not None:
-        stats.bump("root_prune")
-        return outcome("infeasible")
-    # Trail marks of the checks on the current path that came back None,
-    # the root's first: `prune_check` looks only at what came after the top.
-    silent = [state.mark()]
 
     # Each open node is (trail mark, position in `state.order`, dimension,
     # pair index, signs still to try). A child is entered by propagating its
@@ -724,26 +761,13 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
     while True:
         if deadline is not None and time.perf_counter() > deadline:
             return outcome("resource_limit")
-        if stats.nodes >= max_nodes:
-            return outcome("resource_limit")
-        periodic = since_check >= CHECK_INTERVAL
         leaf = state.undecided == 0
-        pr = None
-        if periodic or leaf:
-            # At a fully decided state the prune rule is a complete class
-            # test, far cheaper than the accept: when it passes, the plus
-            # graphs are interval (see `prune_check`), so the accept succeeds.
-            if periodic:
-                since_check = 0
-            pr = prune_check(state, silent[-1])
-            if pr is None:
-                silent.append(state.mark())
-                accept = _try_accept(state)
-                if accept is not None:
-                    return outcome("feasible", *accept)
-            else:
-                stats.bump(pr.rule if periodic else f"leaf_{pr.rule}")
-        if pr is None and not leaf:
+        if since_check >= CHECK_INTERVAL or leaf:
+            since_check = 0
+            accept = _try_accept(state)
+            if accept is not None:
+                return outcome("feasible", *accept)
+        if not leaf:
             pos, i, pid = branch_select(state, stack[-1][1] if stack else 0)
             stack.append((state.mark(), pos, i, pid, (INCLUDE, EXCLUDE)))
         # Enter the next child that propagates without conflict.
@@ -751,9 +775,9 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
             mark, pos, i, pid, signs = stack.pop()
             if len(state.trail) > mark:  # else the undo is a no-op
                 state.undo_to(mark)
-                while silent[-1] > mark:
-                    silent.pop()
             if signs:
+                if stats.nodes >= max_nodes:
+                    return outcome("resource_limit")
                 stack.append((mark, pos, i, pid, signs[1:]))
                 stats.nodes += 1
                 stats.decisions += 1

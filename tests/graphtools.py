@@ -5,7 +5,8 @@ criteria on transitive orientations; the chordality test with its hole
 witness, the interval model and the induced 4-cycle search are exercised
 against the library's own recognizers; the greedy clique tells which of
 the accept's rejections its greedy stable set makes; the arc-state parity
-search is the odd-closed-walk search as it was before its early exit.
+search is the reference for the library's odd-closed-walk search and for
+propagation's odd-cycle conflicts.
 """
 
 from typing import Optional, Sequence
@@ -252,9 +253,8 @@ def greedy_weight_clique(G: Graph, weight):
 def odd_closed_walk_by_arcs(
     n: int, walk_adj: Sequence[int], safe_pair_adj: Sequence[int]
 ) -> Optional[tuple[int, ...]]:
-    """`graph._odd_closed_walk` without its early exit, the reference its
-    results must equal: the same parity BFS over arc states, run whether
-    or not the linked edges form a bipartite graph."""
+    """The parity BFS of `graph._odd_closed_walk` over arc states held in
+    a numbered arc table, the reference its results must equal."""
     # Arcs numbered by tail, then head; arc_at[u * n + v] is arc (u, v)'s.
     tail: list[int] = []
     head: list[int] = []

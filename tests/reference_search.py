@@ -1,11 +1,11 @@
 """The search's per-node path as it was before it became one assignment
 loop, kept as a reference: `set_edge` (one raw assignment), `fixpoint`
 (a seed list and its forced consequences, returning the applied
-assignments), `branch_select` (a scan of `state.seq` from its start at
-every node), `prune_check` (the prune rules as they were when they forked
-at 64 boxes) and `solve_opp` (the search loop with an unconditional undo
-at every pop). The tests compare `opp.propagate`, `opp.branch_select`
-and `opp.solve_opp` with these.
+assignments; the odd-cycle rule is a full parity search after each
+one), `branch_select` (a scan of `state.seq` from its start at every
+node) and `solve_opp` (the search loop with an unconditional undo at
+every pop). The tests compare `opp.propagate`, `opp.branch_select` and
+`opp.solve_opp` with these.
 """
 
 import copy
@@ -13,7 +13,7 @@ from collections import deque
 from fractions import Fraction
 from functools import reduce
 
-from packclass.graph import CLIQUE_CAP, _max_clique, _odd_closed_walk, bits
+from packclass.graph import _max_clique
 from packclass.model import project_to_class
 from packclass.opp import (
     CHECK_INTERVAL,
@@ -22,7 +22,6 @@ from packclass.opp import (
     Conflict,
     EdgeState,
     ImmediateConflict,
-    Prune,
     SearchLimits,
     SearchOutcome,
     SearchStats,
@@ -31,6 +30,8 @@ from packclass.opp import (
     heuristic_pack,
     quick_infeasible,
 )
+
+from graphtools import odd_closed_walk_by_arcs
 
 
 def set_edge(state, i, pid, sign):
@@ -60,6 +61,10 @@ def copy_state(state):
     twin.plus_adj = [row[:] for row in state.plus_adj]
     twin.minus_adj = [row[:] for row in state.minus_adj]
     twin.trail = state.trail[:]
+    twin.up = [row[:] for row in state.up]
+    twin.par = [row[:] for row in state.par]
+    twin.size = [row[:] for row in state.size]
+    twin.joins = state.joins[:]
     twin.stats = copy.deepcopy(state.stats)
     return twin
 
@@ -100,6 +105,9 @@ def fixpoint(state, seeds):
             for x in _bits(plus[a] & minus[b]):
                 for t in _bits(plus[b] & minus[a]):
                     queue.append((i, pid_of[x][t], EXCLUDE, "c4"))
+            if odd_closed_walk_by_arcs(state.n, minus, plus) is not None:
+                state.stats.conflicts += 1
+                return Conflict(rule="odd_cycle", dimension=i, pair=state.pair_ids(pid))
         else:
             for p, r in ((a, b), (b, a)):
                 for q in _bits(plus[p] & plus[r]):
@@ -110,6 +118,9 @@ def fixpoint(state, seeds):
             if _max_clique(minus, w, common, state.caps[i] - w[a] - w[b])[1]:
                 state.stats.conflicts += 1
                 return Conflict(rule="minus_clique", dimension=i, pair=state.pair_ids(pid))
+            if odd_closed_walk_by_arcs(state.n, minus, plus) is not None:
+                state.stats.conflicts += 1
+                return Conflict(rule="odd_cycle", dimension=i, pair=state.pair_ids(pid))
     return tuple(applied)
 
 
@@ -129,96 +140,6 @@ def initial_state(inst):
             seeds += [(i, pid, INCLUDE) for i, wide in enumerate(row) if wide >> b & 1]
     result = fixpoint(state, seeds)
     return ImmediateConflict(result) if isinstance(result, Conflict) else state
-
-
-def prune_check(state, since=None):
-    """`opp.prune_check` as it was when the rules forked at CLIQUE_CAP
-    boxes: up to it the `since` gates, beyond it the width-bound rule (4)
-    and a full check every time. Rule (3) is the exact clique rule on every
-    size; the fork ran a greedy one past the cap. Propagation now leaves no
-    minus clique heavier than its axis, so rule (3) never fires on the
-    states a search reaches."""
-    inst = state.inst
-    n = state.n
-    full = (1 << n) - 1
-    gated = since is not None and n <= CLIQUE_CAP
-    if gated:
-        odd = [False] * state.d  # per axis: can a new assignment close an odd walk?
-        anchors = [[] for _ in range(state.d)]  # (a, b, common) per new minus edge
-        trail = state.trail
-        for k in range(since, len(trail)):
-            i, pid = trail[k]
-            a, b = state.pairs[pid]
-            plus, minus, w = state.plus_adj[i], state.minus_adj[i], state.sizes[i]
-            common = minus[a] & minus[b]
-            if state.status[i][pid] == INCLUDE:
-                odd[i] |= common != 0
-            else:
-                odd[i] |= (minus[a] & plus[b] | minus[b] & plus[a]) != 0
-                total = w[a] + w[b]
-                rest = common
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    total += w[low.bit_length() - 1]
-                if common and total > state.caps[i]:
-                    anchors[i].append((a, b, common))
-    for i in range(state.d):
-        plus = state.plus_adj[i]
-        minus = state.minus_adj[i]
-        sizes = state.sizes[i]
-        cap = state.caps[i]
-        # (2) odd 2-chordless cycle in the minus graph (2-chords forced plus)
-        if not gated or odd[i]:
-            walk = _odd_closed_walk(n, minus, plus)
-            if walk is not None:
-                return Prune(
-                    rule="odd_cycle",
-                    dimension=i,
-                    certificate=tuple(inst.ids[v] for v in walk),
-                )
-        # (3) overweight clique in the minus graph (a stable set of the
-        # final graph, so it must fit along the axis)
-        if not gated or any(
-            _max_clique(minus, sizes, common, cap - sizes[a] - sizes[b])[1]
-            for a, b, common in anchors[i]
-        ):
-            weight, clique = _max_clique(minus, sizes, full, cap)
-        else:
-            continue
-        if weight > cap:
-            ids = inst.ids
-            return Prune(
-                rule="infeasible_clique",
-                dimension=i,
-                certificate=(tuple(ids[v] for v in bits(clique)),),
-            )
-        # (4) width bound on the fully decided vertex set: the plus graph
-        # on it needs a clique of ceil(total size / cap). Up to CLIQUE_CAP,
-        # (2) and exact (3) imply it for every set S whose pairs are all
-        # decided: the non-minus pairs of S are plus, so (2) finds any odd
-        # 2-chordless closed walk of minus[S]; without one, minus[S] is a
-        # comparability graph (Gallai), hence perfect, and S splits into
-        # as many minus cliques as the largest plus clique on S, each of
-        # weight <= cap by (3).
-        if n <= CLIQUE_CAP:
-            continue
-        decided = 0
-        for v in range(n):
-            if (plus[v] | minus[v]) == full & ~(1 << v):
-                decided |= 1 << v
-        if 2 <= decided.bit_count() <= CLIQUE_CAP:
-            needed = -(-sum(sizes[v] for v in bits(decided)) // cap)
-            if needed >= 2:
-                size, _ = _max_clique(plus, [1] * n, decided)
-                if size < needed:
-                    ids = inst.ids
-                    return Prune(
-                        rule="clique_bound",
-                        dimension=i,
-                        certificate=(tuple(ids[v] for v in bits(decided)), needed, size),
-                    )
-    return None
 
 
 def branch_select(state):
@@ -270,40 +191,26 @@ def _decide(inst, use_heuristic, budget):
     accept = _try_accept(state)
     if accept is not None:
         return outcome("feasible", *accept)
-    if prune_check(state) is not None:
-        stats.bump("root_prune")
-        return outcome("infeasible")
-    silent = [state.mark()]
     stack = []
     since_check = 0
     while True:
-        if stats.nodes >= max_nodes:
-            return outcome("resource_limit")
-        periodic = since_check >= CHECK_INTERVAL
         leaf = state.undecided == 0
-        pr = None
-        if periodic or leaf:
-            if periodic:
-                since_check = 0
-            pr = prune_check(state, silent[-1])
-            if pr is None:
-                silent.append(state.mark())
-                accept = _try_accept(state)
-                if accept is not None:
-                    return outcome("feasible", *accept)
-                if leaf:
-                    stats.bump("leaf_reject")
-            else:
-                stats.bump(pr.rule if periodic else f"leaf_{pr.rule}")
-        if pr is None and not leaf:
+        if since_check >= CHECK_INTERVAL or leaf:
+            since_check = 0
+            accept = _try_accept(state)
+            if accept is not None:
+                return outcome("feasible", *accept)
+            if leaf:
+                stats.bump("leaf_reject")
+        if not leaf:
             i, pid = branch_select(state)
             stack.append((state.mark(), i, pid, (INCLUDE, EXCLUDE)))
         while stack:
             mark, i, pid, signs = stack.pop()
             state.undo_to(mark)
-            while silent[-1] > mark:
-                silent.pop()
             if signs:
+                if stats.nodes >= max_nodes:
+                    return outcome("resource_limit")
                 stack.append((mark, i, pid, signs[1:]))
                 stats.nodes += 1
                 stats.decisions += 1

@@ -274,6 +274,18 @@ def test_sweep_sizes_below_one_are_usage_errors(capsys, mode, flag, value):
     assert f"error: argument {flag}" in err and err.startswith("usage:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--count", "--jobs"])
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_sweep_count_and_jobs_below_one_are_usage_errors(capsys, flag, value):
+    # `--count -1` once ran an empty sweep and exited 0, and `--jobs 0` or
+    # below ran serially without a word
+    with pytest.raises(SystemExit) as exit_info:
+        run(["sweep", "--mode", "random", "--max-boxes", "2", flag, value])
+    assert exit_info.value.code == 64
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}" in err and err.startswith("usage:") and "Traceback" not in err
+
+
 def test_cached_parser_carries_no_flag_over(tmp_path, example_file, monkeypatch, capsys):
     # `main` reuses one parser per process: each run must give the exit code
     # and result file that a freshly built parser gives, whatever ran before.

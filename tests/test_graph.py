@@ -348,12 +348,13 @@ def linked_edges_bipartite(n, walk_adj, safe):
 
 
 def test_odd_closed_walk_early_exit_matches_full_search():
-    """`_odd_closed_walk` equals the search without its early exit on
-    random graphs (n 0-12) in both input forms: complement safe sets, as
-    `find_odd_2chordless_cycle` passes them, and disjoint minus (walk) and
-    plus (safe) sets, as `prune_check` passes them. In each form each
-    outcome occurs: the early exit, the full search finding nothing, and
-    a walk."""
+    """`_odd_closed_walk` equals the parity search over a numbered arc
+    table on random graphs (n 0-12) in both input forms: complement safe
+    sets, as `find_odd_2chordless_cycle` passes them, and disjoint minus
+    (walk) and plus (safe) sets, as `prune_check` passes them. It finds no
+    walk when the linked edges form a bipartite graph, where it once
+    exited early. In each form each outcome occurs: linked edges
+    bipartite, a search finding nothing otherwise, and a walk."""
     rng = random.Random(2027)
     outcomes = {}
     for k in range(3000):
@@ -376,7 +377,7 @@ def test_odd_closed_walk_early_exit_matches_full_search():
         assert walk == odd_closed_walk_by_arcs(n, walk_adj, safe), k
         bipartite = linked_edges_bipartite(n, walk_adj, safe)
         assert walk is None or not bipartite, k
-        outcome = "walk" if walk is not None else "early exit" if bipartite else "searched, none"
+        outcome = "walk" if walk is not None else "linked bipartite" if bipartite else "searched, none"
         key = ("complement" if k % 2 else "disjoint", outcome)
         outcomes[key] = outcomes.get(key, 0) + 1
     assert len(outcomes) == 6 and min(outcomes.values()) >= 50, outcomes

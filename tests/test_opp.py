@@ -37,13 +37,14 @@ from packclass.opp import (
     solve_opp,
 )
 from packclass.oracle import brute_force_opp
+from packclass.solve import solve_okp, solve_spp
 from packclass.packing_class import clique_bound_holds, verify_packing_class
 from packclass.sweep import exhaustive_grid
 
 from bottomleft import bottom_left_by_masks
 from certcheck import check_induced_c4, check_odd_2chordless_cycle
 from conftest import assert_same_tables
-from graphtools import greedy_weight_clique
+from graphtools import greedy_weight_clique, odd_closed_walk_by_arcs
 import reference_search as reference
 from packclass.graph import (
     Graph,
@@ -482,7 +483,7 @@ def test_propagate_matches_reference_fixpoint():
     # Rare undos let walks run deep, where c4 exclusions conflict.
     for _ in random_walk_states(random.Random(80), 120, undo=0.02, apply=both):
         pass
-    assert min(seen[key] for key in ("single", "forced", "p3", "c4", "minus_clique")) >= 20, seen
+    assert min(seen[key] for key in ("single", "forced", "p3", "c4", "minus_clique", "odd_cycle")) >= 20, seen
 
 
 def test_propagation_leaves_no_overweight_minus_clique():
@@ -509,6 +510,34 @@ def test_propagation_leaves_no_overweight_minus_clique():
     for _ in random_walk_states(random.Random(85), 120, undo=0.02, apply=checked):
         pass
     assert min(seen["clean"], seen["minus_clique"]) >= 50, seen
+
+
+def test_propagation_leaves_no_odd_closed_walk(monkeypatch):
+    """In seeded searches on tight instances, no conflict-free `propagate`
+    leaves an odd 2-chordless closed walk on any axis, and each
+    `odd_cycle` conflict leaves one on its axis: the parity union-find
+    against the full parity search over arcs."""
+    seen = Counter()
+    apply = opp.propagate
+
+    def checked(state, *decisions):
+        got = apply(state, *decisions)
+        walks = [odd_closed_walk_by_arcs(state.n, minus, plus)
+                 for plus, minus in zip(state.plus_adj, state.minus_adj)]
+        if got is None:
+            assert walks == [None] * state.d
+            seen["clean"] += 1
+        elif got.rule == "odd_cycle":
+            assert walks[got.dimension] is not None
+            seen["odd_cycle"] += 1
+        return got
+
+    monkeypatch.setattr(opp, "propagate", checked)
+    rng = random.Random(2005)
+    limits = SearchLimits(max_nodes=80, time_limit=None, use_heuristic=False)
+    for k in range(40):
+        solve_opp(tight_instance(rng, 6 + k % 4), limits)
+    assert min(seen["clean"], seen["odd_cycle"]) >= 50, seen
 
 
 def _accept_by_definition(state):
@@ -549,11 +578,10 @@ def test_try_accept_matches_filter_free_check():
     assert min(outcomes.values()) >= 50, outcomes
 
 
-def _ungated_prune_check(state):
-    """The odd-cycle rule on every axis with no gate, the answer every
-    gated check must give, and the exact clique rule that `prune_check`
-    once ran after it: on a state `propagate` built, the clique rule must
-    never fire."""
+def _full_check(state):
+    """The odd-cycle rule on every axis and the exact clique rule that
+    `prune_check` once ran after it: on a state `propagate` built, neither
+    may fire."""
     ids = state.inst.ids
     for i, (plus, minus, sizes, cap) in enumerate(
         zip(state.plus_adj, state.minus_adj, state.sizes, state.caps)
@@ -567,47 +595,11 @@ def _ungated_prune_check(state):
     return None
 
 
-def test_prune_check_since_a_silent_check_matches_full_check(monkeypatch):
-    """Along random propagate/undo_to walks, checked every few steps with a
-    stack of the trail marks of silent checks kept as `_decide` keeps it
-    (a mark above the trail is dropped on undo), `prune_check(state,
-    since)` equals the ungated check, and so does the check from the
-    empty trail that `_decide` runs at the root. Counts show the gate
-    skipping the rule and the rule firing."""
-    calls = 0
-    walk = opp._odd_closed_walk
-
-    def counted_walk(*args):
-        nonlocal calls
-        calls += 1
-        return walk(*args)
-
-    monkeypatch.setattr(opp, "_odd_closed_walk", counted_walk)
-    seen = Counter()
-    silent, last = [], None
-    # Rare undos let walks run deep, where the rule fires.
-    for step, (state, _) in enumerate(random_walk_states(random.Random(79), 300, undo=0.02)):
-        if state is not last:  # a new instance
-            silent, last = [], state
-        while silent and silent[-1] > state.mark():
-            silent.pop()
-        if step % 3:
-            continue
-        calls = 0
-        got = prune_check(state, silent[-1] if silent else 0)
-        reached = state.d if got is None else got.dimension + 1
-        seen["walk skipped"] += reached - calls
-        assert got == _ungated_prune_check(state) == prune_check(state)
-        if got is None:
-            silent.append(state.mark())
-        else:
-            seen[got.rule] += 1
-    assert min(seen[key] for key in ("odd_cycle", "walk skipped")) >= 50, seen
-
-
 def test_root_prune_check_matches_ungated_check():
-    """At the root `_decide` checks from the empty trail. That equals the
-    ungated check on seeded roots of 6-80 boxes. On the 5-box instance
+    """`_decide` runs no check at the root: the propagation of
+    `initial_state` conflicts on an odd cycle or an overweight minus
+    clique, so on seeded roots of 6-80 boxes both rules and `prune_check`
+    are silent. On the 5-box instance
     below, {c, d, a, b} is an overweight minus clique on axis 1 (22 > 20)
     at the root: propagation's exact clique test conflicts at its last
     edge {a, b}, so the search ends before any node. A greedy probe there
@@ -627,51 +619,51 @@ def test_root_prune_check_matches_ungated_check():
     roots = [state for state in roots if isinstance(state, EdgeState)]
     assert len(roots) >= 40 and sum(state.n > 64 for state in roots) >= 3
     for state in roots:
-        assert prune_check(state) == _ungated_prune_check(state)
+        assert prune_check(state) is None and _full_check(state) is None
 
 
-def test_search_checks_since_silent_marks_match_full_checks(monkeypatch):
-    """In the search itself, every check, from the root's empty trail or
-    since the top of `_decide`'s stack of silent marks, returns what the
-    ungated check returns: a mark dropped too late on backtracking would
-    hide assignments from the gates. Past 64 boxes too, where the gates
-    hold as they do below."""
-    gated = opp.prune_check
-    fired = Counter()
-
-    def checked(state, since=0):
-        got = gated(state, since)
-        assert got == _ungated_prune_check(state)
-        fired[got is not None] += 1
-        fired["from the empty trail"] += since == 0
-        fired["past 64 boxes"] += state.n > 64
-        return got
-
-    monkeypatch.setattr(opp, "prune_check", checked)
-    rng = random.Random(2003)
-    limits = SearchLimits(max_nodes=600, time_limit=None, use_heuristic=False)
-    # most checks on these tight trees fire: 96 instances reach the floor
-    # of silent checks below
-    for k in range(96):
-        solve_opp(tight_instance(rng, 6 + k % 4), limits)
-    for k in range(8):
-        solve_opp(large_instance(rng, k, most=80), limits)
-    assert fired[True] >= 50 and fired[False] >= 500 and fired["past 64 boxes"] >= 150, fired
-    assert fired["from the empty trail"] >= 20, fired
+def plus_c4_with_minus_diagonals(state):
+    """Does some axis hold a plus 4-cycle whose both diagonals are minus?"""
+    for plus, minus in zip(state.plus_adj, state.minus_adj):
+        for a, c in combinations(range(state.n), 2):
+            if minus[a] >> c & 1:
+                common = plus[a] & plus[c]
+                if any(minus[b] & common & ~((2 << b) - 1) for b in bits(common)):
+                    return True
+    return False
 
 
 def test_decided_states_pass_the_check_exactly_when_accepted():
-    """Along random walks to fully decided states (d 1-3), `prune_check`
-    is silent exactly when `_try_accept` accepts: there the rules are a
-    complete class test, so no leaf of the search passes the check and
-    fails the accept."""
+    """On fully decided states with no pair plus on every axis, no plus
+    4-cycle with both diagonals minus and no overweight minus clique,
+    `prune_check` is silent exactly when `_try_accept` accepts: there the
+    rules are a complete class test. Propagation leaves every decided
+    state so, and with the rule silent, so every search leaf is accepted:
+    shown along random walks (d 1-3). Propagation leaves no state that
+    the rule rejects, so those are built by hand (`reference.set_edge`):
+    random full assignments of 5-7 unit boxes in two axes wide enough for
+    every minus clique, no pair plus on both, kept when they hold no such
+    4-cycle."""
     kinds = Counter()
     for state, undone in random_walk_states(random.Random(84), 2500, undo=0.0):
         if state.undecided == 0 and not undone:
-            silent = prune_check(state) is None
-            assert silent == (_try_accept(state) is not None)
-            kinds[silent] += 1
-    assert min(kinds[True], kinds[False]) >= 50, kinds
+            assert prune_check(state) is None and _try_accept(state) is not None
+            kinds["walk leaf"] += 1
+    rng = random.Random(86)
+    for _ in range(3000):
+        n = rng.randint(5, 7)
+        _, state = _raw_state(n, W=n)
+        for pid in range(state.m):
+            first = rng.choice((INCLUDE, EXCLUDE))
+            second = EXCLUDE if first == INCLUDE else rng.choice((INCLUDE, EXCLUDE))
+            reference.set_edge(state, 0, pid, first)
+            reference.set_edge(state, 1, pid, second)
+        if plus_c4_with_minus_diagonals(state):
+            continue
+        silent = prune_check(state) is None
+        assert silent == (_try_accept(state) is not None)
+        kinds["built, accepted" if silent else "built, rejected"] += 1
+    assert min(kinds.values()) >= 50 and len(kinds) == 3, kinds
 
 
 def test_solve_five_box_example_by_search(five_box_example):
@@ -740,11 +732,11 @@ PINNED_TREES = [
     (1, "feasible", (30, 30, 53, 5, ()), "091622d474b2"),
     (2, "feasible", (35, 35, 68, 6, ()), "2cedc5ae821d"),
     (3, "resource_limit", (80, 80, 127, 30, ()), None),
-    (7, "resource_limit", (80, 80, 139, 18, (("leaf_odd_cycle", 2), ("odd_cycle", 7))), None),
-    (8, "resource_limit", (82, 82, 123, 27, (("leaf_odd_cycle", 3), ("odd_cycle", 7))), None),
-    (9, "resource_limit", (82, 82, 132, 26, (("leaf_odd_cycle", 3), ("odd_cycle", 6))), None),
-    (10, "resource_limit", (80, 80, 130, 13, (("leaf_odd_cycle", 10), ("odd_cycle", 7))), None),
-    (11, "resource_limit", (81, 81, 153, 17, (("leaf_odd_cycle", 5), ("odd_cycle", 7))), None),
+    (7, "feasible", (62, 62, 117, 18, ()), "96fb89ed8c87"),
+    (8, "feasible", (42, 42, 65, 14, ()), "056d18b6bb9c"),
+    (9, "resource_limit", (80, 80, 125, 32, ()), None),
+    (10, "feasible", (62, 62, 103, 20, ()), "1eab9a8c6d43"),
+    (11, "resource_limit", (80, 80, 137, 32, ()), None),
     (13, "feasible", (20, 20, 44, 1, ()), "a5b6f4ddbfb4"),
     (14, "feasible", (61, 61, 106, 19, ()), "730d7d8ba107"),
     (15, "feasible", (34, 34, 76, 2, ()), "c219570d6041"),
@@ -778,11 +770,11 @@ PINNED_GUILLOTINE_TREES = [
     (1, "feasible", (29, 29, 103, 9, ()), "c2b34c2c15bc"),
     (2, "feasible", (31, 31, 73, 5, ()), "b8690aed9f5d"),
     (3, "resource_limit", (40, 40, 68, 7, ()), None),
-    (4, "resource_limit", (40, 40, 110, 8, (("odd_cycle", 1),)), None),
-    (27, "resource_limit", (40, 40, 69, 15, (("leaf_odd_cycle", 2),)), None),
-    (35, "resource_limit", (41, 41, 110, 12, (("odd_cycle", 2),)), None),
-    (41, "resource_limit", (40, 40, 85, 15, ()), None),
-    (46, "resource_limit", (41, 41, 111, 15, ()), None),
+    (4, "resource_limit", (40, 40, 114, 8, ()), None),
+    (27, "feasible", (39, 39, 68, 16, ()), "cdebff54bef0"),
+    (35, "resource_limit", (40, 40, 110, 13, ()), None),
+    (41, "resource_limit", (40, 40, 85, 13, ()), None),
+    (46, "resource_limit", (40, 40, 110, 15, ()), None),
     (58, "resource_limit", (40, 40, 98, 2, ()), None),
 ]
 
@@ -819,8 +811,8 @@ DECIDED_BY_DEGREE_ORDER = {
 
 def test_decision_power_at_a_fixed_node_budget():
     """A gate on what the search decides, independent of timing: with the
-    heuristic off and 2,000 nodes per instance, it decides at least 4 of
-    the hard instances, 6 of the 2-D and 6 of the 3-D perfect packings,
+    heuristic off and 2,000 nodes per instance, it decides at least 6 of
+    the hard instances, 7 of the 2-D and 7 of the 3-D perfect packings,
     keeps every verdict of `DECIDED_BY_DEGREE_ORDER`, calls no perfect
     packing infeasible, and every packing it returns validates."""
     limits = SearchLimits(max_nodes=2000, time_limit=None, use_heuristic=False)
@@ -835,7 +827,7 @@ def test_decision_power_at_a_fixed_node_budget():
     assert {k: decided.get(k) for k in DECIDED_BY_DEGREE_ORDER} == DECIDED_BY_DEGREE_ORDER
     assert all(decided[k] == "feasible" for k in decided if k >= 16), decided
     counts = tuple(sum(lo <= k < lo + 16 for k in decided) for lo in (0, 16, 32))
-    assert all(got >= floor for got, floor in zip(counts, (4, 6, 6))), counts
+    assert all(got >= floor for got, floor in zip(counts, (6, 7, 7))), counts
 
 
 def reference_instance(rng, k):
@@ -907,10 +899,9 @@ def large_instance(rng, k, most=130):
 
 
 def test_search_above_clique_cap_matches_reference():
-    """Past 64 boxes `prune_check` runs the `since` gates, where the
-    reference's rules (as they were) run a width-bound rule and full
-    checks. On seeded 65-130 box searches the verdict, statistics and
-    packing are the same."""
+    """Past 64 boxes, where the reference runs its full odd-walk search
+    after each assignment as below, seeded 65-130 box searches give the
+    reference's verdict, statistics and packing."""
     rng = random.Random(6530)
     seen = Counter()
     for k in range(40):
@@ -940,19 +931,20 @@ def test_search_tree_pinned_on_guillotine_cuts():
 
 def test_search_tree_pinned_above_clique_cap():
     # Past 64 boxes (CLIQUE_CAP, the cap of `graph.max_weight_clique`)
-    # propagation runs the same exact clique test, and prune_check the same
-    # rule and `since` gate, as below. On this 66-box cut 9 of the 36
-    # conflicts are overweight minus cliques; a greedy clique finds none
-    # here and gave (120, 120, 299, 10, ()).
+    # propagation runs the same exact clique test and odd-cycle rule as
+    # below. On this 66-box cut 9 of the 35 conflicts are overweight minus
+    # cliques; a greedy clique finds none here and gave
+    # (120, 120, 299, 10, ()).
     instances = [guillotine_instance(random.Random(42), (16, 14), 66)]
-    pins = [(0, "resource_limit", (122, 122, 283, 36, ()), None)]
+    pins = [(0, "resource_limit", (120, 120, 280, 35, ()), None)]
     limits = SearchLimits(max_nodes=120, time_limit=None, use_heuristic=False)
     check_pinned_trees(instances, pins, limits)
-    # On these 70 boxes 222 of the 342 conflicts are overweight minus
-    # cliques, and the odd-cycle rule prunes 77 times; a greedy clique
-    # gave (1001, 1001, 1562, 364, ()).
+    # On these 70 boxes 162 of the 417 conflicts are overweight minus
+    # cliques and 146 odd cycles. A periodic prune check instead of the
+    # odd-cycle conflict gave (1000, 1000, 1603, 342, (("odd_cycle", 77),)),
+    # a greedy clique (1001, 1001, 1562, 364, ()).
     instances = [large_instance(random.Random(57), 4)]
-    pins = [(0, "resource_limit", (1000, 1000, 1603, 342, (("odd_cycle", 77),)), None)]
+    pins = [(0, "resource_limit", (1000, 1000, 1488, 417, ()), None)]
     limits = SearchLimits(max_nodes=1000, time_limit=None, use_heuristic=False)
     check_pinned_trees(instances, pins, limits)
 
@@ -1011,6 +1003,35 @@ def test_deep_search_stays_off_the_call_stack():
     out = solve_opp(inst, limits)
     assert out.verdict in ("feasible", "infeasible", "resource_limit")
     assert out.stats.nodes <= 1200
+
+
+def test_node_budget_is_a_hard_cap():
+    """No search charges more nodes than `max_nodes`, though every child
+    entered costs one, conflict or not: on seeded tight instances with
+    budgets of 1-200 nodes, and in the engine nodes of OKP calls (10 x 10
+    guillotine cuts of 8-13 boxes plus 3 more boxes) and SPP calls (cuts
+    of 10 x 6-15 strips) with budgets of 5-20 nodes."""
+    rng = random.Random(2007)
+    spent = 0
+    for k in range(80):
+        max_nodes = rng.choice((1, 7, 80, 200))
+        limits = SearchLimits(max_nodes=max_nodes, time_limit=None, use_heuristic=False)
+        out = solve_opp(tight_instance(rng, 6 + k % 4), limits)
+        assert out.stats.nodes <= max_nodes, k
+        spent += out.stats.nodes == max_nodes
+    for k in range(40):
+        max_nodes = rng.choice((5, 10, 20))
+        limits = SearchLimits(max_nodes=max_nodes, time_limit=None, use_heuristic=k % 2 == 0)
+        cut = guillotine_instance(rng, (10, 10), 8 + k % 6)
+        extra = [Box(f"x{j}", (rng.randint(2, 5), rng.randint(2, 5))) for j in range(3)]
+        out = solve_okp(Instance(boxes=cut.boxes + tuple(extra), container=(10, 10)), limits)
+        assert out.stats["engine_nodes"] <= max_nodes, k
+        spent += out.stats["engine_nodes"] == max_nodes
+        strip = guillotine_instance(rng, (10, rng.randint(6, 15)), 8 + k % 9)
+        out = solve_spp(strip.boxes, (10,), limits)
+        assert out.stats["engine_nodes"] <= max_nodes, k
+        spent += out.stats["engine_nodes"] == max_nodes
+    assert spent >= 50, spent
 
 
 def test_heuristic_pack_examples(five_box_example):

@@ -360,8 +360,8 @@ def spp_digest(out):
 PINNED_SPP_NO_HEURISTIC = [
     "8b59adfae827", "63680d9a589f", "3fb1494a39a0", "b760c76becc3", "e688df75736d",
     "0410b97ec57d", "d2416513541f", "38882fe64474", "175b60b8ebbb", "c661c5af8d83",
-    "b133e3fb1d7d", "3c2a366b0b63", "95324eebecfb", "6f98d8d28f28", "172cfee3c4fd",
-    "3a582f4fa8f1", "580cf56ade00", "020bf3493a10", "7aad70d0129c", "9df4fac00a81",
+    "b133e3fb1d7d", "8a0baf2e5226", "95324eebecfb", "6f98d8d28f28", "172cfee3c4fd",
+    "3a582f4fa8f1", "580cf56ade00", "10034820b217", "7aad70d0129c", "9df4fac00a81",
     "860735991af9", "cf20ace3fb47", "b5612f2aa4d2", "b4d019dea390", "ae40f10e97fe",
     "77c3246e1059", "ea3a45d72feb", "1b914a4cc6df", "3f25f73d9993", "4fdd1ebe373f",
 ]
@@ -441,7 +441,7 @@ def okp_digest(out):
 # dismissed subsets and packing per instance; a mismatch means the subset
 # order, the screen or an inner decision changed.
 PINNED_OKP = [
-    "80349b5c18d5", "ffad04da9d35", "35f3913bd9b6", "56ec561f99fc", "8643f51f9f4c",
+    "aee0ad459b70", "ffad04da9d35", "35f3913bd9b6", "56ec561f99fc", "8643f51f9f4c",
     "e0fc1b86b4ab", "d49516932ee0", "6cc028e19b56", "7f9ed501f11e", "c4e974935ab9",
     "efbcc15e3b4a", "2183ae4e1504", "01c770ce11cd", "3aaddea42e95", "72604882d760",
     "e8608a8caa83", "3ae28c332640", "49a22b7db48f", "eed9f3737e8c", "f64d7e881978",
