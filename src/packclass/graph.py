@@ -3,7 +3,7 @@
 Vertex sets are represented as Python ints used as bitsets, indexed by the
 graph's vertex order. Every algorithm the engine runs (the exact clique
 search that propagation runs at each new exclusion, the elimination
-order and heaviest stable set of a chordal graph that the accept runs,
+order and heaviest stable set of a chordal graph that verification runs,
 the odd closed walk search that reads `prune_check`'s certificates; the
 search itself finds odd cycles by propagation) has one core over
 `(n, adjacency bitsets[, weights, vertex mask])` with plain numeric

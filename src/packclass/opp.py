@@ -36,21 +36,21 @@ the next variable starts where its parent's stopped.
 
 Every dead end of the search is a propagation conflict. What propagation
 leaves out (a plus 4-cycle with both diagonals minus, an overweight minus
-clique, an odd 2-chordless minus cycle) implies the width bound on every
-fully decided vertex set, and the accept succeeds on every fully decided
-state (`prune_check`). `prune_check` runs the odd-cycle rule in full and
-returns its certificate, which no completion of the state can destroy;
-the search does not call it.
+clique, an odd 2-chordless minus cycle) makes every fully decided state a
+packing class (`prune_check`), so the search accepts only there, and the
+accept succeeds on every one. `prune_check` runs the odd-cycle rule in
+full and returns its certificate, which no completion of the state can
+destroy; the search does not call it.
 
 Everything inside the search runs on integers: per-dimension adjacency
 bitsets (`EdgeState.plus_adj`/`minus_adj`), vertex indices and the
 instance's integer-scaled sizes, handed straight to the bitset cores in
 `graph`, `chargraph` and `packing_class`. A decision is a (dimension, pair
 index, sign) triple; box ids appear only in conflicts and prune
-certificates. The accept shows P1 by chordality plus a transitive
-orientation of the complement (Gilmore-Hoffman), and that orientation
-places the boxes; `Fraction`s, `Graph`s and the `PackingClass` are built
-only for a packing it returns.
+certificates. The accept, on a fully decided state, orients each axis's
+minus graph transitively and places the boxes by longest paths
+(Gilmore-Hoffman); `Fraction`s, `Graph`s and the `PackingClass` are built
+only for the packing it returns.
 """
 
 from __future__ import annotations
@@ -65,21 +65,14 @@ from numbers import Real
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-from .chargraph import _co_orientation
+from .chargraph import _transitive_orientation
 from .errors import InvalidLimits, NoUndecided
-from .graph import (
-    Graph,
-    _chordal_stable_set,
-    _max_clique,
-    _mcs_peo,
-    _odd_closed_walk,
-)
+from .graph import Graph, _max_clique, _odd_closed_walk
 from .model import Instance, Packing, project_to_class, validate_packing
 from .packing_class import PackingClass, _longest_paths
 
 INCLUDE = 1
 EXCLUDE = -1
-CHECK_INTERVAL = 8  # decisions between accepts on states not fully decided
 
 
 @dataclass
@@ -151,13 +144,14 @@ class EdgeState:
     trail records assignments in order so the search can backtrack to any
     mark. plus_adj/minus_adj mirror the status as per-vertex bitsets;
     sizes[i][v] is box v's integer-scaled size along axis i and caps[i]
-    the container's, and widest[i] lists the boxes widest first along it.
-    pid_of[a][b] is the index of pair {a, b}. seq lists the pair indices in
-    branching order: boxes ranked by volume, largest first, ties by index;
-    each box in rank order paired with every box ranked before it,
-    highest-ranked first. (s_a + s_b) * units[i] ranks a pair's axes as
-    (s_a + s_b)/caps[i] does, in integers; order is the prefix of the
-    (dimension, pair) branching order that `branch_select` has built.
+    the container's; roomy[i] says all boxes fit side by side along axis
+    i, so no minus clique there overflows it. pid_of[a][b] is the index of
+    pair {a, b}. seq lists the pair indices in branching order: boxes
+    ranked by volume, largest first, ties by index; each box in rank order
+    paired with every box ranked before it, highest-ranked first.
+    (s_a + s_b) * units[i] ranks a pair's axes as (s_a + s_b)/caps[i]
+    does, in integers; order is the prefix of the (dimension, pair)
+    branching order that `branch_select` has built.
 
     up/par/size[i] are axis i's parity union-find over the minus arcs, by
     size without path compression, so a link is undone by resetting one
@@ -184,7 +178,7 @@ class EdgeState:
         self.minus_adj = [[0] * self.n for _ in range(self.d)]
         self.sizes = [[inst.int_size(v, i) for v in range(self.n)] for i in range(self.d)]
         self.caps = [inst.int_container(i) for i in range(self.d)]
-        self.widest = [sorted(range(self.n), key=lambda v: -s[v]) for s in self.sizes]
+        self.roomy = [sum(s) <= cap for s, cap in zip(self.sizes, self.caps)]
         rank = sorted(range(self.n), key=lambda v: -inst.int_volume(v))  # stable: ties by index
         self.seq = [self.pid_of[a][b] for k, b in enumerate(rank) for a in rank[:k]]
         span = prod(self.caps)  # (s_a + s_b) * units[i] ranks as (s_a + s_b) / cap_i
@@ -237,7 +231,9 @@ class EdgeState:
 
 def initial_state(inst: Instance) -> Union[EdgeState, ImmediateConflict]:
     """Fresh state with all forced inclusions (pairs too wide to sit side
-    by side) and the exclusions those force in turn."""
+    by side) and the exclusions those force in turn. With one axis, P3
+    excludes every pair on it, so a 1-D root is fully decided (or
+    conflicts) and its search spends no node."""
     state = EdgeState(inst)
     seeds = []  # in (pair, axis) order
     for a, row in enumerate(zip(*inst.int_too_wide)):
@@ -247,6 +243,8 @@ def initial_state(inst: Instance) -> Union[EdgeState, ImmediateConflict]:
             rest ^= low
             pid = state.pid_of[a][low.bit_length() - 1]
             seeds += [(i, pid, INCLUDE) for i, wide in enumerate(row) if wide & low]
+    if state.d == 1:
+        seeds += [(0, pid, EXCLUDE) for pid in range(state.m)]
     conflict = propagate(state, *seeds)
     return state if conflict is None else ImmediateConflict(conflict)
 
@@ -352,8 +350,8 @@ def propagate(state: EdgeState, *decisions: tuple[int, int, int]) -> Optional[Co
             # graph, so it must fit along the axis; an overweight one holds
             # the edge that completed it, so this exact test at each new
             # edge leaves none. {a, b} alone fits: `initial_state`
-            # includes too-wide pairs.
-            common = minus[a] & minus[b]
+            # includes too-wide pairs. On a roomy axis every clique fits.
+            common = 0 if state.roomy[i] else minus[a] & minus[b]
             w = state.sizes[i]
             if common and _max_clique(minus, w, common, state.caps[i] - w[a] - w[b])[1]:
                 conflict = Conflict(rule="minus_clique", dimension=i, pair=state.pair_ids(pid))
@@ -421,7 +419,8 @@ def prune_check(state: EdgeState) -> Optional[Prune]:
     axis by propagation, as its largest plus clique: no width rule is
     needed. On a fully decided state the plus graph, the complement, is
     then AT-free with no plus 4-cycle, so chordal and interval
-    (Gilmore-Hoffman); with P2 and P3 by propagation, the accept succeeds.
+    (Gilmore-Hoffman); with P2 and P3 by propagation the state is a
+    packing class, and the leaf extraction `_try_accept` succeeds on it.
     """
     for i in range(state.d):
         walk = _odd_closed_walk(state.n, state.minus_adj[i], state.plus_adj[i])
@@ -461,42 +460,28 @@ def branch_select(state: EdgeState, start: int = 0) -> tuple[int, int, int]:
 
 
 def _try_accept(state: EdgeState) -> Optional[tuple[Packing, PackingClass]]:
-    """If the included edges already form a packing class, extract a packing.
+    """The leaf extraction: on a fully decided state, a packing and the
+    packing class it belongs to, or None when some axis's minus graph has
+    no transitive orientation.
 
-    All on the state's bitsets: a greedy stable set of a plus graph, widest
-    box first, that overflows its axis breaks P2 and rejects most states
-    first. Then per axis an elimination order (chordal), the heaviest
-    stable set read off it (P2) and a transitive orientation of the
-    complement: chordal with a comparability complement is interval
-    (Gilmore-Hoffman), so that is P1, and the orientation's longest paths
-    place the boxes. No pair is plus on every axis (P3): `propagate`
-    reports that as a conflict. The returned packing is validated.
+    Per axis the minus graph, at a leaf the complement of the plus graph,
+    is oriented transitively, and its longest paths place the boxes
+    (Gilmore-Hoffman). Propagation leaves every fully decided state a
+    packing class (`prune_check`), so on a search leaf this succeeds: no
+    minus clique, hence no chain of the orientation, overflows its axis
+    (P2), and every pair is minus, hence apart, on some axis (P3). The
+    packing is validated (`_placed_packing`), and the class's graphs are
+    the plus graphs.
     """
-    n = state.n
-    inst = state.inst
-    for plus, sizes, cap, widest in zip(state.plus_adj, state.sizes, state.caps, state.widest):
-        chosen = total = 0
-        for v in widest:
-            if not plus[v] & chosen:
-                chosen |= 1 << v
-                total += sizes[v]
-                if total > cap:
-                    return None
     coords = []
-    for plus, sizes, cap in zip(state.plus_adj, state.sizes, state.caps):
-        elim = _mcs_peo(n, plus)
-        if elim is None or _chordal_stable_set(plus, sizes, elim)[0] > cap:
-            return None
-        succ = _co_orientation(n, plus)
+    for minus, sizes in zip(state.minus_adj, state.sizes):
+        succ = _transitive_orientation(state.n, minus)
         if succ is None:
             return None
         coords.append(_longest_paths(succ, sizes))  # transitive, so acyclic
-    scales = [inst.scale(i) for i in range(state.d)]
-    packing = Packing({b: tuple(map(Fraction, pos, scales)) for b, *pos in zip(inst.ids, *coords)})
-    if not validate_packing(packing, inst).valid:
-        raise AssertionError("solver produced an invalid packing")
-    edge_sets = tuple(Graph(inst.ids, state.e_plus(i)) for i in range(state.d))
-    return packing, PackingClass(instance=inst, edge_sets=edge_sets)
+    packing = _placed_packing(state.inst, list(enumerate(zip(*coords))))
+    edge_sets = tuple(Graph(state.inst.ids, state.e_plus(i)) for i in range(state.d))
+    return packing, PackingClass(instance=state.inst, edge_sets=edge_sets)
 
 
 def _bottom_left(inst: Instance, order: Sequence[int]) -> Optional[list[tuple[int, tuple[int, ...]]]]:
@@ -591,14 +576,15 @@ def _heuristic_orders(inst: Instance) -> Iterator[tuple[int, ...]]:
             yield order
 
 
-def _heuristic_packing(inst: Instance, placed: list[tuple[int, tuple[int, ...]]]) -> Packing:
-    """The `Packing` of a `_bottom_left` placement, one `Fraction` per
-    distinct coordinate per axis, validated against `inst` by an explicit
-    raise, so the check holds under `python -O`."""
+def _placed_packing(inst: Instance, placed: list[tuple[int, tuple[int, ...]]]) -> Packing:
+    """The `Packing` of integer-scaled placements (box index, corner), from
+    `_bottom_left` or the leaf extraction: one `Fraction` per distinct
+    coordinate per axis, validated against `inst` by an explicit raise, so
+    the check holds under `python -O`."""
     axes = [{v: Fraction(v, inst.scale(i)) for v in {pos[i] for _, pos in placed}} for i in range(inst.d)]
     packing = Packing({inst.ids[b]: tuple([axis[v] for axis, v in zip(axes, pos)]) for b, pos in placed})
     if not validate_packing(packing, inst).valid:
-        raise AssertionError("heuristic produced an invalid packing")
+        raise AssertionError("solver produced an invalid packing")
     return packing
 
 
@@ -608,7 +594,7 @@ def heuristic_pack(inst: Instance, *, budget: Optional[_Budget] = None) -> Optio
 
     The orders of `_heuristic_orders` are tried in turn; the first
     complete placement wins, and only its positions become `Fraction`s
-    (`_heuristic_packing`). Incomplete: may return None for feasible
+    (`_placed_packing`). Incomplete: may return None for feasible
     instances. `solve_spp` runs the same orders once per solve as its
     upper bound, each after the first capped below the lowest top so
     far. With a `budget`, the deadline
@@ -620,7 +606,7 @@ def heuristic_pack(inst: Instance, *, budget: Optional[_Budget] = None) -> Optio
             return None
         placed = _bottom_left(inst, order)
         if placed is not None:
-            return _heuristic_packing(inst, placed)
+            return _placed_packing(inst, placed)
     return None
 
 
@@ -708,14 +694,13 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
     The bottom-left heuristic for a quick yes, returned without a packing
     class: `solve_okp` reads only the packing, and `solve_opp` projects it
     itself (`solve_spp` runs the heuristic once as its bound, and its
-    probes pass `use_heuristic=False`). Then the initial state and the
-    accept on the root, each only while the deadline has not passed.
-    Otherwise a depth-first search over edge decisions, run as one loop on
-    an explicit stack: its depth is bounded by the number of (dimension,
-    pair) variables, not by the call stack. Every dead end is a
-    propagation conflict. The accept runs at every node that is due a
-    periodic check (every CHECK_INTERVAL decisions) or fully decided,
-    where it succeeds (see `prune_check`). Each open node keeps the
+    probes pass `use_heuristic=False`). Then the initial state, only while
+    the deadline has not passed, and a depth-first search over edge
+    decisions, run as one loop on an explicit stack: its depth is bounded
+    by the number of (dimension, pair) variables, not by the call stack.
+    Every dead end is a propagation conflict. The accept, `_try_accept`,
+    runs only on fully decided states, the root too when it is one, and
+    succeeds on every one (see `prune_check`). Each open node keeps the
     position in `state.order` of the variable it branches on, and
     `branch_select` scans its children's states from there, never from
     zero at depth. `max_nodes` is a hard cap: no child is entered once
@@ -736,8 +721,8 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
         if packing is not None:
             stats.bump("heuristic")
             return outcome("feasible", packing)
-    # Building the initial state, and the root accept, can outlast a short
-    # time limit on many boxes.
+    # Building the initial state can outlast a short time limit on many
+    # boxes; the loop's first deadline check follows it.
     if budget.expired():
         return outcome("resource_limit")
     state = initial_state(inst)
@@ -746,28 +731,19 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
         return outcome("infeasible")
     stats = state.stats
 
-    if budget.expired():
-        return outcome("resource_limit")
-    accept = _try_accept(state)
-    if accept is not None:
-        return outcome("feasible", accept[0], accept[1])
-
     # Each open node is (trail mark, position in `state.order`, dimension,
     # pair index, signs still to try). A child is entered by propagating its
     # decision and left by undoing the trail to its parent's mark; its own
     # branching scan starts at its parent's position.
     stack: list[tuple[int, int, int, int, tuple[int, ...]]] = []
-    since_check = 0
     while True:
         if deadline is not None and time.perf_counter() > deadline:
             return outcome("resource_limit")
-        leaf = state.undecided == 0
-        if since_check >= CHECK_INTERVAL or leaf:
-            since_check = 0
+        if state.undecided == 0:
             accept = _try_accept(state)
             if accept is not None:
                 return outcome("feasible", *accept)
-        if not leaf:
+        else:
             pos, i, pid = branch_select(state, stack[-1][1] if stack else 0)
             stack.append((state.mark(), pos, i, pid, (INCLUDE, EXCLUDE)))
         # Enter the next child that propagates without conflict.
@@ -781,7 +757,6 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
                 stack.append((mark, pos, i, pid, signs[1:]))
                 stats.nodes += 1
                 stats.decisions += 1
-                since_check += 1
                 if propagate(state, (i, pid, signs[0])) is None:
                     break
         else:

@@ -72,7 +72,7 @@ from .opp import (
     _bottom_left,
     _decide,
     _heuristic_orders,
-    _heuristic_packing,
+    _placed_packing,
     _screen_tables,
 )
 
@@ -343,7 +343,7 @@ def solve_spp(
         else:
             lo = mid + 1
     if packing is None and bound is not None:  # validated at the all-stacked height
-        packing = _heuristic_packing(stacked, bound[1])
+        packing = _placed_packing(stacked, bound[1])
     elif packing is None:  # no probe was feasible, so lo is the all-stacked height
         final = probe(candidates[lo])
         if isinstance(final, ResourceLimit):

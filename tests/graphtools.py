@@ -3,9 +3,8 @@
 Orientation enumeration and its definitional check back the acceptance
 criteria on transitive orientations; the chordality test with its hole
 witness, the interval model and the induced 4-cycle search are exercised
-against the library's own recognizers; the greedy clique tells which of
-the accept's rejections its greedy stable set makes; the arc-state parity
-search is the reference for the library's odd-closed-walk search and for
+against the library's own recognizers; the arc-state parity search is
+the reference for the library's odd-closed-walk search and for
 propagation's odd-cycle conflicts.
 """
 
@@ -15,13 +14,11 @@ from packclass.chargraph import Dag, NotComparability, transitive_orientation
 from packclass.errors import NotInterval, TooLarge
 from packclass.graph import (
     Graph,
-    _as_weight_map,
     _find_hole,
     _mcs_peo,
     bits,
     complement,
 )
-from packclass.model import to_fraction
 
 ENUM_EDGE_CAP = 30
 
@@ -236,18 +233,6 @@ def find_induced_c4(
                     if d > b:
                         return (G.vertices[a], G.vertices[b], G.vertices[c], G.vertices[d])
     return None
-
-
-def greedy_weight_clique(G: Graph, weight):
-    """Greedy heavy-first clique over `Graph` ids: a scan of the vertices,
-    heaviest first and lowest index on ties, adding each vertex adjacent to
-    all added before it."""
-    w = _as_weight_map(G, weight)
-    mask = 0
-    for v in sorted(range(G.n), key=lambda v: (-w[v], v)):
-        if (G.adj[v] & mask) == mask:
-            mask |= 1 << v
-    return to_fraction(sum(w[v] for v in bits(mask))), G.names(mask)
 
 
 def odd_closed_walk_by_arcs(

@@ -2,10 +2,11 @@
 loop, kept as a reference: `set_edge` (one raw assignment), `fixpoint`
 (a seed list and its forced consequences, returning the applied
 assignments; the odd-cycle rule is a full parity search after each
-one), `branch_select` (a scan of `state.seq` from its start at every
-node) and `solve_opp` (the search loop with an unconditional undo at
-every pop). The tests compare `opp.propagate`, `opp.branch_select` and
-`opp.solve_opp` with these.
+one, on an axis with a plus pair), `branch_select` (a scan of
+`state.seq` from its start at every node) and `solve_opp` (the search
+loop, with the accept on fully decided states only and an
+unconditional undo at every pop). The tests compare `opp.propagate`,
+`opp.branch_select` and `opp.solve_opp` with these.
 """
 
 import copy
@@ -16,7 +17,6 @@ from functools import reduce
 from packclass.graph import _max_clique
 from packclass.model import project_to_class
 from packclass.opp import (
-    CHECK_INTERVAL,
     EXCLUDE,
     INCLUDE,
     Conflict,
@@ -118,7 +118,8 @@ def fixpoint(state, seeds):
             if _max_clique(minus, w, common, state.caps[i] - w[a] - w[b])[1]:
                 state.stats.conflicts += 1
                 return Conflict(rule="minus_clique", dimension=i, pair=state.pair_ids(pid))
-            if odd_closed_walk_by_arcs(state.n, minus, plus) is not None:
+            # with no plus pair every step is a backtrack, and no walk is odd
+            if any(plus) and odd_closed_walk_by_arcs(state.n, minus, plus) is not None:
                 state.stats.conflicts += 1
                 return Conflict(rule="odd_cycle", dimension=i, pair=state.pair_ids(pid))
     return tuple(applied)
@@ -138,6 +139,8 @@ def initial_state(inst):
         for b in _bits(reduce(int.__or__, row) & -(2 << a)):
             pid = state.pid_of[a][b]
             seeds += [(i, pid, INCLUDE) for i, wide in enumerate(row) if wide >> b & 1]
+    if inst.d == 1:  # P3: with no other axis, every pair is apart on this one
+        seeds += [(0, pid, EXCLUDE) for pid in range(state.m)]
     result = fixpoint(state, seeds)
     return ImmediateConflict(result) if isinstance(result, Conflict) else state
 
@@ -188,21 +191,14 @@ def _decide(inst, use_heuristic, budget):
     stats.propagations += state.stats.propagations
     stats.conflicts += state.stats.conflicts
     state.stats = stats
-    accept = _try_accept(state)
-    if accept is not None:
-        return outcome("feasible", *accept)
     stack = []
-    since_check = 0
     while True:
-        leaf = state.undecided == 0
-        if since_check >= CHECK_INTERVAL or leaf:
-            since_check = 0
+        if state.undecided == 0:
             accept = _try_accept(state)
             if accept is not None:
                 return outcome("feasible", *accept)
-            if leaf:
-                stats.bump("leaf_reject")
-        if not leaf:
+            stats.bump("leaf_reject")
+        else:
             i, pid = branch_select(state)
             stack.append((state.mark(), i, pid, (INCLUDE, EXCLUDE)))
         while stack:
@@ -214,7 +210,6 @@ def _decide(inst, use_heuristic, budget):
                 stack.append((mark, i, pid, signs[1:]))
                 stats.nodes += 1
                 stats.decisions += 1
-                since_check += 1
                 if not isinstance(fixpoint(state, [(i, pid, signs[0])]), Conflict):
                     break
         else:

@@ -14,7 +14,7 @@ from math import ceil, lcm
 
 from packclass.errors import InfeasibleCrossSection, InvalidInstance
 from packclass.model import Instance, Packing, to_fraction
-from packclass.opp import SearchLimits, _Budget, _bottom_left, _decide, _heuristic_orders, _heuristic_packing
+from packclass.opp import SearchLimits, _Budget, _bottom_left, _decide, _heuristic_orders, _placed_packing
 from packclass.solve import ResourceLimit, SppSolution
 
 
@@ -91,7 +91,7 @@ def solve_spp(boxes, cross_section, limits=None):
                 best = top, placed
                 if top <= candidates[0]:
                     break
-        packing = _heuristic_packing(stacked, best[1])
+        packing = _placed_packing(stacked, best[1])
         hi = bisect_left(candidates, best[0])
     while lo < hi:
         mid = (lo + hi) // 2

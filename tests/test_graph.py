@@ -386,7 +386,9 @@ def test_odd_closed_walk_early_exit_matches_full_search():
 def test_max_clique_with_a_floor():
     """Above the floor, `_max_clique` returns the same (weight, mask) as
     without one; at or below it, (floor, 0), among others when all of `P`
-    together weighs no more than the floor."""
+    together weighs no more than the floor. A single vertex in `P` is the
+    heaviest clique, returned above the floor, and an empty `P` weighs 0,
+    also against a negative floor."""
     rng = random.Random(2028)
     above = below = hopeless = 0
     for _ in range(600):
@@ -408,3 +410,14 @@ def test_max_clique_with_a_floor():
             hopeless += total <= floor
             assert (weight, mask) == (floor, 0)
     assert above > 150 and below > 150 and hopeless > 50, (above, below, hopeless)
+    for _ in range(100):
+        n = rng.randint(1, 10)
+        G = random_graph(rng, n, rng.random())
+        weights = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)]
+        v = rng.randrange(n)
+        assert _max_clique(G.adj, weights, 1 << v) == (weights[v], 1 << v)
+        for floor in (-1, 0, weights[v] - 1, weights[v] - Fraction(1, 8), weights[v], weights[v] + 1):
+            expected = (weights[v], 1 << v) if weights[v] > floor else (floor, 0)
+            assert _max_clique(G.adj, weights, 1 << v, floor) == expected, (weights[v], floor)
+        assert _max_clique(G.adj, weights, 0, -1) == (0, 0)
+        assert _max_clique(G.adj, weights, 0, weights[v]) == (weights[v], 0)

@@ -3,10 +3,8 @@ import os
 import random
 import subprocess
 import sys
-import time
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from math import prod
 from pathlib import Path
@@ -44,7 +42,7 @@ from packclass.sweep import exhaustive_grid
 from bottomleft import bottom_left_by_masks
 from certcheck import check_induced_c4, check_odd_2chordless_cycle
 from conftest import assert_same_tables
-from graphtools import greedy_weight_clique, odd_closed_walk_by_arcs
+from graphtools import odd_closed_walk_by_arcs
 import reference_search as reference
 from packclass.graph import (
     Graph,
@@ -54,7 +52,6 @@ from packclass.graph import (
     _mcs_peo,
     _odd_closed_walk,
     bits,
-    complement,
     max_weight_clique,
 )
 
@@ -216,10 +213,11 @@ def test_silent_prune_check_implies_clique_bound():
     # heaviest clique of a planned minus graph, half of which hold an odd
     # hole, where the clique width alone would let the bound fail. The
     # exclusions `initial_state` adds can complete an overweight clique on
-    # top of the plan: such states are skipped.
+    # top of the plan: such states are skipped, among them most 1-D ones,
+    # whose roots `initial_state` leaves all minus.
     rng = random.Random(5)
     silent = checked = 0
-    for _ in range(300):
+    for _ in range(600):
         n, d = rng.randint(5, 8), rng.randint(1, 2)
         ids = [f"v{k}" for k in range(n)]
         sizes = [tuple(rng.randint(1, 3) for _ in range(d)) for _ in range(n)]
@@ -403,7 +401,7 @@ def test_branch_select_matches_definition():
     zero returns."""
     rng = random.Random(77)
     checked = carried = undone = 0
-    for k in range(150):
+    for k in range(170):
         n, d, den = rng.randint(2, 12), rng.randint(1, 3), 1 + k % 3
         inst = Instance(
             boxes=[
@@ -457,18 +455,20 @@ def _snapshot(state):
             state.stats.deterministic_view())
 
 
-def test_propagate_matches_reference_fixpoint():
-    """Along random propagate/undo_to walks, each `propagate` call leaves
-    the state the reference fixpoint leaves on a copy: the trail suffix
-    holds the reference's applied assignments in order, and a conflict is
-    the same one."""
+def test_propagate_matches_reference_fixpoint(monkeypatch):
+    """Along random propagate/undo_to walks, and in the `initial_state`
+    each walk starts from, each `propagate` call leaves the state the
+    reference fixpoint leaves on a copy: the trail suffix holds the
+    reference's applied assignments in order, and a conflict is the same
+    one. `p3` conflicts come from roots: a 1-D pair too wide for its axis,
+    or a pair too wide on every axis."""
     seen = Counter()
 
-    def both(state, decision):
+    def both(state, *decisions):
         twin = reference.copy_state(state)
-        expected = reference.fixpoint(twin, [decision])
+        expected = reference.fixpoint(twin, decisions)
         mark = state.mark()
-        got = propagate(state, decision)
+        got = propagate(state, *decisions)
         if isinstance(expected, Conflict):
             assert got == expected
             seen[expected.rule] += 1
@@ -481,7 +481,8 @@ def test_propagate_matches_reference_fixpoint():
         return got
 
     # Rare undos let walks run deep, where c4 exclusions conflict.
-    for _ in random_walk_states(random.Random(80), 120, undo=0.02, apply=both):
+    monkeypatch.setattr(opp, "propagate", both)
+    for _ in random_walk_states(random.Random(80), 200, undo=0.02, apply=both):
         pass
     assert min(seen[key] for key in ("single", "forced", "p3", "c4", "minus_clique", "odd_cycle")) >= 20, seen
 
@@ -555,27 +556,48 @@ def _accept_by_definition(state):
 
 
 def test_try_accept_matches_filter_free_check():
-    """Along random propagate/undo_to walks, `_try_accept` accepts exactly
-    the states that pass the P1/P2/P3 check without its greedy stable-set
-    rejection, and every packing it returns validates."""
-    outcomes = {"accepted": 0, "rejected by a greedy stable set": 0, "rejected later": 0}
-    for state, _ in random_walk_states(random.Random(78), 120):
-        # `_try_accept` tests no P3: propagation leaves no pair plus on every axis.
-        assert not any(reduce(int.__and__, column) for column in zip(*state.plus_adj))
+    """On fully decided states as propagation leaves them (no pair plus on
+    every axis, no minus clique heavier than its axis, no plus 4-cycle
+    with both diagonals minus), `_try_accept` accepts exactly the states
+    that pass the P1/P2/P3 check by definition, and each packing it
+    returns validates, with the plus graphs as its class. The states are
+    the leaves of random walks, all accepted, and random full assignments
+    built by hand (`reference.set_edge`) of 6-8 boxes with sides 1-3 in
+    two axes, kept when they meet the three conditions."""
+    outcomes = Counter()
+
+    def accepted(state):
+        assert state.undecided == 0
         accept = _try_accept(state)
         assert (accept is not None) == _accept_by_definition(state)
         if accept is not None:
-            outcomes["accepted"] += 1
-            assert validate_packing(accept[0], state.inst).valid
-        elif any(
-            greedy_weight_clique(complement(Graph(state.inst.ids, state.e_plus(i))),
-                                 dict(zip(state.inst.ids, state.sizes[i])))[0] > state.caps[i]
-            for i in range(state.d)
-        ):
-            outcomes["rejected by a greedy stable set"] += 1
-        else:
-            outcomes["rejected later"] += 1
-    assert min(outcomes.values()) >= 50, outcomes
+            packing, pc = accept
+            assert validate_packing(packing, state.inst).valid
+            assert pc.edge_sets == tuple(Graph(state.inst.ids, state.e_plus(i)) for i in range(state.d))
+            assert verify_packing_class(pc, state.inst).all_ok
+        return accept is not None
+
+    for state, undone in random_walk_states(random.Random(78), 300, undo=0.0):
+        if state.undecided == 0 and not undone:
+            assert accepted(state)
+            outcomes["walk leaf"] += 1
+    rng = random.Random(79)
+    for _ in range(3000):
+        n = rng.randint(6, 8)
+        inst = Instance(
+            boxes=[Box(f"v{k}", (rng.randint(1, 3), rng.randint(1, 3))) for k in range(n)],
+            container=(9, 9),
+        )
+        state = EdgeState(inst)
+        for pid in range(state.m):
+            first = rng.choice((INCLUDE, EXCLUDE))
+            second = EXCLUDE if first == INCLUDE else rng.choice((INCLUDE, EXCLUDE))
+            reference.set_edge(state, 0, pid, first)
+            reference.set_edge(state, 1, pid, second)
+        if overweight_minus_clique(state) or plus_c4_with_minus_diagonals(state):
+            continue
+        outcomes["built, accepted" if accepted(state) else "built, rejected"] += 1
+    assert min(outcomes.values()) >= 50 and len(outcomes) == 3, outcomes
 
 
 def _full_check(state):
@@ -689,18 +711,30 @@ def test_solver_deterministic(five_box_example):
 
 
 def test_try_accept_rejects_asteroidal_triple():
-    # The long claw is chordal and every stable set fits along the axis,
-    # but its three leaves form an asteroidal triple: not an interval graph.
+    # A fully decided state whose axis-0 plus graph is the long claw, and
+    # whose other pairs are minus on both axes: the claw is chordal and
+    # every minus clique fits its axis, but its three leaves form an
+    # asteroidal triple, so the minus graph, its complement, has no
+    # transitive orientation.
     names = ["c", "a1", "a2", "b1", "b2", "d1", "d2"]
     inst = Instance(boxes=[Box(v, (1, 1)) for v in names], container=(7, 7))
     state = EdgeState(inst)
     claw = [("c", "a1"), ("a1", "a2"), ("c", "b1"), ("b1", "b2"), ("c", "d1"), ("d1", "d2")]
-    for a, b in claw:
-        assert reference.set_edge(state, 0, state.pair_of(a, b), INCLUDE) == "applied"
+    plus = [state.pair_of(a, b) for a, b in claw]
+    for pid in range(state.m):
+        assert reference.set_edge(state, 1, pid, EXCLUDE) == "applied"
+        if pid not in plus:
+            assert reference.set_edge(state, 0, pid, EXCLUDE) == "applied"
+    for pid in plus:  # d1-d2 last
+        assert reference.set_edge(state, 0, pid, INCLUDE) == "applied"
+    assert state.undecided == 0 and not overweight_minus_clique(state)
     assert _try_accept(state) is None
     assert not verify_packing_class([state.e_plus(0), state.e_plus(1)], inst).all_ok
-    state.undo_to(state.mark() - 1)  # drop d1-d2: a spider with short legs is interval
-    assert _try_accept(state) is not None
+    # d1-d2 minus: a spider with short legs is interval
+    state.undo_to(state.mark() - 1)
+    assert reference.set_edge(state, 0, plus[-1], EXCLUDE) == "applied"
+    packing, pc = _try_accept(state)
+    assert validate_packing(packing, inst).valid and verify_packing_class(pc, inst).all_ok
 
 
 def tight_instance(rng, n):
@@ -730,9 +764,9 @@ def check_pinned_trees(instances, pins, limits):
 # Instances whose search closes at the root are left out.
 PINNED_TREES = [
     (1, "feasible", (30, 30, 53, 5, ()), "091622d474b2"),
-    (2, "feasible", (35, 35, 68, 6, ()), "2cedc5ae821d"),
+    (2, "feasible", (36, 36, 70, 6, ()), "7e9ce83eb3c5"),
     (3, "resource_limit", (80, 80, 127, 30, ()), None),
-    (7, "feasible", (62, 62, 117, 18, ()), "96fb89ed8c87"),
+    (7, "feasible", (63, 63, 118, 18, ()), "96fb89ed8c87"),
     (8, "feasible", (42, 42, 65, 14, ()), "056d18b6bb9c"),
     (9, "resource_limit", (80, 80, 125, 32, ()), None),
     (10, "feasible", (62, 62, 103, 20, ()), "1eab9a8c6d43"),
@@ -956,20 +990,122 @@ def test_resource_limit_outcomes(five_box_example):
     assert out.verdict == "resource_limit"
 
 
-def test_root_checks_wait_for_the_deadline():
-    # 92 narrow boxes in one axis: the root accept alone takes about 0.1 s,
-    # and it ran even when the deadline had passed before it
+def test_deadline_inside_the_initial_state_stops_before_the_leaf_accept(monkeypatch):
+    """A 1-D root is a leaf, so its accept is the search's first step, and
+    a deadline that passes while `initial_state` runs ends the call before
+    it. 92 narrow boxes in one axis, on a clock that stands still except
+    for one second inside `initial_state`: with a 0.5 s limit the solve
+    returns `resource_limit` and calls no accept; with no limit, or a
+    clock that never moves, it is packed at the root."""
     rng = random.Random(120)
     widths = []
     while sum(widths) < 188:  # stop before the next width could pass 190
         widths.append(rng.randint(1, 3))
     inst = Instance(boxes=[Box(f"b{k}", (w,)) for k, w in enumerate(widths)], container=(200,))
     assert inst.n == 92
-    start = time.perf_counter()
-    out = solve_opp(inst, SearchLimits(max_nodes=50, time_limit=0.0, use_heuristic=False))
-    assert out.verdict == "resource_limit" and time.perf_counter() - start < 0.05
+    now, jump, accepts = 0.0, 1.0, []
+    build, accept = opp.initial_state, opp._try_accept
+
+    def slow_build(inst):
+        nonlocal now
+        state = build(inst)
+        now += jump
+        return state
+
+    monkeypatch.setattr(opp.time, "perf_counter", lambda: now)
+    monkeypatch.setattr(opp, "initial_state", slow_build)
+    monkeypatch.setattr(opp, "_try_accept", lambda state: accepts.append(state.undecided) or accept(state))
+    out = solve_opp(inst, SearchLimits(max_nodes=50, time_limit=0.5, use_heuristic=False))
+    assert out.verdict == "resource_limit" and accepts == []
     out = solve_opp(inst, SearchLimits(max_nodes=50, time_limit=None, use_heuristic=False))
-    assert out.verdict == "feasible"
+    assert out.verdict == "feasible" and out.stats.nodes == 0 and accepts == [0]
+    jump = 0.0
+    out = solve_opp(inst, SearchLimits(max_nodes=50, time_limit=0.5, use_heuristic=False))
+    assert out.verdict == "feasible" and out.stats.nodes == 0 and accepts == [0, 0]
+
+
+def test_one_dimensional_roots_are_leaves(monkeypatch):
+    """With one axis, P3 excludes every pair on it: on seeded 1-D
+    instances `initial_state` decides every pair when the widths fit, with
+    no clique search (the axis is roomy), and conflicts when they do not,
+    the search spends no node, the verdict is the width sum's, and it
+    agrees with `brute_force_opp` for n <= 5."""
+    rng = random.Random(1001)
+    seen = Counter()
+    cliques = []
+    search = opp._max_clique
+    monkeypatch.setattr(opp, "_max_clique", lambda *args: cliques.append(args) or search(*args))
+    for k in range(300):
+        den = 1 + k % 3
+        cap = rng.randint(4, 24)
+        n = rng.randint(1, 5) if k % 2 else rng.randint(6, 20)
+        inst = Instance(
+            boxes=[Box(f"b{j}", (Fraction(rng.randint(1, 3 * den), den),)) for j in range(n)],
+            container=(cap,),
+        )
+        fits = sum(box.size[0] for box in inst.boxes) <= cap
+        cliques.clear()
+        state = initial_state(inst)
+        if fits:
+            assert isinstance(state, EdgeState) and state.undecided == 0, k
+            assert state.status == [[EXCLUDE] * state.m] and state.roomy == [True], k
+            assert cliques == [], k
+        else:
+            assert isinstance(state, ImmediateConflict), k
+        out = solve_opp(inst, SearchLimits(time_limit=None, use_heuristic=False))
+        assert out.verdict == ("feasible" if fits else "infeasible") and out.stats.nodes == 0, k
+        if fits:
+            assert validate_packing(out.packing, inst).valid, k
+        if n <= 5:
+            assert brute_force_opp(inst).feasible == fits, k
+            seen["brute force"] += 1
+        seen["fits" if fits else "overflows"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_accept_runs_only_on_fully_decided_states(monkeypatch):
+    """`_decide` calls `_try_accept` only on fully decided states, and each
+    call returns a packing that validates, with a class that passes
+    `verify_packing_class`: in seeded searches, heuristic off, on tight
+    2-D instances, 2-D and 3-D guillotine cuts, 1-D instances and 65-100
+    boxes."""
+    calls = Counter()
+    kind = None
+    accept = opp._try_accept
+
+    def checked(state):
+        assert state.undecided == 0, kind
+        out = accept(state)
+        assert out is not None, kind
+        packing, pc = out
+        assert validate_packing(packing, state.inst).valid, kind
+        assert verify_packing_class(pc, state.inst).all_ok, kind
+        calls[kind] += 1
+        return out
+
+    monkeypatch.setattr(opp, "_try_accept", checked)
+    rng = random.Random(2027)
+    limits = SearchLimits(max_nodes=300, time_limit=None, use_heuristic=False)
+    for k in range(40):
+        cases = {
+            "tight": tight_instance(rng, 6 + k % 4),
+            "2-D cut": guillotine_instance(rng, (10, 10), rng.randint(5, 12)),
+            "3-D cut": guillotine_instance(rng, (5, 5, 5), rng.randint(4, 9)),
+            "1-D": Instance(
+                boxes=[Box(f"b{j}", (rng.randint(1, 5),)) for j in range(rng.randint(1, 12))],
+                container=(rng.randint(5, 30),),
+            ),
+        }
+        for kind, inst in cases.items():
+            solve_opp(inst, limits)
+    # past 64 boxes: two of the six are 1-D; 66 full-height strips are a
+    # 2-D root that `initial_state` decides
+    kind = "over 64 boxes"
+    for k in range(6):
+        solve_opp(large_instance(rng, k, most=100), limits)
+    solve_opp(Instance(boxes=[Box(f"s{k}", (1, 10)) for k in range(66)], container=(70, 10)), limits)
+    assert min(calls[key] for key in ("tight", "2-D cut", "3-D cut", "1-D")) >= 10, calls
+    assert calls["over 64 boxes"] == 3, calls
 
 
 def test_passed_deadline_stops_before_the_initial_state(monkeypatch):
@@ -1243,10 +1379,7 @@ except AssertionError as exc:
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == [
-        "raised: solver produced an invalid packing",
-        "raised: heuristic produced an invalid packing",
-        "raised: heuristic produced an invalid packing",
-        "raised: heuristic produced an invalid packing",
+        *["raised: solver produced an invalid packing"] * 4,
         "raised: the all-stacked height must be feasible",
     ]
 

@@ -358,12 +358,12 @@ def spp_digest(out):
 # 40- and 400-node budgets alternate, and 9 of the 30 solves hit them. A
 # mismatch means the probe order or a probe's search changed.
 PINNED_SPP_NO_HEURISTIC = [
-    "8b59adfae827", "63680d9a589f", "3fb1494a39a0", "b760c76becc3", "e688df75736d",
-    "0410b97ec57d", "d2416513541f", "38882fe64474", "175b60b8ebbb", "c661c5af8d83",
+    "8b59adfae827", "f1b31cbef682", "3fb1494a39a0", "b760c76becc3", "e688df75736d",
+    "0410b97ec57d", "d2416513541f", "fd7ca1bbf127", "175b60b8ebbb", "c661c5af8d83",
     "b133e3fb1d7d", "8a0baf2e5226", "95324eebecfb", "6f98d8d28f28", "172cfee3c4fd",
-    "3a582f4fa8f1", "580cf56ade00", "10034820b217", "7aad70d0129c", "9df4fac00a81",
-    "860735991af9", "cf20ace3fb47", "b5612f2aa4d2", "b4d019dea390", "ae40f10e97fe",
-    "77c3246e1059", "ea3a45d72feb", "1b914a4cc6df", "3f25f73d9993", "4fdd1ebe373f",
+    "3a582f4fa8f1", "580cf56ade00", "10034820b217", "7aad70d0129c", "121ff21f49d1",
+    "860735991af9", "85a27af1a719", "b5612f2aa4d2", "b4d019dea390", "ae40f10e97fe",
+    "77c3246e1059", "ea3a45d72feb", "1b914a4cc6df", "3f25f73d9993", "7d4ef16829b1",
 ]
 
 
@@ -493,7 +493,7 @@ def test_inner_decisions_build_no_class(monkeypatch):
     decisions = []  # (verdict, heuristic hit, Graphs built)
     bounds = []  # (Graphs built, packing) of each SPP bound's packing step
     project, graph_init, decide = opp.project_to_class, graph.Graph.__init__, solve._decide
-    bound_packing = solve._heuristic_packing
+    bound_packing = solve._placed_packing
 
     def counted_project(*args):
         counts["project"] += 1
@@ -518,7 +518,7 @@ def test_inner_decisions_build_no_class(monkeypatch):
     monkeypatch.setattr(opp, "project_to_class", counted_project)
     monkeypatch.setattr(graph.Graph, "__init__", counted_graph_init)
     monkeypatch.setattr(solve, "_decide", logged_decide)
-    monkeypatch.setattr(solve, "_heuristic_packing", logged_bound)
+    monkeypatch.setattr(solve, "_placed_packing", logged_bound)
     rng = random.Random(56)
     limits = SearchLimits(max_nodes=300, time_limit=None)
     # a smaller SPP budget, so that at least five solves end in a limit
