@@ -1,10 +1,11 @@
 """Batch front door: solve, verify, draw, and convert from the shell.
 
 Exit codes: 0 feasible/pass, 1 infeasible/fail, 2 resource limit,
-64 usage or parse errors, 65 structural errors (wrong dimensionality,
-malformed conversion input). PACKCLASS_TIME_LIMIT (seconds) overrides the
-default 60 s search budget; solvers are deterministic, so `--seed` exists
-only for the sweep instance generator.
+64 usage, parse and other library errors (an invalid packing too), 65
+structural errors (wrong dimensionality, malformed conversion input).
+PACKCLASS_TIME_LIMIT (seconds) overrides the default 60 s search budget;
+solvers are deterministic, so `--seed` exists only for the sweep instance
+generator.
 """
 
 from __future__ import annotations

@@ -1,13 +1,16 @@
-"""Undirected graphs over string ids with bitset adjacency.
+"""Undirected graphs over string ids with bitset adjacency, and every
+bitset core the package runs.
 
 Vertex sets are represented as Python ints used as bitsets, indexed by the
-graph's vertex order. Every algorithm the engine runs (the exact clique
-search that propagation runs at each new exclusion, the elimination
-order and heaviest stable set of a chordal graph that verification runs,
-the odd closed walk search that reads `prune_check`'s certificates; the
-search itself finds odd cycles by propagation) has one core over
-`(n, adjacency bitsets[, weights, vertex mask])` with plain numeric
-weights, which the engine calls directly on its own bitsets. The `Graph`
+graph's vertex order. Every algorithm lives here as one core over
+`(n, adjacency bitsets[, weights, vertex mask])` or successor bitsets,
+with plain numeric weights, which the engine calls directly on its own
+bitsets: the exact clique search that propagation runs at each new
+exclusion; the elimination order and the transitive orientation of the
+complement that test intervality (Gilmore-Hoffman); the longest paths of
+an orientation, which place boxes, and its heaviest chain, which is the
+heaviest stable set on an orientation of the complement; and the odd
+closed walk search that reads `prune_check`'s certificates. The `Graph`
 functions are thin wrappers over the same cores that take id-keyed
 weights as `Fraction`s and report results with original ids; holes and
 asteroidal triples are searched only as witnesses.
@@ -51,6 +54,16 @@ class Graph:
             adj[ib] |= 1 << ia
         self.adj: tuple[int, ...] = tuple(adj)
 
+    @classmethod
+    def _of_bitsets(cls, vertices: Sequence[str], adj: Iterable[int]) -> "Graph":
+        """The graph over distinct `vertices` with the symmetric, loop-free
+        adjacency bitsets `adj`, taken as given: no `__init__` checks."""
+        G = object.__new__(cls)
+        G.vertices = tuple(vertices)
+        G._index = {v: k for k, v in enumerate(G.vertices)}
+        G.adj = tuple(adj)
+        return G
+
     # -- basic queries -------------------------------------------------
     @property
     def n(self) -> int:
@@ -93,24 +106,19 @@ class Graph:
 def complement(G: Graph) -> Graph:
     """Same vertices, edge present iff absent in the input."""
     full = (1 << G.n) - 1
-    H = Graph(G.vertices)
-    H.adj = tuple((full ^ G.adj[i]) & ~(1 << i) for i in range(G.n))  # type: ignore[misc]
-    return H
+    return Graph._of_bitsets(G.vertices, [full ^ a ^ (1 << i) for i, a in enumerate(G.adj)])
 
 
 def induced(G: Graph, S: Iterable[str]) -> Graph:
     """Induced subgraph on S, keeping the original relative vertex order."""
     keep = sorted({G.index(v) for v in S})
-    names = [G.vertices[i] for i in keep]
     pos = {i: k for k, i in enumerate(keep)}
-    H = Graph(names)
     adj = [0] * len(keep)
     for i in keep:
         for j in bits(G.adj[i]):
             if j in pos:
                 adj[pos[i]] |= 1 << pos[j]
-    H.adj = tuple(adj)  # type: ignore[misc]
-    return H
+    return Graph._of_bitsets([G.vertices[i] for i in keep], adj)
 
 
 def _odd_closed_walk(
@@ -197,9 +205,7 @@ def find_odd_2chordless_cycle(G: Graph) -> Optional[tuple[str, ...]]:
     comparability-graph characterization is exact; triangles are excluded
     by convention since every triangle edge is trivially a 2-chord.
     """
-    full = (1 << G.n) - 1
-    safe = tuple((full ^ G.adj[i]) & ~(1 << i) for i in range(G.n))
-    walk = _odd_closed_walk(G.n, G.adj, safe)
+    walk = _odd_closed_walk(G.n, G.adj, complement(G).adj)
     if walk is None:
         return None
     return tuple(G.vertices[i] for i in walk)
@@ -291,6 +297,95 @@ def _mcs_peo(n: int, adj: Sequence[int]) -> Optional[list[int]]:
             if lv & ~(1 << u) & ~adj[u]:
                 return None
     return elim
+
+
+def _transitive_orientation(n: int, adj: Sequence[int]) -> Optional[list[int]]:
+    """Bitset core of `chargraph.transitive_orientation`: per-vertex
+    successor bitsets of a transitive orientation, or None if none exists.
+
+    Edge forcing: an oriented edge forces every edge sharing an endpoint
+    whose far ends are non-adjacent. Implication classes are oriented one
+    at a time (seeded from the lexicographically smallest remaining edge,
+    low index to high) and removed; a class containing some pair in both
+    directions, or a final orientation that is not transitive, certifies
+    non-comparability.
+    """
+    adj_rem = list(adj)
+    out = [0] * n
+    while True:
+        u = next((u for u in range(n) if adj_rem[u]), None)
+        if u is None:
+            break
+        visited: set[tuple[int, int]] = set()
+        queue = [(u, next(bits(adj_rem[u])))]
+        while queue:
+            a, b = queue.pop()
+            if (a, b) in visited:
+                continue
+            if (b, a) in visited:
+                return None
+            visited.add((a, b))
+            for c in bits(adj_rem[a] & ~adj_rem[b] & ~(1 << b)):
+                queue.append((a, c))
+            for c in bits(adj_rem[b] & ~adj_rem[a] & ~(1 << a)):
+                queue.append((c, b))
+        for a, b in visited:
+            out[a] |= 1 << b
+            adj_rem[a] &= ~(1 << b)
+            adj_rem[b] &= ~(1 << a)
+    # The scheme is guaranteed to produce a transitive orientation only for
+    # comparability graphs; verify and treat any failure as a refutation.
+    for u in range(n):
+        for v in bits(out[u]):
+            if out[v] & ~out[u]:
+                return None
+    return out
+
+
+def _co_orientation(n: int, adj: Sequence[int]) -> Optional[list[int]]:
+    """`_transitive_orientation` of the complement of the graph `adj`."""
+    full = (1 << n) - 1
+    return _transitive_orientation(n, [full ^ adj[v] ^ (1 << v) for v in range(n)])
+
+
+def _longest_paths(succ: Sequence[int], sizes: Sequence) -> Optional[list]:
+    """Each vertex's longest-path offset over the successor bitsets `succ`
+    (0 with no predecessor, else the largest predecessor's offset plus
+    size), or None if the arcs hold a cycle. On a transitive orientation
+    of each axis's complement these offsets place the boxes
+    (`packing_class._place`)."""
+    n = len(succ)
+    indeg = [sum(row >> w & 1 for row in succ) for w in range(n)]
+    pos = [0] * n
+    ready = [v for v in range(n) if not indeg[v]]
+    placed = 0
+    while ready:
+        v = ready.pop()
+        placed += 1
+        top = pos[v] + sizes[v]
+        for w in bits(succ[v]):
+            pos[w] = max(pos[w], top)
+            indeg[w] -= 1
+            if not indeg[w]:
+                ready.append(w)
+    return pos if placed == n else None
+
+
+def _heaviest_chain(succ: Sequence[int], w: Sequence) -> tuple:
+    """(weight, mask) of the heaviest chain of the acyclic successor
+    bitsets `succ` under non-negative weights `w`: from the first vertex
+    with the largest longest-path offset plus weight, back through the
+    first predecessor that sets each offset. On a transitive orientation
+    of a graph's complement, chains are the graph's stable sets."""
+    if not succ:
+        return 0, 0
+    pos = _longest_paths(succ, w)
+    v = max(range(len(pos)), key=lambda u: pos[u] + w[u])
+    total, chain = pos[v] + w[v], 1 << v
+    while pos[v]:
+        v = next(u for u in range(len(pos)) if succ[u] >> v & 1 and pos[u] + w[u] == pos[v])
+        chain |= 1 << v
+    return total, chain
 
 
 def _find_hole(G: Graph) -> Optional[tuple[str, ...]]:
@@ -410,43 +505,11 @@ def _max_clique(adj: Sequence[int], w: Sequence, P: int, floor=0) -> tuple:
 
 
 def max_weight_stable_set_interval(G: Graph, weight) -> tuple[Fraction, tuple[str, ...]]:
-    """Exact maximum-weight stable set of an interval graph, read off a
-    perfect elimination order, so exact on every chordal graph. Raises
-    NotInterval when G is not chordal."""
-    elim = _mcs_peo(G.n, G.adj)
-    if elim is None:
-        raise NotInterval("graph is not triangulated")
-    total, mask = _chordal_stable_set(G.adj, _as_weight_map(G, weight), elim)
+    """Exact maximum-weight stable set of an interval graph: the heaviest
+    chain of a transitive orientation of its complement. Raises
+    NotInterval when G is not an interval graph."""
+    co = _co_orientation(G.n, G.adj)
+    if co is None or _mcs_peo(G.n, G.adj) is None:
+        raise NotInterval("graph is not an interval graph")
+    total, mask = _heaviest_chain(co, _as_weight_map(G, weight))
     return to_fraction(total), G.names(mask)
-
-
-def _chordal_stable_set(adj: Sequence[int], w: Sequence, elim: Sequence[int]) -> tuple:
-    """Maximum-weight stable set of a chordal graph from a perfect
-    elimination order (Frank 1975): (weight, mask).
-
-    Forward pass: a vertex whose reduced weight is still positive is
-    marked and its reduced weight is taken off every later neighbor (its
-    later neighbors and itself form a clique). Backward pass: marked
-    vertices, latest first, join the set when no neighbor is in it yet.
-    """
-    rest = list(w)
-    marked = []
-    later = (1 << len(elim)) - 1
-    for v in elim:
-        later &= ~(1 << v)
-        r = rest[v]
-        if r > 0:
-            marked.append(v)
-            nbrs = adj[v] & later
-            while nbrs:
-                low = nbrs & -nbrs
-                nbrs ^= low
-                u = low.bit_length() - 1
-                rest[u] = rest[u] - r if rest[u] > r else 0
-    chosen = 0
-    total = 0
-    for v in reversed(marked):
-        if not adj[v] & chosen:
-            chosen |= 1 << v
-            total += w[v]
-    return total, chosen

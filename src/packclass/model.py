@@ -392,6 +392,18 @@ def _valid_spans(p: Packing, inst: Instance) -> list:
     return spans
 
 
+def _placed_packing(inst: Instance, placed: list[tuple[int, tuple[int, ...]]]) -> Packing:
+    """The one builder of a `Packing` from integer-scaled placements (box
+    index, corner), such as bottom-left's and the longest paths of
+    `packing_class._place`: one `Fraction` per distinct coordinate per
+    axis, checked by `_valid_spans`, so an invalid placement raises
+    InvalidPacking, under `python -O` too."""
+    axes = [{v: Fraction(v, inst.scale(i)) for v in {pos[i] for _, pos in placed}} for i in range(inst.d)]
+    packing = Packing({inst.ids[b]: tuple([axis[v] for axis, v in zip(axes, pos)]) for b, pos in placed})
+    _valid_spans(packing, inst)
+    return packing
+
+
 def validate_packing(p: Packing, inst: Instance) -> ValidationReport:
     """Check closedness and pairwise disjointness, reporting every violation.
 
@@ -423,7 +435,7 @@ def project_to_class(p: Packing, inst: Instance):
     if len(ids) < inst.n:
         inst = inst.restrict(ids)  # partial packing: class lives on the subset
     edge_sets = tuple(
-        Graph(ids, [(ids[k], ids[m]) for k, m in _pairs(_meets(spans, i))]) for i in range(inst.d)
+        Graph._of_bitsets(ids, [m ^ (1 << k) for k, m in enumerate(_meets(spans, i))]) for i in range(inst.d)
     )
     return PackingClass(instance=inst, edge_sets=edge_sets)
 

@@ -45,12 +45,12 @@ destroy; the search does not call it.
 Everything inside the search runs on integers: per-dimension adjacency
 bitsets (`EdgeState.plus_adj`/`minus_adj`), vertex indices and the
 instance's integer-scaled sizes, handed straight to the bitset cores in
-`graph`, `chargraph` and `packing_class`. A decision is a (dimension, pair
-index, sign) triple; box ids appear only in conflicts and prune
-certificates. The accept, on a fully decided state, orients each axis's
-minus graph transitively and places the boxes by longest paths
-(Gilmore-Hoffman); `Fraction`s, `Graph`s and the `PackingClass` are built
-only for the packing it returns.
+`graph`. A decision is a (dimension, pair index, sign) triple; box ids
+appear only in conflicts and prune certificates. The accept, on a fully
+decided state, orients each axis's minus graph transitively and places
+the boxes by longest paths (`packing_class._place`, as `extract_packing`
+does); `Fraction`s, `Graph`s and the `PackingClass` are built only for
+the packing it returns.
 """
 
 from __future__ import annotations
@@ -62,14 +62,12 @@ from functools import reduce
 from itertools import combinations
 from math import prod
 from numbers import Real
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-from .chargraph import _transitive_orientation
-from .errors import InvalidLimits, NoUndecided
-from .graph import Graph, _max_clique, _odd_closed_walk
-from .model import Instance, Packing, project_to_class, validate_packing
-from .packing_class import PackingClass, _longest_paths
+from .errors import InvalidLimits, NoUndecided, NotPackingClass
+from .graph import Graph, _max_clique, _odd_closed_walk, _transitive_orientation
+from .model import Instance, Packing, _placed_packing, project_to_class
+from .packing_class import PackingClass, _place
 
 INCLUDE = 1
 EXCLUDE = -1
@@ -131,6 +129,12 @@ class Prune:
 
 @dataclass
 class SearchOutcome:
+    """`packing_class`, on an answer of the exact engine, is the class the
+    search closed on (`_try_accept`): the packing's own overlap graphs
+    (`project_to_class`) are subgraphs of its graphs, often not equal to
+    them, since longest paths can set apart a pair the class lets overlap.
+    On a heuristic hit `solve_opp` sets it to that projection."""
+
     verdict: str  # "feasible" | "infeasible" | "resource_limit"
     packing: Optional[Packing]
     packing_class: Optional[PackingClass]
@@ -193,18 +197,9 @@ class EdgeState:
         self.stats = SearchStats()
 
     # -- bookkeeping ---------------------------------------------------
-    def pair_of(self, a: str, b: str) -> int:
-        return self.pid_of[self.inst.index(a)][self.inst.index(b)]
-
     def pair_ids(self, pid: int) -> tuple[str, str]:
         a, b = self.pairs[pid]
         return (self.inst.ids[a], self.inst.ids[b])
-
-    def e_plus(self, i: int) -> list[tuple[str, str]]:
-        return [self.pair_ids(p) for p in range(self.m) if self.status[i][p] == INCLUDE]
-
-    def e_minus(self, i: int) -> list[tuple[str, str]]:
-        return [self.pair_ids(p) for p in range(self.m) if self.status[i][p] == EXCLUDE]
 
     def mark(self) -> int:
         return len(self.trail)
@@ -459,29 +454,29 @@ def branch_select(state: EdgeState, start: int = 0) -> tuple[int, int, int]:
         order += [(i, chunk[k]) for k, _, i in keys]
 
 
-def _try_accept(state: EdgeState) -> Optional[tuple[Packing, PackingClass]]:
+def _try_accept(state: EdgeState) -> tuple[Packing, PackingClass]:
     """The leaf extraction: on a fully decided state, a packing and the
-    packing class it belongs to, or None when some axis's minus graph has
-    no transitive orientation.
+    packing class the search closed on, the plus graphs, of which the
+    packing's own overlap graphs are subgraphs (`SearchOutcome`).
 
     Per axis the minus graph, at a leaf the complement of the plus graph,
-    is oriented transitively, and its longest paths place the boxes
-    (Gilmore-Hoffman). Propagation leaves every fully decided state a
-    packing class (`prune_check`), so on a search leaf this succeeds: no
-    minus clique, hence no chain of the orientation, overflows its axis
-    (P2), and every pair is minus, hence apart, on some axis (P3). The
-    packing is validated (`_placed_packing`), and the class's graphs are
-    the plus graphs.
+    is oriented transitively, and `packing_class._place` places the boxes
+    by its longest paths (Gilmore-Hoffman) and validates the packing.
+    Propagation leaves every fully decided state a packing class
+    (`prune_check`), so on a search leaf this succeeds: no minus clique,
+    hence no chain of the orientation, overflows its axis (P2), and every
+    pair is minus, hence apart, on some axis (P3). Elsewhere it raises
+    NotPackingClass when a minus graph has no transitive orientation, and
+    InvalidPacking when the placement is no packing.
     """
-    coords = []
-    for minus, sizes in zip(state.minus_adj, state.sizes):
+    succs = []
+    for i, minus in enumerate(state.minus_adj):
         succ = _transitive_orientation(state.n, minus)
         if succ is None:
-            return None
-        coords.append(_longest_paths(succ, sizes))  # transitive, so acyclic
-    packing = _placed_packing(state.inst, list(enumerate(zip(*coords))))
-    edge_sets = tuple(Graph(state.inst.ids, state.e_plus(i)) for i in range(state.d))
-    return packing, PackingClass(instance=state.inst, edge_sets=edge_sets)
+            raise NotPackingClass(f"the minus graph of axis {i} has no transitive orientation")
+        succs.append(succ)
+    edge_sets = tuple(Graph._of_bitsets(state.inst.ids, plus) for plus in state.plus_adj)
+    return _place(state.inst, succs), PackingClass(instance=state.inst, edge_sets=edge_sets)
 
 
 def _bottom_left(inst: Instance, order: Sequence[int]) -> Optional[list[tuple[int, tuple[int, ...]]]]:
@@ -574,18 +569,6 @@ def _heuristic_orders(inst: Instance) -> Iterator[tuple[int, ...]]:
         if order not in seen:
             seen.add(order)
             yield order
-
-
-def _placed_packing(inst: Instance, placed: list[tuple[int, tuple[int, ...]]]) -> Packing:
-    """The `Packing` of integer-scaled placements (box index, corner), from
-    `_bottom_left` or the leaf extraction: one `Fraction` per distinct
-    coordinate per axis, validated against `inst` by an explicit raise, so
-    the check holds under `python -O`."""
-    axes = [{v: Fraction(v, inst.scale(i)) for v in {pos[i] for _, pos in placed}} for i in range(inst.d)]
-    packing = Packing({inst.ids[b]: tuple([axis[v] for axis, v in zip(axes, pos)]) for b, pos in placed})
-    if not validate_packing(packing, inst).valid:
-        raise AssertionError("solver produced an invalid packing")
-    return packing
 
 
 def heuristic_pack(inst: Instance, *, budget: Optional[_Budget] = None) -> Optional[Packing]:
@@ -740,12 +723,9 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
         if deadline is not None and time.perf_counter() > deadline:
             return outcome("resource_limit")
         if state.undecided == 0:
-            accept = _try_accept(state)
-            if accept is not None:
-                return outcome("feasible", *accept)
-        else:
-            pos, i, pid = branch_select(state, stack[-1][1] if stack else 0)
-            stack.append((state.mark(), pos, i, pid, (INCLUDE, EXCLUDE)))
+            return outcome("feasible", *_try_accept(state))
+        pos, i, pid = branch_select(state, stack[-1][1] if stack else 0)
+        stack.append((state.mark(), pos, i, pid, (INCLUDE, EXCLUDE)))
         # Enter the next child that propagates without conflict.
         while stack:
             mark, pos, i, pid, signs = stack.pop()

@@ -5,14 +5,18 @@ A tuple of per-axis graphs (V, E_1..E_d) is a packing class when
   P1: each graph is an interval graph,
   P2: every stable set of graph i fits along axis i, and
   P3: no pair of boxes is adjacent in all d graphs.
-Any such tuple can be transitively oriented (complement-wise) and the
-orientation extracted into a gapless packing by longest paths.
+One orientation per axis serves all three uses: a transitive
+orientation of the complement proves the graph interval (P1, with
+chordality: Gilmore-Hoffman), its heaviest chain is the graph's heaviest
+stable set (P2), and its longest paths place the boxes in a gapless
+packing (`_place`, which the search's accept calls too).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from . import chargraph
@@ -24,15 +28,8 @@ from .errors import (
     NotPackingClass,
     UnknownVertex,
 )
-from .graph import (
-    Graph,
-    _chordal_stable_set,
-    _max_clique,
-    _mcs_peo,
-    bits,
-    complement,
-)
-from .model import Instance, Packing
+from .graph import Graph, _heaviest_chain, _longest_paths, _max_clique, complement
+from .model import Instance, Packing, _pairs, _placed_packing
 
 
 @dataclass(frozen=True)
@@ -109,16 +106,16 @@ def _as_graphs(E: EdgeSetsLike, inst: Instance) -> tuple[Graph, ...]:
 def verify_packing_class(E: EdgeSetsLike, inst: Instance) -> ClassReport:
     """Check P1/P2/P3 and report per-condition verdicts with witnesses.
 
-    P1 is the accept's test (`chargraph._interval_check`), and P2 reads
-    the heaviest stable set off the same elimination order. Witnesses: a
-    chordless cycle or asteroidal triple for P1, an overweight stable set
-    (with its weight) for P2, a shared edge for P3.
+    P1 is Gilmore-Hoffman (`chargraph._interval_check`), and P2 reads the
+    heaviest stable set off the transitive orientation of the complement
+    that proves P1, as its heaviest chain. Witnesses: a chordless cycle
+    or asteroidal triple for P1, an overweight stable set (with its
+    weight) for P2, a shared edge for P3.
     """
     graphs = _as_graphs(E, inst)
     p1_ok, p1_wit, p2_ok, p2_wit = [], [], [], []
     for i, G in enumerate(graphs):
-        elim = _mcs_peo(inst.n, G.adj)
-        check = chargraph._interval_check(G, elim)
+        check, co = chargraph._interval_check(G)
         p1_ok.append(check.is_interval)
         if not check.is_interval:
             p1_wit.append(("hole", check.hole) if check.hole else ("asteroidal_triple", check.asteroidal_triple))
@@ -126,19 +123,13 @@ def verify_packing_class(E: EdgeSetsLike, inst: Instance) -> ClassReport:
             p2_wit.append(None)
             continue
         p1_wit.append(None)
-        weight, stable = _chordal_stable_set(G.adj, [size[i] for size in inst.int_sizes], elim)
+        weight, stable = _heaviest_chain(co, [size[i] for size in inst.int_sizes])
         fits = weight <= inst.int_container(i)
         p2_ok.append(fits)
         p2_wit.append(None if fits else (G.names(stable), Fraction(weight, inst.scale(i))))
-    shared: Optional[tuple[str, str]] = None
-    common = graphs[0].adj
-    for g in graphs[1:]:
-        common = tuple(a & b for a, b in zip(common, g.adj))
-    for u in range(inst.n):
-        rest = common[u] >> (u + 1) << (u + 1)
-        if rest:
-            shared = (inst.ids[u], inst.ids[next(bits(rest))])
-            break
+    common = [reduce(int.__and__, column) for column in zip(*(G.adj for G in graphs))]
+    pair = next(_pairs(common), None)  # the first pair in id order adjacent on every axis
+    shared = None if pair is None else (inst.ids[pair[0]], inst.ids[pair[1]])
     return ClassReport(
         p1_ok=tuple(p1_ok),
         p1_witnesses=tuple(p1_wit),
@@ -173,49 +164,41 @@ def extract_packing(F: Orientation, inst: Instance) -> Packing:
 
     In dimension i a box goes at the maximum, over incoming arcs (u, v) of
     the i-th orientation, of position(u) + size_i(u); boxes with no
-    incoming arc sit at 0. The result is a valid, gapless packing. A thin
-    wrapper over `_longest_paths` on the instance's integer sizes.
+    incoming arc sit at 0. On an `orient_class` result this is a valid,
+    gapless packing. A thin wrapper over `_place`: raises
+    CyclicOrientation on a cycle, and InvalidPacking when the result is
+    no packing, as on an acyclic orientation of no packing class.
     """
     if len(F.dags) != inst.d:
         raise DimensionMismatch(f"expected {inst.d} orientations, got {len(F.dags)}")
-    coords = []
-    for i in range(inst.d):
+    succs = []
+    for dag in F.dags:
         succ = [0] * inst.n
-        for a, b in F.dags[i].arcs:
+        for a, b in dag.arcs:
             succ[inst.index(a)] |= 1 << inst.index(b)
-        pos = _longest_paths(succ, [inst.int_size(v, i) for v in range(inst.n)])
+        succs.append(succ)
+    return _place(inst, succs)
+
+
+def _place(inst: Instance, succs: Sequence[Sequence[int]]) -> Packing:
+    """Each box placed, on each axis i, at its longest-path offset over the
+    successor bitsets `succs[i]` (integer sizes), built and validated by
+    `model._placed_packing`; raises as `extract_packing` does."""
+    coords = []
+    for i, succ in enumerate(succs):
+        pos = _longest_paths(succ, [size[i] for size in inst.int_sizes])
         if pos is None:
             raise CyclicOrientation(f"orientation of dimension {i} has a cycle")
-        coords.append([Fraction(p, inst.scale(i)) for p in pos])
-    return Packing({box_id: pos for box_id, *pos in zip(inst.ids, *coords)})
-
-
-def _longest_paths(succ: Sequence[int], sizes: Sequence[int]) -> Optional[list[int]]:
-    """Bitset core of `extract_packing`, also called by the search engine's
-    accept: each vertex's longest-path offset over the successor bitsets
-    `succ` (0 with no predecessor, else the largest predecessor's offset
-    plus size), or None if the arcs hold a cycle."""
-    n = len(succ)
-    indeg = [sum(row >> w & 1 for row in succ) for w in range(n)]
-    pos = [0] * n
-    ready = [v for v in range(n) if not indeg[v]]
-    placed = 0
-    while ready:
-        v = ready.pop()
-        placed += 1
-        top = pos[v] + sizes[v]
-        for w in bits(succ[v]):
-            pos[w] = max(pos[w], top)
-            indeg[w] -= 1
-            if not indeg[w]:
-                ready.append(w)
-    return pos if placed == n else None
+        coords.append(pos)
+    return _placed_packing(inst, list(enumerate(zip(*coords))))
 
 
 def clique_bound_holds(E: EdgeSetsLike, S: Iterable[str], i: int, inst: Optional[Instance] = None) -> bool:
     """Width bound: the subgraph of graph i induced on S must contain a
     clique of at least ceil(total width of S / container width). Genuine
-    packing classes always satisfy it; its contrapositive prunes search."""
+    packing classes always satisfy it. The search does not call it: on
+    fully decided boxes propagation's exact clique test implies it
+    (`opp.prune_check`)."""
     if isinstance(E, PackingClass) and inst is None:
         inst = E.instance
     if inst is None:

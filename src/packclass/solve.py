@@ -64,7 +64,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import InfeasibleCrossSection, InvalidInstance
 from .graph import bits
-from .model import Box, Instance, Packing, to_fraction
+from .model import Box, Instance, Packing, _placed_packing, to_fraction
 from .opp import (
     SearchLimits,
     SearchOutcome,
@@ -72,7 +72,6 @@ from .opp import (
     _bottom_left,
     _decide,
     _heuristic_orders,
-    _placed_packing,
     _screen_tables,
 )
 

@@ -5,13 +5,15 @@ criteria on transitive orientations; the chordality test with its hole
 witness, the interval model and the induced 4-cycle search are exercised
 against the library's own recognizers; the arc-state parity search is
 the reference for the library's odd-closed-walk search and for
-propagation's odd-cycle conflicts.
+propagation's odd-cycle conflicts; the pair lookup and per-axis edge
+lists read a search state by box ids.
 """
 
 from typing import Optional, Sequence
 
 from packclass.chargraph import Dag, NotComparability, transitive_orientation
 from packclass.errors import NotInterval, TooLarge
+from packclass.opp import EXCLUDE, INCLUDE
 from packclass.graph import (
     Graph,
     _find_hole,
@@ -301,3 +303,23 @@ def odd_closed_walk_by_arcs(
         even = unwind(2 * conflict)
         return tuple([head[s] for s in reversed(odd)] + [tail[s] for s in even])
     return None
+
+
+def pair_of(state, a: str, b: str) -> int:
+    """The index of the pair of box ids {a, b} in an `opp.EdgeState`."""
+    return state.pid_of[state.inst.index(a)][state.inst.index(b)]
+
+
+def _edges(state, i: int, sign: int) -> list[tuple[str, str]]:
+    return [state.pair_ids(p) for p in range(state.m) if state.status[i][p] == sign]
+
+
+def plus_edges(state, i: int) -> list[tuple[str, str]]:
+    """The included pairs of axis i of an `opp.EdgeState`, as box ids, in
+    pair order."""
+    return _edges(state, i, INCLUDE)
+
+
+def minus_edges(state, i: int) -> list[tuple[str, str]]:
+    """The excluded pairs of axis i, as `plus_edges` lists the included."""
+    return _edges(state, i, EXCLUDE)

@@ -194,13 +194,9 @@ def _decide(inst, use_heuristic, budget):
     stack = []
     while True:
         if state.undecided == 0:
-            accept = _try_accept(state)
-            if accept is not None:
-                return outcome("feasible", *accept)
-            stats.bump("leaf_reject")
-        else:
-            i, pid = branch_select(state)
-            stack.append((state.mark(), i, pid, (INCLUDE, EXCLUDE)))
+            return outcome("feasible", *_try_accept(state))
+        i, pid = branch_select(state)
+        stack.append((state.mark(), i, pid, (INCLUDE, EXCLUDE)))
         while stack:
             mark, i, pid, signs = stack.pop()
             state.undo_to(mark)

@@ -13,8 +13,8 @@ from fractions import Fraction
 from math import ceil, lcm
 
 from packclass.errors import InfeasibleCrossSection, InvalidInstance
-from packclass.model import Instance, Packing, to_fraction
-from packclass.opp import SearchLimits, _Budget, _bottom_left, _decide, _heuristic_orders, _placed_packing
+from packclass.model import Instance, Packing, _placed_packing, to_fraction
+from packclass.opp import SearchLimits, _Budget, _bottom_left, _decide, _heuristic_orders
 from packclass.solve import ResourceLimit, SppSolution
 
 

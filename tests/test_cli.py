@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -51,6 +54,25 @@ def test_opp_exit_codes(tmp_path, example_file):
     broken.write_text("{nope")
     assert run(["opp", str(broken)]) == 64
     assert run(["opp", str(tmp_path / "missing.json")]) == 64
+
+
+def test_invalid_packing_is_an_error_exit(example_file):
+    """An invalid packing met inside `opp` (injected here through the
+    validator) ends the process with exit 64 and the InvalidPacking
+    message, not with an escaped exception's 1, the infeasible code."""
+    script = (
+        "import sys\n"
+        "from packclass import cli, model\n"
+        "model._violations = lambda spans, container, inst: ('injected',)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", script, "opp", example_file], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert run.returncode == 64, run.stderr
+    assert run.stderr.startswith("error: packing is invalid: ('injected',)")
 
 
 def test_opp_resource_limit_exit(example_file, capsys):

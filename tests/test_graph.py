@@ -6,13 +6,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from packclass.chargraph import _co_orientation
 from packclass.errors import NotInterval, PackclassError, TooLarge, UnknownVertex
 from packclass.oracle import OracleConfig, oracle_is_interval
 from packclass.graph import (
     Graph,
     _asteroidal_triple,
-    _chordal_stable_set,
+    _co_orientation,
+    _heaviest_chain,
     _max_clique,
     _mcs_peo,
     _odd_closed_walk,
@@ -227,6 +227,9 @@ def test_mwss_interval_examples():
     assert w == 9 and members == ("v1",)
     with pytest.raises(NotInterval):
         max_weight_stable_set_interval(cycle_graph(4), {f"v{i}": 1 for i in range(4)})
+    # chordal, but its three leaves are an asteroidal triple
+    with pytest.raises(NotInterval):
+        max_weight_stable_set_interval(LONG_CLAW, dict.fromkeys(LONG_CLAW.vertices, 1))
 
 
 def test_mwss_interval_matches_brute_force():
@@ -253,9 +256,10 @@ def test_clique_stable_set_duality():
 def test_bitset_cores_match_oracle_and_brute_force():
     """The cores the search runs on raw bitsets: P1 (elimination order plus
     asteroidal triples, and elimination order plus an orientation of the
-    complement) against the definitional oracle, P2 (stable set
-    from the elimination order) and the clique search, with integer and
-    Fraction weights and a vertex mask, against brute force."""
+    complement) against the definitional oracle, P2 (the heaviest chain
+    of that orientation, with integer, Fraction and zero weights) and the
+    clique search, with integer and Fraction weights and a vertex mask,
+    against brute force."""
     rng = random.Random(15)
     config = OracleConfig(max_vertices=8)
     for _ in range(300):
@@ -264,17 +268,19 @@ def test_bitset_cores_match_oracle_and_brute_force():
         ints = [rng.randint(1, 9) for _ in range(n)]
         fracs = [Fraction(x, rng.randint(1, 5)) for x in ints]
         elim = _mcs_peo(n, G.adj)
+        co = _co_orientation(n, G.adj)
         is_interval = elim is not None and _asteroidal_triple(n, G.adj) is None
         assert is_interval == oracle_is_interval(G, config)
         # Gilmore-Hoffman: chordal with a transitively orientable complement
-        assert is_interval == (elim is not None and _co_orientation(n, G.adj) is not None)
+        assert is_interval == (elim is not None and co is not None)
+        # a chain of the complement's orientation is a stable set of G
+        for weights in (ints, fracs, [0] * n) if co is not None else ():
+            weight, mask = _heaviest_chain(co, weights)
+            assert weight == brute_max_weight_stable(G, dict(zip(G.vertices, weights)))
+            assert all(not G.adj[v] & mask for v in bits(mask))
+            assert weight == sum(weights[v] for v in bits(mask))
         for weights in (ints, fracs):
             by_id = dict(zip(G.vertices, weights))
-            if elim is not None:
-                weight, mask = _chordal_stable_set(G.adj, weights, elim)
-                assert weight == brute_max_weight_stable(G, by_id)
-                assert all(not G.adj[v] & mask for v in bits(mask))
-                assert weight == sum(weights[v] for v in bits(mask))
             weight, mask = _max_clique(G.adj, weights, (1 << n) - 1)
             assert weight == brute_max_weight_clique(G, by_id)
             assert all((G.adj[v] | 1 << v) & mask == mask for v in bits(mask))

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from packclass import opp
-from packclass.errors import NoUndecided
-from packclass.model import Box, Instance, validate_packing
+from packclass.errors import NoUndecided, NotPackingClass
+from packclass.model import Box, Instance, project_to_class, validate_packing
 from packclass.opp import (
     EXCLUDE,
     INCLUDE,
@@ -42,12 +42,11 @@ from packclass.sweep import exhaustive_grid
 from bottomleft import bottom_left_by_masks
 from certcheck import check_induced_c4, check_odd_2chordless_cycle
 from conftest import assert_same_tables
-from graphtools import odd_closed_walk_by_arcs
+from graphtools import minus_edges, odd_closed_walk_by_arcs, pair_of, plus_edges
 import reference_search as reference
 from packclass.graph import (
     Graph,
     _asteroidal_triple,
-    _chordal_stable_set,
     _max_clique,
     _mcs_peo,
     _odd_closed_walk,
@@ -72,14 +71,14 @@ def test_initial_state_completes_stackable_pair():
     state = initial_state(inst)
     assert isinstance(state, EdgeState)
     assert state.undecided == 0
-    assert state.e_plus(0) == [("a", "b")]
-    assert state.e_minus(1) == [("a", "b")]
+    assert plus_edges(state, 0) == [("a", "b")]
+    assert minus_edges(state, 1) == [("a", "b")]
 
 
 def test_initial_state_five_box_forced_pair(five_box_example):
     state = initial_state(five_box_example)
-    assert ("b1", "b2") in state.e_plus(0)
-    assert ("b1", "b2") in state.e_minus(1)  # forced out by the shared-axis rule
+    assert ("b1", "b2") in plus_edges(state, 0)
+    assert ("b1", "b2") in minus_edges(state, 1)  # forced out by the shared-axis rule
 
 
 def test_propagate_forces_c4_completion_edge():
@@ -95,10 +94,10 @@ def test_propagate_forces_c4_completion_edge():
         (0, ("v2", "v4"), EXCLUDE),
         (0, ("v1", "v3"), EXCLUDE),
     ]
-    decisions = [(i, state.pair_of(a, b), sign) for i, (a, b), sign in decisions]
+    decisions = [(i, pair_of(state, a, b), sign) for i, (a, b), sign in decisions]
     for decision in decisions:
         assert propagate(state, decision) is None
-    pid = state.pair_of("v2", "v3")
+    pid = pair_of(state, "v2", "v3")
     assert state.status[0][pid] == EXCLUDE
     # and re-running the final decision is a no-op
     mark = state.mark()
@@ -148,7 +147,7 @@ def _fits_beside(state, i, pid):
 def _set_raw(state, i, a, b, sign):
     # `set_edge` tests no widths: a state built by hand never excludes a
     # pair too wide for the axis
-    pid = state.pair_of(a, b)
+    pid = pair_of(state, a, b)
     assert sign == INCLUDE or _fits_beside(state, i, pid)
     assert reference.set_edge(state, i, pid, sign) == "applied"
 
@@ -178,9 +177,9 @@ def test_propagation_leaves_no_plus_c4_with_minus_diagonals():
                 state.undo_to(mark)
                 continue
             for i in range(state.d):
-                plus = Graph(inst.ids, state.e_plus(i))
-                minus = set(map(frozenset, state.e_minus(i)))
-                for a, c in state.e_minus(i):
+                plus = Graph(inst.ids, plus_edges(state, i))
+                minus = set(map(frozenset, minus_edges(state, i)))
+                for a, c in minus_edges(state, i):
                     common = plus.names(plus.adj[plus.index(a)] & plus.adj[plus.index(c)])
                     for b, e in combinations(common, 2):
                         if check_induced_c4(plus, (a, b, c, e)):
@@ -246,7 +245,7 @@ def test_silent_prune_check_implies_clique_bound():
         if overweight_minus_clique(state) or prune_check(state) is not None:
             continue
         silent += 1
-        edge_sets = [state.e_plus(i) for i in range(d)]
+        edge_sets = [plus_edges(state, i) for i in range(d)]
         for i in range(d):
             decided = [0] * n
             for pid, (a, b) in enumerate(state.pairs):
@@ -272,7 +271,7 @@ def test_prune_check_odd_cycle():
             _set_raw(state, 0, a, b, INCLUDE)
     prune = prune_check(state)
     assert isinstance(prune, Prune) and prune.rule == "odd_cycle"
-    minus = Graph(inst.ids, state.e_minus(0))
+    minus = Graph(inst.ids, minus_edges(state, 0))
     assert check_odd_2chordless_cycle(minus, prune.certificate)
 
 
@@ -282,7 +281,7 @@ def test_propagate_conflicts_on_overweight_minus_clique():
         container=(5, 5),
     )
     state = initial_state(inst)
-    first, second, third = [(0, state.pair_of(x, y), EXCLUDE) for x, y in combinations("abc", 2)]
+    first, second, third = [(0, pair_of(state, x, y), EXCLUDE) for x, y in combinations("abc", 2)]
     assert propagate(state, first) is None and propagate(state, second) is None
     # widths 2+2+2 > 5: the exclusion that closes the clique conflicts
     mark = state.mark()
@@ -295,7 +294,7 @@ def test_propagate_conflicts_on_overweight_minus_clique():
 def test_branch_select_single_pair_and_determinism():
     inst = unit_boxes_instance(2)
     state = initial_state(inst)
-    pid = state.pair_of("v1", "v2")
+    pid = pair_of(state, "v1", "v2")
     # both axes are equally wide for the pair: the lower one first
     assert state.seq == [pid] and branch_select(state) == (0, 0, pid)
     propagate(state, (0, pid, EXCLUDE))
@@ -320,8 +319,8 @@ def test_search_branches_first_on_the_two_largest_boxes(monkeypatch):
     inst = Instance(boxes=[Box(b, s) for b, s in sizes.items()], container=(10, 8))
     state = initial_state(inst)
     assert state.undecided == state.d * state.m  # nothing too wide
-    first = (1, state.pair_of("v1", "v3"), INCLUDE)
-    second = (0, state.pair_of("v1", "v4"), INCLUDE)
+    first = (1, pair_of(state, "v1", "v3"), INCLUDE)
+    second = (0, pair_of(state, "v1", "v4"), INCLUDE)
     assert branch_select(state) == (0, *first[:2])
     propagate(state, first)
     assert branch_select(state, 0) == branch_select(state, 1) == (2, *second[:2])
@@ -543,16 +542,27 @@ def test_propagation_leaves_no_odd_closed_walk(monkeypatch):
 
 def _accept_by_definition(state):
     """P3, then per axis P1 (an elimination order and no asteroidal
-    triple) and P2 (the heaviest stable set fits), with no filter first."""
+    triple) and P2 (the heaviest clique of the complement fits), with no
+    filter first."""
     if any(all(row[pid] == INCLUDE for row in state.status) for pid in range(state.m)):
         return False
+    full = (1 << state.n) - 1
     for plus, sizes, cap in zip(state.plus_adj, state.sizes, state.caps):
-        elim = _mcs_peo(state.n, plus)
-        if elim is None or _asteroidal_triple(state.n, plus) is not None:
+        if _mcs_peo(state.n, plus) is None or _asteroidal_triple(state.n, plus) is not None:
             return False
-        if _chordal_stable_set(plus, sizes, elim)[0] > cap:
+        co = [full ^ row ^ (1 << v) for v, row in enumerate(plus)]
+        if _max_clique(co, sizes, full)[0] > cap:
             return False
     return True
+
+
+def accept_or_none(state):
+    """`_try_accept`'s packing and class, or None where it raises
+    NotPackingClass: a fully decided state that is no packing class."""
+    try:
+        return _try_accept(state)
+    except NotPackingClass:
+        return None
 
 
 def test_try_accept_matches_filter_free_check():
@@ -568,12 +578,12 @@ def test_try_accept_matches_filter_free_check():
 
     def accepted(state):
         assert state.undecided == 0
-        accept = _try_accept(state)
+        accept = accept_or_none(state)
         assert (accept is not None) == _accept_by_definition(state)
         if accept is not None:
             packing, pc = accept
             assert validate_packing(packing, state.inst).valid
-            assert pc.edge_sets == tuple(Graph(state.inst.ids, state.e_plus(i)) for i in range(state.d))
+            assert pc.edge_sets == tuple(Graph(state.inst.ids, plus_edges(state, i)) for i in range(state.d))
             assert verify_packing_class(pc, state.inst).all_ok
         return accept is not None
 
@@ -669,7 +679,7 @@ def test_decided_states_pass_the_check_exactly_when_accepted():
     kinds = Counter()
     for state, undone in random_walk_states(random.Random(84), 2500, undo=0.0):
         if state.undecided == 0 and not undone:
-            assert prune_check(state) is None and _try_accept(state) is not None
+            assert prune_check(state) is None and accept_or_none(state) is not None
             kinds["walk leaf"] += 1
     rng = random.Random(86)
     for _ in range(3000):
@@ -683,7 +693,7 @@ def test_decided_states_pass_the_check_exactly_when_accepted():
         if plus_c4_with_minus_diagonals(state):
             continue
         silent = prune_check(state) is None
-        assert silent == (_try_accept(state) is not None)
+        assert silent == (accept_or_none(state) is not None)
         kinds["built, accepted" if silent else "built, rejected"] += 1
     assert min(kinds.values()) >= 50 and len(kinds) == 3, kinds
 
@@ -720,7 +730,7 @@ def test_try_accept_rejects_asteroidal_triple():
     inst = Instance(boxes=[Box(v, (1, 1)) for v in names], container=(7, 7))
     state = EdgeState(inst)
     claw = [("c", "a1"), ("a1", "a2"), ("c", "b1"), ("b1", "b2"), ("c", "d1"), ("d1", "d2")]
-    plus = [state.pair_of(a, b) for a, b in claw]
+    plus = [pair_of(state, a, b) for a, b in claw]
     for pid in range(state.m):
         assert reference.set_edge(state, 1, pid, EXCLUDE) == "applied"
         if pid not in plus:
@@ -728,8 +738,9 @@ def test_try_accept_rejects_asteroidal_triple():
     for pid in plus:  # d1-d2 last
         assert reference.set_edge(state, 0, pid, INCLUDE) == "applied"
     assert state.undecided == 0 and not overweight_minus_clique(state)
-    assert _try_accept(state) is None
-    assert not verify_packing_class([state.e_plus(0), state.e_plus(1)], inst).all_ok
+    with pytest.raises(NotPackingClass):
+        _try_accept(state)
+    assert not verify_packing_class([plus_edges(state, 0), plus_edges(state, 1)], inst).all_ok
     # d1-d2 minus: a spider with short legs is interval
     state.undo_to(state.mark() - 1)
     assert reference.set_edge(state, 0, plus[-1], EXCLUDE) == "applied"
@@ -745,6 +756,30 @@ def tight_instance(rng, n):
             return Instance(
                 boxes=[Box(f"b{k}", s) for k, s in enumerate(sizes)], container=(10, 10)
             )
+
+
+def test_engine_class_holds_the_packing_projection():
+    """On an engine answer `packing_class` is the class the search closed
+    on, not the packing's own: on each axis the packing's projection
+    (`project_to_class`) is a subgraph of the returned graph, and both
+    classes verify. On seeded tight instances (heuristic off) the two
+    differ on most feasible answers, since longest paths set apart pairs
+    the class lets overlap."""
+    rng = random.Random(1)
+    limits = SearchLimits(max_nodes=2000, time_limit=None, use_heuristic=False)
+    seen = Counter()
+    for k in range(60):
+        inst = tight_instance(rng, 6 + k % 4)
+        out = solve_opp(inst, limits)
+        if out.verdict != "feasible":
+            continue
+        own = project_to_class(out.packing, inst)
+        assert verify_packing_class(own, inst).all_ok and verify_packing_class(out.packing_class, inst).all_ok
+        for mine, closed in zip(own.edge_sets, out.packing_class.edge_sets):
+            assert mine.vertices == closed.vertices == inst.ids
+            assert all(row & closed.adj[v] == row for v, row in enumerate(mine.adj)), k
+        seen["differ" if own.edge_sets != out.packing_class.edge_sets else "equal"] += 1
+    assert seen["differ"] >= 20, seen
 
 
 def check_pinned_trees(instances, pins, limits):
@@ -1343,28 +1378,27 @@ def test_too_wide_table_matches_definition():
 def test_validation_survives_python_O():
     """With asserts stripped, an invalid packing from the search, from the
     heuristic (in solve_opp, in the inner decisions of solve_okp and in
-    solve_spp's bound, where its own check is the only one), or an
-    infeasible all-stacked SPP height with the heuristic off (with it on,
-    the bound supplies that height's packing) still raises."""
+    solve_spp's bound, where its own check is the only one) still raises
+    InvalidPacking, and an infeasible all-stacked SPP height with the
+    heuristic off (with it on, the bound supplies that height's packing)
+    still raises its AssertionError."""
     script = """
-from packclass import opp, solve
+from packclass import model, opp, solve
+from packclass.errors import InvalidPacking
 from packclass.model import Box, Instance
 assert False, "asserts are on"
-class Invalid:
-    valid = False
-    violations = ("injected",)
-opp.validate_packing = lambda packing, inst: Invalid()
+model._violations = lambda spans, container, inst: ("injected",)
 inst = Instance(boxes=(Box("a", (1, 1)), Box("b", (1, 1))), container=(2, 2))
 for heuristic in (False, True):
     try:
         out = opp.solve_opp(inst, opp.SearchLimits(use_heuristic=heuristic))
         print("returned", out.verdict)
-    except AssertionError as exc:
+    except InvalidPacking as exc:
         print("raised:", exc)
 for run in (lambda: solve.solve_okp(inst), lambda: solve.solve_spp(inst.boxes, (2,))):
     try:
         print("returned", run())
-    except AssertionError as exc:
+    except InvalidPacking as exc:
         print("raised:", exc)
 solve._decide = lambda *args: opp.SearchOutcome("infeasible", None, None, opp.SearchStats())
 try:
@@ -1379,7 +1413,7 @@ except AssertionError as exc:
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == [
-        *["raised: solver produced an invalid packing"] * 4,
+        *["raised: packing is invalid: ('injected',)"] * 4,
         "raised: the all-stacked height must be feasible",
     ]
 

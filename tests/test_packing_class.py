@@ -216,6 +216,17 @@ def test_extract_packing_rejects_cyclic_orientation():
         extract_packing(Orientation(dags=(cycle,)), inst)
 
 
+def test_extract_packing_rejects_an_orientation_of_no_class():
+    # no arcs on either axis: longest paths put both boxes at the origin,
+    # on top of each other, and the placement is refused, not returned
+    from packclass.errors import InvalidPacking
+
+    inst = Instance(boxes=(Box("a", (1, 1)), Box("b", (1, 1))), container=(2, 2))
+    empty = Dag(("a", "b"), frozenset())
+    with pytest.raises(InvalidPacking):
+        extract_packing(Orientation(dags=(empty, empty)), inst)
+
+
 def test_clique_bound_arithmetic():
     # four boxes of width 3 against W=5 force ceil(12/5) = 3 mutually
     # overlapping boxes in that dimension
