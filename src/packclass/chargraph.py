@@ -76,7 +76,10 @@ def transitive_orientation(G: Graph):
     out = _transitive_orientation(G.n, G.adj)
     if out is None:
         return NotComparability(find_odd_2chordless_cycle(G))
-    arcs = frozenset(
-        (G.vertices[u], G.vertices[v]) for u in range(G.n) for v in bits(out[u])
-    )
-    return Dag(vertices=G.vertices, arcs=arcs)
+    return _dag(G.vertices, out)
+
+
+def _dag(vertices: tuple[str, ...], succ: list[int]) -> Dag:
+    """The `Dag` over `vertices` of the successor bitsets `succ`."""
+    arcs = frozenset((vertices[u], vertices[v]) for u, row in enumerate(succ) for v in bits(row))
+    return Dag(vertices=vertices, arcs=arcs)

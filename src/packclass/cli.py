@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="random mode: generator seed")
     p.add_argument("--max-boxes", type=_at_least_one, default=4)
     p.add_argument("--max-size", type=_at_least_one, default=3)
-    p.add_argument("--container", type=int, default=3)
+    p.add_argument("--container", type=_at_least_one, default=3)
     p.add_argument("--jobs", type=_at_least_one, default=1, help="parallel workers over instances")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_sweep)

@@ -308,8 +308,12 @@ def _transitive_orientation(n: int, adj: Sequence[int]) -> Optional[list[int]]:
     at a time (seeded from the lexicographically smallest remaining edge,
     low index to high) and removed; a class containing some pair in both
     directions, or a final orientation that is not transitive, certifies
-    non-comparability.
+    non-comparability. A complete graph, each edge its own class, comes
+    back in one pass as they orient it: index order, u -> v for all v > u.
     """
+    full = (1 << n) - 1
+    if all(adj[v] == full ^ (1 << v) for v in range(n)):
+        return [full ^ ((2 << u) - 1) for u in range(n)]
     adj_rem = list(adj)
     out = [0] * n
     while True:

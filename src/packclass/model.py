@@ -382,10 +382,9 @@ def _violations(spans: list, container: list[int], inst: Instance) -> tuple:
     return tuple(violations)
 
 
-def _valid_spans(p: Packing, inst: Instance) -> list:
-    """`_on_grid` spans of a packing that must be valid; raises
-    InvalidPacking otherwise."""
-    spans, container = _on_grid(p, inst)
+def _valid_spans(spans: list, container: Sequence[int], inst: Instance) -> list:
+    """The spans of a packing that must be valid, as `_violations` checks
+    them against `container`; raises InvalidPacking otherwise."""
     violations = _violations(spans, container, inst)
     if violations:
         raise InvalidPacking(f"packing is invalid: {violations[:3]!r}")
@@ -394,13 +393,17 @@ def _valid_spans(p: Packing, inst: Instance) -> list:
 
 def _placed_packing(inst: Instance, placed: list[tuple[int, tuple[int, ...]]]) -> Packing:
     """The one builder of a `Packing` from integer-scaled placements (box
-    index, corner), such as bottom-left's and the longest paths of
-    `packing_class._place`: one `Fraction` per distinct coordinate per
-    axis, checked by `_valid_spans`, so an invalid placement raises
-    InvalidPacking, under `python -O` too."""
+    index, non-negative corner), such as bottom-left's and the longest
+    paths of `packing_class._place`. Their `[lo, hi)` spans are checked on
+    the instance's own grid first, so an invalid placement raises
+    InvalidPacking, under `python -O` too; only then is one `Fraction`
+    made per distinct coordinate per axis, and the `Packing` built of them."""
+    spans = [(b, [(lo, lo + w) for lo, w in zip(pos, inst.int_sizes[b])]) for b, pos in placed]
+    _valid_spans(spans, inst._int_container, inst)  # type: ignore[attr-defined]
     axes = [{v: Fraction(v, inst.scale(i)) for v in {pos[i] for _, pos in placed}} for i in range(inst.d)]
-    packing = Packing({inst.ids[b]: tuple([axis[v] for axis, v in zip(axes, pos)]) for b, pos in placed})
-    _valid_spans(packing, inst)
+    positions = {inst.ids[b]: tuple([axis[v] for axis, v in zip(axes, pos)]) for b, pos in placed}
+    packing = object.__new__(Packing)
+    object.__setattr__(packing, "positions", positions)
     return packing
 
 
@@ -430,7 +433,7 @@ def project_to_class(p: Packing, inst: Instance):
     from .packing_class import PackingClass  # deferred: avoids import cycle
     from .graph import Graph
 
-    spans = sorted(_valid_spans(p, inst))  # instance order
+    spans = sorted(_valid_spans(*_on_grid(p, inst), inst))  # instance order
     ids = [inst.ids[idx] for idx, _ in spans]
     if len(ids) < inst.n:
         inst = inst.restrict(ids)  # partial packing: class lives on the subset
@@ -442,7 +445,7 @@ def project_to_class(p: Packing, inst: Instance):
 
 def is_gapless(p: Packing, inst: Instance) -> bool:
     """True iff every coordinate is 0 or flush with another box's far side."""
-    spans = _valid_spans(p, inst)
+    spans = _valid_spans(*_on_grid(p, inst), inst)
     for i in range(inst.d):
         tops = {box[i][1] for _, box in spans}
         if any(box[i][0] != 0 and box[i][0] not in tops for _, box in spans):

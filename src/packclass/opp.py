@@ -14,8 +14,9 @@ propagation applies the forced consequences:
     never gain a chord, and chordless 4-cycles are not interval);
   * an exclusion that completes a clique of excluded pairs wider than the
     axis conflicts (the clique is a stable set of the final graph, so P2
-    fails): one exact clique search over the common excluded neighbours
-    of the new pair, so no such clique survives propagation;
+    fails): one exact test over the common excluded neighbours of the new
+    pair, inline for up to two of them and a clique search for more, so
+    no such clique survives propagation;
   * an assignment that closes an odd 2-chordless cycle in the excluded
     graph, its potential 2-chords all included, conflicts (the excluded
     graph could never become a comparability graph, so P1 fails): each
@@ -205,16 +206,17 @@ class EdgeState:
         return len(self.trail)
 
     def undo_to(self, mark: int) -> None:
-        trail, status, pairs = self.trail, self.status, self.pairs
-        while len(trail) > mark:
-            i, pid = trail.pop()
+        status, pairs, plus_adj, minus_adj = self.status, self.pairs, self.plus_adj, self.minus_adj
+        undone = self.trail[mark:]
+        del self.trail[mark:]
+        self.undecided += len(undone)
+        for i, pid in undone:  # each pair at most once, so in any order
             row = status[i]
             a, b = pairs[pid]
-            adj = self.plus_adj[i] if row[pid] == INCLUDE else self.minus_adj[i]
+            adj = plus_adj[i] if row[pid] == INCLUDE else minus_adj[i]
             adj[a] &= ~(1 << b)
             adj[b] &= ~(1 << a)
             row[pid] = 0
-            self.undecided += 1
         joins, ups, pars, set_sizes = self.joins, self.up, self.par, self.size
         while joins and joins[-1][0] >= mark:
             _, i, v = joins.pop()
@@ -253,12 +255,13 @@ def propagate(state: EdgeState, *decisions: tuple[int, int, int]) -> Optional[Co
     tested: `initial_state` includes every too-wide pair first, so
     excluding one conflicts. Each new exclusion is tested for a minus
     clique through it heavier than the axis, so a conflict-free result
-    leaves none (P2 on every decided set). Each assignment then joins, in
-    its axis's parity union-find, the two minus arcs of each step it makes
-    legal; a join that closes an odd closed walk over the steps (an odd
-    2-chordless cycle, Gallai's obstruction to a comparability graph)
-    conflicts as `odd_cycle`, so a conflict-free result leaves none
-    either.
+    leaves none (P2 on every decided set); up to two common minus
+    neighbours of the pair are weighed inline, more by `_max_clique`.
+    Each assignment then joins, in its axis's parity union-find, the two
+    minus arcs of each step it makes legal; a join that closes an odd
+    closed walk over the steps (an odd 2-chordless cycle, Gallai's
+    obstruction to a comparability graph) conflicts as `odd_cycle`, so a
+    conflict-free result leaves none either.
     """
     # A `for` over a list also visits what is appended during the loop:
     # the queue is first in, first out without a deque's pops.
@@ -266,7 +269,7 @@ def propagate(state: EdgeState, *decisions: tuple[int, int, int]) -> Optional[Co
     status, pairs, pid_of, trail = state.status, state.pairs, state.pid_of, state.trail
     plus_adj, minus_adj, joins = state.plus_adj, state.minus_adj, state.joins
     ups, pars, set_sizes = state.up, state.par, state.size
-    d = state.d
+    roomy, sizes, caps, d = state.roomy, state.sizes, state.caps, state.d
     mark = len(trail)
     conflict = None
     for i, pid, sign, rule in queue:
@@ -346,11 +349,20 @@ def propagate(state: EdgeState, *decisions: tuple[int, int, int]) -> Optional[Co
             # the edge that completed it, so this exact test at each new
             # edge leaves none. {a, b} alone fits: `initial_state`
             # includes too-wide pairs. On a roomy axis every clique fits.
-            common = 0 if state.roomy[i] else minus[a] & minus[b]
-            w = state.sizes[i]
-            if common and _max_clique(minus, w, common, state.caps[i] - w[a] - w[b])[1]:
-                conflict = Conflict(rule="minus_clique", dimension=i, pair=state.pair_ids(pid))
-                break
+            common = 0 if roomy[i] else minus[a] & minus[b]
+            if common:
+                w = sizes[i]
+                floor = caps[i] - w[a] - w[b]
+                x = common & -common
+                y = common ^ x
+                if y & (y - 1):  # three or more common neighbours
+                    heavy = _max_clique(minus, w, common, floor)[1]
+                else:  # {x} or {x, y}: the heaviest clique, as `_max_clique` weighs it
+                    wx, wy = w[x.bit_length() - 1], (w[y.bit_length() - 1] if y else 0)
+                    heavy = (wx + wy if minus[x.bit_length() - 1] & y else max(wx, wy)) > floor
+                if heavy:
+                    conflict = Conflict(rule="minus_clique", dimension=i, pair=state.pair_ids(pid))
+                    break
             # new steps (x, a) -> (a, b), then (a, b) -> (b, x)
             links = []
             xs = minus[a] & plus[b]
@@ -683,61 +695,59 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
     by the number of (dimension, pair) variables, not by the call stack.
     Every dead end is a propagation conflict. The accept, `_try_accept`,
     runs only on fully decided states, the root too when it is one, and
-    succeeds on every one (see `prune_check`). Each open node keeps the
-    position in `state.order` of the variable it branches on, and
-    `branch_select` scans its children's states from there, never from
-    zero at depth. `max_nodes` is a hard cap: no child is entered once
-    the nodes charged reach it.
+    succeeds on every one (see `prune_check`). Each open node is one
+    frame (trail mark, position in `state.order`, dimension, pair index,
+    sign still to try, or 0): a child is entered by propagating its
+    decision and left by undoing the trail to the frame's mark, and its
+    `branch_select` scan starts at the frame's position, never at zero.
+    `max_nodes` is a hard cap: no child is entered once the nodes charged
+    reach it.
     """
     stats = SearchStats()
     start = time.perf_counter()
-    # Read once, and charged once on return: the per-node check compares locals.
+    # Read once; the node count, a local, is charged and written to `stats` on return.
     max_nodes, deadline = budget.nodes_left, budget.deadline
 
-    def outcome(verdict: str, packing=None, pc=None) -> SearchOutcome:
+    def outcome(verdict: str, nodes: int, packing=None, pc=None) -> SearchOutcome:
         stats.wall_time = time.perf_counter() - start
-        budget.nodes_left -= stats.nodes
+        stats.nodes = stats.decisions = nodes
+        budget.nodes_left -= nodes
         return SearchOutcome(verdict=verdict, packing=packing, packing_class=pc, stats=stats)
 
     if use_heuristic:
         packing = heuristic_pack(inst, budget=budget)
         if packing is not None:
             stats.bump("heuristic")
-            return outcome("feasible", packing)
+            return outcome("feasible", 0, packing)
     # Building the initial state can outlast a short time limit on many
     # boxes; the loop's first deadline check follows it.
     if budget.expired():
-        return outcome("resource_limit")
+        return outcome("resource_limit", 0)
     state = initial_state(inst)
     if isinstance(state, ImmediateConflict):
         stats.bump("initial_conflict")
-        return outcome("infeasible")
-    stats = state.stats
-
-    # Each open node is (trail mark, position in `state.order`, dimension,
-    # pair index, signs still to try). A child is entered by propagating its
-    # decision and left by undoing the trail to its parent's mark; its own
-    # branching scan starts at its parent's position.
-    stack: list[tuple[int, int, int, int, tuple[int, ...]]] = []
+        return outcome("infeasible", 0)
+    stats, trail = state.stats, state.trail
+    stack: list[tuple[int, int, int, int, int]] = []  # the open nodes' frames
+    nodes = 0
     while True:
         if deadline is not None and time.perf_counter() > deadline:
-            return outcome("resource_limit")
+            return outcome("resource_limit", nodes)
         if state.undecided == 0:
-            return outcome("feasible", *_try_accept(state))
+            return outcome("feasible", nodes, *_try_accept(state))
         pos, i, pid = branch_select(state, stack[-1][1] if stack else 0)
-        stack.append((state.mark(), pos, i, pid, (INCLUDE, EXCLUDE)))
+        stack.append((len(trail), pos, i, pid, INCLUDE))
         # Enter the next child that propagates without conflict.
         while stack:
-            mark, pos, i, pid, signs = stack.pop()
-            if len(state.trail) > mark:  # else the undo is a no-op
+            mark, pos, i, pid, sign = stack.pop()
+            if len(trail) > mark:  # else the undo is a no-op
                 state.undo_to(mark)
-            if signs:
-                if stats.nodes >= max_nodes:
-                    return outcome("resource_limit")
-                stack.append((mark, pos, i, pid, signs[1:]))
-                stats.nodes += 1
-                stats.decisions += 1
-                if propagate(state, (i, pid, signs[0])) is None:
+            if sign:
+                if nodes >= max_nodes:
+                    return outcome("resource_limit", nodes)
+                stack.append((mark, pos, i, pid, EXCLUDE if sign == INCLUDE else 0))
+                nodes += 1
+                if propagate(state, (i, pid, sign)) is None:
                     break
         else:
-            return outcome("infeasible")
+            return outcome("infeasible", nodes)

@@ -20,7 +20,7 @@ from functools import reduce
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from . import chargraph
-from .chargraph import Dag, NotComparability
+from .chargraph import Dag
 from .errors import (
     CyclicOrientation,
     DimensionMismatch,
@@ -28,7 +28,7 @@ from .errors import (
     NotPackingClass,
     UnknownVertex,
 )
-from .graph import Graph, _heaviest_chain, _longest_paths, _max_clique, complement
+from .graph import Graph, _heaviest_chain, _longest_paths, _max_clique
 from .model import Instance, Packing, _pairs, _placed_packing
 
 
@@ -112,10 +112,18 @@ def verify_packing_class(E: EdgeSetsLike, inst: Instance) -> ClassReport:
     or asteroidal triple for P1, an overweight stable set (with its
     weight) for P2, a shared edge for P3.
     """
+    return _class_check(E, inst)[0]
+
+
+def _class_check(E: EdgeSetsLike, inst: Instance) -> tuple[ClassReport, list]:
+    """`verify_packing_class`, with the per-axis successor bitsets of the
+    complement orientations that prove P1 (None where P1 fails), which
+    `orient_class` turns into its `Dag`s."""
     graphs = _as_graphs(E, inst)
-    p1_ok, p1_wit, p2_ok, p2_wit = [], [], [], []
+    p1_ok, p1_wit, p2_ok, p2_wit, cos = [], [], [], [], []
     for i, G in enumerate(graphs):
         check, co = chargraph._interval_check(G)
+        cos.append(co)
         p1_ok.append(check.is_interval)
         if not check.is_interval:
             p1_wit.append(("hole", check.hole) if check.hole else ("asteroidal_triple", check.asteroidal_triple))
@@ -130,33 +138,25 @@ def verify_packing_class(E: EdgeSetsLike, inst: Instance) -> ClassReport:
     common = [reduce(int.__and__, column) for column in zip(*(G.adj for G in graphs))]
     pair = next(_pairs(common), None)  # the first pair in id order adjacent on every axis
     shared = None if pair is None else (inst.ids[pair[0]], inst.ids[pair[1]])
-    return ClassReport(
-        p1_ok=tuple(p1_ok),
-        p1_witnesses=tuple(p1_wit),
-        p2_ok=tuple(p2_ok),
-        p2_witnesses=tuple(p2_wit),
-        p3_ok=shared is None,
-        p3_witness=shared,
-    )
+    return ClassReport(tuple(p1_ok), tuple(p1_wit), tuple(p2_ok), tuple(p2_wit), shared is None, shared), cos
 
 
 def orient_class(E: EdgeSetsLike, inst: Optional[Instance] = None) -> Orientation:
     """Transitively orient each complement graph of a verified packing class.
 
-    Deterministic given the orientation tie-breaking rule. Raises
-    NotPackingClass when the edge sets fail verification.
+    Deterministic given the orientation tie-breaking rule: the `Dag`s are
+    the orientations that verification proved P1 with, so each complement
+    is oriented once. Raises NotPackingClass when the edge sets fail
+    verification.
     """
     if isinstance(E, PackingClass) and inst is None:
         inst = E.instance
     if inst is None:
         raise InvalidInstance("instance required when passing raw edge sets")
-    report = verify_packing_class(E, inst)
+    report, cos = _class_check(E, inst)
     if not report.all_ok:
         raise NotPackingClass(f"edge sets are not a packing class: {report}")
-    dags = tuple(chargraph.transitive_orientation(complement(g)) for g in _as_graphs(E, inst))
-    # P1 guarantees each complement is a comparability graph.
-    assert not any(isinstance(dag, NotComparability) for dag in dags)
-    return Orientation(dags=dags)
+    return Orientation(dags=tuple(chargraph._dag(inst.ids, co) for co in cos))
 
 
 def extract_packing(F: Orientation, inst: Instance) -> Packing:

@@ -296,6 +296,18 @@ def test_sweep_sizes_below_one_are_usage_errors(capsys, mode, flag, value):
     assert f"error: argument {flag}" in err and err.startswith("usage:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode", ["random", "exhaustive"])
+@pytest.mark.parametrize("value", ["0", "-3", "wide"])
+def test_sweep_container_below_one_is_a_usage_error(capsys, mode, value):
+    # `--container 0` once failed deep in instance construction with
+    # "container dimensions must be positive"
+    with pytest.raises(SystemExit) as exit_info:
+        run(["sweep", "--mode", mode, "--count", "3", "--max-boxes", "2", "--container", value])
+    assert exit_info.value.code == 64
+    err = capsys.readouterr().err
+    assert "error: argument --container" in err and err.startswith("usage:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", ["--count", "--jobs"])
 @pytest.mark.parametrize("value", ["0", "-1", "two"])
 def test_sweep_count_and_jobs_below_one_are_usage_errors(capsys, flag, value):

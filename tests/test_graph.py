@@ -16,6 +16,7 @@ from packclass.graph import (
     _max_clique,
     _mcs_peo,
     _odd_closed_walk,
+    _transitive_orientation,
     bits,
     complement,
     find_asteroidal_triple,
@@ -427,3 +428,24 @@ def test_max_clique_with_a_floor():
             assert _max_clique(G.adj, weights, 1 << v, floor) == expected, (weights[v], floor)
         assert _max_clique(G.adj, weights, 0, -1) == (0, 0)
         assert _max_clique(G.adj, weights, 0, weights[v]) == (weights[v], 0)
+
+
+def test_complete_graphs_orient_in_index_order():
+    """A complete graph comes back in index order, u -> v for every v > u,
+    which is transitive; with one edge taken away the graph goes through
+    the implication classes and still gets a transitive orientation of
+    exactly its edges."""
+    for n in range(71):
+        full = (1 << n) - 1
+        complete = [full ^ (1 << v) for v in range(n)]
+        succ = _transitive_orientation(n, complete)
+        assert succ == [sum(1 << v for v in range(u + 1, n)) for u in range(n)], n
+        assert all(not succ[v] & ~succ[u] for u in range(n) for v in bits(succ[u])), n
+        if n >= 3:
+            cut = list(complete)
+            cut[0] ^= 1 << n - 1
+            cut[n - 1] ^= 1
+            succ = _transitive_orientation(n, cut)
+            assert succ is not None, n
+            assert [succ[v] | sum(1 << u for u in range(n) if succ[u] >> v & 1) for v in range(n)] == cut, n
+            assert all(not succ[v] & ~succ[u] for u in range(n) for v in bits(succ[u])), n

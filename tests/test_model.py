@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import ceil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +24,7 @@ from packclass.model import (
     Instance,
     Overlap,
     Packing,
+    _placed_packing,
     is_gapless,
     project_to_class,
     validate_packing,
@@ -383,3 +389,70 @@ def test_box_value_defaults_to_volume():
     b = Box("a", (2, 3))
     assert b.value == 6
     assert Box("a", (2, 3), value=Fraction(1, 2)).value == Fraction(1, 2)
+
+
+def test_placed_packing_matches_the_public_constructor():
+    """Seeded random placements on the instance's own integer grid, d 1-3,
+    with scales off 1 (sizes and container in halves, thirds and sixths):
+    a valid one gives the `Packing` the public constructor builds from the
+    same `Fraction`s, box for box in the same order; an overlapping one or
+    one that sticks out of the container raises InvalidPacking."""
+    rng = random.Random(2031)
+    seen = Counter()
+    for _ in range(600):
+        d = rng.randint(1, 3)
+        dens = [rng.choice((1, 2, 3, 6)) for _ in range(d)]
+        container = [Fraction(rng.randint(3 * k, 6 * k), k) for k in dens]
+        inst = make(
+            [
+                (f"b{j}", [Fraction(rng.randint(1, int(w * k) // 2), k) for w, k in zip(container, dens)])
+                for j in range(rng.randint(1, 6))
+            ],
+            container,
+        )
+        placed = []
+        for b in rng.sample(range(inst.n), rng.randint(1, inst.n)):
+            room = [inst.int_container(i) - inst.int_size(b, i) + rng.choice((0, 0, 0, 1)) for i in range(d)]
+            placed.append((b, tuple(rng.randint(0, r) for r in room)))
+        expected = Packing(
+            {inst.ids[b]: tuple(Fraction(c, inst.scale(i)) for i, c in enumerate(pos)) for b, pos in placed}
+        )
+        violations = validate_packing(expected, inst).violations
+        seen[{Closedness: "out", Overlap: "overlap"}[type(violations[0])] if violations else "valid"] += 1
+        if violations:
+            with pytest.raises(InvalidPacking):
+                _placed_packing(inst, placed)
+            continue
+        got = _placed_packing(inst, placed)
+        assert got == expected
+        assert list(got.positions.items()) == list(expected.positions.items())
+        assert all(type(c) is Fraction for pos in got.positions.values() for c in pos)
+    assert len(seen) == 3 and min(seen.values()) >= 60, seen
+
+
+def test_placed_packing_raises_under_python_O():
+    """The placement check is an explicit raise, not an `assert`: with
+    asserts stripped an overlapping placement and one that sticks out of
+    the container still raise InvalidPacking, and a valid one is built."""
+    script = """
+from packclass.errors import InvalidPacking
+from packclass.model import Box, Instance, _placed_packing
+assert False, "asserts are on"
+inst = Instance(boxes=(Box("a", (2, 1)), Box("b", (2, 1))), container=(3, 2))
+for placed in ([(0, (0, 0)), (1, (1, 0))], [(0, (0, 0)), (1, (1, 1))], [(0, (2, 0))]):
+    try:
+        print("returned", _placed_packing(inst, placed).positions)
+    except InvalidPacking as exc:
+        print("raised:", exc)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "raised: packing is invalid: (Overlap(box_a='a', box_b='b'),)",
+        "returned {'a': (Fraction(0, 1), Fraction(0, 1)), 'b': (Fraction(1, 1), Fraction(1, 1))}",
+        "raised: packing is invalid: (Closedness(box='a', dimension=0),)",
+    ]

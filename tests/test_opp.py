@@ -291,6 +291,61 @@ def test_propagate_conflicts_on_overweight_minus_clique():
     assert propagate(state, (1, third[1], EXCLUDE)) is None
 
 
+def test_propagate_weighs_small_common_neighbourhoods_as_max_clique(monkeypatch):
+    """Excluding {a, b} on a tight axis conflicts exactly when the heaviest
+    clique of their common minus neighbours weighs more than the floor
+    cap - w[a] - w[b], that is when `_max_clique` over them returns a
+    clique; one or two neighbours are weighed inline, only three or more
+    go to `_max_clique`. The states are built by hand: minus edges only,
+    all on axis 0, so no other rule can fire."""
+    calls = []
+    search = opp._max_clique
+    monkeypatch.setattr(opp, "_max_clique", lambda *args: calls.append(args) or search(*args))
+
+    def conflicts(wa, wb, common, edges, others=(), cap=7):
+        """Boxes a, b, the common neighbours (widths `common`), boxes next
+        to a alone (`others`) and a filler as wide as the axis, so it is
+        not roomy; `edges` are minus edges among the common neighbours."""
+        widths = [wa, wb, *common, *others, cap]
+        inst = Instance(boxes=[Box(f"v{k}", (w, 1)) for k, w in enumerate(widths)], container=(cap, len(widths)))
+        state = EdgeState(inst)
+        near = range(2, 2 + len(common))
+        pairs = [(0, x) for x in near] + [(1, x) for x in near] + [(0, 2 + len(common) + k) for k in range(len(others))]
+        for p, q in pairs + [(2 + x, 2 + y) for x, y in edges]:
+            state.status[0][state.pid_of[p][q]] = EXCLUDE
+            state.minus_adj[0][p] |= 1 << q
+            state.minus_adj[0][q] |= 1 << p
+        minus = state.minus_adj[0]
+        expected = bool(search(minus, state.sizes[0], minus[0] & minus[1], cap - wa - wb)[1])
+        before = len(calls)
+        conflict = propagate(state, (0, state.pid_of[0][1], EXCLUDE))
+        assert conflict == (Conflict("minus_clique", 0, ("v0", "v1")) if expected else None)
+        assert (len(calls) > before) == (len(common) >= 3)
+        return expected
+
+    # floor 7 - 2 - 2 = 3: at the floor no conflict, one above it one
+    assert not conflicts(2, 2, [3], [])
+    assert conflicts(2, 2, [4], [])
+    assert not conflicts(2, 2, [1, 2], [(0, 1)])  # adjacent: their sum counts
+    assert conflicts(2, 2, [2, 2], [(0, 1)])
+    assert not conflicts(2, 2, [3, 3], [])  # apart: only the heavier counts
+    assert conflicts(2, 2, [3, 4], [])
+    assert not conflicts(2, 2, [1, 2, 3], [(0, 1)])
+    assert conflicts(2, 2, [1, 3, 2], [(0, 1)])
+    assert not conflicts(2, 2, [3, 3, 3], [], others=[5])  # v5 is next to a alone
+    rng = random.Random(2027)
+    seen = Counter()
+    for _ in range(600):
+        k = rng.randint(1, 5)
+        edges = [e for e in combinations(range(k), 2) if rng.random() < 0.5]
+        wa, wb = rng.randint(1, 3), rng.randint(1, 3)
+        cap = wa + wb + rng.randint(1, 6)  # the floor is 1 to 6
+        common = [rng.randint(1, min(6, cap)) for _ in range(k)]
+        others = [rng.randint(1, min(6, cap)) for _ in range(rng.randint(0, 2))]
+        seen[min(k, 3), conflicts(wa, wb, common, edges, others, cap)] += 1
+    assert len(seen) == 6 and min(seen.values()) >= 20, seen
+
+
 def test_branch_select_single_pair_and_determinism():
     inst = unit_boxes_instance(2)
     state = initial_state(inst)

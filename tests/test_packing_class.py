@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 import packclass
+from packclass import chargraph, graph
 from packclass.chargraph import Dag, IntervalCheck, is_interval_graph, transitive_orientation
 from packclass.errors import NotPackingClass
 from packclass.graph import (
@@ -159,6 +160,24 @@ def test_orient_class_deterministic_and_complete_graph_case():
     o2 = orient_class(pc_edges, inst)
     assert o1 == o2
     assert o1.dags[0].arcs == frozenset()  # complement of complete graph is empty
+
+
+def test_orient_class_orients_each_complement_once(monkeypatch):
+    """The `Dag`s are the orientations verification proved P1 with: one
+    `_transitive_orientation` per axis, wherever it is called from."""
+    calls = []
+    core = graph._transitive_orientation
+
+    def counted(n, adj):
+        calls.append(n)
+        return core(n, adj)
+
+    monkeypatch.setattr(graph, "_transitive_orientation", counted)
+    monkeypatch.setattr(chargraph, "_transitive_orientation", counted)
+    inst = two_box_instance()
+    orientation = orient_class([[("b1", "b2")], []], inst)
+    assert calls == [2, 2]
+    assert orientation.dags == (Dag(inst.ids, frozenset()), Dag(inst.ids, frozenset({("b1", "b2")})))
 
 
 def test_orient_class_rejects_non_class():
