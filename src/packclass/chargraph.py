@@ -1,9 +1,10 @@
 """Interval-graph recognition and transitive orientation: id-level
 wrappers over the bitset cores in `graph`, and their witnesses.
 
-Recognition is Gilmore-Hoffman (chordal, with a transitively orientable
-complement); a forbidden structure (a chordless cycle, else an asteroidal
-triple) is searched only once that test fails, as a checkable witness.
+Recognition is one transitive orientation of the complement that must
+be an interval order (`graph._interval_order`); a forbidden structure (a
+chordless cycle, else an asteroidal triple) is searched only once that
+test fails, as a checkable witness.
 Orientation (`graph._transitive_orientation`) breaks free choices by
 lowest vertex index, so output is deterministic; a graph without one gets
 an odd 2-chordless cycle as witness.
@@ -16,9 +17,8 @@ from typing import Optional
 
 from .graph import (
     Graph,
-    _co_orientation,
     _find_hole,
-    _mcs_peo,
+    _interval_order,
     _transitive_orientation,
     bits,
     find_asteroidal_triple,
@@ -52,9 +52,9 @@ class IntervalCheck:
 
 
 def is_interval_graph(G: Graph) -> IntervalCheck:
-    """Decide intervality (chordal, with a transitively orientable
-    complement); on failure return a chordless cycle (length >= 4) or an
-    asteroidal triple as witness."""
+    """Decide intervality (the complement's transitive orientation is an
+    interval order); on failure return a chordless cycle (length >= 4) or
+    an asteroidal triple as witness."""
     return _interval_check(G)[0]
 
 
@@ -62,12 +62,11 @@ def _interval_check(G: Graph) -> tuple[IntervalCheck, Optional[list[int]]]:
     """`is_interval_graph`, with the transitive orientation of G's
     complement that proves G interval (None when G is not):
     `verify_packing_class` reads P2 off it as its heaviest chain."""
-    if _mcs_peo(G.n, G.adj) is None:
-        return IntervalCheck(False, hole=_find_hole(G)), None
-    co = _co_orientation(G.n, G.adj)
-    if co is None:
-        return IntervalCheck(False, asteroidal_triple=find_asteroidal_triple(G)), None
-    return IntervalCheck(True), co
+    co = _interval_order(G.n, G.adj)
+    if co is not None:
+        return IntervalCheck(True), co
+    hole = _find_hole(G)  # None exactly on chordal graphs, which then hold an asteroidal triple
+    return IntervalCheck(False, hole, None if hole else find_asteroidal_triple(G)), None
 
 
 def transitive_orientation(G: Graph):

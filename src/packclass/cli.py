@@ -57,15 +57,20 @@ def _seconds(text: str) -> float:
     return value
 
 
-def _at_least_one(text: str) -> int:
-    """An integer count or size of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"invalid value {text!r} (want an integer >= 1)")
-    return value
+def _at_least(low: int):
+    """The argument type of an integer count, size or limit of at least
+    `low`; argparse names the flag when it refuses one."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r} (want an integer >= {low})")
+        return value
+
+    return parse
 
 
 def _limits(args) -> SearchLimits:
@@ -95,7 +100,7 @@ def _solver_flags(sub, drop_unfit: bool = True) -> None:
         _drop_unfit_flag(sub)
     sub.add_argument("--time-limit", type=_seconds, default=None,
                      help="seconds before giving up (default 60, or PACKCLASS_TIME_LIMIT)")
-    sub.add_argument("--node-limit", type=int, default=10_000_000)
+    sub.add_argument("--node-limit", type=_at_least(0), default=10_000_000)
     sub.add_argument("--no-heuristic", action="store_true",
                      help="skip the bottom-left heuristic and go straight to search")
 
@@ -359,18 +364,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="run the brute-force ground truth")
     p.add_argument("what", choices=["opp", "classes"])
     p.add_argument("instance")
-    p.add_argument("--cap", type=int, default=None, help="max classes to list")
+    p.add_argument("--cap", type=_at_least(0), default=None, help="max classes to list")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("sweep", help="solver-vs-oracle agreement sweep")
     p.add_argument("--mode", choices=["exhaustive", "random"], default="exhaustive")
-    p.add_argument("--count", type=_at_least_one, default=100, help="random mode: instance count")
+    p.add_argument("--count", type=_at_least(1), default=100, help="random mode: instance count")
     p.add_argument("--seed", type=int, default=0, help="random mode: generator seed")
-    p.add_argument("--max-boxes", type=_at_least_one, default=4)
-    p.add_argument("--max-size", type=_at_least_one, default=3)
-    p.add_argument("--container", type=_at_least_one, default=3)
-    p.add_argument("--jobs", type=_at_least_one, default=1, help="parallel workers over instances")
+    p.add_argument("--max-boxes", type=_at_least(1), default=4)
+    p.add_argument("--max-size", type=_at_least(1), default=3)
+    p.add_argument("--container", type=_at_least(1), default=3)
+    p.add_argument("--jobs", type=_at_least(1), default=1, help="parallel workers over instances")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_sweep)
 

@@ -6,14 +6,15 @@ graph's vertex order. Every algorithm lives here as one core over
 `(n, adjacency bitsets[, weights, vertex mask])` or successor bitsets,
 with plain numeric weights, which the engine calls directly on its own
 bitsets: the exact clique search that propagation runs at each new
-exclusion; the elimination order and the transitive orientation of the
-complement that test intervality (Gilmore-Hoffman); the longest paths of
-an orientation, which place boxes, and its heaviest chain, which is the
-heaviest stable set on an orientation of the complement; and the odd
-closed walk search that reads `prune_check`'s certificates. The `Graph`
-functions are thin wrappers over the same cores that take id-keyed
-weights as `Fraction`s and report results with original ids; holes and
-asteroidal triples are searched only as witnesses.
+exclusion; the transitive orientation of the complement, which proves a
+graph interval when it is an interval order (`_interval_order`); the
+longest paths of an orientation, which place boxes, and its heaviest
+chain, which is the heaviest stable set on an orientation of the
+complement; and the odd closed walk search that reads `prune_check`'s
+certificates. The `Graph` functions are thin wrappers over the same
+cores that take id-keyed weights as `Fraction`s and report results with
+original ids; holes and asteroidal triples are searched only as
+witnesses.
 """
 
 from __future__ import annotations
@@ -256,49 +257,6 @@ def _asteroidal_triple(n: int, adj: Sequence[int]) -> Optional[tuple[int, int, i
     return None
 
 
-def _mcs_peo(n: int, adj: Sequence[int]) -> Optional[list[int]]:
-    """Maximum-cardinality-search elimination order if the graph is
-    chordal, else None."""
-    weight = [0] * n
-    visited = 0
-    order_rev = []  # visit order; reversed it is the elimination order
-    for _ in range(n):
-        best, best_w = -1, -1
-        for v in range(n):
-            if not visited >> v & 1 and weight[v] > best_w:
-                best, best_w = v, weight[v]
-        visited |= 1 << best
-        order_rev.append(best)
-        fresh = adj[best] & ~visited
-        while fresh:
-            low = fresh & -fresh
-            fresh ^= low
-            weight[low.bit_length() - 1] += 1
-    elim = list(reversed(order_rev))
-    pos = [0] * n
-    for k, v in enumerate(elim):
-        pos[v] = k
-    later = [0] * n
-    mask_later = 0
-    for v in order_rev:
-        later[v] = adj[v] & mask_later
-        mask_later |= 1 << v
-    for v in elim:
-        lv = later[v]
-        if lv:
-            # u: the later neighbour eliminated first
-            u, rest = -1, lv
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                x = low.bit_length() - 1
-                if u < 0 or pos[x] < pos[u]:
-                    u = x
-            if lv & ~(1 << u) & ~adj[u]:
-                return None
-    return elim
-
-
 def _transitive_orientation(n: int, adj: Sequence[int]) -> Optional[list[int]]:
     """Bitset core of `chargraph.transitive_orientation`: per-vertex
     successor bitsets of a transitive orientation, or None if none exists.
@@ -346,10 +304,25 @@ def _transitive_orientation(n: int, adj: Sequence[int]) -> Optional[list[int]]:
     return out
 
 
-def _co_orientation(n: int, adj: Sequence[int]) -> Optional[list[int]]:
-    """`_transitive_orientation` of the complement of the graph `adj`."""
+def _interval_order(n: int, adj: Sequence[int]) -> Optional[list[int]]:
+    """The transitive orientation of the complement of the graph `adj` if
+    it is an interval order, else None: the one test of intervality.
+
+    A graph is an interval graph exactly when its complement has a
+    transitive orientation that is an interval order, and an order is one
+    exactly when it holds no 2+2, that is when its successor sets, or
+    equally its predecessor sets, are nested (Fishburn, J. Math. Psych.
+    7, 1970). Any one orientation decides: a 2+2 in it, u < x and v < y
+    with x outside v's successors and y outside u's, is the induced
+    4-cycle u-v-x-y-u of the graph. Sorted by size, nested sets form a
+    chain."""
     full = (1 << n) - 1
-    return _transitive_orientation(n, [full ^ adj[v] ^ (1 << v) for v in range(n)])
+    co = _transitive_orientation(n, [full ^ adj[v] ^ (1 << v) for v in range(n)])
+    if co is not None:
+        chain = sorted(co, key=int.bit_count)
+        if all(not low & ~high for low, high in zip(chain, chain[1:])):
+            return co
+    return None
 
 
 def _longest_paths(succ: Sequence[int], sizes: Sequence) -> Optional[list]:
@@ -393,7 +366,10 @@ def _heaviest_chain(succ: Sequence[int], w: Sequence) -> tuple:
 
 
 def _find_hole(G: Graph) -> Optional[tuple[str, ...]]:
-    """Find a chordless cycle of length >= 4 (assumes one exists)."""
+    """A chordless cycle of length >= 4, or None exactly when G is
+    chordal: some vertex b of a hole has non-adjacent neighbours a and c
+    joined by a path outside b's other neighbours, and a shortest such
+    path closes a hole through b."""
     n = G.n
     full = (1 << n) - 1
     for b in range(n):
@@ -512,8 +488,8 @@ def max_weight_stable_set_interval(G: Graph, weight) -> tuple[Fraction, tuple[st
     """Exact maximum-weight stable set of an interval graph: the heaviest
     chain of a transitive orientation of its complement. Raises
     NotInterval when G is not an interval graph."""
-    co = _co_orientation(G.n, G.adj)
-    if co is None or _mcs_peo(G.n, G.adj) is None:
+    co = _interval_order(G.n, G.adj)
+    if co is None:
         raise NotInterval("graph is not an interval graph")
     total, mask = _heaviest_chain(co, _as_weight_map(G, weight))
     return to_fraction(total), G.names(mask)

@@ -424,10 +424,12 @@ def prune_check(state: EdgeState) -> Optional[Prune]:
     so with the rule silent minus[S] is a comparability graph (Gallai). It
     is perfect, so S splits into as many minus cliques, each fitting the
     axis by propagation, as its largest plus clique: no width rule is
-    needed. On a fully decided state the plus graph, the complement, is
-    then AT-free with no plus 4-cycle, so chordal and interval
-    (Gilmore-Hoffman); with P2 and P3 by propagation the state is a
-    packing class, and the leaf extraction `_try_accept` succeeds on it.
+    needed. On a fully decided state the c4 rule leaves no plus 4-cycle
+    with minus diagonals, so no 2+2 in a transitive orientation of the
+    minus graph: it is an interval order, and the plus graph, the
+    complement, is interval (Fishburn); with P2 and P3 by propagation the
+    state is a packing class, and the leaf extraction `_try_accept`
+    succeeds on it.
     """
     for i in range(state.d):
         walk = _odd_closed_walk(state.n, state.minus_adj[i], state.plus_adj[i])

@@ -6,10 +6,10 @@ A tuple of per-axis graphs (V, E_1..E_d) is a packing class when
   P2: every stable set of graph i fits along axis i, and
   P3: no pair of boxes is adjacent in all d graphs.
 One orientation per axis serves all three uses: a transitive
-orientation of the complement proves the graph interval (P1, with
-chordality: Gilmore-Hoffman), its heaviest chain is the graph's heaviest
-stable set (P2), and its longest paths place the boxes in a gapless
-packing (`_place`, which the search's accept calls too).
+orientation of the complement that is an interval order proves the
+graph interval (P1), its heaviest chain is the graph's heaviest stable
+set (P2), and its longest paths place the boxes in a gapless packing
+(`_place`, which the search's accept calls too).
 """
 
 from __future__ import annotations
@@ -106,11 +106,11 @@ def _as_graphs(E: EdgeSetsLike, inst: Instance) -> tuple[Graph, ...]:
 def verify_packing_class(E: EdgeSetsLike, inst: Instance) -> ClassReport:
     """Check P1/P2/P3 and report per-condition verdicts with witnesses.
 
-    P1 is Gilmore-Hoffman (`chargraph._interval_check`), and P2 reads the
-    heaviest stable set off the transitive orientation of the complement
-    that proves P1, as its heaviest chain. Witnesses: a chordless cycle
-    or asteroidal triple for P1, an overweight stable set (with its
-    weight) for P2, a shared edge for P3.
+    P1 holds when the complement's transitive orientation is an interval
+    order (`chargraph._interval_check`), and P2 reads the heaviest stable
+    set off that orientation, as its heaviest chain. Witnesses: a
+    chordless cycle or asteroidal triple for P1, an overweight stable set
+    (with its weight) for P2, a shared edge for P3.
     """
     return _class_check(E, inst)[0]
 

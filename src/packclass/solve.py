@@ -9,17 +9,15 @@ projected to a packing class; its packing is still validated.
 
 OKP enumerates candidate subsets best-first by total value (then fewer
 boxes, then bitset), screening each and deciding survivors with the exact
-engine; the first feasible subset popped is optimal. Children of a
-dismissed subset drop one box, and each is pushed by one parent: a subset
-C that misses a positive-valued box only by C plus the highest
-positive-valued box it misses. That parent is worth strictly more, so it
-has popped, and pushed C, before any subset of C's value pops, just as
-some parent had when every popped subset pushed all its unseen children:
-the pop order is the same, only the pushes are fewer. The exception is
-the top value level, the subsets holding every positive-valued box. Their
-parents differ only in zero-valued boxes and all have the same value, so
-a zero-valued box is dropped only there, and each child is pushed by
-whichever parent pops first, through a set of pushed subsets. A heap
+engine; the first feasible subset popped is optimal. A zero-valued box
+adds a box and no value, so no optimal subset in that order holds one:
+the enumeration runs on the instance of the positive-valued boxes alone,
+and OKP never returns a zero-valued box. Children of a dismissed subset
+drop one box, and each is pushed by one parent: a subset C only by C
+plus the highest box it misses. That parent is worth strictly more, so
+it has popped, and pushed C, before any subset of C's value pops, just
+as some parent had when every popped subset pushed all its unseen
+children: the pop order is the same, only the pushes are fewer. A heap
 entry carries its subset's volume and whether it is known to hold no
 too-wide pair (then neither does any subset of it), so a popped subset
 is screened by one comparison, plus a pass over its pairs only while not
@@ -114,10 +112,14 @@ def solve_okp(
     the exact engine's nodes only, not the subsets enumerated and
     screened, so only `limits.time_limit` bounds the enumeration: with
     no time limit, many boxes of which few fit can keep it running for
-    a very long time. Each decided subset is derived from `inst`'s
-    integer tables, not validated afresh."""
+    a very long time. Only the positive-valued boxes are enumerated
+    (see the module docstring), and each decided subset is derived from
+    `inst`'s integer tables, not validated afresh."""
     limits = limits or SearchLimits()
     budget = _Budget(limits)
+    keep = [k for k, b in enumerate(inst.boxes) if b.value]
+    if len(keep) < inst.n:
+        inst = inst._derive(keep, inst.container)
     n = inst.n
     # Values on one integer scale; a positive scale keeps the heap order
     # and its ties.
@@ -157,12 +159,10 @@ def solve_okp(
         )
 
     full = (1 << n) - 1
-    positive = sum(1 << k for k in range(n) if values[k])
     # (-value, size, mask, volume, clean): masks are unique on the heap, so
     # the carried volume and "no too-wide pair inside" flag never decide
     # the order.
     heap = [(-sum(values), n, full, sum(volumes), False)]
-    pushed: set[int] = set()  # the top value level only
 
     while heap:
         neg_value, size, mask, volume, clean = heappop(heap)
@@ -195,25 +195,15 @@ def solve_okp(
                 return solution(mask, -neg_value, outcome.packing)
             stats["dismissed_opp"] += 1
             record(mask, "opp-infeasible")
-        # Children drop one box: a positive-valued box above every positive
-        # box the subset already misses, so each child has one parent.
+        # Children drop one box above every box the subset already
+        # misses, so each child has one parent.
         size -= 1
-        missing = positive & ~mask
-        rest = mask & positive & ~((1 << missing.bit_length()) - 1)
+        rest = mask & ~((1 << (full ^ mask).bit_length()) - 1)
         while rest:
             low = rest & -rest
             rest ^= low
             k = low.bit_length() - 1
             heappush(heap, (neg_value + values[k], size, mask ^ low, volume - volumes[k], clean))
-        if not missing:  # the top value level: zero-valued drops, each child once
-            rest = mask & ~positive
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                child = mask ^ low
-                if child not in pushed:
-                    pushed.add(child)
-                    heappush(heap, (neg_value, size, child, volume - volumes[low.bit_length() - 1], clean))
     raise AssertionError("unreachable: the empty subset is always feasible")
 
 

@@ -1,8 +1,9 @@
 """Graph algorithms that only the tests use.
 
 Orientation enumeration and its definitional check back the acceptance
-criteria on transitive orientations; the chordality test with its hole
-witness, the interval model and the induced 4-cycle search are exercised
+criteria on transitive orientations; the chordality test by definition
+(simplicial elimination) with its hole witness, the interval model and
+the induced 4-cycle search are exercised
 against the library's own recognizers; the arc-state parity search is
 the reference for the library's odd-closed-walk search and for
 propagation's odd-cycle conflicts; the pair lookup and per-axis edge
@@ -17,7 +18,6 @@ from packclass.opp import EXCLUDE, INCLUDE
 from packclass.graph import (
     Graph,
     _find_hole,
-    _mcs_peo,
     bits,
     complement,
 )
@@ -140,9 +140,28 @@ def enumerate_transitive_orientations(G: Graph, cap: Optional[int] = None) -> li
     return results
 
 
+def simplicial_elimination(n: int, adj: Sequence[int]) -> Optional[list[int]]:
+    """A perfect elimination order of the graph with adjacency bitsets
+    `adj`, by definition: repeatedly remove the lowest-index vertex whose
+    remaining neighbours are pairwise adjacent. None when some remainder
+    has no such vertex, so the graph is not chordal."""
+    left = (1 << n) - 1
+    order: list[int] = []
+    while left:
+        for v in bits(left):
+            nbrs = adj[v] & left
+            if all(not nbrs & ~adj[u] & ~(1 << u) for u in bits(nbrs)):
+                break
+        else:
+            return None
+        order.append(v)
+        left &= ~(1 << v)
+    return order
+
+
 def is_triangulated(G: Graph) -> tuple[bool, Optional[tuple[str, ...]]]:
     """True iff G has no chordless cycle of length >= 4; else a witness cycle."""
-    if _mcs_peo(G.n, G.adj) is not None:
+    if simplicial_elimination(G.n, G.adj) is not None:
         return True, None
     hole = _find_hole(G)
     assert hole is not None, "non-chordal graph must contain a hole"
@@ -150,9 +169,10 @@ def is_triangulated(G: Graph) -> tuple[bool, Optional[tuple[str, ...]]]:
 
 
 def maximal_cliques_chordal(G: Graph) -> list[int]:
-    """Maximal cliques of a chordal graph as bitmasks (via an elimination
-    order). Raises NotInterval if G is not chordal."""
-    elim = _mcs_peo(G.n, G.adj)
+    """Maximal cliques of a chordal graph as bitmasks: the maximal ones
+    among each vertex with its later neighbours in a perfect elimination
+    order. Raises NotInterval if G is not chordal."""
+    elim = simplicial_elimination(G.n, G.adj)
     if elim is None:
         raise NotInterval("graph is not triangulated")
     later_mask = 0

@@ -1,7 +1,9 @@
+import ast
 import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -12,6 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from packclass import cli
 from packclass.cli import main
+from packclass.graph import Graph
+
+from certcheck import check_asteroidal_triple, check_chordless_cycle
 
 FIVE_BOX = {
     "d": 2,
@@ -318,6 +323,80 @@ def test_sweep_count_and_jobs_below_one_are_usage_errors(capsys, flag, value):
     assert exit_info.value.code == 64
     err = capsys.readouterr().err
     assert f"error: argument {flag}" in err and err.startswith("usage:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["oracle", "classes", "{instance}", "--cap", "-1"], "--cap"),
+        (["opp", "{instance}", "--node-limit", "-3"], "--node-limit"),
+        (["okp", "{instance}", "--node-limit", "-1"], "--node-limit"),
+        (["spp", "{instance}", "--fixed-dims", "5", "--node-limit", "x"], "--node-limit"),
+    ],
+)
+def test_negative_cap_and_node_limit_are_usage_errors(example_file, capsys, argv, flag):
+    # `--cap -1` once printed "classes": [] with the total and exited 0, and
+    # a negative node limit was taken without a word
+    with pytest.raises(SystemExit) as exit_info:
+        run([example_file if arg == "{instance}" else arg for arg in argv])
+    assert exit_info.value.code == 64
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}" in err and err.startswith("usage:") and "Traceback" not in err
+
+
+def test_zero_cap_counts_classes_without_listing_them(tmp_path, capsys):
+    inst = tmp_path / "two.json"
+    inst.write_text(json.dumps({"container": [3, 3], "boxes": [{"id": "a", "size": [2, 2]},
+                                                                {"id": "b", "size": [1, 1]}]}))
+    assert run(["oracle", "classes", str(inst), "--cap", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["classes"] == [] and doc["total"] > 0
+    assert run(["opp", str(inst), "--node-limit", "0"]) == 0  # the heuristic packs it
+    capsys.readouterr()
+
+
+def _violating_class(kind, rng):
+    """An instance and a 2-D class over shuffled box ids that fails one
+    condition: axis 0 a 4-cycle (P1, a hole), a long claw (P1, chordal
+    with an asteroidal triple) or edgeless over boxes too wide together
+    (P2). Axis 1 is edgeless for the P1 cases, complete for P2."""
+    if kind == "hole":
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    elif kind == "asteroidal_triple":
+        edges = [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]
+    else:
+        edges = []
+    n = 3 if kind == "stable" else 1 + max(b for _, b in edges)
+    ids = [f"b{k}" for k in range(n)]
+    rng.shuffle(ids)
+    width = 2 if kind == "stable" else 1
+    boxes = [{"id": b, "size": [width, 1]} for b in ids]
+    axis0 = [[ids[a], ids[b]] for a, b in edges]
+    axis1 = [[ids[a], ids[b]] for a in range(n) for b in range(a + 1, n)] if kind == "stable" else []
+    return {"container": [5, n], "boxes": boxes}, {"class": [axis0, axis1]}, axis0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["hole", "asteroidal_triple", "stable"])
+def test_verify_prints_class_violations(tmp_path, capsys, kind, seed):
+    instance, result, axis0 = _violating_class(kind, random.Random(seed))
+    inst_path, result_path = tmp_path / "inst.json", tmp_path / "class.json"
+    inst_path.write_text(json.dumps(instance))
+    result_path.write_text(json.dumps(result))
+    assert run(["verify", str(inst_path), str(result_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("class violation: dimension 0 "), lines
+    G = Graph([b["id"] for b in instance["boxes"]], [tuple(e) for e in axis0])
+    if kind == "stable":  # all three boxes, 6 wide on an axis of 5
+        stable, width = lines[0][len("class violation: dimension 0 stable set "):].split(" has width ")
+        assert sorted(ast.literal_eval(stable)) == sorted(G.vertices) and width == "6"
+        return
+    prefix = "class violation: dimension 0 graph is not interval: "
+    assert lines[0].startswith(prefix), lines
+    name, witness = ast.literal_eval(lines[0][len(prefix):])
+    assert name == kind
+    check = check_chordless_cycle if kind == "hole" else check_asteroidal_triple
+    assert check(G, witness)
 
 
 def test_cached_parser_carries_no_flag_over(tmp_path, example_file, monkeypatch, capsys):

@@ -11,10 +11,10 @@ from packclass.oracle import OracleConfig, oracle_is_interval
 from packclass.graph import (
     Graph,
     _asteroidal_triple,
-    _co_orientation,
+    _find_hole,
     _heaviest_chain,
+    _interval_order,
     _max_clique,
-    _mcs_peo,
     _odd_closed_walk,
     _transitive_orientation,
     bits,
@@ -36,6 +36,7 @@ from graphtools import (
     find_induced_c4,
     is_triangulated,
     odd_closed_walk_by_arcs,
+    simplicial_elimination,
 )
 
 
@@ -255,12 +256,12 @@ def test_clique_stable_set_duality():
 
 
 def test_bitset_cores_match_oracle_and_brute_force():
-    """The cores the search runs on raw bitsets: P1 (elimination order plus
-    asteroidal triples, and elimination order plus an orientation of the
-    complement) against the definitional oracle, P2 (the heaviest chain
-    of that orientation, with integer, Fraction and zero weights) and the
-    clique search, with integer and Fraction weights and a vertex mask,
-    against brute force."""
+    """The cores the search runs on raw bitsets: P1 (the complement's
+    orientation as an interval order; and, by definition, simplicial
+    elimination plus asteroidal triples) against the definitional oracle,
+    P2 (the heaviest chain of that orientation, with integer, Fraction
+    and zero weights) and the clique search, with integer and Fraction
+    weights and a vertex mask, against brute force."""
     rng = random.Random(15)
     config = OracleConfig(max_vertices=8)
     for _ in range(300):
@@ -268,12 +269,14 @@ def test_bitset_cores_match_oracle_and_brute_force():
         G = random_graph(rng, n) if rng.random() < 0.5 else random_interval_graph(rng, n)[0]
         ints = [rng.randint(1, 9) for _ in range(n)]
         fracs = [Fraction(x, rng.randint(1, 5)) for x in ints]
-        elim = _mcs_peo(n, G.adj)
-        co = _co_orientation(n, G.adj)
-        is_interval = elim is not None and _asteroidal_triple(n, G.adj) is None
+        chordal = simplicial_elimination(n, G.adj) is not None
+        co = _interval_order(n, G.adj)
+        is_interval = chordal and _asteroidal_triple(n, G.adj) is None
         assert is_interval == oracle_is_interval(G, config)
-        # Gilmore-Hoffman: chordal with a transitively orientable complement
-        assert is_interval == (elim is not None and co is not None)
+        # an interval order exactly on interval graphs, and then it is the
+        # complement's transitive orientation
+        assert is_interval == (co is not None)
+        assert co is None or co == _transitive_orientation(n, complement(G).adj)
         # a chain of the complement's orientation is a stable set of G
         for weights in (ints, fracs, [0] * n) if co is not None else ():
             weight, mask = _heaviest_chain(co, weights)
@@ -289,6 +292,55 @@ def test_bitset_cores_match_oracle_and_brute_force():
             sub = induced(G, G.names(keep))
             weight, _ = _max_clique(G.adj, weights, keep)
             assert weight == brute_max_weight_clique(sub, by_id)
+
+
+def all_graphs(n):
+    """Every labelled graph on n vertices, as adjacency bitsets."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        adj = [0] * n
+        for k, (a, b) in enumerate(pairs):
+            if mask >> k & 1:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+        yield adj
+
+
+def test_find_hole_is_none_exactly_on_chordal_graphs():
+    """Every labelled graph on at most 6 vertices: `_find_hole` names a
+    chordless cycle exactly when simplicial elimination gets stuck."""
+    holes = 0
+    for n in range(7):
+        names = [f"v{i}" for i in range(n)]
+        for adj in all_graphs(n):
+            G = Graph._of_bitsets(names, adj)
+            hole = _find_hole(G)
+            assert (hole is None) == (simplicial_elimination(n, adj) is not None)
+            if hole is not None:
+                holes += 1
+                assert check_chordless_cycle(G, hole)
+    assert holes > 10_000
+
+
+def test_a_rejected_interval_order_holds_an_induced_4_cycle():
+    """Wherever the complement has a transitive orientation that the
+    chain test rejects, two successor sets are not nested: u < x and
+    v < y with x not above v and y not above u, and u-v-x-y-u is an
+    induced 4-cycle of the graph."""
+    rng = random.Random(16)
+    rejected = 0
+    for k in range(600):
+        n = rng.randint(4, 12)
+        G = random_graph(rng, n, rng.random()) if k % 2 else random_interval_graph(rng, n)[0]
+        co = _transitive_orientation(n, complement(G).adj)
+        if co is None or _interval_order(n, G.adj) is not None:
+            continue
+        rejected += 1
+        u, v = next((u, v) for u in range(n) for v in range(n) if co[u] & ~co[v] and co[v] & ~co[u])
+        x = next(bits(co[u] & ~co[v]))
+        y = next(bits(co[v] & ~co[u]))
+        assert check_induced_c4(G, tuple(G.vertices[w] for w in (u, v, x, y)))
+    assert rejected >= 50, rejected
 
 
 # sha256 of the repr of every `_odd_closed_walk` result below, in order,

@@ -42,13 +42,18 @@ from packclass.sweep import exhaustive_grid
 from bottomleft import bottom_left_by_masks
 from certcheck import check_induced_c4, check_odd_2chordless_cycle
 from conftest import assert_same_tables
-from graphtools import minus_edges, odd_closed_walk_by_arcs, pair_of, plus_edges
+from graphtools import (
+    minus_edges,
+    odd_closed_walk_by_arcs,
+    pair_of,
+    plus_edges,
+    simplicial_elimination,
+)
 import reference_search as reference
 from packclass.graph import (
     Graph,
     _asteroidal_triple,
     _max_clique,
-    _mcs_peo,
     _odd_closed_walk,
     bits,
     max_weight_clique,
@@ -596,14 +601,14 @@ def test_propagation_leaves_no_odd_closed_walk(monkeypatch):
 
 
 def _accept_by_definition(state):
-    """P3, then per axis P1 (an elimination order and no asteroidal
-    triple) and P2 (the heaviest clique of the complement fits), with no
-    filter first."""
+    """P3, then per axis P1 (a simplicial elimination order and no
+    asteroidal triple) and P2 (the heaviest clique of the complement
+    fits), with no filter first."""
     if any(all(row[pid] == INCLUDE for row in state.status) for pid in range(state.m)):
         return False
     full = (1 << state.n) - 1
     for plus, sizes, cap in zip(state.plus_adj, state.sizes, state.caps):
-        if _mcs_peo(state.n, plus) is None or _asteroidal_triple(state.n, plus) is not None:
+        if simplicial_elimination(state.n, plus) is None or _asteroidal_triple(state.n, plus) is not None:
             return False
         co = [full ^ row ^ (1 << v) for v, row in enumerate(plus)]
         if _max_clique(co, sizes, full)[0] > cap:

@@ -51,6 +51,25 @@ def test_okp_single_box_value():
     assert sol.chosen == ("a",) and sol.total_value == 7
 
 
+def test_okp_skips_zero_valued_boxes():
+    # Ten 3 x 3 boxes of value 0 do not all fit the 10 x 10 square; once
+    # enumerated with the valued box, their subsets kept the solve busy
+    # until its deadline. A zero-valued box adds no value, so none is
+    # chosen, and the one valued box is decided at once.
+    boxes = [Box("p", (2, 2), value=1)] + [Box(f"z{k}", (3, 3), value=0) for k in range(10)]
+    inst = Instance(boxes=boxes, container=(10, 10))
+    start = time.perf_counter()
+    sol = solve_okp(inst, SearchLimits(time_limit=5.0))
+    assert time.perf_counter() - start < 0.1
+    assert isinstance(sol, OkpSolution)
+    assert sol.chosen == ("p",) and sol.total_value == 1
+    assert validate_packing(sol.packing, inst.restrict(["p"])).valid
+    # all zero: the empty subset, at value 0
+    zeros = Instance(boxes=boxes[1:], container=(10, 10))
+    sol = solve_okp(zeros)
+    assert sol.chosen == () and sol.total_value == 0 and sol.stats["examined"] == 1
+
+
 def test_okp_five_box_example_packs_everything(five_box_example):
     sol = solve_okp(five_box_example)
     assert isinstance(sol, OkpSolution)
@@ -441,12 +460,12 @@ def okp_digest(out):
 # dismissed subsets and packing per instance; a mismatch means the subset
 # order, the screen or an inner decision changed.
 PINNED_OKP = [
-    "aee0ad459b70", "ffad04da9d35", "35f3913bd9b6", "56ec561f99fc", "8643f51f9f4c",
+    "aee0ad459b70", "470be4bfbf7f", "35f3913bd9b6", "56ec561f99fc", "8643f51f9f4c",
     "e0fc1b86b4ab", "d49516932ee0", "6cc028e19b56", "7f9ed501f11e", "c4e974935ab9",
-    "efbcc15e3b4a", "2183ae4e1504", "01c770ce11cd", "3aaddea42e95", "72604882d760",
-    "e8608a8caa83", "3ae28c332640", "49a22b7db48f", "eed9f3737e8c", "f64d7e881978",
-    "b259eb8694df", "257724a8bad7", "e5e3b8effdb2", "6acb0b127850", "ab896fc44e15",
-    "dd32e14ea952", "b6cdf29f39ae", "0702cf94615d", "67771b407c7c", "9791e5326cf3",
+    "efbcc15e3b4a", "ed4e6dbc8eaf", "01c770ce11cd", "3aaddea42e95", "72604882d760",
+    "e8608a8caa83", "3ae28c332640", "fc70d572f824", "eed9f3737e8c", "9e5c409a5be1",
+    "b259eb8694df", "8266c0a52a86", "e5e3b8effdb2", "6acb0b127850", "ab896fc44e15",
+    "dd32e14ea952", "b6cdf29f39ae", "1d64a6f4c38e", "67771b407c7c", "9791e5326cf3",
 ]
 
 
@@ -474,7 +493,7 @@ def test_okp_and_spp_screen_once(monkeypatch):
         inst = okp_pinned_instance(rng, k)
         calls.clear()
         sol = solve_okp(inst, SearchLimits(max_nodes=300, time_limit=None))
-        assert isinstance(sol, OkpSolution) and calls == [inst.n]
+        assert isinstance(sol, OkpSolution) and calls == [sum(b.value > 0 for b in inst.boxes)]
         calls.clear()
         solve_spp(inst.boxes, inst.container[:-1], SearchLimits(max_nodes=300))
         assert calls == []
@@ -563,7 +582,7 @@ def test_inner_decisions_build_no_class(monkeypatch):
 # 0 and 1 of Random(56). Stats are (examined, dismissed_screen, dismissed_opp,
 # engine_nodes) for OKP and (candidates, probes, engine_nodes) for SPP.
 SPENT_BUDGETS = [
-    (SearchLimits(max_nodes=0), "okp budget exhausted", [(600, 599, 0, 0), (15, 14, 0, 0)],
+    (SearchLimits(max_nodes=0), "okp budget exhausted", [(600, 599, 0, 0), (8, 7, 0, 0)],
      "spp budget exhausted", [(19, 0, 0), (15, 0, 0)]),
     # The deadline is checked at every heap pop, before the subset is
     # screened: the first non-empty pop ends the solve. SPP checks it
@@ -571,7 +590,7 @@ SPENT_BUDGETS = [
     (SearchLimits(time_limit=0), "okp budget exhausted", [(1, 0, 0, 0), (1, 0, 0, 0)],
      "spp budget exhausted", [(0, 0, 0), (0, 0, 0)]),
     (SearchLimits(max_nodes=3, use_heuristic=False), "inner decision hit its limit",
-     [(611, 604, 6, 3), (15, 14, 0, 3)], "inner decision hit its limit", [(19, 1, 3), (15, 1, 3)]),
+     [(611, 604, 6, 3), (8, 7, 0, 3)], "inner decision hit its limit", [(19, 1, 3), (15, 1, 3)]),
 ]
 
 
@@ -620,8 +639,11 @@ def reference_okp(inst, limits, pushes):
     """solve_okp with the all-children enumeration, as a reference: every
     popped subset pushes each child not pushed yet and is screened afresh
     over its bits by `opp._screen`. Appends each pushed mask to
-    `pushes`."""
+    `pushes`. Zero-valued boxes are dropped first, as solve_okp drops
+    them."""
     budget = opp._Budget(limits)
+    if any(b.value == 0 for b in inst.boxes):
+        inst = inst.restrict([b.id for b in inst.boxes if b.value])
     n = inst.n
     scale = lcm(*(b.value.denominator for b in inst.boxes))
     values = [b.value.numerator * (scale // b.value.denominator) for b in inst.boxes]
