@@ -24,8 +24,8 @@ _EXPORTS = {
               "project_to_class", "validate_packing", "xi_feasible"),
     "graph": ("Graph", "complement", "induced"),
     "chargraph": ("Dag", "NotComparability", "is_interval_graph", "transitive_orientation"),
-    "packing_class": ("ClassReport", "Orientation", "PackingClass", "clique_bound_holds",
-                      "extract_packing", "orient_class", "verify_packing_class"),
+    "packing_class": ("ClassReport", "Orientation", "PackingClass", "extract_packing",
+                      "orient_class", "verify_packing_class"),
     "opp": ("SearchLimits", "SearchOutcome", "heuristic_pack", "quick_infeasible", "solve_opp"),
     "solve": ("OkpSolution", "SppSolution", "solve_okp", "solve_spp"),
     "oracle": ("OracleConfig", "brute_force_opp", "enumerate_packing_classes"),

@@ -2,12 +2,13 @@
 wrappers over the bitset cores in `graph`, and their witnesses.
 
 Recognition is one transitive orientation of the complement that must
-be an interval order (`graph._interval_order`); a forbidden structure (a
-chordless cycle, else an asteroidal triple) is searched only once that
-test fails, as a checkable witness.
+be an interval order (`graph._interval_order`); where it fails, the same
+step names the checkable witness: an induced 4-cycle of the graph, or an
+odd 2-chordless cycle of its complement when the complement has no
+transitive orientation.
 Orientation (`graph._transitive_orientation`) breaks free choices by
 lowest vertex index, so output is deterministic; a graph without one gets
-an odd 2-chordless cycle as witness.
+an odd 2-chordless cycle as witness, which always exists (Gallai).
 """
 
 from __future__ import annotations
@@ -17,11 +18,9 @@ from typing import Optional
 
 from .graph import (
     Graph,
-    _find_hole,
     _interval_order,
     _transitive_orientation,
     bits,
-    find_asteroidal_triple,
     find_odd_2chordless_cycle,
 )
 
@@ -38,14 +37,14 @@ class Dag:
 class NotComparability:
     """Typed failure result: the graph admits no transitive orientation."""
 
-    certificate: Optional[tuple[str, ...]]  # odd 2-chordless cycle, if found
+    certificate: tuple[str, ...]  # an odd 2-chordless cycle
 
 
 @dataclass(frozen=True)
 class IntervalCheck:
     is_interval: bool
-    hole: Optional[tuple[str, ...]] = None
-    asteroidal_triple: Optional[tuple[str, str, str]] = None
+    hole: Optional[tuple[str, str, str, str]] = None  # an induced 4-cycle
+    complement_odd_cycle: Optional[tuple[str, ...]] = None  # odd 2-chordless, in the complement
 
     def __bool__(self) -> bool:
         return self.is_interval
@@ -53,8 +52,8 @@ class IntervalCheck:
 
 def is_interval_graph(G: Graph) -> IntervalCheck:
     """Decide intervality (the complement's transitive orientation is an
-    interval order); on failure return a chordless cycle (length >= 4) or
-    an asteroidal triple as witness."""
+    interval order); on failure return an induced 4-cycle of G, or an odd
+    2-chordless cycle of its complement, as witness."""
     return _interval_check(G)[0]
 
 
@@ -62,11 +61,11 @@ def _interval_check(G: Graph) -> tuple[IntervalCheck, Optional[list[int]]]:
     """`is_interval_graph`, with the transitive orientation of G's
     complement that proves G interval (None when G is not):
     `verify_packing_class` reads P2 off it as its heaviest chain."""
-    co = _interval_order(G.n, G.adj)
+    co, witness = _interval_order(G.n, G.adj)
     if co is not None:
         return IntervalCheck(True), co
-    hole = _find_hole(G)  # None exactly on chordal graphs, which then hold an asteroidal triple
-    return IntervalCheck(False, hole, None if hole else find_asteroidal_triple(G)), None
+    kind = "hole" if len(witness) == 4 else "complement_odd_cycle"  # the walks are odd
+    return IntervalCheck(False, **{kind: tuple(G.vertices[v] for v in witness)}), None
 
 
 def transitive_orientation(G: Graph):

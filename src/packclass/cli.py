@@ -1,8 +1,9 @@
 """Batch front door: solve, verify, draw, and convert from the shell.
 
 Exit codes: 0 feasible/pass, 1 infeasible/fail, 2 resource limit,
-64 usage, parse and other library errors (an invalid packing too), 65
-structural errors (wrong dimensionality, malformed conversion input).
+64 usage, parse and other library errors (an invalid packing, an output
+path that cannot be written), 65 structural errors (wrong
+dimensionality, malformed conversion input).
 PACKCLASS_TIME_LIMIT (seconds) overrides the default 60 s search budget;
 solvers are deterministic, so `--seed` exists only for the sweep instance
 generator.
@@ -387,11 +388,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except PackclassError as exc:  # ParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PackclassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:  # inputs are read as ParseError: this is an output path
+        print(f"error: {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

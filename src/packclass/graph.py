@@ -7,14 +7,14 @@ graph's vertex order. Every algorithm lives here as one core over
 with plain numeric weights, which the engine calls directly on its own
 bitsets: the exact clique search that propagation runs at each new
 exclusion; the transitive orientation of the complement, which proves a
-graph interval when it is an interval order (`_interval_order`); the
-longest paths of an orientation, which place boxes, and its heaviest
-chain, which is the heaviest stable set on an orientation of the
-complement; and the odd closed walk search that reads `prune_check`'s
-certificates. The `Graph` functions are thin wrappers over the same
-cores that take id-keyed weights as `Fraction`s and report results with
-original ids; holes and asteroidal triples are searched only as
-witnesses.
+graph interval when it is an interval order and otherwise names the
+witness, an induced 4-cycle or an odd closed walk of the complement
+(`_interval_order`); the longest paths of an orientation, which place
+boxes, and its heaviest chain, which is the heaviest stable set on an
+orientation of the complement; and the odd closed walk search that reads
+`prune_check`'s certificates. The `Graph` functions are thin wrappers
+over the same cores that take id-keyed weights as `Fraction`s and report
+results with original ids.
 """
 
 from __future__ import annotations
@@ -212,51 +212,6 @@ def find_odd_2chordless_cycle(G: Graph) -> Optional[tuple[str, ...]]:
     return tuple(G.vertices[i] for i in walk)
 
 
-def find_asteroidal_triple(G: Graph) -> Optional[tuple[str, str, str]]:
-    """Three vertices pairwise joined by paths avoiding the closed
-    neighborhood of the third, or None."""
-    triple = _asteroidal_triple(G.n, G.adj)
-    return None if triple is None else tuple(G.vertices[v] for v in triple)
-
-
-def _asteroidal_triple(n: int, adj: Sequence[int]) -> Optional[tuple[int, int, int]]:
-    """Bitset core of `find_asteroidal_triple`: an asteroidal triple of
-    vertex indices in ascending order, or None."""
-    # comp_label[z][v] = component of v in G - N[z], or -1 inside N[z].
-    comp_label = []
-    for z in range(n):
-        banned = adj[z] | (1 << z)
-        label = [-1] * n
-        cur = 0
-        for s in range(n):
-            if label[s] != -1 or banned >> s & 1:
-                continue
-            frontier = 1 << s
-            seen = frontier
-            while frontier:
-                for v in bits(frontier):
-                    label[v] = cur
-                frontier = 0
-                for v in bits(seen):
-                    frontier |= adj[v] & ~banned & ~seen
-                seen |= frontier
-            cur += 1
-        comp_label.append(label)
-    for x in range(n):
-        for y in range(x + 1, n):
-            for z in range(y + 1, n):
-                if (
-                    comp_label[z][x] != -1
-                    and comp_label[z][x] == comp_label[z][y]
-                    and comp_label[y][x] != -1
-                    and comp_label[y][x] == comp_label[y][z]
-                    and comp_label[x][y] != -1
-                    and comp_label[x][y] == comp_label[x][z]
-                ):
-                    return (x, y, z)
-    return None
-
-
 def _transitive_orientation(n: int, adj: Sequence[int]) -> Optional[list[int]]:
     """Bitset core of `chargraph.transitive_orientation`: per-vertex
     successor bitsets of a transitive orientation, or None if none exists.
@@ -304,25 +259,33 @@ def _transitive_orientation(n: int, adj: Sequence[int]) -> Optional[list[int]]:
     return out
 
 
-def _interval_order(n: int, adj: Sequence[int]) -> Optional[list[int]]:
-    """The transitive orientation of the complement of the graph `adj` if
-    it is an interval order, else None: the one test of intervality.
+def _interval_order(n: int, adj: Sequence[int]) -> tuple[Optional[list[int]], Optional[tuple[int, ...]]]:
+    """(orientation, None) if the graph `adj` is an interval graph, where
+    the orientation is the transitive orientation of its complement, an
+    interval order; else (None, witness). The one test of intervality,
+    and the one source of its witnesses.
 
     A graph is an interval graph exactly when its complement has a
     transitive orientation that is an interval order, and an order is one
     exactly when it holds no 2+2, that is when its successor sets, or
     equally its predecessor sets, are nested (Fishburn, J. Math. Psych.
-    7, 1970). Any one orientation decides: a 2+2 in it, u < x and v < y
-    with x outside v's successors and y outside u's, is the induced
-    4-cycle u-v-x-y-u of the graph. Sorted by size, nested sets form a
-    chain."""
+    7, 1970). Any one orientation decides, and its failure names the
+    witness. A complement with no transitive orientation holds an odd
+    2-chordless closed walk (Gallai, Acta Math. Hungar. 18, 1967). Else
+    the first two vertices p, q, in size order, whose successor sets are
+    not nested have x above p but not q and y above q but not p: a 2+2,
+    and p-q-x-y-p is an induced 4-cycle of the graph, since any other
+    comparability among the four would put x above q or y above p."""
     full = (1 << n) - 1
-    co = _transitive_orientation(n, [full ^ adj[v] ^ (1 << v) for v in range(n)])
-    if co is not None:
-        chain = sorted(co, key=int.bit_count)
-        if all(not low & ~high for low, high in zip(chain, chain[1:])):
-            return co
-    return None
+    comp = [full ^ adj[v] ^ (1 << v) for v in range(n)]
+    co = _transitive_orientation(n, comp)
+    if co is None:
+        return None, _odd_closed_walk(n, comp, adj)
+    order = sorted(range(n), key=lambda v: co[v].bit_count())
+    for p, q in zip(order, order[1:]):
+        if co[p] & ~co[q]:
+            return None, (p, q, next(bits(co[p] & ~co[q])), next(bits(co[q] & ~co[p])))
+    return co, None
 
 
 def _longest_paths(succ: Sequence[int], sizes: Sequence) -> Optional[list]:
@@ -363,44 +326,6 @@ def _heaviest_chain(succ: Sequence[int], w: Sequence) -> tuple:
         v = next(u for u in range(len(pos)) if succ[u] >> v & 1 and pos[u] + w[u] == pos[v])
         chain |= 1 << v
     return total, chain
-
-
-def _find_hole(G: Graph) -> Optional[tuple[str, ...]]:
-    """A chordless cycle of length >= 4, or None exactly when G is
-    chordal: some vertex b of a hole has non-adjacent neighbours a and c
-    joined by a path outside b's other neighbours, and a shortest such
-    path closes a hole through b."""
-    n = G.n
-    full = (1 << n) - 1
-    for b in range(n):
-        nbrs = list(bits(G.adj[b]))
-        for ka, a in enumerate(nbrs):
-            for c in nbrs[ka + 1 :]:
-                if G.adj[a] >> c & 1:
-                    continue
-                allowed = (full & ~(G.adj[b] | (1 << b))) | (1 << a) | (1 << c)
-                # BFS shortest a->c within allowed; shortest => chordless.
-                parent = {a: -1}
-                frontier = [a]
-                while frontier and c not in parent:
-                    nxt = []
-                    for v in frontier:
-                        for w in bits(G.adj[v] & allowed):
-                            if w not in parent:
-                                parent[w] = v
-                                nxt.append(w)
-                    frontier = nxt
-                if c not in parent:
-                    continue
-                path = []
-                cur = c
-                while cur != -1:
-                    path.append(cur)
-                    cur = parent[cur]
-                path.reverse()  # a .. c
-                cycle = [b] + path
-                return tuple(G.vertices[v] for v in cycle)
-    return None
 
 
 def _as_weight_map(G: Graph, weight) -> list[Fraction]:
@@ -488,7 +413,7 @@ def max_weight_stable_set_interval(G: Graph, weight) -> tuple[Fraction, tuple[st
     """Exact maximum-weight stable set of an interval graph: the heaviest
     chain of a transitive orientation of its complement. Raises
     NotInterval when G is not an interval graph."""
-    co = _interval_order(G.n, G.adj)
+    co = _interval_order(G.n, G.adj)[0]
     if co is None:
         raise NotInterval("graph is not an interval graph")
     total, mask = _heaviest_chain(co, _as_weight_map(G, weight))

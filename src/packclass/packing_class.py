@@ -9,7 +9,9 @@ One orientation per axis serves all three uses: a transitive
 orientation of the complement that is an interval order proves the
 graph interval (P1), its heaviest chain is the graph's heaviest stable
 set (P2), and its longest paths place the boxes in a gapless packing
-(`_place`, which the search's accept calls too).
+(`_place`, which the search's accept calls too). Where P1 fails, the
+same orientation step names the witness: an induced 4-cycle of the
+graph, or an odd 2-chordless cycle of its complement.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from . import chargraph
 from .chargraph import Dag
@@ -28,7 +30,7 @@ from .errors import (
     NotPackingClass,
     UnknownVertex,
 )
-from .graph import Graph, _heaviest_chain, _longest_paths, _max_clique
+from .graph import Graph, _heaviest_chain, _longest_paths
 from .model import Instance, Packing, _pairs, _placed_packing
 
 
@@ -108,9 +110,10 @@ def verify_packing_class(E: EdgeSetsLike, inst: Instance) -> ClassReport:
 
     P1 holds when the complement's transitive orientation is an interval
     order (`chargraph._interval_check`), and P2 reads the heaviest stable
-    set off that orientation, as its heaviest chain. Witnesses: a
-    chordless cycle or asteroidal triple for P1, an overweight stable set
-    (with its weight) for P2, a shared edge for P3.
+    set off that orientation, as its heaviest chain. Witnesses: for P1
+    ("hole", an induced 4-cycle) or ("complement_odd_cycle", an odd
+    2-chordless cycle of the complement), for P2 an overweight stable set
+    with its weight, for P3 a shared edge.
     """
     return _class_check(E, inst)[0]
 
@@ -126,7 +129,7 @@ def _class_check(E: EdgeSetsLike, inst: Instance) -> tuple[ClassReport, list]:
         cos.append(co)
         p1_ok.append(check.is_interval)
         if not check.is_interval:
-            p1_wit.append(("hole", check.hole) if check.hole else ("asteroidal_triple", check.asteroidal_triple))
+            p1_wit.append(("hole", check.hole) if check.hole else ("complement_odd_cycle", check.complement_odd_cycle))
             p2_ok.append(None)
             p2_wit.append(None)
             continue
@@ -192,20 +195,3 @@ def _place(inst: Instance, succs: Sequence[Sequence[int]]) -> Packing:
         coords.append(pos)
     return _placed_packing(inst, list(enumerate(zip(*coords))))
 
-
-def clique_bound_holds(E: EdgeSetsLike, S: Iterable[str], i: int, inst: Optional[Instance] = None) -> bool:
-    """Width bound: the subgraph of graph i induced on S must contain a
-    clique of at least ceil(total width of S / container width). Genuine
-    packing classes always satisfy it. The search does not call it: on
-    fully decided boxes propagation's exact clique test implies it
-    (`opp.prune_check`)."""
-    if isinstance(E, PackingClass) and inst is None:
-        inst = E.instance
-    if inst is None:
-        raise InvalidInstance("instance required when passing raw edge sets")
-    inst.check_dimension(i)
-    graphs = _as_graphs(E, inst)
-    members = {inst.index(b) for b in S}
-    total = sum(inst.int_size(v, i) for v in members)
-    size, _ = _max_clique(graphs[i].adj, [1] * inst.n, sum(1 << v for v in members))
-    return size >= -(-total // inst.int_container(i))

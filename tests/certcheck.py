@@ -42,42 +42,3 @@ def check_odd_2chordless_cycle(G: Graph, cert) -> bool:
             return False
     return True
 
-
-def check_asteroidal_triple(G: Graph, cert) -> bool:
-    nbrs = _nbrs(G)
-
-    def connected_avoiding(s, t, banned):
-        if s in banned or t in banned:
-            return False
-        seen, stack = {s}, [s]
-        while stack:
-            v = stack.pop()
-            if v == t:
-                return True
-            for w in nbrs[v]:
-                if w not in seen and w not in banned:
-                    seen.add(w)
-                    stack.append(w)
-        return False
-
-    x, y, z = cert
-    return (
-        len({x, y, z}) == 3
-        and connected_avoiding(x, y, nbrs[z] | {z})
-        and connected_avoiding(x, z, nbrs[y] | {y})
-        and connected_avoiding(y, z, nbrs[x] | {x})
-    )
-
-
-def check_chordless_cycle(G: Graph, cert) -> bool:
-    k = len(cert)
-    if k < 4 or len(set(cert)) != k:
-        return False
-    nbrs = _nbrs(G)
-    for i in range(k):
-        for j in range(i + 1, k):
-            adjacent = cert[j] in nbrs[cert[i]]
-            consecutive = j - i == 1 or (i == 0 and j == k - 1)
-            if adjacent != consecutive:
-                return False
-    return True

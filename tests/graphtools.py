@@ -2,12 +2,12 @@
 
 Orientation enumeration and its definitional check back the acceptance
 criteria on transitive orientations; the chordality test by definition
-(simplicial elimination) with its hole witness, the interval model and
-the induced 4-cycle search are exercised
-against the library's own recognizers; the arc-state parity search is
-the reference for the library's odd-closed-walk search and for
-propagation's odd-cycle conflicts; the pair lookup and per-axis edge
-lists read a search state by box ids.
+(simplicial elimination), the interval model and the induced 4-cycle
+search are exercised against the library's own recognizers; the
+arc-state parity search is the reference for the library's
+odd-closed-walk search and for propagation's odd-cycle conflicts; the
+width bound is a property every packing class has; the pair lookup and
+per-axis edge lists read a search state by box ids.
 """
 
 from typing import Optional, Sequence
@@ -17,10 +17,11 @@ from packclass.errors import NotInterval, TooLarge
 from packclass.opp import EXCLUDE, INCLUDE
 from packclass.graph import (
     Graph,
-    _find_hole,
+    _max_clique,
     bits,
     complement,
 )
+from packclass.packing_class import PackingClass
 
 ENUM_EDGE_CAP = 30
 
@@ -159,13 +160,9 @@ def simplicial_elimination(n: int, adj: Sequence[int]) -> Optional[list[int]]:
     return order
 
 
-def is_triangulated(G: Graph) -> tuple[bool, Optional[tuple[str, ...]]]:
-    """True iff G has no chordless cycle of length >= 4; else a witness cycle."""
-    if simplicial_elimination(G.n, G.adj) is not None:
-        return True, None
-    hole = _find_hole(G)
-    assert hole is not None, "non-chordal graph must contain a hole"
-    return False, hole
+def is_triangulated(G: Graph) -> bool:
+    """True iff G has no chordless cycle of length >= 4."""
+    return simplicial_elimination(G.n, G.adj) is not None
 
 
 def maximal_cliques_chordal(G: Graph) -> list[int]:
@@ -323,6 +320,20 @@ def odd_closed_walk_by_arcs(
         even = unwind(2 * conflict)
         return tuple([head[s] for s in reversed(odd)] + [tail[s] for s in even])
     return None
+
+
+def clique_bound_holds(E, S, i: int, inst=None) -> bool:
+    """Width bound: graph i of the edge sets `E` (a `PackingClass`, or per
+    axis an edge list over `inst`'s ids) restricted to the boxes `S`
+    holds a clique of at least ceil(total width of S / container width).
+    Every packing class meets it."""
+    if isinstance(E, PackingClass):
+        inst, E = inst or E.instance, [G.edges() for G in E.edge_sets]
+    graph = Graph(inst.ids, E[i])
+    members = {inst.index(b) for b in S}
+    total = sum(inst.int_size(v, i) for v in members)
+    size, _ = _max_clique(graph.adj, [1] * inst.n, sum(1 << v for v in members))
+    return size >= -(-total // inst.int_container(i))
 
 
 def pair_of(state, a: str, b: str) -> int:

@@ -15,6 +15,7 @@ import pytest
 
 from packclass.chargraph import (
     Dag,
+    NotComparability,
     is_interval_graph,
     transitive_orientation,
 )
@@ -28,12 +29,14 @@ from packclass.oracle import (
     oracle_is_comparability,
     oracle_is_interval,
 )
-from packclass.packing_class import Orientation, clique_bound_holds, extract_packing
+from packclass.packing_class import Orientation, extract_packing
 from packclass.solve import OkpSolution, ResourceLimit, SppSolution, solve_okp, solve_spp
 from packclass.sweep import exhaustive_grid, random_instance
 
+from certcheck import check_induced_c4, check_odd_2chordless_cycle
 from graphgen import mask_to_edges, nonisomorphic_graphs, vertex_names
 from graphtools import (
+    clique_bound_holds,
     enumerate_transitive_orientations,
     is_transitive_orientation_of,
     is_triangulated,
@@ -181,17 +184,29 @@ def test_criterion_5_recognition_equivalences():
         names = vertex_names(n)
         for mask in nonisomorphic_graphs(n):
             G = Graph(names, mask_to_edges(mask, n))
-            interval = is_interval_graph(G).is_interval
+            check = is_interval_graph(G)
+            interval = check.is_interval
             assert interval == oracle_is_interval(G)
+            # every P1 witness, checked by definition: exactly one, on
+            # exactly the graphs that fail
+            if check.hole is not None:
+                assert not interval and check.complement_odd_cycle is None
+                assert check_induced_c4(G, check.hole)
+            else:
+                assert interval == (check.complement_odd_cycle is None)
+                assert interval or check_odd_2chordless_cycle(complement(G), check.complement_odd_cycle)
             # Gilmore-Hoffman, which the search engine's accept relies on:
             # interval iff chordal with a comparability complement.
             assert interval == (
-                is_triangulated(G)[0] and isinstance(transitive_orientation(complement(G)), Dag)
+                is_triangulated(G) and isinstance(transitive_orientation(complement(G)), Dag)
             )
             oriented = transitive_orientation(G)
             success = isinstance(oriented, Dag)
             if success:
                 assert is_transitive_orientation_of(oriented, G)
+            else:
+                assert isinstance(oriented, NotComparability)
+                assert check_odd_2chordless_cycle(G, oriented.certificate)
             assert success == oracle_is_comparability(G)
             assert success == (find_odd_2chordless_cycle(G) is None)
             checked += 1

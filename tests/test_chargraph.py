@@ -13,7 +13,7 @@ from packclass.errors import TooLarge
 from packclass.graph import Graph, complement
 from packclass.oracle import oracle_is_comparability, oracle_is_interval
 
-from certcheck import check_chordless_cycle, check_odd_2chordless_cycle
+from certcheck import check_induced_c4, check_odd_2chordless_cycle
 from graphgen import mask_to_edges, nonisomorphic_graphs, vertex_names
 from graphtools import (
     enumerate_transitive_orientations,
@@ -25,11 +25,15 @@ from test_graph import LONG_CLAW, complete_graph, cycle_graph, path_graph, rando
 
 def test_is_interval_graph_examples():
     res = is_interval_graph(cycle_graph(4))
-    assert not res and check_chordless_cycle(cycle_graph(4), res.hole)
+    assert not res and check_induced_c4(cycle_graph(4), res.hole)
+    assert res.complement_odd_cycle is None
     assert is_interval_graph(complete_graph(5)).is_interval
     assert is_interval_graph(path_graph(6)).is_interval
+    # chordal, but its three leaf tips are an asteroidal triple: the
+    # complement has no transitive orientation
     res = is_interval_graph(LONG_CLAW)
-    assert not res and res.asteroidal_triple == ("a2", "b2", "d2")
+    assert not res and res.hole is None
+    assert check_odd_2chordless_cycle(complement(LONG_CLAW), res.complement_odd_cycle)
 
 
 def test_transitive_orientation_path():

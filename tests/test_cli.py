@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import errno
 import io
 import json
 import os
@@ -14,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from packclass import cli
 from packclass.cli import main
-from packclass.graph import Graph
+from packclass.graph import Graph, complement
 
-from certcheck import check_asteroidal_triple, check_chordless_cycle
+from certcheck import check_induced_c4, check_odd_2chordless_cycle
 
 FIVE_BOX = {
     "d": 2,
@@ -276,6 +277,29 @@ def test_convert_multi_instance(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["opp", "okp", "spp", "oracle", "sweep", "render", "convert"])
+def test_unwritable_output_path_is_one_error_line(tmp_path, example_file, capsys, command):
+    """An output path in a missing directory ends each command that
+    writes a file with one `error: PATH: reason` line and exit 64, not a
+    traceback and exit 1, the code that means "infeasible"."""
+    result, ngcut = tmp_path / "res.json", tmp_path / "one.ngcut"
+    assert run(["opp", example_file, "-o", str(result)]) == 0
+    ngcut.write_text("1\n1\n4 4\n2 2 5\n")
+    target = str(tmp_path / "missing" / "out.json")
+    argv = {
+        "opp": ["opp", example_file, "-o", target],
+        "okp": ["okp", example_file, "-o", target],
+        "spp": ["spp", example_file, "-o", target],
+        "oracle": ["oracle", "opp", example_file, "-o", target],
+        "sweep": ["sweep", "--max-boxes", "1", "-o", target],
+        "render": ["render", example_file, str(result), target],
+        "convert": ["convert", "--from", "ngcut", str(ngcut), target],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 64
+    assert capsys.readouterr().err.splitlines() == [f"error: {target}: {os.strerror(errno.ENOENT)}"]
+
+
 def test_sweep_exhaustive_tiny(capsys):
     assert run(["sweep", "--mode", "exhaustive", "--max-boxes", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -357,12 +381,13 @@ def test_zero_cap_counts_classes_without_listing_them(tmp_path, capsys):
 
 def _violating_class(kind, rng):
     """An instance and a 2-D class over shuffled box ids that fails one
-    condition: axis 0 a 4-cycle (P1, a hole), a long claw (P1, chordal
-    with an asteroidal triple) or edgeless over boxes too wide together
-    (P2). Axis 1 is edgeless for the P1 cases, complete for P2."""
+    condition: axis 0 a 4-cycle (P1, a hole), a long claw (P1, chordal,
+    but its complement has an odd 2-chordless cycle) or edgeless over
+    boxes too wide together (P2). Axis 1 is edgeless for the P1 cases,
+    complete for P2."""
     if kind == "hole":
         edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    elif kind == "asteroidal_triple":
+    elif kind == "complement_odd_cycle":
         edges = [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]
     else:
         edges = []
@@ -377,7 +402,7 @@ def _violating_class(kind, rng):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("kind", ["hole", "asteroidal_triple", "stable"])
+@pytest.mark.parametrize("kind", ["hole", "complement_odd_cycle", "stable"])
 def test_verify_prints_class_violations(tmp_path, capsys, kind, seed):
     instance, result, axis0 = _violating_class(kind, random.Random(seed))
     inst_path, result_path = tmp_path / "inst.json", tmp_path / "class.json"
@@ -395,8 +420,10 @@ def test_verify_prints_class_violations(tmp_path, capsys, kind, seed):
     assert lines[0].startswith(prefix), lines
     name, witness = ast.literal_eval(lines[0][len(prefix):])
     assert name == kind
-    check = check_chordless_cycle if kind == "hole" else check_asteroidal_triple
-    assert check(G, witness)
+    if kind == "hole":
+        assert check_induced_c4(G, witness)
+    else:
+        assert check_odd_2chordless_cycle(complement(G), witness)
 
 
 def test_cached_parser_carries_no_flag_over(tmp_path, example_file, monkeypatch, capsys):

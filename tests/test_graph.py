@@ -10,8 +10,6 @@ from packclass.errors import NotInterval, PackclassError, TooLarge, UnknownVerte
 from packclass.oracle import OracleConfig, oracle_is_interval
 from packclass.graph import (
     Graph,
-    _asteroidal_triple,
-    _find_hole,
     _heaviest_chain,
     _interval_order,
     _max_clique,
@@ -19,24 +17,17 @@ from packclass.graph import (
     _transitive_orientation,
     bits,
     complement,
-    find_asteroidal_triple,
     find_odd_2chordless_cycle,
     induced,
     max_weight_clique,
     max_weight_stable_set_interval,
 )
 
-from certcheck import (
-    check_asteroidal_triple,
-    check_chordless_cycle,
-    check_induced_c4,
-    check_odd_2chordless_cycle,
-)
+from certcheck import check_induced_c4, check_odd_2chordless_cycle
 from graphtools import (
     find_induced_c4,
     is_triangulated,
     odd_closed_walk_by_arcs,
-    simplicial_elimination,
 )
 
 
@@ -170,21 +161,11 @@ def test_odd_cycle_certificates_validate_on_random_graphs():
     assert hits > 10
 
 
-def test_asteroidal_triples():
-    cert = find_asteroidal_triple(LONG_CLAW)
-    assert cert == ("a2", "b2", "d2")  # the three leaf tips
-    assert check_asteroidal_triple(LONG_CLAW, cert)
-    assert find_asteroidal_triple(complete_graph(6)) is None
-    assert find_asteroidal_triple(cycle_graph(4)) is None
-
-
 def test_is_triangulated():
-    ok, cert = is_triangulated(cycle_graph(4))
-    assert not ok and check_chordless_cycle(cycle_graph(4), cert)
-    tree = path_graph(6)
-    assert is_triangulated(tree) == (True, None)
-    ok, cert = is_triangulated(cycle_graph(6))
-    assert not ok and check_chordless_cycle(cycle_graph(6), cert)
+    assert not is_triangulated(cycle_graph(4))
+    assert is_triangulated(path_graph(6))
+    assert is_triangulated(LONG_CLAW)
+    assert not is_triangulated(cycle_graph(6))
 
 
 def test_max_weight_clique_examples():
@@ -255,13 +236,22 @@ def test_clique_stable_set_duality():
         assert clique_w == stable_w
 
 
+def check_interval_witness(G, witness) -> bool:
+    """An `_interval_order` witness by definition: an induced 4-cycle of
+    G, or an odd 2-chordless cycle of its complement."""
+    names = tuple(G.vertices[v] for v in witness)
+    if len(names) == 4:
+        return check_induced_c4(G, names)
+    return check_odd_2chordless_cycle(complement(G), names)
+
+
 def test_bitset_cores_match_oracle_and_brute_force():
     """The cores the search runs on raw bitsets: P1 (the complement's
-    orientation as an interval order; and, by definition, simplicial
-    elimination plus asteroidal triples) against the definitional oracle,
-    P2 (the heaviest chain of that orientation, with integer, Fraction
-    and zero weights) and the clique search, with integer and Fraction
-    weights and a vertex mask, against brute force."""
+    orientation as an interval order) against the definitional oracle,
+    with each witness checked by definition, P2 (the heaviest chain of
+    that orientation, with integer, Fraction and zero weights) and the
+    clique search, with integer and Fraction weights and a vertex mask,
+    against brute force."""
     rng = random.Random(15)
     config = OracleConfig(max_vertices=8)
     for _ in range(300):
@@ -269,14 +259,12 @@ def test_bitset_cores_match_oracle_and_brute_force():
         G = random_graph(rng, n) if rng.random() < 0.5 else random_interval_graph(rng, n)[0]
         ints = [rng.randint(1, 9) for _ in range(n)]
         fracs = [Fraction(x, rng.randint(1, 5)) for x in ints]
-        chordal = simplicial_elimination(n, G.adj) is not None
-        co = _interval_order(n, G.adj)
-        is_interval = chordal and _asteroidal_triple(n, G.adj) is None
-        assert is_interval == oracle_is_interval(G, config)
+        co, witness = _interval_order(n, G.adj)
         # an interval order exactly on interval graphs, and then it is the
-        # complement's transitive orientation
-        assert is_interval == (co is not None)
+        # complement's transitive orientation; else a witness
+        assert (co is not None) == oracle_is_interval(G, config) == (witness is None)
         assert co is None or co == _transitive_orientation(n, complement(G).adj)
+        assert co is not None or check_interval_witness(G, witness)
         # a chain of the complement's orientation is a stable set of G
         for weights in (ints, fracs, [0] * n) if co is not None else ():
             weight, mask = _heaviest_chain(co, weights)
@@ -294,52 +282,25 @@ def test_bitset_cores_match_oracle_and_brute_force():
             assert weight == brute_max_weight_clique(sub, by_id)
 
 
-def all_graphs(n):
-    """Every labelled graph on n vertices, as adjacency bitsets."""
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        adj = [0] * n
-        for k, (a, b) in enumerate(pairs):
-            if mask >> k & 1:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-        yield adj
-
-
-def test_find_hole_is_none_exactly_on_chordal_graphs():
-    """Every labelled graph on at most 6 vertices: `_find_hole` names a
-    chordless cycle exactly when simplicial elimination gets stuck."""
-    holes = 0
-    for n in range(7):
-        names = [f"v{i}" for i in range(n)]
-        for adj in all_graphs(n):
-            G = Graph._of_bitsets(names, adj)
-            hole = _find_hole(G)
-            assert (hole is None) == (simplicial_elimination(n, adj) is not None)
-            if hole is not None:
-                holes += 1
-                assert check_chordless_cycle(G, hole)
-    assert holes > 10_000
-
-
 def test_a_rejected_interval_order_holds_an_induced_4_cycle():
     """Wherever the complement has a transitive orientation that the
-    chain test rejects, two successor sets are not nested: u < x and
-    v < y with x not above v and y not above u, and u-v-x-y-u is an
-    induced 4-cycle of the graph."""
+    chain test rejects, the returned witness is a 2+2 of that
+    orientation, x above p but not q and y above q but not p, and
+    p-q-x-y-p is an induced 4-cycle of the graph."""
     rng = random.Random(16)
     rejected = 0
     for k in range(600):
         n = rng.randint(4, 12)
         G = random_graph(rng, n, rng.random()) if k % 2 else random_interval_graph(rng, n)[0]
         co = _transitive_orientation(n, complement(G).adj)
-        if co is None or _interval_order(n, G.adj) is not None:
+        order, witness = _interval_order(n, G.adj)
+        if co is None or order is not None:
             continue
         rejected += 1
-        u, v = next((u, v) for u in range(n) for v in range(n) if co[u] & ~co[v] and co[v] & ~co[u])
-        x = next(bits(co[u] & ~co[v]))
-        y = next(bits(co[v] & ~co[u]))
-        assert check_induced_c4(G, tuple(G.vertices[w] for w in (u, v, x, y)))
+        p, q, x, y = witness
+        assert co[p] >> x & 1 and not co[q] >> x & 1
+        assert co[q] >> y & 1 and not co[p] >> y & 1
+        assert check_induced_c4(G, tuple(G.vertices[w] for w in witness))
     assert rejected >= 50, rejected
 
 

@@ -34,25 +34,24 @@ from packclass.opp import (
     quick_infeasible,
     solve_opp,
 )
-from packclass.oracle import brute_force_opp
+from packclass.oracle import OracleConfig, brute_force_opp, oracle_is_interval
 from packclass.solve import solve_okp, solve_spp
-from packclass.packing_class import clique_bound_holds, verify_packing_class
+from packclass.packing_class import verify_packing_class
 from packclass.sweep import exhaustive_grid
 
 from bottomleft import bottom_left_by_masks
 from certcheck import check_induced_c4, check_odd_2chordless_cycle
 from conftest import assert_same_tables
 from graphtools import (
+    clique_bound_holds,
     minus_edges,
     odd_closed_walk_by_arcs,
     pair_of,
     plus_edges,
-    simplicial_elimination,
 )
 import reference_search as reference
 from packclass.graph import (
     Graph,
-    _asteroidal_triple,
     _max_clique,
     _odd_closed_walk,
     bits,
@@ -601,14 +600,15 @@ def test_propagation_leaves_no_odd_closed_walk(monkeypatch):
 
 
 def _accept_by_definition(state):
-    """P3, then per axis P1 (a simplicial elimination order and no
-    asteroidal triple) and P2 (the heaviest clique of the complement
-    fits), with no filter first."""
+    """P3, then per axis P1 (the definitional oracle: a simplicial
+    elimination order and no asteroidal triple) and P2 (the heaviest
+    clique of the complement fits), with no filter first."""
     if any(all(row[pid] == INCLUDE for row in state.status) for pid in range(state.m)):
         return False
     full = (1 << state.n) - 1
+    config = OracleConfig(max_vertices=state.n)
     for plus, sizes, cap in zip(state.plus_adj, state.sizes, state.caps):
-        if simplicial_elimination(state.n, plus) is None or _asteroidal_triple(state.n, plus) is not None:
+        if not oracle_is_interval(Graph._of_bitsets(state.inst.ids, plus), config):
             return False
         co = [full ^ row ^ (1 << v) for v, row in enumerate(plus)]
         if _max_clique(co, sizes, full)[0] > cap:

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,25 +12,20 @@ import packclass
 from packclass import chargraph, graph
 from packclass.chargraph import Dag, IntervalCheck, is_interval_graph, transitive_orientation
 from packclass.errors import NotPackingClass
-from packclass.graph import (
-    Graph,
-    complement,
-    find_asteroidal_triple,
-    max_weight_stable_set_interval,
-)
+from packclass.graph import Graph, complement, max_weight_stable_set_interval
 from packclass.model import Box, Instance, is_gapless, project_to_class, validate_packing
-from packclass.oracle import enumerate_packing_classes
+from packclass.oracle import OracleConfig, enumerate_packing_classes, oracle_is_interval
 from packclass.packing_class import (
     ClassReport,
     Orientation,
-    clique_bound_holds,
     extract_packing,
     orient_class,
     verify_packing_class,
 )
 
+from certcheck import check_induced_c4, check_odd_2chordless_cycle
 from conftest import random_valid_packing
-from graphtools import is_triangulated
+from graphtools import clique_bound_holds
 
 
 def two_box_instance():
@@ -69,18 +65,16 @@ def test_verify_flags_non_interval_graph():
     assert report.p2_ok[0] is None  # stable-set bound not evaluated without P1
 
 
-def verify_by_forbidden_structures(E, inst):
-    """`verify_packing_class` by forbidden structures, as a reference: P1
-    by a hole search and then an asteroidal-triple search, P2 by the
-    stable-set routine on `Fraction` sizes, P3 by the first pair (in id
-    order) adjacent on every axis."""
+def verify_by_definition(E, inst):
+    """`verify_packing_class`'s verdicts by definition, as a reference: P1
+    by the definitional oracle (simplicial elimination, then no
+    asteroidal triple), P2 by the stable-set routine on `Fraction` sizes,
+    P3 by the first pair (in id order) adjacent on every axis. P1
+    witnesses are left None: the test checks the library's by definition."""
     graphs = [Graph(inst.ids, edges) for edges in E]
-    p1_ok, p1_wit, p2_ok, p2_wit = [], [], [], []
+    p1_ok, p2_ok, p2_wit = [], [], []
     for i, G in enumerate(graphs):
-        chordal, hole = is_triangulated(G)
-        triple = find_asteroidal_triple(G) if chordal else None
-        p1_ok.append(chordal and triple is None)
-        p1_wit.append(("hole", hole) if hole else ("asteroidal_triple", triple) if triple else None)
+        p1_ok.append(oracle_is_interval(G, OracleConfig(max_vertices=inst.n)))
         if not p1_ok[-1]:
             p2_ok.append(None)
             p2_wit.append(None)
@@ -91,7 +85,7 @@ def verify_by_forbidden_structures(E, inst):
     shared = next(
         (pair for pair in combinations(inst.ids, 2) if all(G.has_edge(*pair) for G in graphs)), None
     )
-    return ClassReport(tuple(p1_ok), tuple(p1_wit), tuple(p2_ok), tuple(p2_wit), shared is None, shared)
+    return ClassReport(tuple(p1_ok), (None,) * len(graphs), tuple(p2_ok), tuple(p2_wit), shared is None, shared)
 
 
 def random_edge_sets(rng, inst):
@@ -117,14 +111,15 @@ def random_edge_sets(rng, inst):
     return [[pair for pair in combinations(ids, 2) if rng.random() < p] for _ in range(inst.d)]
 
 
-def test_class_check_matches_forbidden_structure_reference():
+def test_class_check_matches_definitional_reference():
     """On random edge sets (d 1-3, fractional sizes) `verify_packing_class`
-    reports what the forbidden-structure reference reports, witnesses
-    included; `orient_class` orients exactly the all-ok tuples, and
-    `is_interval_graph` gives each graph the reference's P1 verdict and
-    witness."""
+    reports the definitional reference's verdicts and its P2 and P3
+    witnesses; each P1 witness is an induced 4-cycle of the graph or an
+    odd 2-chordless cycle of its complement, and `is_interval_graph`
+    gives each graph the same verdict and witness. `orient_class` orients
+    exactly the all-ok tuples."""
     rng = random.Random(23)
-    seen = {"hole": 0, "asteroidal_triple": 0, "overweight": 0, "all_ok": 0}
+    seen = {"hole": 0, "complement_odd_cycle": 0, "overweight": 0, "all_ok": 0}
     for _ in range(500):
         d = rng.randint(1, 3)
         dens = [rng.randint(1, 3) for _ in range(d)]
@@ -132,13 +127,19 @@ def test_class_check_matches_forbidden_structure_reference():
         container = [max(max(s[i] for s in sizes), rng.randint(2, 8)) for i in range(d)]
         inst = Instance(boxes=[Box(f"b{k}", s) for k, s in enumerate(sizes)], container=container)
         E = random_edge_sets(rng, inst)
-        expected = verify_by_forbidden_structures(E, inst)
-        assert verify_packing_class(E, inst) == expected
-        for edges, ok, witness in zip(E, expected.p1_ok, expected.p1_witnesses):
-            check = is_interval_graph(Graph(inst.ids, edges))
+        expected = verify_by_definition(E, inst)
+        report = verify_packing_class(E, inst)
+        assert replace(report, p1_witnesses=expected.p1_witnesses) == expected
+        for edges, ok, witness in zip(E, report.p1_ok, report.p1_witnesses):
+            G = Graph(inst.ids, edges)
+            check = is_interval_graph(G)
             assert check == (IntervalCheck(True) if ok else IntervalCheck(False, **dict([witness])))
-            if witness:
-                seen[witness[0]] += 1
+            if ok:
+                assert witness is None
+                continue
+            kind, cert = witness
+            assert check_induced_c4(G, cert) if kind == "hole" else check_odd_2chordless_cycle(complement(G), cert)
+            seen[kind] += 1
         seen["overweight"] += expected.p2_ok.count(False)
         if expected.all_ok:
             seen["all_ok"] += 1
@@ -293,7 +294,7 @@ from packclass.chargraph import Dag
 from packclass.fileio import render_svg
 from packclass.model import Box, Instance, Packing
 from packclass.packing_class import (
-    Orientation, clique_bound_holds, extract_packing, orient_class, verify_packing_class,
+    Orientation, extract_packing, orient_class, verify_packing_class,
 )
 cube = Instance(boxes=(Box("a", (1, 1, 1)),), container=(1, 1, 1))
 square = Instance(boxes=(Box("a", (1, 1)),), container=(1, 1))
@@ -301,7 +302,6 @@ print(__debug__)
 for call in (
     lambda: orient_class([[], []]),
     lambda: verify_packing_class([[]], square),
-    lambda: clique_bound_holds([[], []], ["a"], 0),
     lambda: render_svg(cube, Packing({"a": (0, 0, 0)})),
     lambda: extract_packing(Orientation(dags=(Dag(("a",), frozenset()),) * 2), cube),
     lambda: extract_packing(Orientation(dags=(Dag(("a",), frozenset()),) * 4), cube),
@@ -327,8 +327,8 @@ def test_caller_input_guards_raise_package_errors(flags):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == [
-        str(not flags), "InvalidInstance", "DimensionMismatch", "InvalidInstance",
-        "DimensionMismatch", "DimensionMismatch", "DimensionMismatch",
+        str(not flags), "InvalidInstance", "DimensionMismatch", "DimensionMismatch",
+        "DimensionMismatch", "DimensionMismatch",
     ]
 
 

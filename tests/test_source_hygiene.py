@@ -1,7 +1,9 @@
-"""No module of the library imports a name it never uses.
+"""No module of the library imports a name it never uses, and no
+module-level private name goes unread.
 
-A deletion that leaves its import behind goes unnoticed by every other
-test; this one reads each module's syntax tree and fails on such a name.
+A deletion that leaves its import, or the helper only it called, behind
+goes unnoticed by every other test; these read each module's syntax tree
+and fail on such a name.
 """
 
 import ast
@@ -47,3 +49,46 @@ def test_an_unused_import_is_caught():
         "    return os.sep, bits(1), p\n"
     )
     assert unused_imports(tree) == ["Graph", "json"]
+
+
+def private_names(tree: ast.Module) -> list[str]:
+    """The private names (one leading underscore, not a dunder) that the
+    module's top level binds with a function, a class or an assignment."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, ast.Assign):
+            bound += [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound.append(node.target.id)
+    return [name for name in bound if name.startswith("_") and not name.startswith("__")]
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """The names the module's expressions read, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_private_name_is_read_by_some_module():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(read_names, trees.values()))
+    unread = [f"{name}: {private}" for name, tree in trees.items() for private in private_names(tree) if private not in read]
+    assert unread == []
+
+
+def test_an_unread_private_name_is_caught():
+    tree = ast.parse(
+        "_CAP = 3\n"
+        "_LIMIT: int = 4\n"
+        "__all__ = []\n"
+        "def _dead(): return _CAP\n"
+        "class _Used: pass\n"
+        "def public(x): return x._LIMIT, _Used\n"
+    )
+    assert private_names(tree) == ["_CAP", "_LIMIT", "_dead", "_Used"]
+    assert {"_CAP", "_LIMIT", "_Used"} <= read_names(tree) and "_dead" not in read_names(tree)
