@@ -28,7 +28,7 @@ _EXPORTS = {
                       "orient_class", "verify_packing_class"),
     "opp": ("SearchLimits", "SearchOutcome", "heuristic_pack", "quick_infeasible", "solve_opp"),
     "solve": ("OkpSolution", "SppSolution", "solve_okp", "solve_spp"),
-    "oracle": ("OracleConfig", "brute_force_opp", "enumerate_packing_classes"),
+    "oracle": ("OracleConfig", "brute_force_opp", "cell_fill_opp", "enumerate_packing_classes"),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 

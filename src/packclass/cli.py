@@ -311,6 +311,7 @@ def cmd_sweep(args) -> int:
             "solver": r.solver_verdict,
             "oracle": "feasible" if r.oracle_feasible else "infeasible",
             "classes": r.class_count,
+            "cell_fill": {True: "feasible", False: "infeasible"}.get(r.cell_fill_feasible),
         }
         for r in results
         if not r.agree

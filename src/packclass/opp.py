@@ -79,7 +79,9 @@ class SearchLimits:
     """The budget of one solve, shared by all its sub-problems.
     `max_nodes` counts search nodes of the exact engine only: `solve_okp`
     charges nothing for the subsets it enumerates and screens, so only
-    `time_limit` (seconds, or None for none) bounds that enumeration."""
+    `time_limit` (seconds, or None for none) bounds that enumeration.
+    No heuristic is charged: not bottom-left, nor `solve_spp`'s cell fill
+    on its own slice of `cellfill.FILL_NODES` nodes."""
 
     max_nodes: int = 10_000_000
     time_limit: Optional[float] = 60.0
@@ -493,7 +495,9 @@ def _try_accept(state: EdgeState) -> tuple[Packing, PackingClass]:
     return _place(state.inst, succs), PackingClass(instance=state.inst, edge_sets=edge_sets)
 
 
-def _bottom_left(inst: Instance, order: Sequence[int]) -> Optional[list[tuple[int, tuple[int, ...]]]]:
+def _bottom_left(
+    inst: Instance, order: Sequence[int], deadline: Optional[float] = None
+) -> Optional[list[tuple[int, tuple[int, ...]]]]:
     """Place boxes in `order`, each at its first free corner candidate
     (candidates sorted with the highest dimension varying slowest): 0 or a
     placed box's far side that leaves room. Placed boxes are flat tuples
@@ -509,6 +513,7 @@ def _bottom_left(inst: Instance, order: Sequence[int]) -> Optional[list[tuple[in
     A lower cap on the last axis only cuts that axis's candidate list, so
     a capped run places each box where the uncapped run does, until the
     first box whose uncapped spot crosses the cap: there it returns None.
+    With a `deadline`, a run still going once it passes returns None too.
     """
     d = inst.d
     sizes = inst.int_sizes
@@ -550,6 +555,8 @@ def _bottom_left(inst: Instance, order: Sequence[int]) -> Optional[list[tuple[in
 
     last = max(d - 1, 1)
     for b in order:
+        if deadline is not None and time.perf_counter() > deadline:
+            return None
         w = sizes[b]
         spot = first_free(last, boxes, w)
         if spot is None:
@@ -594,14 +601,14 @@ def heuristic_pack(inst: Instance, *, budget: Optional[_Budget] = None) -> Optio
     (`_placed_packing`). Incomplete: may return None for feasible
     instances. `solve_spp` runs the same orders once per solve as its
     upper bound, each after the first capped below the lowest top so
-    far. With a `budget`, the deadline
-    is checked before every order after the first: once it has passed the
-    heuristic gives up.
+    far. With a `budget`, the deadline is checked before every order after
+    the first and every box: once it has passed the heuristic gives up.
     """
+    deadline = None if budget is None else budget.deadline
     for k, order in enumerate(_heuristic_orders(inst)):
         if k and budget is not None and budget.expired():
             return None
-        placed = _bottom_left(inst, order)
+        placed = _bottom_left(inst, order, deadline)
         if placed is not None:
             return _placed_packing(inst, placed)
     return None

@@ -2,7 +2,9 @@
 
 Everything here is intentionally written from the definitions, with plain
 dict/set data structures, and shares no algorithmic code with the
-production solvers it cross-checks.
+packing-class engine it cross-checks. `cell_fill_opp`, ground truth past
+five boxes, runs the cell fill that `solve_spp` also runs as a bounded
+quick yes, which never answers "infeasible".
 
 Why the packability search may restrict coordinates to subset sums: if any
 packing of a box set exists, a "gapless" one exists, in which every
@@ -21,9 +23,10 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
 
+from .cellfill import CELL_CAP, _cell_fill
 from .errors import InvalidLimits, TooLarge
 from .graph import Graph
-from .model import Instance, Packing
+from .model import Instance, Packing, _placed_packing
 
 DEFAULT_MAX_BOXES = 5
 DEFAULT_MAX_VERTICES = 7
@@ -97,6 +100,17 @@ def brute_force_opp(inst: Instance, config: OracleConfig = OracleConfig()) -> Br
         for b, pos in placed
     }
     return BruteForceResult(True, Packing(positions))
+
+
+def cell_fill_opp(inst: Instance, max_nodes: int = 1_000_000) -> BruteForceResult:
+    """Exact packability by the cell fill of `cellfill`, whose cost grows
+    with the container's cell count, not with n. Raises TooLarge above
+    `CELL_CAP` cells or once `max_nodes` are spent; it never guesses."""
+    caps = [inst.int_container(i) for i in range(inst.d)]
+    placed, exhausted = _cell_fill(inst.int_sizes, caps, max_nodes)
+    if not exhausted:
+        raise TooLarge(f"cell fill undecided: over {CELL_CAP} cells or {max_nodes} nodes")
+    return BruteForceResult(placed is not None, None if placed is None else _placed_packing(inst, placed))
 
 
 def _adjacency(G: Graph) -> dict[str, set[str]]:

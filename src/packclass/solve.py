@@ -28,25 +28,27 @@ SPP probes candidate heights by binary search; since some optimal packing
 is gapless, every coordinate is a subset sum of box heights, so only those
 sums (at least the tallest box and the volume bound) can be optimal
 heights. Every candidate height has the same integer scale, so SPP builds
-one instance, at the all-stacked height, and derives each sub-problem
-from its integer tables with only the height changed; the volume bound is
-taken on its integers too. With the heuristic on, the bottom-left
-heuristic runs once per solve, as the upper bound (Martello, Monaci and
-Vigo, "An exact approach to the strip-packing problem", INFORMS J.
-Computing 15(3), 2003): every order of `heuristic_pack`, keeping the
-lowest top. A lower cap on the last axis only cuts that axis's list of
-corner candidates, so under a cap H a run places its boxes exactly as at
-the all-stacked height if its top is at most H and fails otherwise. The
-first order runs at the all-stacked height, where it places every box,
-and each later one one grid step below the lowest top so far: it keeps
-its placement only if it beats that top, and otherwise stops at its
-first box over the cap. The heuristic therefore fails at every height
-below the bound, and the probes there run the exact engine alone. A
-feasible probe's packing fits every height from the one it actually
-uses, so the search is capped at the smallest candidate at or above that
-height, not just at the probed one, and the packing in hand is returned
-once the search closes on it. The bound's placement becomes a `Packing`,
-validated at the all-stacked height, only if it is the one returned.
+one instance, at the all-stacked height, and derives each sub-problem from
+its integer tables with only the height changed; the volume bound is taken
+on its integers too. With the heuristic on, SPP first tries to meet its
+lower bound (Martello, Monaci and Vigo, "An exact approach to the
+strip-packing problem", INFORMS J. Computing 15(3), 2003): a cell fill
+(`cellfill`) on a node slice of its own at the lowest candidate, where a
+packing is optimal; a miss proves nothing. Then the bottom-left heuristic
+runs once per solve, as the upper bound: every order of `heuristic_pack`,
+keeping the lowest top. A lower cap on the last axis only cuts that axis's
+list of corner candidates, so under a cap H a run places its boxes exactly
+as at the all-stacked height if its top is at most H and fails otherwise.
+The first order runs at the all-stacked height, where it places every box,
+and each later one one grid step below the lowest top so far: it keeps its
+placement only if it beats that top, and otherwise stops at its first box
+over the cap. The heuristic therefore fails at every height below the
+bound, and the probes there run the exact engine alone. A feasible probe's
+packing fits every height from the one it actually uses, so the search is
+capped at the smallest candidate at or above that height, not just at the
+probed one, and the packing in hand is returned once the search closes on
+it. The bound's placement becomes a `Packing`, validated at the
+all-stacked height, only if it is the one returned.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from heapq import heappop, heappush
 from math import lcm, prod
 from typing import Optional, Sequence, Union
 
+from .cellfill import FILL_NODES, _cell_fill
 from .errors import InfeasibleCrossSection, InvalidInstance
 from .graph import bits
 from .model import Box, Instance, Packing, _placed_packing, to_fraction
@@ -218,12 +221,12 @@ def solve_spp(
     last dimension. Candidate heights are the subset sums of the boxes'
     last-dimension sizes, probed in binary-search order; each feasible
     probe caps the search at the height its packing uses. With
-    `limits.use_heuristic`, the lowest top of the bottom-left orders caps
-    it first, and no probe runs the heuristic (see the module
-    docstring). The one budget is built first, so the deadline also
-    bounds building the sums; a budget spent by then ends the solve
-    before the bound, and the bound checks the deadline before every
-    order after the first.
+    `limits.use_heuristic`, a cell fill at the volume floor may answer
+    first; otherwise the lowest top of the bottom-left orders caps the
+    search, and no probe runs the heuristic (see the module docstring).
+    The one budget is built first, so the deadline also bounds building
+    the sums; a budget spent by then ends the solve before the fill, and
+    the bound reads the deadline before every box it places.
     """
     limits = limits or SearchLimits()
     budget = _Budget(limits)
@@ -265,7 +268,8 @@ def solve_spp(
         if budget.expired():
             return limit()
     # any feasible height is at least the tallest box and volume / cross-section
-    area = prod(stacked.int_container(i) for i in range(d - 1))
+    cross_caps = [stacked.int_container(i) for i in range(d - 1)]
+    area = prod(cross_caps)
     volume = sum(stacked.int_volume(b) for b in range(stacked.n))
     floor = max(max(heights), -(-volume // area))
     candidates = sorted(s for s in sums if s >= floor)
@@ -299,7 +303,11 @@ def solve_spp(
 
     lo, hi = 0, len(candidates) - 1
     packing = bound = None
-    if limits.use_heuristic:
+    if limits.use_heuristic:  # a packing at the volume floor is optimal
+        placed, _ = _cell_fill(stacked.int_sizes, (*cross_caps, candidates[0]), FILL_NODES)
+        if placed is not None:
+            packing, hi = _placed_packing(at_height(candidates[0]), placed), 0
+    if limits.use_heuristic and packing is None:
         # The bound: at the all-stacked height the top of the stack is
         # always free, so the first run places every box. Each later run
         # is capped one grid step below the lowest top so far: it places
@@ -309,7 +317,9 @@ def solve_spp(
         for order in _heuristic_orders(stacked):
             if bound is not None and budget.expired():
                 return limit()
-            placed = _bottom_left(capped, order)
+            placed = _bottom_left(capped, order, budget.deadline)
+            if placed is None and bound is None:  # the first run stops only at the deadline
+                return limit()
             if placed is not None:  # (top, placement)
                 bound = max(pos[-1] + heights[b] for b, pos in placed), placed
                 if bound[0] <= candidates[0]:

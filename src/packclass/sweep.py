@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product, repeat
 from typing import Iterable, Optional, Sequence
 
+from .errors import TooLarge
 from .model import Box, Instance
 from .opp import SearchLimits, solve_opp
-from .oracle import brute_force_opp, enumerate_packing_classes
+from .oracle import brute_force_opp, cell_fill_opp, enumerate_packing_classes
 
 CLASS_CAP = 0  # the sweep compares class counts and keeps no class
 CHUNK = 8  # instances per task handed to a sweep worker
@@ -58,29 +59,31 @@ class OppComparison:
     solver_verdict: str
     oracle_feasible: bool
     class_count: int
+    cell_fill_feasible: Optional[bool]  # None: not compared, the fill raised TooLarge
 
     @property
     def agree(self) -> bool:
         solver = self.solver_verdict == "feasible"
-        return solver == self.oracle_feasible == (self.class_count > 0)
+        fill = self.cell_fill_feasible
+        return solver == self.oracle_feasible == (self.class_count > 0) == (solver if fill is None else fill)
 
 
 def compare_opp(inst: Instance, limits: Optional[SearchLimits] = None) -> OppComparison:
-    """Run solver, brute force, and class enumeration on one instance."""
+    """Run solver, brute force, class enumeration and the cell fill on one
+    instance; a grid the cell fill does not settle is compared without it."""
     outcome = solve_opp(inst, limits or SearchLimits())
     brute = brute_force_opp(inst)
     enum = enumerate_packing_classes(inst, cap=CLASS_CAP)
-    return OppComparison(
-        instance=inst,
-        solver_verdict=outcome.verdict,
-        oracle_feasible=brute.feasible,
-        class_count=enum.total,
-    )
+    try:
+        fill: Optional[bool] = cell_fill_opp(inst).feasible
+    except TooLarge:
+        fill = None
+    return OppComparison(inst, outcome.verdict, brute.feasible, enum.total, fill)
 
 
-def _compare_worker(inst: Instance, limits: Optional[SearchLimits]) -> tuple[str, bool, int]:
+def _compare_worker(inst: Instance, limits: Optional[SearchLimits]) -> tuple[str, bool, int, Optional[bool]]:
     c = compare_opp(inst, limits)
-    return c.solver_verdict, c.oracle_feasible, c.class_count
+    return c.solver_verdict, c.oracle_feasible, c.class_count, c.cell_fill_feasible
 
 
 def run_opp_sweep(
@@ -98,8 +101,5 @@ def run_opp_sweep(
         # Disjoint instances, one worker each; results keep input order.
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_compare_worker, instances, repeat(limits), chunksize=CHUNK))
-        return [
-            OppComparison(inst, verdict, feas, count)
-            for inst, (verdict, feas, count) in zip(instances, raw)
-        ]
+        return [OppComparison(inst, *answers) for inst, answers in zip(instances, raw)]
     return [compare_opp(inst, limits) for inst in instances]

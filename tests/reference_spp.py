@@ -3,8 +3,10 @@ all-stacked instance, kept as a reference: every probe constructs and
 validates a fresh `Instance`, the volume floor is summed on `Fraction`s,
 and the bottom-left bound runs every order uncapped at the all-stacked
 height and builds and validates its packing before the first probe,
-whether or not the solve returns it. The tests compare `solve.solve_spp`
-with `solve_spp` here.
+whether or not the solve returns it. Before the bound, with the
+heuristic on, it runs the same cell fill at the volume floor, on a fresh
+`Instance` of that height. The tests compare `solve.solve_spp` with
+`solve_spp` here.
 """
 
 import time
@@ -12,6 +14,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import ceil, lcm
 
+from packclass.cellfill import FILL_NODES, _cell_fill
 from packclass.errors import InfeasibleCrossSection, InvalidInstance
 from packclass.model import Instance, Packing, _placed_packing, to_fraction
 from packclass.opp import SearchLimits, _Budget, _bottom_left, _decide, _heuristic_orders
@@ -80,6 +83,13 @@ def solve_spp(boxes, cross_section, limits=None):
     lo, hi = 0, len(candidates) - 1
     packing = None
     if limits.use_heuristic:
+        height = Fraction(candidates[0], scale)
+        at_floor = Instance(boxes=boxes, container=(*cross, height))
+        caps = [at_floor.int_container(i) for i in range(d)]
+        placed, _ = _cell_fill(at_floor.int_sizes, caps, FILL_NODES)
+        if placed is not None:
+            stats["wall_time"] = time.perf_counter() - budget.start
+            return SppSolution(height=height, packing=_placed_packing(at_floor, placed), stats=stats)
         stacked = Instance(boxes=boxes, container=(*cross, Fraction(candidates[-1], scale)))
         best = None
         for order in _heuristic_orders(stacked):

@@ -235,9 +235,9 @@ def test_heuristic_stops_once_the_deadline_passes(monkeypatch):
     runs = []
     bottom_left = opp._bottom_left
 
-    def counted(inst, order):
+    def counted(inst, order, deadline=None):
         runs.append(order)
-        return bottom_left(inst, order)
+        return bottom_left(inst, order, deadline)
 
     class FirstOrderBudget(opp._Budget):
         def expired(self):
@@ -540,10 +540,11 @@ def test_inner_decisions_build_no_class(monkeypatch):
     monkeypatch.setattr(solve, "_placed_packing", logged_bound)
     rng = random.Random(56)
     limits = SearchLimits(max_nodes=300, time_limit=None)
-    # a smaller SPP budget, so that at least five solves end in a limit
+    # a smaller SPP budget and 40 box sets, so that at least five solves end
+    # in a limit (the cell fill settles one more at its volume floor)
     spp_limits = SearchLimits(max_nodes=150, time_limit=None)
     from_probes = limited = 0
-    for k in range(30):
+    for k in range(40):
         inst = okp_pinned_instance(rng, k)
         solve_okp(inst, limits)
         built = len(bounds)
@@ -557,7 +558,7 @@ def test_inner_decisions_build_no_class(monkeypatch):
             assert sol.stats["probes"] > 0
             from_probes += 1
     counted = (len(bounds), from_probes, limited)
-    assert counts["project"] == 0 and len(bounds) >= 20 and limited >= 5 and sum(counted) == 30, counted
+    assert counts["project"] == 0 and len(bounds) >= 20 and limited >= 5 and sum(counted) == 40, counted
     assert not any(graphs for graphs, _ in bounds)
     assert counts["graph"] == sum(graphs for _, _, graphs in decisions)
     assert all(verdict == "feasible" and not hit for verdict, hit, graphs in decisions if graphs)
@@ -790,3 +791,60 @@ def test_okp_pushes_each_subset_once(monkeypatch):
             pushes += len(masks)
             reference_pushes += len(reference)
         assert pushes < share * reference_pushes, (pushes, reference_pushes)
+
+
+def lowest_candidate(boxes, cross):
+    """The lowest subset sum of box heights at or above the tallest box
+    and the volume bound."""
+    area = Fraction(1)
+    for c in cross:
+        area *= c
+    bound = max(max(b.size[-1] for b in boxes), sum((b.volume for b in boxes), Fraction(0)) / area)
+    sums = {Fraction(0)}
+    for b in boxes:
+        sums |= {s + b.size[-1] for s in sums}
+    return min(s for s in sums if s >= bound)
+
+
+def test_spp_floor_fill_keeps_every_height(monkeypatch):
+    """With the heuristic on, SPP first runs the cell fill at its volume
+    floor. On 120 seeded strips, half of them guillotine cuts (perfect at
+    the floor) and half random box sets, every height equals the
+    heuristic-off height wherever both settle (at least 100), and every packing
+    validates. The fill answers at least 60 of them, and every one it
+    answers returns at the floor with no probe."""
+    from test_opp import guillotine_instance
+
+    fills = []
+    cell_fill = solve._cell_fill
+
+    def logged(sizes, caps, max_nodes):
+        out = cell_fill(sizes, caps, max_nodes)
+        fills.append(out[0] is not None)
+        return out
+
+    monkeypatch.setattr(solve, "_cell_fill", logged)
+    rng = random.Random(73)
+    on = SearchLimits(max_nodes=2_000, time_limit=None)
+    off = SearchLimits(max_nodes=2_000, time_limit=None, use_heuristic=False)
+    compared = answered = 0
+    for k in range(120):
+        if k % 2:
+            boxes, cross = spp_pinned_instance(rng, k)
+        else:
+            strip = guillotine_instance(rng, (rng.randint(4, 8), rng.randint(4, 8)), rng.randint(5, 12))
+            boxes, cross = strip.boxes, strip.container[:-1]
+        fills.clear()
+        fast = solve_spp(boxes, cross, on)
+        exact = solve_spp(boxes, cross, off)
+        assert fills == [] or len(fills) == 1, k
+        if fills == [True]:
+            assert fast.stats["probes"] == 0 and fast.height == lowest_candidate(boxes, cross), k
+            answered += 1
+        for sol in (fast, exact):
+            if isinstance(sol, SppSolution):
+                assert validate_packing(sol.packing, Instance(boxes=boxes, container=(*cross, sol.height))).valid
+        if isinstance(fast, SppSolution) and isinstance(exact, SppSolution):
+            assert fast.height == exact.height, k
+            compared += 1
+    assert compared >= 100 and answered >= 60, (compared, answered)

@@ -1,4 +1,7 @@
 import concurrent.futures
+import dataclasses
+import json
+import random
 
 import pytest
 
@@ -79,3 +82,33 @@ def test_cli_sweep_caps_its_workers(pools, capsys):
     capped = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == capped
+
+
+def test_sweep_reports_a_cell_fill_disagreement(monkeypatch, capsys):
+    """The sweep compares four answers; a cell fill that contradicts the
+    other three fails the sweep, and its record names each answer."""
+    from packclass import sweep
+    from packclass.oracle import BruteForceResult
+
+    monkeypatch.setattr(sweep, "cell_fill_opp", lambda inst: BruteForceResult(False))
+    assert main(["sweep", "--max-boxes", "1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["instances"] == 9 and doc["agreements"] == 0
+    assert doc["disagreements"][0] == {
+        "boxes": [["1", "1"]], "solver": "feasible", "oracle": "feasible", "classes": 1, "cell_fill": "infeasible",
+    }
+
+
+def test_sweep_past_the_cell_fill_cap_compares_the_other_three(capsys):
+    """Above 4,096 cells the cell fill raises TooLarge; the sweep records
+    it as not compared and still checks the engine, brute force and class
+    enumeration against each other."""
+    from packclass.sweep import compare_opp, random_instance
+
+    inst = random_instance(random.Random(3), container=(65, 65))
+    c = compare_opp(inst)
+    assert c.cell_fill_feasible is None and c.agree and c.solver_verdict == "feasible"
+    assert not dataclasses.replace(c, oracle_feasible=False).agree
+    assert main(["sweep", "--mode", "random", "--count", "3", "--container", "65"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["instances"] == doc["agreements"] == 3
