@@ -11,8 +11,8 @@ import json
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import DimensionMismatch, PackclassError
-from .model import Box, Instance, Packing
+from .errors import DimensionMismatch, InvalidInstance, PackclassError
+from .model import Box, Instance, Packing, to_fraction
 
 RESULT_FORMAT = 1
 
@@ -36,24 +36,11 @@ class ParseError(PackclassError):
     """Malformed input file; message carries the location when known."""
 
 
-def _rational(value: Any) -> Fraction:
-    """The exact rational a JSON value stands for; ValueError says why not."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise ValueError("floats are rejected, use an integer or a 'num/den' string")
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"cannot parse rational {value!r}") from None
-    raise ValueError(f"expected integer or 'num/den' string, got {value!r}")
-
-
 def rational_from_json(value: Any, where: str) -> Fraction:
+    """The exact rational a JSON value stands for (`to_fraction`)."""
     try:
-        return _rational(value)
-    except ValueError as exc:
+        return to_fraction(value)
+    except InvalidInstance as exc:
         raise ParseError(f"{where}: {exc}") from None
 
 
@@ -61,8 +48,8 @@ def _rationals(values: list, where: Callable[[int], str]) -> tuple[Fraction, ...
     """The entries of a JSON array as rationals. `where(i)` names entry i
     in the error message, so a location is formatted only on error."""
     try:
-        return tuple(map(_rational, values))
-    except ValueError:
+        return tuple(map(to_fraction, values))
+    except InvalidInstance:
         for i, v in enumerate(values):  # raises at the first bad entry
             rational_from_json(v, where(i))
         raise

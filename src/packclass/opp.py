@@ -496,9 +496,10 @@ def _try_accept(state: EdgeState) -> tuple[Packing, PackingClass]:
 
 
 def _bottom_left(
-    inst: Instance, order: Sequence[int], deadline: Optional[float] = None
+    sizes: Sequence[tuple[int, ...]], caps: Sequence[int], order: Sequence[int], deadline: Optional[float] = None
 ) -> Optional[list[tuple[int, tuple[int, ...]]]]:
-    """Place boxes in `order`, each at its first free corner candidate
+    """Place the integer boxes `sizes`, each fitting the grid `caps` (as
+    for `_cell_fill`), in `order`, each at its first free corner candidate
     (candidates sorted with the highest dimension varying slowest): 0 or a
     placed box's far side that leaves room. Placed boxes are flat tuples
     (lo0, hi0, lo1, hi1, ...) kept sorted, so in axis-0 order. Axes d-1..2
@@ -508,19 +509,17 @@ def _bottom_left(
     span, starts at 0, jumps to the far side of each box that blocks it
     and stops at the first box that starts beyond its spot. No value
     inside a blocking span is free, and the span's far side is itself a
-    candidate. A 1-D instance runs as a 2-D one of unit depth.
+    candidate. A 1-D grid runs as a 2-D one of unit depth.
 
     A lower cap on the last axis only cuts that axis's candidate list, so
     a capped run places each box where the uncapped run does, until the
     first box whose uncapped spot crosses the cap: there it returns None.
     With a `deadline`, a run still going once it passes returns None too.
     """
-    d = inst.d
-    sizes = inst.int_sizes
-    caps = [inst.int_container(i) for i in range(d)]
+    d = len(caps)
     if d == 1:
         sizes = [(*w, 1) for w in sizes]
-        caps.append(1)
+        caps = (*caps, 1)
     cap0 = caps[0]
     far: list[list[int]] = [[] for _ in caps]  # distinct far sides per axis, sorted
     boxes: list[tuple[int, ...]] = []  # placed (lo0, hi0, lo1, hi1, ...), sorted
@@ -600,15 +599,16 @@ def heuristic_pack(inst: Instance, *, budget: Optional[_Budget] = None) -> Optio
     complete placement wins, and only its positions become `Fraction`s
     (`_placed_packing`). Incomplete: may return None for feasible
     instances. `solve_spp` runs the same orders once per solve as its
-    upper bound, each after the first capped below the lowest top so
-    far. With a `budget`, the deadline is checked before every order after
-    the first and every box: once it has passed the heuristic gives up.
+    upper bound, each capped one grid step below the top in hand. With a
+    `budget`, the deadline is checked before every order after the first
+    and every box: once it has passed the heuristic gives up.
     """
     deadline = None if budget is None else budget.deadline
+    caps = [inst.int_container(i) for i in range(inst.d)]
     for k, order in enumerate(_heuristic_orders(inst)):
         if k and budget is not None and budget.expired():
             return None
-        placed = _bottom_left(inst, order, deadline)
+        placed = _bottom_left(inst.int_sizes, caps, order, deadline)
         if placed is not None:
             return _placed_packing(inst, placed)
     return None
@@ -713,12 +713,10 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
     reach it.
     """
     stats = SearchStats()
-    start = time.perf_counter()
     # Read once; the node count, a local, is charged and written to `stats` on return.
     max_nodes, deadline = budget.nodes_left, budget.deadline
 
     def outcome(verdict: str, nodes: int, packing=None, pc=None) -> SearchOutcome:
-        stats.wall_time = time.perf_counter() - start
         stats.nodes = stats.decisions = nodes
         budget.nodes_left -= nodes
         return SearchOutcome(verdict=verdict, packing=packing, packing_class=pc, stats=stats)

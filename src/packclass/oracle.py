@@ -30,17 +30,15 @@ from .model import Instance, Packing, _placed_packing
 
 DEFAULT_MAX_BOXES = 5
 DEFAULT_MAX_VERTICES = 7
-DEFAULT_MAX_ORIENTATION_EDGES = 30
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     max_boxes: int = DEFAULT_MAX_BOXES
     max_vertices: int = DEFAULT_MAX_VERTICES
-    max_orientation_edges: int = DEFAULT_MAX_ORIENTATION_EDGES
 
     def __post_init__(self) -> None:
-        if min(self.max_boxes, self.max_vertices, self.max_orientation_edges) <= 0:
+        if min(self.max_boxes, self.max_vertices) <= 0:
             raise InvalidLimits("oracle caps must be positive")
 
 
@@ -164,74 +162,6 @@ def oracle_is_interval(G: Graph, config: OracleConfig = OracleConfig()) -> bool:
             and _connected_avoiding(nbrs, y, z, nbrs[x] | {x})
         ):
             return False
-    return True
-
-
-def oracle_is_comparability(G: Graph, config: OracleConfig = OracleConfig()) -> bool:
-    """True iff some orientation of the edges is transitive (backtracking
-    over edge directions with forced-arc propagation)."""
-    edges = sorted((min(a, b), max(a, b)) for a, b in G.edges())
-    if len(edges) > config.max_orientation_edges:
-        raise TooLarge(
-            f"oracle capped at {config.max_orientation_edges} edges, got {len(edges)}"
-        )
-    nbrs = _adjacency(G)
-    arcs: dict[tuple[str, str], bool] = {}  # (a, b) -> True when a -> b
-
-    def add(a: str, b: str, log: list[tuple[str, str]]) -> bool:
-        stack = [(a, b)]
-        while stack:
-            x, y = stack.pop()
-            if arcs.get((x, y)):
-                continue
-            if arcs.get((y, x)):
-                return False
-            arcs[(x, y)] = True
-            log.append((x, y))
-            for z in nbrs[y]:
-                if arcs.get((y, z)) and z != x:
-                    if z not in nbrs[x]:
-                        return False
-                    stack.append((x, z))
-            for w in nbrs[x]:
-                if arcs.get((w, x)) and w != y:
-                    if w not in nbrs[y]:
-                        return False
-                    stack.append((w, y))
-        return True
-
-    def undo(log: list[tuple[str, str]]) -> None:
-        for key in log:
-            del arcs[key]
-
-    def rec(k: int) -> bool:
-        while k < len(edges) and (
-            arcs.get(edges[k]) or arcs.get((edges[k][1], edges[k][0]))
-        ):
-            k += 1
-        if k == len(edges):
-            return _is_transitive(arcs, nbrs)
-        a, b = edges[k]
-        for x, y in ((a, b), (b, a)):
-            log: list[tuple[str, str]] = []
-            if add(x, y, log) and rec(k + 1):
-                undo(log)
-                return True
-            undo(log)
-        return False
-
-    return rec(0)
-
-
-def _is_transitive(arcs: dict[tuple[str, str], bool], nbrs) -> bool:
-    chosen = [k for k, v in arcs.items() if v]
-    heads: dict[str, set[str]] = {}
-    for a, b in chosen:
-        heads.setdefault(a, set()).add(b)
-    for a, b in chosen:
-        for c in heads.get(b, ()):
-            if c != a and c not in heads.get(a, set()):
-                return False
     return True
 
 

@@ -30,25 +30,26 @@ sums (at least the tallest box and the volume bound) can be optimal
 heights. Every candidate height has the same integer scale, so SPP builds
 one instance, at the all-stacked height, and derives each sub-problem from
 its integer tables with only the height changed; the volume bound is taken
-on its integers too. With the heuristic on, SPP first tries to meet its
-lower bound (Martello, Monaci and Vigo, "An exact approach to the
-strip-packing problem", INFORMS J. Computing 15(3), 2003): a cell fill
-(`cellfill`) on a node slice of its own at the lowest candidate, where a
-packing is optimal; a miss proves nothing. Then the bottom-left heuristic
-runs once per solve, as the upper bound: every order of `heuristic_pack`,
-keeping the lowest top. A lower cap on the last axis only cuts that axis's
-list of corner candidates, so under a cap H a run places its boxes exactly
-as at the all-stacked height if its top is at most H and fails otherwise.
-The first order runs at the all-stacked height, where it places every box,
-and each later one one grid step below the lowest top so far: it keeps its
-placement only if it beats that top, and otherwise stops at its first box
-over the cap. The heuristic therefore fails at every height below the
-bound, and the probes there run the exact engine alone. A feasible probe's
-packing fits every height from the one it actually uses, so the search is
-capped at the smallest candidate at or above that height, not just at the
-probed one, and the packing in hand is returned once the search closes on
-it. The bound's placement becomes a `Packing`, validated at the
-all-stacked height, only if it is the one returned.
+on its integers too. The packing in hand starts as all boxes stacked, at
+the highest candidate, which is never probed. With the heuristic on, SPP
+first tries to meet its lower bound (Martello, Monaci and Vigo, "An exact
+approach to the strip-packing problem", INFORMS J. Computing 15(3), 2003):
+a cell fill (`cellfill`) on a node slice of its own at the lowest
+candidate, where a packing is optimal; a miss proves nothing. Then the
+bottom-left heuristic runs once per solve, as the upper bound: every order
+of `heuristic_pack`, until the packing in hand is at the lowest candidate.
+A lower cap on the last axis only cuts that axis's list of corner
+candidates, so under a cap H a run places its boxes exactly as at the
+all-stacked height if its top is at most H and fails otherwise. Each order
+runs one grid step below the top in hand: it keeps its placement only if
+it beats that top, and otherwise stops at its first box over the cap. The
+heuristic therefore fails at every height below the bound, and the probes
+there run the exact engine alone. A feasible probe's packing fits every
+height from the one it actually uses, so the search is capped at the
+smallest candidate at or above that height, not just at the probed one,
+and that packing is returned once the search closes on it. With no
+feasible probe, the packing in hand becomes a `Packing`, validated at the
+height returned.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import accumulate
 from math import lcm, prod
 from typing import Optional, Sequence, Union
 
@@ -220,13 +222,14 @@ def solve_spp(
     `cross_section` fixes dimensions 0..d-2; the optimized height is the
     last dimension. Candidate heights are the subset sums of the boxes'
     last-dimension sizes, probed in binary-search order; each feasible
-    probe caps the search at the height its packing uses. With
-    `limits.use_heuristic`, a cell fill at the volume floor may answer
-    first; otherwise the lowest top of the bottom-left orders caps the
-    search, and no probe runs the heuristic (see the module docstring).
-    The one budget is built first, so the deadline also bounds building
-    the sums; a budget spent by then ends the solve before the fill, and
-    the bound reads the deadline before every box it places.
+    probe caps the search at the height its packing uses, and all boxes
+    stacked answer the highest without one. With `limits.use_heuristic`,
+    a cell fill at the volume floor may answer first; otherwise the lowest
+    top of the bottom-left orders caps the search, and no probe runs the
+    heuristic (see the module docstring). The one budget is built first,
+    so the deadline also bounds building the sums; a budget spent by then
+    ends the solve before the fill, and the bound reads the deadline
+    before every order and every box it places.
     """
     limits = limits or SearchLimits()
     budget = _Budget(limits)
@@ -301,36 +304,29 @@ def solve_spp(
             for box_id, pos in packing.positions.items()
         )
 
-    lo, hi = 0, len(candidates) - 1
-    packing = bound = None
-    if limits.use_heuristic:  # a packing at the volume floor is optimal
+    # The integer packing in hand, (top, placement): all boxes stacked
+    # until a lower one, that placement built only if it is returned.
+    best = candidates[-1], None
+    if limits.use_heuristic:
         placed, _ = _cell_fill(stacked.int_sizes, (*cross_caps, candidates[0]), FILL_NODES)
-        if placed is not None:
-            packing, hi = _placed_packing(at_height(candidates[0]), placed), 0
-    if limits.use_heuristic and packing is None:
-        # The bound: at the all-stacked height the top of the stack is
-        # always free, so the first run places every box. Each later run
-        # is capped one grid step below the lowest top so far: it places
-        # its boxes as uncapped if it beats that top, and stops at its
-        # first box over the cap if it cannot.
-        capped = stacked
-        for order in _heuristic_orders(stacked):
-            if bound is not None and budget.expired():
+        if placed is not None:  # a packing at the volume floor is optimal
+            best = candidates[0], placed
+        # Every cap, best[0] - 1 >= candidates[0] >= the tallest box, fits every box.
+        for order in _heuristic_orders(stacked) if best[0] > candidates[0] else ():
+            if budget.expired():
                 return limit()
-            placed = _bottom_left(capped, order, budget.deadline)
-            if placed is None and bound is None:  # the first run stops only at the deadline
-                return limit()
-            if placed is not None:  # (top, placement)
-                bound = max(pos[-1] + heights[b] for b, pos in placed), placed
-                if bound[0] <= candidates[0]:
+            placed = _bottom_left(stacked.int_sizes, (*cross_caps, best[0] - 1), order, budget.deadline)
+            if placed is not None:
+                best = max(pos[-1] + heights[b] for b, pos in placed), placed
+                if best[0] <= candidates[0]:
                     break
-                capped = at_height(bound[0] - 1)  # still at least the tallest box
-        hi = bisect_left(candidates, bound[0])
     # Invariant: candidates below lo are infeasible and candidates[hi] is
     # feasible; `packing`, once set, fits in height candidates[hi], and
-    # so does `bound` until a probe's packing replaces it. A probe's
-    # packing fits every height from the one it uses, so hi drops to the
-    # smallest candidate at or above that, not just to the probed one.
+    # `best` does until then. A probe's packing fits every height from the
+    # one it uses, so hi drops to the smallest candidate at or above that,
+    # not just to the probed one.
+    lo, hi = 0, bisect_left(candidates, best[0])
+    packing = None
     while lo < hi:
         mid = (lo + hi) // 2
         outcome = probe(candidates[mid])
@@ -341,14 +337,8 @@ def solve_spp(
             hi = bisect_left(candidates, used_height(packing), lo, mid)
         else:
             lo = mid + 1
-    if packing is None and bound is not None:  # validated at the all-stacked height
-        packing = _placed_packing(stacked, bound[1])
-    elif packing is None:  # no probe was feasible, so lo is the all-stacked height
-        final = probe(candidates[lo])
-        if isinstance(final, ResourceLimit):
-            return final
-        if final.verdict != "feasible":
-            raise AssertionError("the all-stacked height must be feasible")
-        packing = final.packing
+    if packing is None:  # the packing in hand, or else every box stacked in index order
+        placed = best[1] or list(enumerate((*[0] * (d - 1), s) for s in accumulate([0, *heights[:-1]])))
+        packing = _placed_packing(at_height(candidates[lo]), placed)
     stats["wall_time"] = time.perf_counter() - budget.start
     return SppSolution(height=Fraction(candidates[lo], scale), packing=packing, stats=stats)

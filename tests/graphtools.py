@@ -7,7 +7,10 @@ search are exercised against the library's own recognizers; the
 arc-state parity search is the reference for the library's
 odd-closed-walk search and for propagation's odd-cycle conflicts; the
 width bound is a property every packing class has; the pair lookup and
-per-axis edge lists read a search state by box ids.
+per-axis edge lists read a search state by box ids; the comparability
+oracle, a backtracking over edge directions capped at
+`COMPARABILITY_EDGE_CAP` edges, is ground truth for the library's
+transitive orientation.
 """
 
 from typing import Optional, Sequence
@@ -21,9 +24,11 @@ from packclass.graph import (
     bits,
     complement,
 )
+from packclass.oracle import _adjacency
 from packclass.packing_class import PackingClass
 
 ENUM_EDGE_CAP = 30
+COMPARABILITY_EDGE_CAP = 30
 
 
 def out_masks(dag: Dag) -> list[int]:
@@ -354,3 +359,69 @@ def plus_edges(state, i: int) -> list[tuple[str, str]]:
 def minus_edges(state, i: int) -> list[tuple[str, str]]:
     """The excluded pairs of axis i, as `plus_edges` lists the included."""
     return _edges(state, i, EXCLUDE)
+
+
+def oracle_is_comparability(G: Graph, max_edges: int = COMPARABILITY_EDGE_CAP) -> bool:
+    """True iff some orientation of the edges is transitive (backtracking
+    over edge directions with forced-arc propagation)."""
+    edges = sorted((min(a, b), max(a, b)) for a, b in G.edges())
+    if len(edges) > max_edges:
+        raise TooLarge(f"oracle capped at {max_edges} edges, got {len(edges)}")
+    nbrs = _adjacency(G)
+    arcs: dict[tuple[str, str], bool] = {}  # (a, b) -> True when a -> b
+
+    def add(a: str, b: str, log: list[tuple[str, str]]) -> bool:
+        stack = [(a, b)]
+        while stack:
+            x, y = stack.pop()
+            if arcs.get((x, y)):
+                continue
+            if arcs.get((y, x)):
+                return False
+            arcs[(x, y)] = True
+            log.append((x, y))
+            for z in nbrs[y]:
+                if arcs.get((y, z)) and z != x:
+                    if z not in nbrs[x]:
+                        return False
+                    stack.append((x, z))
+            for w in nbrs[x]:
+                if arcs.get((w, x)) and w != y:
+                    if w not in nbrs[y]:
+                        return False
+                    stack.append((w, y))
+        return True
+
+    def undo(log: list[tuple[str, str]]) -> None:
+        for key in log:
+            del arcs[key]
+
+    def rec(k: int) -> bool:
+        while k < len(edges) and (
+            arcs.get(edges[k]) or arcs.get((edges[k][1], edges[k][0]))
+        ):
+            k += 1
+        if k == len(edges):
+            return _is_transitive(arcs, nbrs)
+        a, b = edges[k]
+        for x, y in ((a, b), (b, a)):
+            log: list[tuple[str, str]] = []
+            if add(x, y, log) and rec(k + 1):
+                undo(log)
+                return True
+            undo(log)
+        return False
+
+    return rec(0)
+
+
+def _is_transitive(arcs: dict[tuple[str, str], bool], nbrs) -> bool:
+    chosen = [k for k, v in arcs.items() if v]
+    heads: dict[str, set[str]] = {}
+    for a, b in chosen:
+        heads.setdefault(a, set()).add(b)
+    for a, b in chosen:
+        for c in heads.get(b, ()):
+            if c != a and c not in heads.get(a, set()):
+                return False
+    return True

@@ -1,12 +1,13 @@
 """`solve_spp` as it was before its sub-problems were derived from one
 all-stacked instance, kept as a reference: every probe constructs and
 validates a fresh `Instance`, the volume floor is summed on `Fraction`s,
-and the bottom-left bound runs every order uncapped at the all-stacked
-height and builds and validates its packing before the first probe,
-whether or not the solve returns it. Before the bound, with the
-heuristic on, it runs the same cell fill at the volume floor, on a fresh
-`Instance` of that height. The tests compare `solve.solve_spp` with
-`solve_spp` here.
+and the bound, all boxes stacked in index order unless a bottom-left
+order run uncapped at the all-stacked height is lower, is built and
+validated as a packing before the first probe, whether or not the solve
+returns it; the all-stacked height is never probed. Before the bound,
+with the heuristic on, it runs the same cell fill at the volume floor, on
+a fresh `Instance` of that height. The tests compare `solve.solve_spp`
+with `solve_spp` here.
 """
 
 import time
@@ -80,8 +81,9 @@ def solve_spp(boxes, cross_section, limits=None):
             for box_id, pos in packing.positions.items()
         )
 
-    lo, hi = 0, len(candidates) - 1
-    packing = None
+    stacked = Instance(boxes=boxes, container=(*cross, Fraction(candidates[-1], scale)))
+    tops = [sum(heights[:b]) for b in range(len(boxes))]
+    best = candidates[-1], [(b, (*[0] * (d - 1), top)) for b, top in enumerate(tops)]
     if limits.use_heuristic:
         height = Fraction(candidates[0], scale)
         at_floor = Instance(boxes=boxes, container=(*cross, height))
@@ -90,19 +92,18 @@ def solve_spp(boxes, cross_section, limits=None):
         if placed is not None:
             stats["wall_time"] = time.perf_counter() - budget.start
             return SppSolution(height=height, packing=_placed_packing(at_floor, placed), stats=stats)
-        stacked = Instance(boxes=boxes, container=(*cross, Fraction(candidates[-1], scale)))
-        best = None
+        caps = [stacked.int_container(i) for i in range(d)]
         for order in _heuristic_orders(stacked):
-            if best is not None and budget.expired():
+            if best[0] <= candidates[0]:
+                break
+            if budget.expired():
                 return limit()
-            placed = _bottom_left(stacked, order)
+            placed = _bottom_left(stacked.int_sizes, caps, order)
             top = max(pos[-1] + heights[b] for b, pos in placed)
-            if best is None or top < best[0]:
+            if top < best[0]:
                 best = top, placed
-                if top <= candidates[0]:
-                    break
-        packing = _placed_packing(stacked, best[1])
-        hi = bisect_left(candidates, best[0])
+    packing = _placed_packing(stacked, best[1])
+    lo, hi = 0, bisect_left(candidates, best[0])
     while lo < hi:
         mid = (lo + hi) // 2
         outcome = probe(candidates[mid])
@@ -113,10 +114,5 @@ def solve_spp(boxes, cross_section, limits=None):
             hi = bisect_left(candidates, used_height(packing), lo, mid)
         else:
             lo = mid + 1
-    if packing is None:
-        final = probe(candidates[lo])
-        if isinstance(final, ResourceLimit):
-            return final
-        packing = final.packing
     stats["wall_time"] = time.perf_counter() - budget.start
     return SppSolution(height=Fraction(candidates[lo], scale), packing=packing, stats=stats)

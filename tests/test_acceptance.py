@@ -26,7 +26,6 @@ from packclass.opp import SearchLimits, solve_opp
 from packclass.oracle import (
     brute_force_opp,
     enumerate_packing_classes,
-    oracle_is_comparability,
     oracle_is_interval,
 )
 from packclass.packing_class import Orientation, extract_packing
@@ -40,6 +39,7 @@ from graphtools import (
     enumerate_transitive_orientations,
     is_transitive_orientation_of,
     is_triangulated,
+    oracle_is_comparability,
 )
 
 CLASS_CAP = 50

@@ -11,7 +11,7 @@ from packclass.chargraph import (
 )
 from packclass.errors import TooLarge
 from packclass.graph import Graph, complement
-from packclass.oracle import oracle_is_comparability, oracle_is_interval
+from packclass.oracle import oracle_is_interval
 
 from certcheck import check_induced_c4, check_odd_2chordless_cycle
 from graphgen import mask_to_edges, nonisomorphic_graphs, vertex_names
@@ -19,6 +19,7 @@ from graphtools import (
     enumerate_transitive_orientations,
     interval_model,
     is_transitive_orientation_of,
+    oracle_is_comparability,
 )
 from test_graph import LONG_CLAW, complete_graph, cycle_graph, path_graph, random_interval_graph
 

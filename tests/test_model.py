@@ -318,7 +318,8 @@ def test_validation_and_projection_match_fraction_reference():
             for _ in range(rng.randint(6, 30))
         ]
         inst = make([(f"b{j}", size) for j, size in enumerate(sizes)], (*cross, sum(s[-1] for s in sizes)))
-        placed = _bottom_left(inst, rng.sample(range(inst.n), inst.n))
+        caps = [inst.int_container(i) for i in range(d)]
+        placed = _bottom_left(inst.int_sizes, caps, rng.sample(range(inst.n), inst.n))
         positions = {
             inst.ids[b]: tuple(Fraction(v, inst.scale(i)) for i, v in enumerate(pos)) for b, pos in placed
         }

@@ -1341,9 +1341,10 @@ def test_bottom_left_matches_mask_reference():
             for j in range(1 + rng.randrange(14))
         ]
         inst = Instance(boxes=boxes, container=container)
+        caps = [inst.int_container(i) for i in range(d)]
         for _ in range(3):
             order = rng.sample(range(inst.n), inst.n)
-            placed = _bottom_left(inst, order)
+            placed = _bottom_left(inst.int_sizes, caps, order)
             assert placed == bottom_left_by_masks(inst, order), (k, order)
             complete += placed is not None
             given_up += placed is None
@@ -1374,15 +1375,16 @@ def test_bottom_left_under_a_lower_cap_keeps_its_placement_or_fails():
         orders = [*opp._heuristic_orders(stacked), rng.sample(range(stacked.n), stacked.n)]
         runs = []
         for order in orders:
-            placed = _bottom_left(stacked, order)
+            placed = _bottom_left(stacked.int_sizes, [stacked.int_container(i) for i in range(d)], order)
             runs.append((max(pos[-1] + stacked.int_size(b, d - 1) for b, pos in placed), placed))
         lowest = min(top for top, _ in runs[:-1])
         tallest = max(size[-1] for size in stacked.int_sizes)
         for h in range(tallest, stacked.int_container(d - 1) + 1):
             capped = Instance(boxes=boxes, container=(*cross, Fraction(h, scale)))
             assert_same_tables(stacked._derive(None, capped.container), capped)
+            caps = [capped.int_container(i) for i in range(d)]
             for order, (top, placed) in zip(orders, runs):
-                assert _bottom_left(capped, order) == (placed if top <= h else None), (k, h, order)
+                assert _bottom_left(capped.int_sizes, caps, order) == (placed if top <= h else None), (k, h, order)
                 kept += top <= h
                 failed += top > h
             if h in (lowest - 1, lowest):
@@ -1438,10 +1440,9 @@ def test_too_wide_table_matches_definition():
 def test_validation_survives_python_O():
     """With asserts stripped, an invalid packing from the search, from the
     heuristic (in solve_opp, in the inner decisions of solve_okp and in
-    solve_spp's bound, where its own check is the only one) still raises
-    InvalidPacking, and an infeasible all-stacked SPP height with the
-    heuristic off (with it on, the bound supplies that height's packing)
-    still raises its AssertionError."""
+    solve_spp's bound, where its own check is the only one) and from
+    solve_spp's all-boxes-stacked packing, returned with the heuristic off
+    when every probe is infeasible, still raises InvalidPacking."""
     script = """
 from packclass import model, opp, solve
 from packclass.errors import InvalidPacking
@@ -1463,7 +1464,7 @@ for run in (lambda: solve.solve_okp(inst), lambda: solve.solve_spp(inst.boxes, (
 solve._decide = lambda *args: opp.SearchOutcome("infeasible", None, None, opp.SearchStats())
 try:
     print("returned", solve.solve_spp(inst.boxes, (2,), opp.SearchLimits(use_heuristic=False)))
-except AssertionError as exc:
+except InvalidPacking as exc:
     print("raised:", exc)
 """
     src = Path(__file__).resolve().parents[1] / "src"
@@ -1472,10 +1473,7 @@ except AssertionError as exc:
         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == [
-        *["raised: packing is invalid: ('injected',)"] * 4,
-        "raised: the all-stacked height must be feasible",
-    ]
+    assert run.stdout.splitlines() == ["raised: packing is invalid: ('injected',)"] * 5
 
 
 def test_quick_infeasible_rules(five_box_example):

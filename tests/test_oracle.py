@@ -17,10 +17,10 @@ from packclass.oracle import (
     brute_force_opp,
     cell_fill_opp,
     enumerate_packing_classes,
-    oracle_is_comparability,
     oracle_is_interval,
 )
 
+from graphtools import oracle_is_comparability
 from test_graph import complete_graph, cycle_graph, LONG_CLAW
 from test_opp import tight_instance
 
@@ -40,7 +40,7 @@ def test_brute_force_cap():
     with pytest.raises(TooLarge):
         brute_force_opp(inst)
     assert brute_force_opp(inst, OracleConfig(max_boxes=6)).feasible
-    for caps in ({"max_boxes": 0}, {"max_vertices": -1}, {"max_orientation_edges": 0}):
+    for caps in ({"max_boxes": 0}, {"max_vertices": -1}):
         with pytest.raises(InvalidLimits) as raised:
             OracleConfig(**caps)
         assert isinstance(raised.value, PackclassError) and isinstance(raised.value, ValueError)
@@ -124,7 +124,7 @@ def test_oracle_comparability_examples():
         Graph("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
     )
     with pytest.raises(TooLarge):
-        oracle_is_comparability(complete_graph(7), OracleConfig(max_orientation_edges=20))
+        oracle_is_comparability(complete_graph(7), max_edges=20)
 
 
 def test_enumerate_classes_unique_stacked_class():

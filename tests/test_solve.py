@@ -235,9 +235,9 @@ def test_heuristic_stops_once_the_deadline_passes(monkeypatch):
     runs = []
     bottom_left = opp._bottom_left
 
-    def counted(inst, order, deadline=None):
+    def counted(sizes, caps, order, deadline=None):
         runs.append(order)
-        return bottom_left(inst, order, deadline)
+        return bottom_left(sizes, caps, order, deadline)
 
     class FirstOrderBudget(opp._Budget):
         def expired(self):
@@ -375,13 +375,14 @@ def spp_digest(out):
 # Digest of solve_spp's height, statistics (wall time dropped) and packing,
 # or its limit reason and statistics, per instance with the heuristic off;
 # 40- and 400-node budgets alternate, and 9 of the 30 solves hit them. A
-# mismatch means the probe order or a probe's search changed.
+# mismatch means the probe order or a probe's search changed. Solves 14
+# and 24 end at the all-stacked height, answered by the stack itself.
 PINNED_SPP_NO_HEURISTIC = [
     "8b59adfae827", "f1b31cbef682", "3fb1494a39a0", "b760c76becc3", "e688df75736d",
     "0410b97ec57d", "d2416513541f", "fd7ca1bbf127", "175b60b8ebbb", "c661c5af8d83",
-    "b133e3fb1d7d", "8a0baf2e5226", "95324eebecfb", "6f98d8d28f28", "172cfee3c4fd",
+    "b133e3fb1d7d", "8a0baf2e5226", "95324eebecfb", "6f98d8d28f28", "27498bba0710",
     "3a582f4fa8f1", "580cf56ade00", "10034820b217", "7aad70d0129c", "121ff21f49d1",
-    "860735991af9", "85a27af1a719", "b5612f2aa4d2", "b4d019dea390", "ae40f10e97fe",
+    "860735991af9", "85a27af1a719", "b5612f2aa4d2", "b4d019dea390", "1e14d77365b7",
     "77c3246e1059", "ea3a45d72feb", "1b914a4cc6df", "3f25f73d9993", "7d4ef16829b1",
 ]
 
@@ -394,6 +395,39 @@ def test_spp_without_heuristic_pinned():
         limits = SearchLimits(max_nodes=(40, 400)[k % 2], time_limit=None, use_heuristic=False)
         digests.append(spp_digest(solve_spp(boxes, cross, limits)))
     assert digests == PINNED_SPP_NO_HEURISTIC
+
+
+def test_spp_never_probes_the_all_stacked_height(monkeypatch):
+    """The all-boxes-stacked packing answers the highest candidate height,
+    so no decision runs there, with the heuristic on or off. d 2-3, heights
+    on a 1/2 grid; on every third strip each box is wider than half the
+    cross section on every axis, so stacking is optimal there."""
+    heights = []
+    decide = solve._decide
+
+    def recorded(inst, use_heuristic, budget):
+        heights.append(inst.container[-1])
+        return decide(inst, use_heuristic, budget)
+
+    monkeypatch.setattr(solve, "_decide", recorded)
+    rng = random.Random(60)
+    stacked_answers = 0
+    for k in range(60):
+        cross = tuple(rng.randint(2, 5) for _ in range(1 + k % 2))
+        boxes = tuple(
+            Box(f"b{j}", (
+                *(rng.randint(c // 2 + 1 if k % 3 == 0 else 1, c) for c in cross),
+                Fraction(rng.randint(1, 6), 2),
+            ))
+            for j in range(rng.randint(1, 8))
+        )
+        stacked = sum(b.size[-1] for b in boxes)
+        for heuristic in (True, False):
+            heights.clear()
+            out = solve_spp(boxes, cross, SearchLimits(max_nodes=400, time_limit=None, use_heuristic=heuristic))
+            assert stacked not in heights, (k, heuristic)
+            stacked_answers += isinstance(out, SppSolution) and out.height == stacked and not heuristic
+    assert stacked_answers >= 20, stacked_answers
 
 
 def test_spp_matches_reference():
