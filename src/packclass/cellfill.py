@@ -1,13 +1,15 @@
 """Cell fill: an exact packing search over the cells of an integer grid.
 
-The box covering the lowest empty cell (axis 0 varying fastest) has its
-corner there, so the search fills that cell with a box corner or wastes
-it, waste bounded by the slack (the wasted-space view of Korf, "Optimal
-rectangle packing", ICAPS 2003). Each distinct size is tried once per
-cell, largest volume first. Occupancy is one integer bitset, and the
-search one loop on an explicit stack: its depth can reach the cell
-count. `solve_spp` runs it on `FILL_NODES` nodes as a quick yes;
-`oracle.cell_fill_opp` runs it to the end.
+Cells are numbered with one axis varying fastest (axis 0 by default),
+then the following axes in turn. Under any such order the box covering
+the lowest empty cell has its corner there, so the search fills that
+cell with a box corner or wastes it, waste bounded by the slack (the
+wasted-space view of Korf, "Optimal rectangle packing", ICAPS 2003).
+Each distinct size is tried once per cell, largest volume first.
+Occupancy is one integer bitset, and the search one loop on an explicit
+stack: its depth can reach the cell count. `oracle.cell_fill_opp` runs
+it to the end; `solve_spp` runs `_quick_fill`, its quick yes on node
+slices of `FILL_NODES`.
 """
 
 from math import prod
@@ -16,19 +18,19 @@ CELL_CAP = 4096  # larger grids are not searched
 FILL_NODES = 64  # the quick yes's node slice
 
 
-def _cell_fill(sizes, caps, max_nodes: int):
+def _cell_fill(sizes, caps, max_nodes: int, first: int = 0):
     """(placed, exhausted) for the integer boxes `sizes` (tuples, each
-    fitting the grid `caps`): placed is [(box, corner)] or None, and
-    (None, True) means no packing exists. (None, False) means nothing is
-    known: `max_nodes` (one per placed box or wasted cell) ran out, or
-    the grid has more than `CELL_CAP` cells."""
+    fitting the grid `caps`), with axis `first` varying fastest: placed
+    is [(box, corner)] or None, and (None, True) means no packing exists.
+    (None, False) means nothing is known: `max_nodes` (one per placed box
+    or wasted cell) ran out, or the grid has more than `CELL_CAP` cells."""
     n, cells = len(sizes), prod(caps)
     if cells > CELL_CAP:
         return None, False
     slack = cells - sum(map(prod, sizes))
     if slack < 0:
         return None, True
-    strides = [prod(caps[:i]) for i in range(len(caps))]
+    strides = [prod(caps[first:i]) if i >= first else prod(caps[first:]) * prod(caps[:i]) for i in range(len(caps))]
 
     def block(lens) -> int:  # the cells below lens[i] on each axis i
         mask = 1
@@ -76,3 +78,15 @@ def _cell_fill(sizes, caps, max_nodes: int):
         k += 1
     corners = [tuple(cell // s % c for s, c in zip(strides, caps)) for cell, k in stack if k < m]
     return list(zip(placed, corners)), True
+
+
+def _quick_fill(sizes, caps):
+    """A packing of `sizes` in the grid `caps` as `_cell_fill` places it,
+    or None, which proves nothing. Axis 0 goes first, on `FILL_NODES`
+    nodes; where the boxes fill the grid exactly, each other axis then
+    goes first on a slice of its own, until one packs or one exhausts."""
+    for first in range(len(caps)):
+        placed, exhausted = _cell_fill(sizes, caps, FILL_NODES, first)
+        if placed is not None or exhausted or prod(caps) != sum(map(prod, sizes)):
+            return placed
+    return None

@@ -221,7 +221,9 @@ def _transitive_orientation(n: int, adj: Sequence[int]) -> Optional[list[int]]:
     at a time (seeded from the lexicographically smallest remaining edge,
     low index to high) and removed; a class containing some pair in both
     directions, or a final orientation that is not transitive, certifies
-    non-comparability. A complete graph, each edge its own class, comes
+    non-comparability. A class grows as per-vertex forward and backward
+    bitsets: each arc enters once, and one AND tests the reverses of the
+    arcs an arc forces. A complete graph, each edge its own class, comes
     back in one pass as they orient it: index order, u -> v for all v > u.
     """
     full = (1 << n) - 1
@@ -233,23 +235,29 @@ def _transitive_orientation(n: int, adj: Sequence[int]) -> Optional[list[int]]:
         u = next((u for u in range(n) if adj_rem[u]), None)
         if u is None:
             break
-        visited: set[tuple[int, int]] = set()
-        queue = [(u, next(bits(adj_rem[u])))]
-        while queue:
-            a, b = queue.pop()
-            if (a, b) in visited:
-                continue
-            if (b, a) in visited:
+        v = next(bits(adj_rem[u]))
+        fwd, bwd = [0] * n, [0] * n  # the class's arcs a -> b: bit b of fwd[a], bit a of bwd[b]
+        fwd[u], bwd[v] = 1 << v, 1 << u
+        stack = [(u, v)]
+        while stack:
+            a, b = stack.pop()
+            new = adj_rem[a] & ~adj_rem[b] & ~(1 << b) & ~fwd[a]  # forced arcs a -> c
+            if new & bwd[a]:
                 return None
-            visited.add((a, b))
-            for c in bits(adj_rem[a] & ~adj_rem[b] & ~(1 << b)):
-                queue.append((a, c))
-            for c in bits(adj_rem[b] & ~adj_rem[a] & ~(1 << a)):
-                queue.append((c, b))
-        for a, b in visited:
-            out[a] |= 1 << b
-            adj_rem[a] &= ~(1 << b)
-            adj_rem[b] &= ~(1 << a)
+            fwd[a] |= new
+            for c in bits(new):
+                bwd[c] |= 1 << a
+                stack.append((a, c))
+            new = adj_rem[b] & ~adj_rem[a] & ~(1 << a) & ~bwd[b]  # forced arcs c -> b
+            if new & fwd[b]:
+                return None
+            bwd[b] |= new
+            for c in bits(new):
+                fwd[c] |= 1 << b
+                stack.append((c, b))
+        for a in range(n):
+            out[a] |= fwd[a]
+            adj_rem[a] &= ~(fwd[a] | bwd[a])
     # The scheme is guaranteed to produce a transitive orientation only for
     # comparability graphs; verify and treat any failure as a refutation.
     for u in range(n):

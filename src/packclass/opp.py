@@ -63,6 +63,7 @@ from functools import reduce
 from itertools import combinations
 from math import prod
 from numbers import Real
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import InvalidLimits, NoUndecided, NotPackingClass
@@ -574,18 +575,12 @@ def _bottom_left(
 def _heuristic_orders(inst: Instance) -> Iterator[tuple[int, ...]]:
     """The distinct box orders `heuristic_pack` tries, in its sequence:
     volume, longest side, per-axis size, perimeter, each descending, ties
-    by id; keys read off the instance's integer sizes, each order sorted
-    only when asked for."""
+    by id; keys read off the instance's integer sizes, each key list
+    built and sorted only when its order is asked for."""
     sizes = inst.int_sizes
-    keys = [
-        [-prod(s) for s in sizes],
-        [-max(s) for s in sizes],
-        *([-s[i] for s in sizes] for i in range(inst.d)),
-        [-sum(s) for s in sizes],
-    ]
     seen: set[tuple[int, ...]] = set()
-    for key in keys:
-        order = tuple(b for _, _, b in sorted(zip(key, inst.ids, range(inst.n))))
+    for key in (prod, max, *(itemgetter(i) for i in range(inst.d)), sum):
+        order = tuple(b for _, _, b in sorted(zip([-key(s) for s in sizes], inst.ids, range(inst.n))))
         if order not in seen:
             seen.add(order)
             yield order

@@ -34,22 +34,23 @@ on its integers too. The packing in hand starts as all boxes stacked, at
 the highest candidate, which is never probed. With the heuristic on, SPP
 first tries to meet its lower bound (Martello, Monaci and Vigo, "An exact
 approach to the strip-packing problem", INFORMS J. Computing 15(3), 2003):
-a cell fill (`cellfill`) on a node slice of its own at the lowest
-candidate, where a packing is optimal; a miss proves nothing. Then the
-bottom-left heuristic runs once per solve, as the upper bound: every order
-of `heuristic_pack`, until the packing in hand is at the lowest candidate.
-A lower cap on the last axis only cuts that axis's list of corner
-candidates, so under a cap H a run places its boxes exactly as at the
-all-stacked height if its top is at most H and fails otherwise. Each order
-runs one grid step below the top in hand: it keeps its placement only if
-it beats that top, and otherwise stops at its first box over the cap. The
-heuristic therefore fails at every height below the bound, and the probes
-there run the exact engine alone. A feasible probe's packing fits every
-height from the one it actually uses, so the search is capped at the
-smallest candidate at or above that height, not just at the probed one,
-and that packing is returned once the search closes on it. With no
-feasible probe, the packing in hand becomes a `Packing`, validated at the
-height returned.
+the quick fill of `cellfill` at the lowest candidate, where a packing is
+optimal: the cell fill with axis 0 first on a node slice of its own and,
+where the boxes fill that height exactly, with each other axis first on a
+slice each; a miss proves nothing. Then the bottom-left heuristic runs
+once per solve, as the upper bound: every order of `heuristic_pack`, until
+the packing in hand is at the lowest candidate. A lower cap on the last
+axis only cuts that axis's list of corner candidates, so under a cap H a
+run places its boxes exactly as at the all-stacked height if its top is
+at most H and fails otherwise. Each order runs one grid step below the top
+in hand: it keeps its placement only if it beats that top, and otherwise
+stops at its first box over the cap. The heuristic therefore fails at every
+height below the bound, and the probes there run the exact engine alone. A
+feasible probe's packing fits every height from the one it actually uses,
+so the search is capped at the smallest candidate at or above that height,
+not just at the probed one, and that packing is returned once the search
+closes on it. With no feasible probe, the packing in hand becomes a
+`Packing`, validated at the height returned.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from itertools import accumulate
 from math import lcm, prod
 from typing import Optional, Sequence, Union
 
-from .cellfill import FILL_NODES, _cell_fill
+from .cellfill import _quick_fill
 from .errors import InfeasibleCrossSection, InvalidInstance
 from .graph import bits
 from .model import Box, Instance, Packing, _placed_packing, to_fraction
@@ -224,7 +225,8 @@ def solve_spp(
     last-dimension sizes, probed in binary-search order; each feasible
     probe caps the search at the height its packing uses, and all boxes
     stacked answer the highest without one. With `limits.use_heuristic`,
-    a cell fill at the volume floor may answer first; otherwise the lowest
+    the quick fill at the volume floor (each axis first in turn where the
+    boxes leave no slack there) may answer first; otherwise the lowest
     top of the bottom-left orders caps the search, and no probe runs the
     heuristic (see the module docstring). The one budget is built first,
     so the deadline also bounds building the sums; a budget spent by then
@@ -308,7 +310,7 @@ def solve_spp(
     # until a lower one, that placement built only if it is returned.
     best = candidates[-1], None
     if limits.use_heuristic:
-        placed, _ = _cell_fill(stacked.int_sizes, (*cross_caps, candidates[0]), FILL_NODES)
+        placed = _quick_fill(stacked.int_sizes, (*cross_caps, candidates[0]))
         if placed is not None:  # a packing at the volume floor is optimal
             best = candidates[0], placed
         # Every cap, best[0] - 1 >= candidates[0] >= the tallest box, fits every box.

@@ -6,7 +6,8 @@ criteria on transitive orientations; the chordality test by definition
 search are exercised against the library's own recognizers; the
 arc-state parity search is the reference for the library's
 odd-closed-walk search and for propagation's odd-cycle conflicts; the
-width bound is a property every packing class has; the pair lookup and
+arc-set edge forcing is the reference for the library's bitset transitive
+orientation; the width bound is a property every packing class has; the pair lookup and
 per-axis edge lists read a search state by box ids; the comparability
 oracle, a backtracking over edge directions capped at
 `COMPARABILITY_EDGE_CAP` edges, is ground truth for the library's
@@ -325,6 +326,43 @@ def odd_closed_walk_by_arcs(
         even = unwind(2 * conflict)
         return tuple([head[s] for s in reversed(odd)] + [tail[s] for s in even])
     return None
+
+
+def transitive_orientation_by_arcs(n: int, adj: Sequence[int]) -> Optional[list[int]]:
+    """The edge forcing of `graph._transitive_orientation` with each
+    implication class grown as a set of arc tuples, the reference its
+    results, orientations and Nones alike, must equal."""
+    full = (1 << n) - 1
+    if all(adj[v] == full ^ (1 << v) for v in range(n)):
+        return [full ^ ((2 << u) - 1) for u in range(n)]
+    adj_rem = list(adj)
+    out = [0] * n
+    while True:
+        u = next((u for u in range(n) if adj_rem[u]), None)
+        if u is None:
+            break
+        visited: set[tuple[int, int]] = set()
+        queue = [(u, next(bits(adj_rem[u])))]
+        while queue:
+            a, b = queue.pop()
+            if (a, b) in visited:
+                continue
+            if (b, a) in visited:
+                return None
+            visited.add((a, b))
+            for c in bits(adj_rem[a] & ~adj_rem[b] & ~(1 << b)):
+                queue.append((a, c))
+            for c in bits(adj_rem[b] & ~adj_rem[a] & ~(1 << a)):
+                queue.append((c, b))
+        for a, b in visited:
+            out[a] |= 1 << b
+            adj_rem[a] &= ~(1 << b)
+            adj_rem[b] &= ~(1 << a)
+    for u in range(n):
+        for v in bits(out[u]):
+            if out[v] & ~out[u]:
+                return None
+    return out
 
 
 def clique_bound_holds(E, S, i: int, inst=None) -> bool:

@@ -5,9 +5,10 @@ and the bound, all boxes stacked in index order unless a bottom-left
 order run uncapped at the all-stacked height is lower, is built and
 validated as a packing before the first probe, whether or not the solve
 returns it; the all-stacked height is never probed. Before the bound,
-with the heuristic on, it runs the same cell fill at the volume floor, on
-a fresh `Instance` of that height. The tests compare `solve.solve_spp`
-with `solve_spp` here.
+with the heuristic on, it runs the same quick fill at the volume floor
+(`cellfill._quick_fill`: each axis first in turn where the boxes fill
+that height exactly), on a fresh `Instance` of that height. The tests
+compare `solve.solve_spp` with `solve_spp` here.
 """
 
 import time
@@ -15,7 +16,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import ceil, lcm
 
-from packclass.cellfill import FILL_NODES, _cell_fill
+from packclass.cellfill import _quick_fill
 from packclass.errors import InfeasibleCrossSection, InvalidInstance
 from packclass.model import Instance, Packing, _placed_packing, to_fraction
 from packclass.opp import SearchLimits, _Budget, _bottom_left, _decide, _heuristic_orders
@@ -88,7 +89,7 @@ def solve_spp(boxes, cross_section, limits=None):
         height = Fraction(candidates[0], scale)
         at_floor = Instance(boxes=boxes, container=(*cross, height))
         caps = [at_floor.int_container(i) for i in range(d)]
-        placed, _ = _cell_fill(at_floor.int_sizes, caps, FILL_NODES)
+        placed = _quick_fill(at_floor.int_sizes, caps)
         if placed is not None:
             stats["wall_time"] = time.perf_counter() - budget.start
             return SppSolution(height=height, packing=_placed_packing(at_floor, placed), stats=stats)

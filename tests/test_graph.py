@@ -28,6 +28,7 @@ from graphtools import (
     find_induced_c4,
     is_triangulated,
     odd_closed_walk_by_arcs,
+    transitive_orientation_by_arcs,
 )
 
 
@@ -462,3 +463,45 @@ def test_complete_graphs_orient_in_index_order():
             assert succ is not None, n
             assert [succ[v] | sum(1 << u for u in range(n) if succ[u] >> v & 1) for v in range(n)] == cut, n
             assert all(not succ[v] & ~succ[u] for u in range(n) for v in bits(succ[u])), n
+
+
+def random_comparability_graph(rng, n):
+    """The comparability graph of a random partial order: the transitive
+    closure of random arcs from lower to higher index, vertices relabelled
+    at random."""
+    above = [0] * n
+    for u in reversed(range(n)):
+        for v in range(u + 1, n):
+            if rng.random() < 0.3:
+                above[u] |= 1 << v | above[v]
+    label = rng.sample(range(n), n)
+    adj = [0] * n
+    for u in range(n):
+        for v in bits(above[u]):
+            adj[label[u]] |= 1 << label[v]
+            adj[label[v]] |= 1 << label[u]
+    return adj
+
+
+def test_transitive_orientation_matches_the_arc_set_reference():
+    """The bitset implication classes give the arc-set reference's
+    result, orientation or None, on 2,400 seeded graphs, n 0-14:
+    complements of interval graphs, comparability graphs of random orders
+    and random graphs (n 5-14) of densities 0.2-0.8. At least 1,800 are
+    comparability graphs and at least 450 are not."""
+    rng = random.Random(17)
+    oriented = refuted = 0
+    for k in range(2400):
+        n = rng.randint(0, 14)
+        if k % 3 == 0:
+            adj = complement(random_interval_graph(rng, n)[0]).adj
+        elif k % 3 == 1:
+            adj = random_comparability_graph(rng, n)
+        else:
+            n = rng.randint(5, 14)
+            adj = random_graph(rng, n, rng.uniform(0.2, 0.8)).adj
+        succ = _transitive_orientation(n, adj)
+        assert succ == transitive_orientation_by_arcs(n, adj), k
+        oriented += succ is not None
+        refuted += succ is None
+    assert oriented >= 1800 and refuted >= 450, (oriented, refuted)

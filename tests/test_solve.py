@@ -9,6 +9,7 @@ from math import lcm
 import pytest
 
 from packclass import graph, opp, solve
+from packclass.cellfill import FILL_NODES, _cell_fill, _quick_fill
 from packclass.errors import InfeasibleCrossSection, InvalidLimits
 from packclass.model import Box, Instance, Packing, project_to_class, validate_packing
 from packclass.opp import SearchLimits, heuristic_pack, solve_opp
@@ -430,14 +431,15 @@ def test_spp_never_probes_the_all_stacked_height(monkeypatch):
     assert stacked_answers >= 20, stacked_answers
 
 
-def test_spp_matches_reference():
-    """solve_spp gives the reference's height, packing and statistics, or
-    its ResourceLimit, on 1,080 seeded calls: d 1-3, every side on a 1,
-    1/2 or 1/3 grid, 1-11 boxes, heuristic on and off, node budgets of 0
-    to 2,000, so that many solves end in a limit before, inside or after
-    the bound."""
+def spp_reference_cases():
+    """(boxes, cross, max_nodes) for `test_spp_matches_reference`: 540
+    random strips, d 1-3, every side on a 1, 1/2 or 1/3 grid, 1-11 boxes,
+    node budgets of 0 to 2,000; then 120 guillotine strips, whose boxes
+    fill the strip exactly at its volume floor, 2-D (6-12 wide) and 3-D
+    (4-6 by 4-6), n 8-20, node budgets of 0 to 200."""
+    from test_opp import guillotine_instance
+
     rng = random.Random(59)
-    solved = limited = 0
     for k in range(540):
         d = 1 + k % 3
         den = 1 + k // 3 % 3
@@ -449,7 +451,27 @@ def test_spp_matches_reference():
             ))
             for j in range(rng.randint(1, 11))
         )
-        max_nodes = (0, 1, 5, 20, 100, 2000)[k // 9 % 6]
+        yield boxes, cross, (0, 1, 5, 20, 100, 2000)[k // 9 % 6]
+    rng = random.Random(62)
+    for k in range(120):
+        d = 2 + k % 2
+        container = (
+            (rng.randint(6, 12), rng.randint(6, 14)) if d == 2
+            else (rng.randint(4, 6), rng.randint(4, 6), rng.randint(4, 8))
+        )
+        strip = guillotine_instance(rng, container, rng.randint(8, 20))
+        yield strip.boxes, strip.container[:-1], (0, 5, 20, 200)[k // 2 % 4]
+
+
+def test_spp_matches_reference():
+    """solve_spp gives the reference's height, packing and statistics, or
+    its ResourceLimit, on 1,320 seeded calls (`spp_reference_cases`, each
+    with the heuristic on and off), so that many solves end in a limit
+    before, inside or after the bound. In at least 12 calls that run the
+    floor fill, that fill misses its slice with axis 0 first and packs
+    with another axis first."""
+    solved = limited = other_axis = 0
+    for k, (boxes, cross, max_nodes) in enumerate(spp_reference_cases()):
         for heuristic in (True, False):
             limits = SearchLimits(max_nodes=max_nodes, time_limit=None, use_heuristic=heuristic)
             out = solve_spp(boxes, cross, limits)
@@ -464,7 +486,14 @@ def test_spp_matches_reference():
             assert out.height == expected.height and out.packing == expected.packing, (k, heuristic)
             assert validate_packing(out.packing, Instance(boxes=boxes, container=(*cross, out.height))).valid
             solved += 1
-    assert solved >= 500 and limited >= 300, (solved, limited)
+            if heuristic and max_nodes:
+                floor = Instance(boxes=boxes, container=(*cross, lowest_candidate(boxes, cross)))
+                caps = [floor.int_container(i) for i in range(floor.d)]
+                other_axis += (
+                    _cell_fill(floor.int_sizes, caps, FILL_NODES)[0] is None
+                    and _quick_fill(floor.int_sizes, caps) is not None
+                )
+    assert solved >= 700 and limited >= 420 and other_axis >= 12, (solved, limited, other_axis)
 
 
 def okp_pinned_instance(rng, k):
@@ -841,7 +870,7 @@ def lowest_candidate(boxes, cross):
 
 
 def test_spp_floor_fill_keeps_every_height(monkeypatch):
-    """With the heuristic on, SPP first runs the cell fill at its volume
+    """With the heuristic on, SPP first runs the quick fill at its volume
     floor. On 120 seeded strips, half of them guillotine cuts (perfect at
     the floor) and half random box sets, every height equals the
     heuristic-off height wherever both settle (at least 100), and every packing
@@ -850,14 +879,14 @@ def test_spp_floor_fill_keeps_every_height(monkeypatch):
     from test_opp import guillotine_instance
 
     fills = []
-    cell_fill = solve._cell_fill
+    quick_fill = solve._quick_fill
 
-    def logged(sizes, caps, max_nodes):
-        out = cell_fill(sizes, caps, max_nodes)
-        fills.append(out[0] is not None)
-        return out
+    def logged(sizes, caps):
+        placed = quick_fill(sizes, caps)
+        fills.append(placed is not None)
+        return placed
 
-    monkeypatch.setattr(solve, "_cell_fill", logged)
+    monkeypatch.setattr(solve, "_quick_fill", logged)
     rng = random.Random(73)
     on = SearchLimits(max_nodes=2_000, time_limit=None)
     off = SearchLimits(max_nodes=2_000, time_limit=None, use_heuristic=False)
