@@ -253,8 +253,11 @@ def _svg_num(x: Fraction) -> str:
 
 def render_svg(inst: Instance, packing: Packing) -> str:
     """Draw a 2-D packing: viewBox (0,0,W1,W2) at 1000 user units per
-    instance unit, y flipped so the origin sits bottom-left, one labeled
-    rectangle per box. Identical inputs give identical bytes."""
+    instance unit, y flipped so the origin sits bottom-left, one rectangle
+    per box, labeled with its escaped id. Identical inputs give identical
+    bytes."""
+    from xml.sax.saxutils import escape  # deferred: it imports urllib.request
+
     if inst.d != 2:
         raise DimensionMismatch(f"SVG rendering is 2-D only, got d = {inst.d}")
     W1, W2 = inst.container
@@ -282,7 +285,7 @@ def render_svg(inst: Instance, packing: Packing) -> str:
         lines.append(
             f'<text x="{_svg_num(cx)}" y="{_svg_num(cy)}" font-size="{_svg_num(font)}" '
             'text-anchor="middle" dominant-baseline="central" '
-            f'font-family="sans-serif">{box_id}</text>'
+            f'font-family="sans-serif">{escape(box_id)}</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -26,8 +26,8 @@ propagation applies the forced consequences:
 
 All assignments go through one loop, `propagate`, called once per search
 node and once by `initial_state`: it applies a queue of assignments first
-in first out, writing straight to the state's tables and trail, and builds
-an object only for a conflict.
+in first out, writing straight to the state's bitsets and trail, and
+builds an object only for a conflict.
 
 Branching follows one static order of the (dimension, pair) variables
 per state: the pairs of the largest boxes first (`EdgeState.seq`), each
@@ -46,12 +46,13 @@ destroy; the search does not call it.
 Everything inside the search runs on integers: per-dimension adjacency
 bitsets (`EdgeState.plus_adj`/`minus_adj`), vertex indices and the
 instance's integer-scaled sizes, handed straight to the bitset cores in
-`graph`. A decision is a (dimension, pair index, sign) triple; box ids
-appear only in conflicts and prune certificates. The accept, on a fully
-decided state, orients each axis's minus graph transitively and places
-the boxes by longest paths (`packing_class._place`, as `extract_packing`
-does); `Fraction`s, `Graph`s and the `PackingClass` are built only for
-the packing it returns.
+`graph`. A decision is a (dimension, pair index, sign) triple, and a
+conflict names its pair by index; box ids appear only in prune
+certificates. The accept, on a fully decided state, orients each axis's
+minus graph transitively and places the boxes by longest paths
+(`packing_class._place`, as `extract_packing` does); `Fraction`s,
+`Graph`s and the `PackingClass` are built only for the packing it
+returns.
 """
 
 from __future__ import annotations
@@ -114,9 +115,11 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class Conflict:
+    """A failed rule, its axis and its pair's index in `EdgeState.pairs`."""
+
     rule: str
     dimension: int
-    pair: tuple[str, str]
+    pid: int
 
 
 @dataclass(frozen=True)
@@ -148,17 +151,20 @@ class SearchOutcome:
 class EdgeState:
     """Included/excluded pair sets per dimension plus an undo trail.
 
-    Status per (dimension, pair) is +1 (in E+), -1 (in E-), or 0. The
-    trail records assignments in order so the search can backtrack to any
-    mark. plus_adj/minus_adj mirror the status as per-vertex bitsets;
+    plus_adj[i]/minus_adj[i] are axis i's included (E+) and excluded (E-)
+    pairs as per-vertex bitsets, a pair in neither being undecided: the
+    only record of the signs. The trail lists the assigned (dimension,
+    pair index) variables in order, each once, so the search can backtrack
+    to any mark; the state is fully decided when it holds all d * m.
     sizes[i][v] is box v's integer-scaled size along axis i and caps[i]
     the container's; roomy[i] says all boxes fit side by side along axis
     i, so no minus clique there overflows it. pid_of[a][b] is the index of
     pair {a, b}. seq lists the pair indices in branching order: boxes
     ranked by volume, largest first, ties by index; each box in rank order
     paired with every box ranked before it, highest-ranked first.
-    (s_a + s_b) * units[i] ranks a pair's axes as (s_a + s_b)/caps[i]
-    does, in integers; order is the prefix of the (dimension, pair)
+    (s_a + s_b) * units[i], units[i] the product of the other axes' caps,
+    ranks a pair's axes as (s_a + s_b)/caps[i] does, in integers, and is
+    defined at a zero cap; order is the prefix of the (dimension, pair)
     branching order that `branch_select` has built.
 
     up/par/size[i] are axis i's parity union-find over the minus arcs, by
@@ -168,8 +174,8 @@ class EdgeState:
     and (b, a) is the same node at parity 1 (the backtrack step is always
     legal). par[i][v] is v's parity against up[i][v]. joins logs each link
     as (trail index of the assignment that made it, axis, linked root).
-    Only `propagate` assigns, in one loop that updates the tables in
-    place, and `undo_to` retracts.
+    Only `propagate` assigns, in one loop that updates the bitsets, trail
+    and union-find in place, and `undo_to` retracts.
     """
 
     def __init__(self, inst: Instance):
@@ -181,7 +187,6 @@ class EdgeState:
         for pid, (a, b) in enumerate(self.pairs):
             self.pid_of[a][b] = self.pid_of[b][a] = pid
         self.m = len(self.pairs)
-        self.status = [[0] * self.m for _ in range(self.d)]
         self.plus_adj = [[0] * self.n for _ in range(self.d)]
         self.minus_adj = [[0] * self.n for _ in range(self.d)]
         self.sizes = [[inst.int_size(v, i) for v in range(self.n)] for i in range(self.d)]
@@ -189,37 +194,28 @@ class EdgeState:
         self.roomy = [sum(s) <= cap for s, cap in zip(self.sizes, self.caps)]
         rank = sorted(range(self.n), key=lambda v: -inst.int_volume(v))  # stable: ties by index
         self.seq = [self.pid_of[a][b] for k, b in enumerate(rank) for a in rank[:k]]
-        span = prod(self.caps)  # (s_a + s_b) * units[i] ranks as (s_a + s_b) / cap_i
-        self.units = [span // cap for cap in self.caps]
+        self.units = [prod(self.caps[:i] + self.caps[i + 1:]) for i in range(self.d)]
         self.order: list[tuple[int, int]] = []
         self.trail: list[tuple[int, int]] = []
         self.up = [list(range(self.m)) for _ in range(self.d)]
         self.par = [[0] * self.m for _ in range(self.d)]
         self.size = [[1] * self.m for _ in range(self.d)]
         self.joins: list[tuple[int, int, int]] = []
-        self.undecided = self.d * self.m
         self.stats = SearchStats()
 
     # -- bookkeeping ---------------------------------------------------
-    def pair_ids(self, pid: int) -> tuple[str, str]:
-        a, b = self.pairs[pid]
-        return (self.inst.ids[a], self.inst.ids[b])
-
     def mark(self) -> int:
         return len(self.trail)
 
     def undo_to(self, mark: int) -> None:
-        status, pairs, plus_adj, minus_adj = self.status, self.pairs, self.plus_adj, self.minus_adj
+        pairs, plus_adj, minus_adj = self.pairs, self.plus_adj, self.minus_adj
         undone = self.trail[mark:]
         del self.trail[mark:]
-        self.undecided += len(undone)
         for i, pid in undone:  # each pair at most once, so in any order
-            row = status[i]
             a, b = pairs[pid]
-            adj = plus_adj[i] if row[pid] == INCLUDE else minus_adj[i]
+            adj = plus_adj[i] if plus_adj[i][a] >> b & 1 else minus_adj[i]
             adj[a] &= ~(1 << b)
             adj[b] &= ~(1 << a)
-            row[pid] = 0
         joins, ups, pars, set_sizes = self.joins, self.up, self.par, self.size
         while joins and joins[-1][0] >= mark:
             _, i, v = joins.pop()
@@ -251,57 +247,54 @@ def initial_state(inst: Instance) -> Union[EdgeState, ImmediateConflict]:
 
 def propagate(state: EdgeState, *decisions: tuple[int, int, int]) -> Optional[Conflict]:
     """Apply (dimension, pair index, sign) decisions and their forced
-    consequences to a fixed point, first in first out. Returns None on
+    consequences to a fixed point, first in first out, reading and setting
+    each pair's sign in the axis's plus/minus bitsets. Returns None on
     success, the assignments made being `state.trail[mark:]` for the mark
-    taken before the call; on Conflict the partial assignments stay on the
-    trail too (`state.undo_to(mark)` retracts them). No pair's width is
-    tested: `initial_state` includes every too-wide pair first, so
-    excluding one conflicts. Each new exclusion is tested for a minus
-    clique through it heavier than the axis, so a conflict-free result
-    leaves none (P2 on every decided set); up to two common minus
-    neighbours of the pair are weighed inline, more by `_max_clique`.
-    Each assignment then joins, in its axis's parity union-find, the two
-    minus arcs of each step it makes legal; a join that closes an odd
-    closed walk over the steps (an odd 2-chordless cycle, Gallai's
-    obstruction to a comparability graph) conflicts as `odd_cycle`, so a
-    conflict-free result leaves none either.
+    taken before the call; on Conflict, which names the pair by index, the
+    partial assignments stay on the trail too (`state.undo_to(mark)`
+    retracts them). No pair's width is tested: `initial_state` includes
+    every too-wide pair first, so excluding one conflicts. Each new
+    exclusion is tested for a minus clique through it heavier than the
+    axis, so a conflict-free result leaves none (P2 on every decided set);
+    up to two common minus neighbours of the pair are weighed inline, more
+    by `_max_clique`. Each assignment then joins, in its axis's parity
+    union-find, the two minus arcs of each step it makes legal; a join
+    that closes an odd closed walk over the steps (an odd 2-chordless
+    cycle, Gallai's obstruction to a comparability graph) conflicts as
+    `odd_cycle`, so a conflict-free result leaves none either.
     """
     # A `for` over a list also visits what is appended during the loop:
     # the queue is first in, first out without a deque's pops.
     queue = [(i, pid, sign, "seed") for i, pid, sign in decisions]
-    status, pairs, pid_of, trail = state.status, state.pairs, state.pid_of, state.trail
+    pairs, pid_of, trail = state.pairs, state.pid_of, state.trail
     plus_adj, minus_adj, joins = state.plus_adj, state.minus_adj, state.joins
     ups, pars, set_sizes = state.up, state.par, state.size
     roomy, sizes, caps, d = state.roomy, state.sizes, state.caps, state.d
     mark = len(trail)
     conflict = None
     for i, pid, sign, rule in queue:
-        row = status[i]
-        cur = row[pid]
-        if cur == sign:
-            continue
-        if cur:
-            conflict = Conflict(rule=rule, dimension=i, pair=state.pair_ids(pid))
-            break
-        row[pid] = sign
         a, b = pairs[pid]
         plus = plus_adj[i]
         minus = minus_adj[i]
-        adj = plus if sign == INCLUDE else minus
+        adj, other = (plus, minus) if sign == INCLUDE else (minus, plus)
+        if adj[a] >> b & 1:
+            continue
+        if other[a] >> b & 1:
+            conflict = Conflict(rule, i, pid)
+            break
         adj[a] |= 1 << b
         adj[b] |= 1 << a
         trail.append((i, pid))
         if sign == INCLUDE:
             count = 0
-            for row in status:
-                if row[pid] == INCLUDE:
-                    count += 1
+            for row in plus_adj:
+                count += row[a] >> b & 1
             if count == d:
-                conflict = Conflict(rule="p3", dimension=i, pair=state.pair_ids(pid))
+                conflict = Conflict("p3", i, pid)
                 break
             if count == d - 1:
-                for j, row in enumerate(status):
-                    if row[pid] == 0:
+                for j in range(d):
+                    if not (plus_adj[j][a] | minus_adj[j][a]) >> b & 1:
                         queue.append((j, pid, EXCLUDE, "p3"))
             for u, v in ((a, b), (b, a)):
                 # new edge ends a 3-edge path x-y-u-v whose diagonals are minus
@@ -364,7 +357,7 @@ def propagate(state: EdgeState, *decisions: tuple[int, int, int]) -> Optional[Co
                     wx, wy = w[x.bit_length() - 1], (w[y.bit_length() - 1] if y else 0)
                     heavy = (wx + wy if minus[x.bit_length() - 1] & y else max(wx, wy)) > floor
                 if heavy:
-                    conflict = Conflict(rule="minus_clique", dimension=i, pair=state.pair_ids(pid))
+                    conflict = Conflict("minus_clique", i, pid)
                     break
             # new steps (x, a) -> (a, b), then (a, b) -> (b, x)
             links = []
@@ -402,13 +395,11 @@ def propagate(state: EdgeState, *decisions: tuple[int, int, int]) -> Optional[Co
                 size[t] += size[s]
                 joins.append((len(trail) - 1, i, s))
             elif w:
-                conflict = Conflict(rule="odd_cycle", dimension=i, pair=state.pair_ids(pid))
+                conflict = Conflict("odd_cycle", i, pid)
                 break
         if conflict is not None:
             break
-    applied = len(trail) - mark
-    state.undecided -= applied
-    state.stats.propagations += applied
+    state.stats.propagations += len(trail) - mark
     if conflict is not None:
         state.stats.conflicts += 1
     return conflict
@@ -452,11 +443,12 @@ def branch_select(state: EdgeState, start: int = 0) -> tuple[int, int, int]:
     a position before which every variable is decided, such as the
     position chosen at an ancestor of this state on the search path; a
     scan from it returns what a scan from zero returns."""
-    status, order = state.status, state.order
+    pairs, plus_adj, minus_adj, order = state.pairs, state.plus_adj, state.minus_adj, state.order
     while True:
         for pos in range(start, len(order)):
             i, pid = order[pos]
-            if not status[i][pid]:
+            a, b = pairs[pid]
+            if not (plus_adj[i][a] | minus_adj[i][a]) >> b & 1:
                 return pos, i, pid
         start = len(order)
         if start == state.d * state.m:
@@ -729,13 +721,13 @@ def _decide(inst: Instance, use_heuristic: bool, budget: _Budget) -> SearchOutco
     if isinstance(state, ImmediateConflict):
         stats.bump("initial_conflict")
         return outcome("infeasible", 0)
-    stats, trail = state.stats, state.trail
+    stats, trail, variables = state.stats, state.trail, state.d * state.m
     stack: list[tuple[int, int, int, int, int]] = []  # the open nodes' frames
     nodes = 0
     while True:
         if deadline is not None and time.perf_counter() > deadline:
             return outcome("resource_limit", nodes)
-        if state.undecided == 0:
+        if len(trail) == variables:
             return outcome("feasible", nodes, *_try_accept(state))
         pos, i, pid = branch_select(state, stack[-1][1] if stack else 0)
         stack.append((len(trail), pos, i, pid, INCLUDE))

@@ -6,12 +6,13 @@ criteria on transitive orientations; the chordality test by definition
 search are exercised against the library's own recognizers; the
 arc-state parity search is the reference for the library's
 odd-closed-walk search and for propagation's odd-cycle conflicts; the
-arc-set edge forcing is the reference for the library's bitset transitive
-orientation; the width bound is a property every packing class has; the pair lookup and
-per-axis edge lists read a search state by box ids; the comparability
-oracle, a backtracking over edge directions capped at
-`COMPARABILITY_EDGE_CAP` edges, is ground truth for the library's
-transitive orientation.
+arc-set edge forcing is the reference for the library's bitset
+transitive orientation; the width bound is a property every packing
+class has; the pair lookup, the sign and undecided-count readers and the
+per-axis edge lists read a search state off its bitsets and trail, by
+box ids where they name boxes; the comparability oracle, a backtracking
+over edge directions capped at `COMPARABILITY_EDGE_CAP` edges, is ground
+truth for the library's transitive orientation.
 """
 
 from typing import Optional, Sequence
@@ -384,8 +385,29 @@ def pair_of(state, a: str, b: str) -> int:
     return state.pid_of[state.inst.index(a)][state.inst.index(b)]
 
 
-def _edges(state, i: int, sign: int) -> list[tuple[str, str]]:
-    return [state.pair_ids(p) for p in range(state.m) if state.status[i][p] == sign]
+def pair_ids(state, pid: int) -> tuple[str, str]:
+    """The box ids of pair `pid` of an `opp.EdgeState`."""
+    a, b = state.pairs[pid]
+    return state.inst.ids[a], state.inst.ids[b]
+
+
+def sign(state, i: int, pid: int) -> int:
+    """The sign of pair `pid` on axis i of an `opp.EdgeState`, read off its
+    bitsets: INCLUDE, EXCLUDE or 0 when undecided."""
+    a, b = state.pairs[pid]
+    if state.plus_adj[i][a] >> b & 1:
+        return INCLUDE
+    return EXCLUDE if state.minus_adj[i][a] >> b & 1 else 0
+
+
+def undecided(state) -> int:
+    """The number of undecided (dimension, pair) variables of an
+    `opp.EdgeState`: those not on its trail."""
+    return state.d * state.m - len(state.trail)
+
+
+def _edges(state, i: int, which: int) -> list[tuple[str, str]]:
+    return [pair_ids(state, p) for p in range(state.m) if sign(state, i, p) == which]
 
 
 def plus_edges(state, i: int) -> list[tuple[str, str]]:

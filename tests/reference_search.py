@@ -31,33 +31,29 @@ from packclass.opp import (
     quick_infeasible,
 )
 
-from graphtools import odd_closed_walk_by_arcs
+from graphtools import odd_closed_walk_by_arcs, sign as sign_of, undecided
 
 
 def set_edge(state, i, pid, sign):
     """One assignment, no consequences and no width test: "noop" when
     (i, pid) already has `sign`, "conflict" when it has the other one,
     else "applied"."""
-    row = state.status[i]
-    cur = row[pid]
+    cur = sign_of(state, i, pid)
     if cur == sign:
         return "noop"
     if cur != 0:
         return "conflict"
     a, b = state.pairs[pid]
-    row[pid] = sign
     adj = state.plus_adj[i] if sign == INCLUDE else state.minus_adj[i]
     adj[a] |= 1 << b
     adj[b] |= 1 << a
     state.trail.append((i, pid))
-    state.undecided -= 1
     return "applied"
 
 
 def copy_state(state):
     """A copy of `state` that shares only its instance and fixed tables."""
     twin = copy.copy(state)
-    twin.status = [row[:] for row in state.status]
     twin.plus_adj = [row[:] for row in state.plus_adj]
     twin.minus_adj = [row[:] for row in state.minus_adj]
     twin.trail = state.trail[:]
@@ -74,7 +70,6 @@ def fixpoint(state, seeds):
     tuple of applied (dimension, pair index, sign) triples, or Conflict."""
     queue = deque((i, pid, sign, "seed") for i, pid, sign in seeds)
     applied = []
-    status = state.status
     pid_of = state.pid_of
     while queue:
         i, pid, sign, rule = queue.popleft()
@@ -83,20 +78,20 @@ def fixpoint(state, seeds):
             continue
         if result == "conflict":
             state.stats.conflicts += 1
-            return Conflict(rule=rule, dimension=i, pair=state.pair_ids(pid))
+            return Conflict(rule, i, pid)
         applied.append((i, pid, sign))
         state.stats.propagations += 1
         a, b = state.pairs[pid]
         plus = state.plus_adj[i]
         minus = state.minus_adj[i]
         if sign == INCLUDE:
-            count = sum(row[pid] == INCLUDE for row in status)
+            count = sum(sign_of(state, j, pid) == INCLUDE for j in range(state.d))
             if count == state.d:
                 state.stats.conflicts += 1
-                return Conflict(rule="p3", dimension=i, pair=state.pair_ids(pid))
+                return Conflict("p3", i, pid)
             if count == state.d - 1:
-                for j, row in enumerate(status):
-                    if row[pid] == 0:
+                for j in range(state.d):
+                    if sign_of(state, j, pid) == 0:
                         queue.append((j, pid, EXCLUDE, "p3"))
             for u, v in ((a, b), (b, a)):
                 for y in _bits(plus[u] & minus[v]):
@@ -107,7 +102,7 @@ def fixpoint(state, seeds):
                     queue.append((i, pid_of[x][t], EXCLUDE, "c4"))
             if odd_closed_walk_by_arcs(state.n, minus, plus) is not None:
                 state.stats.conflicts += 1
-                return Conflict(rule="odd_cycle", dimension=i, pair=state.pair_ids(pid))
+                return Conflict("odd_cycle", i, pid)
         else:
             for p, r in ((a, b), (b, a)):
                 for q in _bits(plus[p] & plus[r]):
@@ -117,11 +112,11 @@ def fixpoint(state, seeds):
             w = state.sizes[i]
             if _max_clique(minus, w, common, state.caps[i] - w[a] - w[b])[1]:
                 state.stats.conflicts += 1
-                return Conflict(rule="minus_clique", dimension=i, pair=state.pair_ids(pid))
+                return Conflict("minus_clique", i, pid)
             # with no plus pair every step is a backtrack, and no walk is odd
             if any(plus) and odd_closed_walk_by_arcs(state.n, minus, plus) is not None:
                 state.stats.conflicts += 1
-                return Conflict(rule="odd_cycle", dimension=i, pair=state.pair_ids(pid))
+                return Conflict("odd_cycle", i, pid)
     return tuple(applied)
 
 
@@ -151,7 +146,7 @@ def branch_select(state):
     dimension with the largest (s_a + s_b) / cap, the lowest on ties."""
     for pid in state.seq:
         a, b = state.pairs[pid]
-        axes = [i for i in range(state.d) if state.status[i][pid] == 0]
+        axes = [i for i in range(state.d) if sign_of(state, i, pid) == 0]
         if axes:
             width = [Fraction(s[a] + s[b], cap) for s, cap in zip(state.sizes, state.caps)]
             return max(axes, key=width.__getitem__), pid
@@ -193,7 +188,7 @@ def _decide(inst, use_heuristic, budget):
     state.stats = stats
     stack = []
     while True:
-        if state.undecided == 0:
+        if undecided(state) == 0:
             return outcome("feasible", *_try_accept(state))
         i, pid = branch_select(state)
         stack.append((state.mark(), i, pid, (INCLUDE, EXCLUDE)))

@@ -212,6 +212,20 @@ def test_no_boxes_is_solved_by_every_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("container", [[0], [0, 0], [5, 0], [0, 0, 0], [5, 0, 5]])
+@pytest.mark.parametrize("flags", [[], ["--no-heuristic"]])
+def test_opp_of_no_boxes_in_a_zero_container(tmp_path, capsys, container, flags):
+    # a zero container side is allowed with no boxes; the engine alone
+    # once divided by it when ranking a pair's axes
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"container": container, "boxes": []}))
+    out = tmp_path / "opp.json"
+    assert run(["opp", str(empty), "-o", str(out), *flags]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] == "feasible" and doc["positions"] == {}
+    assert capsys.readouterr().err == ""
+
+
 def test_spp_of_no_boxes_verifies(tmp_path, capsys):
     # spp writes a strip of height 0, and verify must accept it
     empty = tmp_path / "empty.json"

@@ -1,4 +1,5 @@
 import json
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,17 @@ def test_render_svg_one_rect_per_box(five_box_example):
     svg = render_svg(five_box_example, packing)
     assert svg.count("<rect") == 6  # container outline + five boxes
     assert svg.count("<text") == 5
+
+
+def test_render_svg_escapes_box_ids():
+    # markup characters in an id must not break the SVG: it parses, and each
+    # label reads back its box's id
+    ids = ["a<&b", "c>d", '"e"', "f'g"]
+    inst = Instance(boxes=[Box(b, (1, 1)) for b in ids], container=(4, 1))
+    packing = Packing({b: (k, 0) for k, b in enumerate(ids)})
+    root = ET.fromstring(render_svg(inst, packing).encode())
+    labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert labels == sorted(ids)
 
 
 def test_write_json_trailing_newline(tmp_path):

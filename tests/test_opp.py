@@ -48,6 +48,8 @@ from graphtools import (
     odd_closed_walk_by_arcs,
     pair_of,
     plus_edges,
+    sign as sign_of,
+    undecided,
 )
 import reference_search as reference
 from packclass.graph import (
@@ -74,7 +76,7 @@ def test_initial_state_completes_stackable_pair():
     inst = Instance(boxes=(Box("a", (2, 1)), Box("b", (2, 1))), container=(2, 2))
     state = initial_state(inst)
     assert isinstance(state, EdgeState)
-    assert state.undecided == 0
+    assert undecided(state) == 0
     assert plus_edges(state, 0) == [("a", "b")]
     assert minus_edges(state, 1) == [("a", "b")]
 
@@ -102,7 +104,7 @@ def test_propagate_forces_c4_completion_edge():
     for decision in decisions:
         assert propagate(state, decision) is None
     pid = pair_of(state, "v2", "v3")
-    assert state.status[0][pid] == EXCLUDE
+    assert sign_of(state, 0, pid) == EXCLUDE
     # and re-running the final decision is a no-op
     mark = state.mark()
     assert propagate(state, decisions[-1]) is None and state.mark() == mark
@@ -131,7 +133,7 @@ def test_propagate_idempotent_on_random_states():
         # structural invariants: no pair both included and excluded, and no
         # pair included in every dimension
         for p in range(state.m):
-            signs = [state.status[i][p] for i in range(state.d)]
+            signs = [sign_of(state, i, p) for i in range(state.d)]
             assert all(s in (-1, 0, 1) for s in signs)
             assert signs != [INCLUDE] * state.d
 
@@ -172,7 +174,7 @@ def test_propagation_leaves_no_plus_c4_with_minus_diagonals():
             continue
         pairs = list(range(state.m))
         for _ in range(3 * state.m):
-            if state.undecided == 0:
+            if undecided(state) == 0:
                 break
             sign = INCLUDE if rng.random() < 0.6 else EXCLUDE
             decision = (rng.randrange(state.d), rng.choice(pairs), sign)
@@ -253,7 +255,7 @@ def test_silent_prune_check_implies_clique_bound():
         for i in range(d):
             decided = [0] * n
             for pid, (a, b) in enumerate(state.pairs):
-                if state.status[i][pid] != 0:
+                if sign_of(state, i, pid) != 0:
                     decided[a] |= 1 << b
                     decided[b] |= 1 << a
             for size in range(2, n + 1):
@@ -289,7 +291,7 @@ def test_propagate_conflicts_on_overweight_minus_clique():
     assert propagate(state, first) is None and propagate(state, second) is None
     # widths 2+2+2 > 5: the exclusion that closes the clique conflicts
     mark = state.mark()
-    assert propagate(state, third) == Conflict("minus_clique", 0, ("b", "c"))
+    assert propagate(state, third) == Conflict("minus_clique", 0, pair_of(state, "b", "c"))
     state.undo_to(mark)
     # on the other axis {b, c} is a lone minus edge
     assert propagate(state, (1, third[1], EXCLUDE)) is None
@@ -316,14 +318,13 @@ def test_propagate_weighs_small_common_neighbourhoods_as_max_clique(monkeypatch)
         near = range(2, 2 + len(common))
         pairs = [(0, x) for x in near] + [(1, x) for x in near] + [(0, 2 + len(common) + k) for k in range(len(others))]
         for p, q in pairs + [(2 + x, 2 + y) for x, y in edges]:
-            state.status[0][state.pid_of[p][q]] = EXCLUDE
             state.minus_adj[0][p] |= 1 << q
             state.minus_adj[0][q] |= 1 << p
         minus = state.minus_adj[0]
         expected = bool(search(minus, state.sizes[0], minus[0] & minus[1], cap - wa - wb)[1])
         before = len(calls)
         conflict = propagate(state, (0, state.pid_of[0][1], EXCLUDE))
-        assert conflict == (Conflict("minus_clique", 0, ("v0", "v1")) if expected else None)
+        assert conflict == (Conflict("minus_clique", 0, state.pid_of[0][1]) if expected else None)
         assert (len(calls) > before) == (len(common) >= 3)
         return expected
 
@@ -377,7 +378,7 @@ def test_search_branches_first_on_the_two_largest_boxes(monkeypatch):
     sizes = {"v0": (1, 1), "v1": (3, 4), "v2": (2, 2), "v3": (4, 3), "v4": (5, 1)}
     inst = Instance(boxes=[Box(b, s) for b, s in sizes.items()], container=(10, 8))
     state = initial_state(inst)
-    assert state.undecided == state.d * state.m  # nothing too wide
+    assert undecided(state) == state.d * state.m  # nothing too wide
     first = (1, pair_of(state, "v1", "v3"), INCLUDE)
     second = (0, pair_of(state, "v1", "v4"), INCLUDE)
     assert branch_select(state) == (0, *first[:2])
@@ -429,16 +430,16 @@ def random_walk_states(rng, instances, undo=0.25, apply=propagate):
             continue
         marks = []  # trail marks before each decision still applied
         for _ in range(4 * state.m):
-            undone = bool(marks) and (state.undecided == 0 or rng.random() < undo)
+            undone = bool(marks) and (undecided(state) == 0 or rng.random() < undo)
             if undone:
                 k = rng.randrange(len(marks))
                 state.undo_to(marks[k])
                 del marks[k:]
-            elif state.undecided == 0:
+            elif undecided(state) == 0:
                 break
             else:
                 open_slots = [
-                    (i, pid) for i in range(d) for pid in range(state.m) if state.status[i][pid] == 0
+                    (i, pid) for i in range(d) for pid in range(state.m) if sign_of(state, i, pid) == 0
                 ]
                 i, pid = rng.choice(open_slots)
                 mark = state.mark()
@@ -475,7 +476,7 @@ def test_branch_select_matches_definition():
         assert state.seq == list(dict.fromkeys(pid for _, pid in order)), k
         path = []  # (trail mark, position chosen) per decision still applied
         for _ in range(4 * state.m):
-            undecided = [(i, pid) for i, pid in order if state.status[i][pid] == 0]
+            undecided = [(i, pid) for i, pid in order if sign_of(state, i, pid) == 0]
             starts = {0, *(pos for _, pos in path)}
             if undecided:
                 pos, i, pid = branch_select(state)
@@ -508,9 +509,62 @@ def test_branch_select_matches_definition():
     assert checked > 10000 and carried > 5000 and undone > 2000, (checked, carried, undone)
 
 
+def test_bitsets_hold_exactly_the_trail():
+    """Along seeded propagate/undo_to walks (d 1-3), after every step and
+    right after each conflict, before its undo, each axis's plus and minus
+    bitsets are symmetric, loop-free and disjoint, and the pairs they hold
+    are exactly the trail's (dimension, pair index) variables, each once:
+    the bitsets and the trail are the whole record of the signs. Walks
+    start from a bare `EdgeState`, as `initial_state` decides a 1-D root in
+    full."""
+    rng = random.Random(89)
+    seen = Counter()
+
+    def check(state):
+        held = []
+        for i, (plus, minus) in enumerate(zip(state.plus_adj, state.minus_adj)):
+            for a, (up, down) in enumerate(zip(plus, minus)):
+                assert not (up | down) >> a & 1 and not up & down and not (up | down) >> state.n
+                for b in bits(up | down):
+                    assert plus[b] >> a & 1 == up >> b & 1 and minus[b] >> a & 1 == down >> b & 1
+                    if a < b:
+                        held.append((i, state.pid_of[a][b]))
+        assert sorted(held) == sorted(state.trail) and len(set(held)) == len(held)
+
+    for k in range(300):
+        n, d = rng.randint(2, 9), 1 + k % 3
+        inst = Instance(
+            boxes=[Box(f"v{j}", tuple(rng.randint(1, 4) for _ in range(d))) for j in range(n)],
+            container=(6,) * d,
+        )
+        state = EdgeState(inst)
+        marks = []  # trail marks before each decision still applied
+        for _ in range(4 * state.m):
+            check(state)
+            free = [(i, pid) for i in range(d) for pid in range(state.m) if sign_of(state, i, pid) == 0]
+            if marks and (not free or rng.random() < 0.25):
+                cut = rng.randrange(len(marks))
+                state.undo_to(marks[cut])
+                del marks[cut:]
+                seen["undo"] += 1
+                continue
+            if not free:
+                break
+            i, pid = rng.choice(free)
+            mark = state.mark()
+            if propagate(state, (i, pid, rng.choice((INCLUDE, EXCLUDE)))) is None:
+                marks.append(mark)
+                seen[f"d{d}"] += 1
+            else:
+                check(state)
+                state.undo_to(mark)
+                seen["conflict"] += 1
+        check(state)
+    assert min(seen.values()) >= 1000, seen
+
+
 def _snapshot(state):
-    return (state.status, state.plus_adj, state.minus_adj, state.trail, state.undecided,
-            state.stats.deterministic_view())
+    return state.plus_adj, state.minus_adj, state.trail, state.stats.deterministic_view()
 
 
 def test_propagate_matches_reference_fixpoint(monkeypatch):
@@ -532,7 +586,7 @@ def test_propagate_matches_reference_fixpoint(monkeypatch):
             seen[expected.rule] += 1
         else:
             assert got is None
-            suffix = [(i, pid, state.status[i][pid]) for i, pid in state.trail[mark:]]
+            suffix = [(i, pid, sign_of(state, i, pid)) for i, pid in state.trail[mark:]]
             assert suffix == list(expected)
             seen["forced" if len(expected) > 1 else "single"] += 1
         assert _snapshot(state) == _snapshot(twin)
@@ -558,7 +612,7 @@ def test_propagation_leaves_no_overweight_minus_clique():
             assert not overweight_minus_clique(state)
             seen["clean"] += 1
         elif got.rule == "minus_clique":
-            a, b = map(state.inst.index, got.pair)
+            a, b = state.pairs[got.pid]
             cap = state.caps[got.dimension]
             assert any(
                 w > cap and c >> a & 1 and c >> b & 1 for w, c in minus_cliques(state, got.dimension)
@@ -603,7 +657,7 @@ def _accept_by_definition(state):
     """P3, then per axis P1 (the definitional oracle: a simplicial
     elimination order and no asteroidal triple) and P2 (the heaviest
     clique of the complement fits), with no filter first."""
-    if any(all(row[pid] == INCLUDE for row in state.status) for pid in range(state.m)):
+    if any(all(sign_of(state, i, pid) == INCLUDE for i in range(state.d)) for pid in range(state.m)):
         return False
     full = (1 << state.n) - 1
     config = OracleConfig(max_vertices=state.n)
@@ -637,7 +691,7 @@ def test_try_accept_matches_filter_free_check():
     outcomes = Counter()
 
     def accepted(state):
-        assert state.undecided == 0
+        assert undecided(state) == 0
         accept = accept_or_none(state)
         assert (accept is not None) == _accept_by_definition(state)
         if accept is not None:
@@ -648,7 +702,7 @@ def test_try_accept_matches_filter_free_check():
         return accept is not None
 
     for state, undone in random_walk_states(random.Random(78), 300, undo=0.0):
-        if state.undecided == 0 and not undone:
+        if undecided(state) == 0 and not undone:
             assert accepted(state)
             outcomes["walk leaf"] += 1
     rng = random.Random(79)
@@ -700,7 +754,7 @@ def test_root_prune_check_matches_ungated_check():
         boxes=[Box(b, s) for b, s in (("c", (6, 7)), ("d", (6, 7)), ("e", (2, 11)), ("a", (9, 4)), ("b", (9, 4)))],
         container=(10, 20),
     )
-    assert initial_state(inst) == ImmediateConflict(Conflict("minus_clique", 1, ("a", "b")))
+    assert initial_state(inst) == ImmediateConflict(Conflict("minus_clique", 1, pair_of(EdgeState(inst), "a", "b")))
     out = solve_opp(inst, SearchLimits(use_heuristic=False))
     assert out.verdict == "infeasible" and out.stats.nodes == 0
     assert out.stats.prunes == {"initial_conflict": 1}
@@ -738,7 +792,7 @@ def test_decided_states_pass_the_check_exactly_when_accepted():
     4-cycle."""
     kinds = Counter()
     for state, undone in random_walk_states(random.Random(84), 2500, undo=0.0):
-        if state.undecided == 0 and not undone:
+        if undecided(state) == 0 and not undone:
             assert prune_check(state) is None and accept_or_none(state) is not None
             kinds["walk leaf"] += 1
     rng = random.Random(86)
@@ -764,6 +818,16 @@ def test_solve_five_box_example_by_search(five_box_example):
     assert set(out.packing.positions) == set(five_box_example.ids)
     assert validate_packing(out.packing, five_box_example).valid
     assert out.stats.nodes > 0
+
+
+@pytest.mark.parametrize("container", [(0,), (0, 0), (5, 0), (0, 0, 0), (5, 0, 5)])
+@pytest.mark.parametrize("use_heuristic", [True, False])
+def test_no_boxes_in_a_zero_container_are_feasible(container, use_heuristic):
+    # the engine ranks a pair's axes by (s_a + s_b) * units[i], units[i]
+    # the product of the other axes' caps, defined at a zero cap
+    out = solve_opp(Instance([], container), SearchLimits(use_heuristic=use_heuristic))
+    assert out.verdict == "feasible" and out.packing.positions == {}
+    assert out.stats.nodes == 0
 
 
 def test_solve_infeasible_pair():
@@ -797,7 +861,7 @@ def test_try_accept_rejects_asteroidal_triple():
             assert reference.set_edge(state, 0, pid, EXCLUDE) == "applied"
     for pid in plus:  # d1-d2 last
         assert reference.set_edge(state, 0, pid, INCLUDE) == "applied"
-    assert state.undecided == 0 and not overweight_minus_clique(state)
+    assert undecided(state) == 0 and not overweight_minus_clique(state)
     with pytest.raises(NotPackingClass):
         _try_accept(state)
     assert not verify_packing_class([plus_edges(state, 0), plus_edges(state, 1)], inst).all_ok
@@ -1109,7 +1173,7 @@ def test_deadline_inside_the_initial_state_stops_before_the_leaf_accept(monkeypa
 
     monkeypatch.setattr(opp.time, "perf_counter", lambda: now)
     monkeypatch.setattr(opp, "initial_state", slow_build)
-    monkeypatch.setattr(opp, "_try_accept", lambda state: accepts.append(state.undecided) or accept(state))
+    monkeypatch.setattr(opp, "_try_accept", lambda state: accepts.append(undecided(state)) or accept(state))
     out = solve_opp(inst, SearchLimits(max_nodes=50, time_limit=0.5, use_heuristic=False))
     assert out.verdict == "resource_limit" and accepts == []
     out = solve_opp(inst, SearchLimits(max_nodes=50, time_limit=None, use_heuristic=False))
@@ -1142,8 +1206,9 @@ def test_one_dimensional_roots_are_leaves(monkeypatch):
         cliques.clear()
         state = initial_state(inst)
         if fits:
-            assert isinstance(state, EdgeState) and state.undecided == 0, k
-            assert state.status == [[EXCLUDE] * state.m] and state.roomy == [True], k
+            assert isinstance(state, EdgeState) and undecided(state) == 0, k
+            assert [sign_of(state, 0, pid) for pid in range(state.m)] == [EXCLUDE] * state.m, k
+            assert state.roomy == [True], k
             assert cliques == [], k
         else:
             assert isinstance(state, ImmediateConflict), k
@@ -1169,7 +1234,7 @@ def test_accept_runs_only_on_fully_decided_states(monkeypatch):
     accept = opp._try_accept
 
     def checked(state):
-        assert state.undecided == 0, kind
+        assert undecided(state) == 0, kind
         out = accept(state)
         assert out is not None, kind
         packing, pc = out
@@ -1431,9 +1496,9 @@ def test_too_wide_table_matches_definition():
             assert state.trail[:len(seeds)] == seeds, k
             ordered += len(seeds) >= 2
             for i, pid in seeds:
-                assert state.status[i][pid] == INCLUDE
+                assert sign_of(state, i, pid) == INCLUDE
                 assert reference.set_edge(state, i, pid, EXCLUDE) == "conflict"
-                assert propagate(state, (i, pid, EXCLUDE)) == Conflict("seed", i, state.pair_ids(pid))
+                assert propagate(state, (i, pid, EXCLUDE)) == Conflict("seed", i, pid)
     assert ordered >= 10, ordered
 
 
